@@ -4,7 +4,6 @@ package repro
 
 import (
 	"math/big"
-	"runtime"
 	"testing"
 
 	"repro/internal/search"
@@ -60,27 +59,6 @@ func BenchmarkSpectrumFullTrillion(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := spectrum.ProductSpectrum(d.Factors(), 1<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDistributedDegrees measures the communication-light degree
-// validation path (per-worker tallies + one reduction) versus full edge
-// materialization.
-func BenchmarkDistributedDegrees(b *testing.B) {
-	d, err := kron.FromPoints([]int{3, 4, 5, 9, 16}, kron.LoopHub)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := kron.NewGenerator(d, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	np := runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.DegreeHistogram(np); err != nil {
 			b.Fatal(err)
 		}
 	}

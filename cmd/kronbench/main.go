@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -402,21 +403,6 @@ func fig3(maxWorkers int) error {
 	recordBench("shardSpeedup", summed/fullRate)
 	recordBench("shardPlanCostEdgesPerSec", planRep.AggregateRate)
 
-	// Inner-loop hoist micro-delta: the live count engine (per-B-triple
-	// row/col bases, C pre-widened to int64 edges) against the retired loop
-	// kept verbatim in CountEdgesBaseline (per-edge `ib*mC + ic` multiplies
-	// and int→int64 widening).
-	start = time.Now()
-	baseTotal, _, err := g.CountEdgesBaseline(context.Background(), 1)
-	if err != nil {
-		return err
-	}
-	baselineRate := float64(baseTotal) / time.Since(start).Seconds()
-	fmt.Printf("\ninner-loop hoist: %.3e edges/s hoisted vs %.3e baseline (%.2fx)\n",
-		fullRate, baselineRate, fullRate/baselineRate)
-	recordBench("countBaselineEdgesPerSec", baselineRate)
-	recordBench("rowBaseHoistSpeedup", fullRate/baselineRate)
-
 	// Wire formats: encoder throughput over a real band-ordered prefix of
 	// this workload's stream — the component cost of putting edges on the
 	// wire, measured against the count-only full-process rate (the
@@ -452,6 +438,12 @@ func fig3(maxWorkers int) error {
 	if err != nil {
 		return err
 	}
+	// The client half of the delta wire: the same sample, delta-encoded once,
+	// decoded and checksum-verified from memory.
+	binDeltaReadRate, err := benchDeltaRead(sample)
+	if err != nil {
+		return err
+	}
 	// The block-replay delta path has no per-edge encode loop to isolate —
 	// its whole point is that generation and encoding fuse into template
 	// renders plus cached-byte replays — so it is measured end to end: a
@@ -469,12 +461,15 @@ func fig3(maxWorkers int) error {
 	fmt.Printf("%-14s %-14.3e (strconv baseline)\n", "tsv/strconv", tsvStrconvRate)
 	fmt.Printf("%-14s %-14.3e (%.2fx strconv)\n", "tsv", tsvRate, tsvRate/tsvStrconvRate)
 	fmt.Printf("%-14s %-14.3e (per-edge encode)\n", "bin/delta", binDeltaRate)
+	fmt.Printf("%-14s %-14.3e (decode, %.2fx the delta encode)\n", "bin/delta read", binDeltaReadRate, binDeltaReadRate/binDeltaRate)
 	fmt.Printf("%-14s %-14.3e (count-only rate / wire rate = %.2f)\n", "bin/fixed", binFixedRate, wireToCount)
 	fmt.Printf("%-14s %-14.3e (end-to-end generate+encode, %.2fx count rate)\n", "bin/replay", replayRate, deltaRatio)
 	recordBench("tsvStrconvWireEdgesPerSec", tsvStrconvRate)
 	recordBench("tsvWireEdgesPerSec", tsvRate)
 	recordBench("tsvLUTSpeedup", tsvRate/tsvStrconvRate)
 	recordBench("binDeltaWireEdgesPerSec", binDeltaRate)
+	recordBench("binDeltaReadEdgesPerSec", binDeltaReadRate)
+	recordBench("deltaReadToWriteRatio", binDeltaReadRate/binDeltaRate)
 	recordBench("binWireEdgesPerSec", binFixedRate)
 	recordBench("wireToCountRatio", wireToCount)
 	recordBench("deltaReplayWireEdgesPerSec", replayRate)
@@ -488,6 +483,7 @@ func fig3(maxWorkers int) error {
 		{Series: "tsvStrconv", EdgesPerSec: tsvStrconvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "tsv", EdgesPerSec: tsvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDelta", EdgesPerSec: binDeltaRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
+		{Series: "binDeltaRead", EdgesPerSec: binDeltaReadRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binFixed", EdgesPerSec: binFixedRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDeltaReplay", EdgesPerSec: replayRate, Gomaxprocs: gmp, BatchEdges: g.CNNZ()},
 	})
@@ -554,6 +550,46 @@ func benchWire(sample []gen.Edge, newWriter func() (graphio.EdgeWriter, error)) 
 	}
 	if err := w.Flush(); err != nil {
 		return 0, err
+	}
+	return float64(n) / time.Since(start).Seconds(), nil
+}
+
+// benchDeltaRead measures delta KRNB decode throughput: the sample is
+// encoded once into memory, then ReadBinary decodes and verifies it against
+// its trailer until enough wall clock has elapsed, after one unmeasured
+// warm-up pass.
+func benchDeltaRead(sample []gen.Edge) (float64, error) {
+	const minDur = 300 * time.Millisecond
+	var buf bytes.Buffer
+	w, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(sample)), graphio.BinaryDelta)
+	if err != nil {
+		return 0, err
+	}
+	if err := w.WriteEdges(sample); err != nil {
+		return 0, err
+	}
+	if err := w.Finish(); err != nil {
+		return 0, err
+	}
+	data := buf.Bytes()
+	pass := func() (int64, error) {
+		info, err := graphio.ReadBinary(context.Background(), bytes.NewReader(data), func([]gen.Edge) error { return nil })
+		if err != nil {
+			return 0, err
+		}
+		return info.Edges, nil
+	}
+	if _, err := pass(); err != nil {
+		return 0, err
+	}
+	var n int64
+	start := time.Now()
+	for time.Since(start) < minDur {
+		c, err := pass()
+		if err != nil {
+			return 0, err
+		}
+		n += c
 	}
 	return float64(n) / time.Since(start).Seconds(), nil
 }

@@ -104,15 +104,3 @@ func (d *Design) BalancedSplitPoint(maxCNNZ int64) (int, error) {
 	}
 	return 0, fmt.Errorf("core: no suffix of factors fits within %d nonzeros", maxCNNZ)
 }
-
-// RealizeRaw materializes the Kronecker product without removing the
-// self-loop, the form the split generator's B and C sides need (the loop is
-// removed once, from the final product, not from B or C).
-func (d *Design) RealizeRaw() (*sparse.COO[int64], error) {
-	sr := semiring.PlusTimesInt64()
-	factors := make([]*sparse.COO[int64], len(d.factors))
-	for i, f := range d.factors {
-		factors[i] = f.Adjacency()
-	}
-	return sparse.KronN(sr, factors...)
-}

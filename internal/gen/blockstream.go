@@ -37,8 +37,7 @@ func (g *Generator) streamBlockRange(ctx context.Context, bLo, bHi, np, batchSiz
 	if err != nil {
 		return err
 	}
-	mC := int64(g.c.NumRows)
-	nC := int64(g.c.NumCols)
+	mC, nC := g.mC, g.nC
 	loop := g.loopRow
 	return parallel.RunContext(ctx, np, func(ctx context.Context, p int) error {
 		var (

@@ -1,15 +1,45 @@
 package gen
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/sparse"
 	"repro/internal/star"
 )
 
-// Distributed degree tallies must equal the realized matrix's row degrees
-// for every loop mode and worker count.
+// streamedRowDegrees tallies the generated graph's row degrees (the paper's
+// vertex degrees) from an np-worker stream, one private tally per worker
+// summed afterwards. The generator never emits duplicate entries, so the
+// tallies are exact.
+func streamedRowDegrees(t *testing.T, g *Generator, np int) []int64 {
+	t.Helper()
+	locals := make([][]int64, np)
+	for p := range locals {
+		locals[p] = make([]int64, g.NumVertices())
+	}
+	err := g.StreamTo(context.Background(), np, 0, pipeline.Func(func(p int, batch []Edge) error {
+		for _, e := range batch {
+			locals[p][e.Row]++
+		}
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := make([]int64, g.NumVertices())
+	for _, local := range locals {
+		for v, n := range local {
+			total[v] += n
+		}
+	}
+	return total
+}
+
+// Streamed degree tallies must equal the realized matrix's row degrees for
+// every loop mode and worker count.
 func TestRowDegreesMatchRealized(t *testing.T) {
 	for _, tc := range []struct {
 		pts  []int
@@ -26,10 +56,7 @@ func TestRowDegreesMatchRealized(t *testing.T) {
 		}
 		want := sparse.RowNNZCounts(a, sr)
 		for _, np := range []int{1, 3, 8} {
-			got, err := g.RowDegrees(np)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := streamedRowDegrees(t, g, np)
 			if len(got) != len(want) {
 				t.Fatalf("%v: %d degrees, want %d", d, len(got), len(want))
 			}
@@ -42,12 +69,15 @@ func TestRowDegreesMatchRealized(t *testing.T) {
 	}
 }
 
-// The distributed histogram must equal the design's predicted distribution.
+// The streamed degree histogram must equal the design's predicted
+// distribution.
 func TestDegreeHistogramMatchesPrediction(t *testing.T) {
 	d, g := mustGen(t, []int{3, 4, 5, 9}, star.LoopHub, 2)
-	hist, err := g.DegreeHistogram(4)
-	if err != nil {
-		t.Fatal(err)
+	hist := make(map[int64]int64)
+	for _, deg := range streamedRowDegrees(t, g, 4) {
+		if deg > 0 {
+			hist[deg]++
+		}
 	}
 	dist, err := d.DegreeDistribution()
 	if err != nil {
@@ -66,12 +96,8 @@ func TestDegreeHistogramMatchesPrediction(t *testing.T) {
 // Degree sum equals twice nothing — it equals the edge (nnz) count exactly.
 func TestRowDegreesSumEqualsEdges(t *testing.T) {
 	_, g := mustGen(t, []int{3, 4, 5}, star.LoopLeaf, 1)
-	deg, err := g.RowDegrees(3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sum int64
-	for _, v := range deg {
+	for _, v := range streamedRowDegrees(t, g, 3) {
 		sum += v
 	}
 	if sum != g.NumEdges() {

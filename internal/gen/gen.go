@@ -11,12 +11,13 @@ package gen
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/graphio"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
+	"repro/internal/semiring"
 	"repro/internal/sparse"
 	"repro/internal/star"
 )
@@ -26,72 +27,61 @@ import (
 type Generator struct {
 	design *core.Design
 	b      *sparse.COO[int64] // raw product of the B factors, CSC-ordered triples
-	c      *sparse.COO[int64] // raw product of the C factors
-	// cEdges is C's row-major triples pre-widened to block-local int64
-	// edges. The B×C inner loop runs over this slice: the per-edge work is
-	// then three adds and a multiply against values already in edge layout —
-	// no int→int64 widening, no struct conversion — and the block-replay
-	// path renders its templates from it directly. (The retired per-triple
-	// inner loop survives as CountEdgesBaseline for the recorded delta.)
+	// cEdges is the raw product of the C factors: its row-major triples as
+	// block-local int64 edges, the one form of C the engines read. The B×C
+	// inner loop runs over this slice: the per-edge work is then three adds
+	// and a multiply against values already in edge layout — no int→int64
+	// widening, no struct conversion — and the block-replay path renders
+	// its templates from it directly.
 	cEdges []Edge
+	mC, nC int64 // C's dimensions
 	// loopRow is the global index of the self-loop to drop, or -1.
 	loopRow int64
 	mA      int64 // total vertices
 	nnzA    int64 // stored entries including the not-yet-removed loop
 }
 
-// New splits the design after its first nb factors and realizes both sides.
-// The B side's triples are sorted column-major, matching the paper's CSC
-// storage, so each worker's slice covers a contiguous band of B columns. The
-// C side is sorted row-major, which gives the streamed output a structural
-// guarantee the measurement engine builds on: within any one worker, the
-// edges of each global row arrive in strictly increasing column order, and
-// worker p+1's entries for that row all come after worker p's (see
-// StreamBatches).
+// New splits the design after its first nb factors and realizes both sides,
+// each directly in the order the engines need (sparse.KronOrdered), with
+// no sort. The B side's triples come out column-major, matching the paper's
+// CSC storage, so each worker's slice covers a contiguous band of B columns.
+// The C side comes out row-major, which gives the streamed output a
+// structural guarantee the measurement engine builds on: within any one
+// worker, the edges of each global row arrive in strictly increasing column
+// order, and worker p+1's entries for that row all come after worker p's
+// (see StreamBatches).
 func New(d *core.Design, nb int) (*Generator, error) {
 	bd, cd, err := d.Split(nb)
 	if err != nil {
 		return nil, err
 	}
-	b, err := bd.RealizeRaw()
+	b := &sparse.COO[int64]{Tr: make([]sparse.Triple[int64], 0, rawNNZ(bd))}
+	b.NumRows, b.NumCols, err = realize(bd, true, func(row, col int, val int64) {
+		b.Tr = append(b.Tr, sparse.Triple[int64]{Row: row, Col: col, Val: val})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("gen: realizing B: %w", err)
 	}
-	c, err := cd.RealizeRaw()
-	if err != nil {
-		return nil, fmt.Errorf("gen: realizing C: %w", err)
-	}
-	// CSC order for B: sort triples by (col, row). slices.SortFunc instead
-	// of the reflection-based sort.Slice — B holds the bulk of the design's
-	// realized triples (up to MaxBNNZ in the service), so this sort is a
-	// measurable slice of generator construction.
-	slices.SortFunc(b.Tr, func(ti, tj sparse.Triple[int64]) int {
-		if ti.Col != tj.Col {
-			return ti.Col - tj.Col
-		}
-		return ti.Row - tj.Row
-	})
 	// Row-major order for C: with B in CSC order, every worker then emits
 	// each global row's columns in ascending order (global column
 	// cB·nC + cC is ordered first by the worker's ascending cB, then by cC
 	// within one B triple's fan-out).
-	slices.SortFunc(c.Tr, func(ti, tj sparse.Triple[int64]) int {
-		if ti.Row != tj.Row {
-			return ti.Row - tj.Row
-		}
-		return ti.Col - tj.Col
+	cEdges := make([]Edge, 0, rawNNZ(cd))
+	mC, nC, err := realize(cd, false, func(row, col int, val int64) {
+		cEdges = append(cEdges, Edge{Row: int64(row), Col: int64(col), Val: val})
 	})
+	if err != nil {
+		return nil, fmt.Errorf("gen: realizing C: %w", err)
+	}
 	g := &Generator{
 		design:  d,
 		b:       b,
-		c:       c,
-		cEdges:  make([]Edge, c.NNZ()),
+		cEdges:  cEdges,
+		mC:      int64(mC),
+		nC:      int64(nC),
 		loopRow: -1,
-		mA:      int64(b.NumRows) * int64(c.NumRows),
-		nnzA:    int64(b.NNZ()) * int64(c.NNZ()),
-	}
-	for i, tc := range c.Tr {
-		g.cEdges[i] = Edge{Row: int64(tc.Row), Col: int64(tc.Col), Val: tc.Val}
+		mA:      int64(b.NumRows) * int64(mC),
+		nnzA:    int64(b.NNZ()) * int64(len(cEdges)),
 	}
 	switch d.Loop() {
 	case star.LoopHub:
@@ -100,6 +90,29 @@ func New(d *core.Design, nb int) (*Generator, error) {
 		g.loopRow = g.mA - 1
 	}
 	return g, nil
+}
+
+// realize enumerates the raw Kronecker product of d's factors, loop
+// included (the loop is removed once, from the final product, not from B or
+// C), in column-major or row-major order.
+func realize(d *core.Design, colMajor bool, emit func(row, col int, val int64)) (rows, cols int, err error) {
+	specs := d.Factors()
+	factors := make([]*sparse.COO[int64], len(specs))
+	for i, s := range specs {
+		factors[i] = s.Adjacency()
+	}
+	return sparse.KronOrdered(semiring.PlusTimesInt64(), colMajor, factors, emit)
+}
+
+// rawNNZ is the closed-form length of d's realized product, loop included,
+// for use as a slice capacity; 0 when it does not fit an int (realization
+// then fails its own dimension checks).
+func rawNNZ(d *core.Design) int {
+	n := d.NNZWithLoops()
+	if !n.IsInt64() || n.Int64() > math.MaxInt {
+		return 0
+	}
+	return int(n.Int64())
 }
 
 // NumVertices returns mA for the realized product.
@@ -118,7 +131,7 @@ func (g *Generator) NumEdges() int64 {
 func (g *Generator) BNNZ() int { return g.b.NNZ() }
 
 // CNNZ returns nnz(C), each worker's per-triple fan-out.
-func (g *Generator) CNNZ() int { return g.c.NNZ() }
+func (g *Generator) CNNZ() int { return len(g.cEdges) }
 
 // Edge is one generated directed adjacency entry in global coordinates. It
 // aliases graphio.Edge so generated batches flow into the edge encoders
@@ -157,8 +170,8 @@ const (
 // must copy them. A non-nil error from emit (or a cancelled ctx) stops the
 // remaining workers.
 //
-// Band-order guarantee: because B is CSC-sorted and C row-major-sorted (see
-// New), each worker emits any given global row's entries in strictly
+// Band-order guarantee: because B is in CSC order and C in row-major order
+// (see New), each worker emits any given global row's entries in strictly
 // increasing column order, and for every row, all of worker p's entries
 // precede worker p+1's in column order. Concatenating the workers' streams
 // row by row in worker order therefore yields canonical sorted CSR rows
@@ -187,7 +200,7 @@ func (g *Generator) StreamBatches(ctx context.Context, np, batchSize int, emit f
 // identical either way.
 func (g *Generator) StreamTo(ctx context.Context, np, batchSize int, sink pipeline.Sink) error {
 	var err error
-	if bs, ok := sink.(pipeline.BlockSink); ok && g.c.NNZ() >= minReplayBlockEdges {
+	if bs, ok := sink.(pipeline.BlockSink); ok && len(g.cEdges) >= minReplayBlockEdges {
 		err = g.streamBlockRange(ctx, 0, g.b.NNZ(), np, batchSize, bs)
 	} else {
 		err = g.streamBRange(ctx, 0, g.b.NNZ(), np, batchSize, sink.WriteBatch)
@@ -202,8 +215,8 @@ func (g *Generator) StreamTo(ctx context.Context, np, batchSize int, sink pipeli
 // generates the edges of B triples [bLo, bHi) (CSC order) × C with np
 // workers, each owning a contiguous slice of the range. All of StreamBatches'
 // guarantees — batch reuse, per-batch context checks, the band-order property
-// — hold within the range, because a sub-range of CSC-sorted triples is
-// itself CSC-sorted.
+// — hold within the range, because a sub-range of CSC-ordered triples is
+// itself CSC-ordered.
 func (g *Generator) streamBRange(ctx context.Context, bLo, bHi, np, batchSize int, emit func(p int, batch []Edge) error) error {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
@@ -215,8 +228,7 @@ func (g *Generator) streamBRange(ctx context.Context, bLo, bHi, np, batchSize in
 	if err != nil {
 		return err
 	}
-	mC := int64(g.c.NumRows)
-	nC := int64(g.c.NumCols)
+	mC, nC := g.mC, g.nC
 	loop := g.loopRow
 	return parallel.RunContext(ctx, np, func(ctx context.Context, p int) error {
 		buf := make([]Edge, 0, batchSize)
@@ -306,55 +318,6 @@ func (g *Generator) CountEdges(ctx context.Context, np int) (total int64, checks
 	return g.countBRange(ctx, 0, g.b.NNZ(), np)
 }
 
-// CountEdgesBaseline is the retired inner loop kept verbatim as the
-// measurement baseline for the hoisted engine (the strconvTSVWriter
-// pattern): C's triples are read as stored — per-edge int→int64 widening of
-// both coordinates and the row/column block offsets recomputed by multiply
-// per edge (`ib*mC + ic`), the work countBRange now hoists into the
-// per-B-triple bases and the pre-widened cEdges slice. kronbench fig3
-// records live-vs-baseline as rowBaseHoistSpeedup; it is not for production
-// use.
-func (g *Generator) CountEdgesBaseline(ctx context.Context, np int) (total, checksum int64, err error) {
-	parts, err := parallel.Partition(g.b.NNZ(), np)
-	if err != nil {
-		return 0, 0, err
-	}
-	counts := make([]int64, np)
-	sums := make([]int64, np)
-	mC := int64(g.c.NumRows)
-	nC := int64(g.c.NumCols)
-	err = parallel.RunContext(ctx, np, func(ctx context.Context, p int) error {
-		var n, s int64
-		cTr := g.c.Tr
-		loop := g.loopRow
-		for _, tb := range g.b.Tr[parts[p].Lo:parts[p].Hi] {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, tc := range cTr {
-				row := int64(tb.Row)*mC + int64(tc.Row)
-				col := int64(tb.Col)*nC + int64(tc.Col)
-				if row == loop && col == loop {
-					continue
-				}
-				n++
-				s ^= row*31 + col
-			}
-		}
-		counts[p] = n
-		sums[p] = s
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for p := 0; p < np; p++ {
-		total += counts[p]
-		checksum ^= sums[p]
-	}
-	return total, checksum, nil
-}
-
 // countBRange enumerates the edges of B triples [bLo, bHi) × C with np
 // workers, counting and checksum-folding instead of storing — the count
 // analogue of streamBRange. The context is checked once per B triple
@@ -369,8 +332,7 @@ func (g *Generator) countBRange(ctx context.Context, bLo, bHi, np int) (total, c
 	}
 	counts := make([]int64, np)
 	sums := make([]int64, np)
-	mC := int64(g.c.NumRows)
-	nC := int64(g.c.NumCols)
+	mC, nC := g.mC, g.nC
 	err = parallel.RunContext(ctx, np, func(ctx context.Context, p int) error {
 		var n, s int64
 		cEdges := g.cEdges
@@ -427,8 +389,7 @@ func (g *Generator) Materialize(np int) ([]Part, error) {
 		return nil, err
 	}
 	out := make([]Part, np)
-	mC := int64(g.c.NumRows)
-	nC := int64(g.c.NumCols)
+	mC, nC := g.mC, g.nC
 	err = parallel.Run(np, func(p int) error {
 		slice := g.b.Tr[parts[p].Lo:parts[p].Hi]
 		if len(slice) == 0 {
@@ -448,20 +409,20 @@ func (g *Generator) Materialize(np int) ([]Part, error) {
 		if err != nil {
 			return fmt.Errorf("gen: worker %d column band [%d, %d]: %w", p, minCol, maxCol, err)
 		}
-		tr := make([]sparse.Triple[int64], 0, len(slice)*g.c.NNZ())
+		tr := make([]sparse.Triple[int64], 0, len(slice)*len(g.cEdges))
 		for _, tb := range slice {
 			rBase := int64(tb.Row) * mC
 			cBase := int64(tb.Col-minCol) * nC
 			globalColBase := int64(tb.Col) * nC
-			for _, tc := range g.c.Tr {
-				row := rBase + int64(tc.Row)
-				if row == g.loopRow && globalColBase+int64(tc.Col) == g.loopRow {
+			for _, ce := range g.cEdges {
+				row := rBase + ce.Row
+				if row == g.loopRow && globalColBase+ce.Col == g.loopRow {
 					continue
 				}
 				tr = append(tr, sparse.Triple[int64]{
 					Row: int(row),
-					Col: int(cBase) + tc.Col,
-					Val: tb.Val * tc.Val,
+					Col: int(cBase + ce.Col),
+					Val: tb.Val * ce.Val,
 				})
 			}
 		}
@@ -482,7 +443,7 @@ func (g *Generator) Materialize(np int) ([]Part, error) {
 // inverse of the distribution step; used by tests to prove the parallel
 // output equals the serial product.
 func (g *Generator) Assemble(parts []Part) (*sparse.COO[int64], error) {
-	nC := g.c.NumCols
+	nC := int(g.nC)
 	var tr []sparse.Triple[int64]
 	for _, p := range parts {
 		for _, t := range p.Ap.Tr {

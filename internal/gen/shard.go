@@ -69,8 +69,7 @@ func (g *Generator) loopTripleIndex() int {
 	if g.loopRow < 0 {
 		return -1
 	}
-	mC := int64(g.c.NumRows)
-	nC := int64(g.c.NumCols)
+	mC, nC := g.mC, g.nC
 	for i, tb := range g.b.Tr {
 		rBase := int64(tb.Row) * mC
 		cBase := int64(tb.Col) * nC
@@ -87,7 +86,7 @@ func (g *Generator) loopTripleIndex() int {
 // sum to NumEdges. Shard counts beyond nnz(B) yield trailing empty shards
 // (the paper's processors-without-triples case).
 func (g *Generator) PlanShards(shards int) ([]ShardInfo, error) {
-	return planShards(g.b.NNZ(), int64(g.c.NNZ()), g.loopTripleIndex(), shards)
+	return planShards(g.b.NNZ(), int64(len(g.cEdges)), g.loopTripleIndex(), shards)
 }
 
 // PlanDesignShards computes the identical plan to PlanShards on a realized
@@ -140,7 +139,7 @@ func (g *Generator) StreamShard(ctx context.Context, s ShardInfo, np, batchSize 
 func (g *Generator) StreamShardTo(ctx context.Context, s ShardInfo, np, batchSize int, sink pipeline.Sink) error {
 	err := g.checkShard(s)
 	if err == nil {
-		if bs, ok := sink.(pipeline.BlockSink); ok && g.c.NNZ() >= minReplayBlockEdges {
+		if bs, ok := sink.(pipeline.BlockSink); ok && len(g.cEdges) >= minReplayBlockEdges {
 			err = g.streamBlockRange(ctx, s.BLo, s.BHi, np, batchSize, bs)
 		} else {
 			err = g.streamBRange(ctx, s.BLo, s.BHi, np, batchSize, sink.WriteBatch)

@@ -170,8 +170,8 @@ func TestStreamBatchesEmitErrorStopsPeers(t *testing.T) {
 // TestMaterializeColumnOverflow is the regression test for the unchecked
 // localCols product: a worker whose column band times nnz-per-column of C
 // overflows int must error instead of silently wrapping into a garbage
-// column count. The oversized B and C exist only as dimensions — COO stores
-// triples, so no memory is committed.
+// column count. The oversized B and C exist only as dimensions — both store
+// entries, not dense rows, so no memory is committed.
 func TestMaterializeColumnOverflow(t *testing.T) {
 	huge := math.MaxInt/2 + 1 // (huge+1)*huge overflows int on 32- and 64-bit
 	b, err := sparse.NewCOO(2, huge+1, []sparse.Triple[int64]{
@@ -181,16 +181,14 @@ func TestMaterializeColumnOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := sparse.NewCOO(huge, huge, []sparse.Triple[int64]{{Row: 0, Col: 0, Val: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := &Generator{
 		b:       b,
-		c:       c,
+		cEdges:  []Edge{{Row: 0, Col: 0, Val: 1}},
+		mC:      int64(huge),
+		nC:      int64(huge),
 		loopRow: -1,
-		mA:      int64(b.NumRows) * int64(c.NumRows),
-		nnzA:    int64(b.NNZ()) * int64(c.NNZ()),
+		mA:      int64(b.NumRows) * int64(huge),
+		nnzA:    int64(b.NNZ()),
 	}
 	_, err = g.Materialize(1)
 	if err == nil {

@@ -536,28 +536,100 @@ func readFixedFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error
 }
 
 // readDeltaFrame decodes n delta-varint records; prev resets at frame start
-// per the format, so each frame stands alone.
+// per the format, so each frame stands alone. It decodes straight out of the
+// reader's buffered window and consumes what it decoded with one Discard.
+// The common record of a band-ordered stream, a one-byte row delta and
+// value around a column delta of one or two bytes, decodes inline with no
+// branch on its length. Any other record, including one cut off by the
+// window's end, goes through deltaRecord.
 func readDeltaFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error) error {
+	win, _ := br.Peek(br.Buffered())
+	i := 0
+	out := *batch
 	var prevRow, prevCol int64
 	for ; n > 0; n-- {
-		dr, err1 := binary.ReadUvarint(br)
-		dc, err2 := binary.ReadUvarint(br)
-		dv, err3 := binary.ReadUvarint(br)
-		if err1 != nil || err2 != nil || err3 != nil {
-			err := errors.Join(err1, err2, err3)
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("%w: delta frame cut short", ErrBinaryTruncated)
-			}
-			return fmt.Errorf("%w: bad delta varint: %v", ErrBinaryCorrupt, err)
-		}
-		prevRow += unzigzag(dr)
-		prevCol += unzigzag(dc)
-		if len(*batch) == cap(*batch) {
-			if err := flush(); err != nil {
+		var dr, dc, dv uint64
+		if r := win[i:]; len(r) >= 4 && r[0]|r[1+int(r[1]>>7)]|r[2+int(r[1]>>7)] < 0x80 {
+			c := int(r[1] >> 7) // 1 when the column delta takes two bytes
+			dr = uint64(r[0])
+			dc = uint64(r[1]&0x7f) | uint64(r[1+c])<<(7*c)
+			dv = uint64(r[2+c])
+			i += 3 + c
+		} else {
+			var err error
+			if dr, dc, dv, win, i, err = deltaRecord(br, win, i); err != nil {
 				return err
 			}
 		}
-		*batch = append(*batch, Edge{Row: prevRow, Col: prevCol, Val: unzigzag(dv)})
+		prevRow += unzigzag(dr)
+		prevCol += unzigzag(dc)
+		if len(out) == cap(out) {
+			*batch = out
+			if err := flush(); err != nil {
+				return err
+			}
+			out = *batch
+		}
+		out = append(out, Edge{Row: prevRow, Col: prevCol, Val: unzigzag(dv)})
 	}
-	return nil
+	*batch = out
+	_, err := br.Discard(i)
+	return err
+}
+
+// deltaRecord decodes one record's three varints at win[i:] with
+// binary.Uvarint, where win is br's buffered window and nothing before i
+// has been consumed from br yet. It returns the window and position to
+// continue from. All three varints are read before any error is
+// classified, as a byte-at-a-time reader would: if the input ends among
+// them the frame is truncated, otherwise an overflowing varint is
+// corruption.
+func deltaRecord(br *bufio.Reader, win []byte, i int) (dr, dc, dv uint64, _ []byte, _ int, _ error) {
+	var v [3]uint64
+	var errs [3]error
+	for k := range v {
+		v[k], win, i, errs[k] = uvarint(br, win, i)
+	}
+	if err := errors.Join(errs[:]...); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return 0, 0, 0, win, i, fmt.Errorf("%w: delta frame cut short", ErrBinaryTruncated)
+		}
+		return 0, 0, 0, win, i, fmt.Errorf("%w: bad delta varint: %v", ErrBinaryCorrupt, err)
+	}
+	return v[0], v[1], v[2], win, i, nil
+}
+
+// errVarintOverflow marks a varint longer than any uint64 needs.
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
+
+// uvarint decodes the varint at win[i:] like deltaRecord. A varint cut off
+// by the window's end refills the window: the decoded prefix is discarded,
+// which moves the partial varint to the front of br's buffer, and at least
+// one more byte is read. The errors are binary.ReadUvarint's: io.EOF when
+// the input ends before the varint, io.ErrUnexpectedEOF when it ends inside
+// it, the reader's own error, or errVarintOverflow after ten bytes, which
+// are skipped.
+func uvarint(br *bufio.Reader, win []byte, i int) (uint64, []byte, int, error) {
+	for {
+		x, m := binary.Uvarint(win[i:])
+		switch {
+		case m > 0:
+			return x, win, i + m, nil
+		case m < 0 || len(win)-i >= binary.MaxVarintLen64:
+			return 0, win, i + binary.MaxVarintLen64, errVarintOverflow
+		}
+		rest := len(win) - i
+		if _, err := br.Discard(i); err != nil {
+			return 0, win, i, err
+		}
+		_, err := br.Peek(rest + 1)
+		win, _ = br.Peek(br.Buffered())
+		if err != nil {
+			if err == io.EOF && rest > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, win, 0, err
+		}
+		i = 0
+	}
 }

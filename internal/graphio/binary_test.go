@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 // bandOrderedEdges builds a deterministic band-ordered edge list (rows
@@ -32,12 +35,29 @@ func bandOrderedEdges(n int) []Edge {
 // batch is reused, per the pipeline ownership contract).
 func collectBinary(t *testing.T, data []byte) ([]Edge, *BinaryInfo, error) {
 	t.Helper()
+	return collectBinaryFrom(t, bytes.NewReader(data))
+}
+
+// collectBinaryFrom is collectBinary over any reader.
+func collectBinaryFrom(t *testing.T, r io.Reader) ([]Edge, *BinaryInfo, error) {
+	t.Helper()
 	var got []Edge
-	info, err := ReadBinary(context.Background(), bytes.NewReader(data), func(batch []Edge) error {
+	info, err := ReadBinary(context.Background(), r, func(batch []Edge) error {
 		got = append(got, batch...)
 		return nil
 	})
 	return got, info, err
+}
+
+// readShapes are the read patterns the decoder must be indifferent to: one
+// large read, and one byte per read, which cuts every varint at the
+// decoder's buffered window.
+var readShapes = []struct {
+	name string
+	wrap func([]byte) io.Reader
+}{
+	{"bytes", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -270,11 +290,13 @@ func TestBinaryTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
-		for cut := 0; cut < len(data); cut++ {
-			if _, _, err := collectBinary(t, data[:cut]); err == nil {
-				t.Fatalf("%v: prefix of %d/%d bytes decoded without error", enc, cut, len(data))
-			} else if !errors.Is(err, ErrBinaryTruncated) && !errors.Is(err, ErrBinaryCorrupt) {
-				t.Fatalf("%v: prefix of %d bytes: unexpected error class %v", enc, cut, err)
+		for _, shape := range readShapes {
+			for cut := 0; cut < len(data); cut++ {
+				if _, _, err := collectBinaryFrom(t, shape.wrap(data[:cut])); err == nil {
+					t.Fatalf("%v %s: prefix of %d/%d bytes decoded without error", enc, shape.name, cut, len(data))
+				} else if !errors.Is(err, ErrBinaryTruncated) && !errors.Is(err, ErrBinaryCorrupt) {
+					t.Fatalf("%v %s: prefix of %d bytes: unexpected error class %v", enc, shape.name, cut, err)
+				}
 			}
 		}
 	}
@@ -304,27 +326,99 @@ func TestBinaryBitFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
-		for pos := 0; pos < len(data); pos++ {
-			for bit := 0; bit < 8; bit++ {
-				mut := bytes.Clone(data)
-				mut[pos] ^= 1 << bit
-				got, _, err := collectBinary(t, mut)
-				if err != nil {
-					continue
-				}
-				if len(got) != len(edges) {
-					t.Fatalf("%v: flip @%d.%d decoded %d edges silently, wrote %d", enc, pos, bit, len(got), len(edges))
-				}
-				if enc != BinaryFixed {
-					continue
-				}
-				for i := range got {
-					if got[i].Row != edges[i].Row || got[i].Col != edges[i].Col {
-						t.Fatalf("%v: flip @%d.%d silently changed edge %d structure: got (%d,%d), wrote (%d,%d)",
-							enc, pos, bit, i, got[i].Row, got[i].Col, edges[i].Row, edges[i].Col)
+		for _, shape := range readShapes {
+			for pos := 0; pos < len(data); pos++ {
+				for bit := 0; bit < 8; bit++ {
+					mut := bytes.Clone(data)
+					mut[pos] ^= 1 << bit
+					got, _, err := collectBinaryFrom(t, shape.wrap(mut))
+					if err != nil {
+						continue
+					}
+					if len(got) != len(edges) {
+						t.Fatalf("%v %s: flip @%d.%d decoded %d edges silently, wrote %d",
+							enc, shape.name, pos, bit, len(got), len(edges))
+					}
+					if enc != BinaryFixed {
+						continue
+					}
+					for i := range got {
+						if got[i].Row != edges[i].Row || got[i].Col != edges[i].Col {
+							t.Fatalf("%v %s: flip @%d.%d silently changed edge %d structure: got (%d,%d), wrote (%d,%d)",
+								enc, shape.name, pos, bit, i, got[i].Row, got[i].Col, edges[i].Row, edges[i].Col)
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBinaryReadShapes: the decoder reads from its buffered window, so
+// where the reads end must not matter. Band-ordered and block-replayed
+// streams, including frames longer than the 64 KiB read buffer, decode to
+// the same edges and BinaryInfo through one-byte reads, half reads, and a
+// reader split at every offset (every offset of the small streams, a
+// sample of the large ones) as through one bytes.Reader.
+func TestBinaryReadShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	streams := []struct {
+		name  string
+		data  []byte
+		every bool // split at every offset, not a sample
+	}{
+		{"band delta", binarySeed(500, BinaryDelta, bandOrderedEdges(500)), true},
+		{"band fixed", binarySeed(120, BinaryFixed, bandOrderedEdges(120)), true},
+		{"replayed", replaySeed(randomBlock(rng, 200), 3), true},
+		{"band delta large", binarySeed(60_000, BinaryDelta, bandOrderedEdges(60_000)), false},
+		{"replayed long frames", replaySeed(bandOrderedEdges(40_000), 3), false},
+	}
+	for _, st := range streams {
+		want, wantInfo, err := collectBinary(t, st.data)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		readers := map[string]io.Reader{
+			"one-byte": iotest.OneByteReader(bytes.NewReader(st.data)),
+			"half":     iotest.HalfReader(bytes.NewReader(st.data)),
+		}
+		for cut := 1; cut < len(st.data); cut++ {
+			if !st.every && rng.Intn(len(st.data)) >= 40 {
+				continue
+			}
+			readers[fmt.Sprintf("split@%d", cut)] = io.MultiReader(
+				bytes.NewReader(st.data[:cut]), bytes.NewReader(st.data[cut:]))
+		}
+		for name, r := range readers {
+			got, info, err := collectBinaryFrom(t, r)
+			if err != nil {
+				t.Fatalf("%s %s: %v", st.name, name, err)
+			}
+			if *info != *wantInfo || !slices.Equal(got, want) {
+				t.Fatalf("%s %s: decoded %d edges %+v, one bytes.Reader gives %d edges %+v",
+					st.name, name, len(got), *info, len(want), *wantInfo)
+			}
+		}
+	}
+}
+
+// TestBinaryOverflowingVarint pins the error classes of a varint that
+// overflows mid-frame, under every read shape: corruption, unless the input
+// then ends inside the same record, which makes the frame truncated — the
+// classes a byte-at-a-time reader gives, since it reads each record's
+// three varints before judging them.
+func TestBinaryOverflowingVarint(t *testing.T) {
+	corrupt := overflowSeed()
+	// Cut after header and frame count (7 bytes), the first record (3) and
+	// the 11 varint bytes: the ten overflowing ones, then one read as the
+	// column delta, so the record's value is missing.
+	cut := corrupt[:7+3+11]
+	for _, shape := range readShapes {
+		if _, _, err := collectBinaryFrom(t, shape.wrap(corrupt)); !errors.Is(err, ErrBinaryCorrupt) {
+			t.Fatalf("%s: overflowing varint: %v, want ErrBinaryCorrupt", shape.name, err)
+		}
+		if _, _, err := collectBinaryFrom(t, shape.wrap(cut)); !errors.Is(err, ErrBinaryTruncated) {
+			t.Fatalf("%s: overflowing varint, record cut short: %v, want ErrBinaryTruncated", shape.name, err)
 		}
 	}
 }

@@ -183,6 +183,39 @@ func blockReplaySeed() []byte {
 	return buf.Bytes()
 }
 
+// replaySeed encodes one block template replayed at runs offsets: one
+// frame per run, each as long as the block.
+func replaySeed(block []Edge, runs int) []byte {
+	var buf bytes.Buffer
+	w, err := NewBinaryEdgeWriter(&buf, int64(len(block)*runs), BinaryDelta)
+	if err != nil {
+		panic(err)
+	}
+	var tmpl DeltaBlockTemplate
+	tmpl.Render(block)
+	for r := 0; r < runs; r++ {
+		if err := w.WriteBlockRun(&tmpl, int64(r)<<20, int64(runs-r)<<30); err != nil {
+			panic(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// overflowSeed is a delta stream whose second record starts with an
+// 11-byte varint: ten continuation bytes, more than any uint64 needs.
+func overflowSeed() []byte {
+	data := []byte("KRNB\x01\x00")
+	data = append(data, 2)       // frame of two records
+	data = append(data, 2, 2, 2) // (1, 1, 1)
+	data = append(data, bytes.Repeat([]byte{0xff}, 10)...)
+	data = append(data, 0x01, 2, 2) // overflowing row delta, then col, val
+	data = append(data, 0, 2)       // trailer tag, edges
+	return append(data, make([]byte, 8)...)
+}
+
 // FuzzReadBinary checks the binary edge reader never panics on arbitrary
 // bytes and that anything it accepts survives a re-encode/re-read round trip
 // under both encodings with identical edges, count, and checksum.
@@ -194,6 +227,8 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(binarySeed(-1, BinaryFixed, []Edge{{Row: 1 << 40, Col: -(1 << 30), Val: 9}}))
 	f.Add([]byte("KRNB"))
 	f.Add([]byte("0\t1\t1\n"))
+	f.Add(replaySeed(bandOrderedEdgesN(30_000), 1)) // one frame longer than the 64 KiB read buffer
+	f.Add(overflowSeed())
 	f.Fuzz(func(t *testing.T, input []byte) {
 		var edges []Edge
 		info, err := ReadBinary(nil, bytes.NewReader(input), func(batch []Edge) error {

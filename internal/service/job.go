@@ -617,12 +617,14 @@ func (m *Manager) run(j *Job) {
 			return
 		}
 	}
+	realizeStart := time.Now()
 	g, err := kron.NewGenerator(j.design, j.split)
 	if err != nil {
 		m.finish(j, err)
 		return
 	}
 	j.mark(PhasePlanned, fmt.Sprintf("split=%d nnzB=%d nnzC=%d", j.split, g.BNNZ(), g.CNNZ()))
+	m.metrics.JobRealize.Observe(time.Since(realizeStart))
 	if err := j.ctx.Err(); err != nil { // cancelled during realization
 		m.finish(j, err)
 		return

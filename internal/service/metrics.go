@@ -53,6 +53,10 @@ type Metrics struct {
 	// pending state (consumer attach wait plus split realization) before
 	// generation begins.
 	JobQueueWait *obs.Histogram
+	// JobRealize measures consumer-attached→planned: the split realization
+	// (NewGenerator) inside the queue wait, shown on its own so the wait
+	// separates a slow client from slow set-up.
+	JobRealize *obs.Histogram
 	// JobRunTime measures started→finished: the generation phase proper.
 	JobRunTime *obs.Histogram
 	// StreamBatchGap measures the inter-arrival time between consecutive
@@ -82,6 +86,10 @@ func NewMetrics() *Metrics {
 		JobQueueWait: obs.NewHistogram("kronserve_job_queue_wait_seconds",
 			"Time from job admission to generation start (attach wait + split realization).",
 			obs.ExpBuckets(time.Millisecond, 2, 18)),
+		// Realization takes milliseconds for service-sized splits.
+		JobRealize: obs.NewHistogram("kronserve_job_realize_seconds",
+			"Time from consumer attach (or run start) to the job being planned: split realization.",
+			obs.ExpBuckets(100*time.Microsecond, 2, 18)),
 		JobRunTime: obs.NewHistogram("kronserve_job_run_seconds",
 			"Time from generation start to the job's terminal state.",
 			obs.ExpBuckets(time.Millisecond, 2, 20)),
@@ -160,7 +168,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	// Metrics), so counter-only embedders keep their exposition.
 	for _, h := range []interface {
 		Render(io.Writer) error
-	}{m.HTTPLatency, m.JobQueueWait, m.JobRunTime, m.StreamBatchGap} {
+	}{m.HTTPLatency, m.JobQueueWait, m.JobRealize, m.JobRunTime, m.StreamBatchGap} {
 		if err := h.Render(bw); err != nil {
 			return cw.n, err
 		}

@@ -286,6 +286,7 @@ func TestMetricsExposition(t *testing.T) {
 		`kronserve_http_request_seconds_bucket{route="POST /v1/jobs",`,
 		`kronserve_http_request_seconds_bucket{route="GET /metrics",`,
 		"kronserve_job_queue_wait_seconds_count",
+		"kronserve_job_realize_seconds_count",
 		"kronserve_job_run_seconds_count",
 		"kronserve_stream_batch_gap_seconds_count",
 		`kronserve_stage_batches_total{stage="service_progress"}`,
@@ -303,5 +304,9 @@ func TestMetricsExposition(t *testing.T) {
 	// run-time observations must exist (both jobs finished).
 	if c := svc.Metrics().JobRunTime.Count(); c < 2 {
 		t.Errorf("job run-time histogram has %d observations, want ≥ 2", c)
+	}
+	// Both jobs were planned, so each realized its split once.
+	if c := svc.Metrics().JobRealize.Count(); c < 2 {
+		t.Errorf("job realize histogram has %d observations, want ≥ 2", c)
 	}
 }

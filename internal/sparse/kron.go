@@ -55,6 +55,87 @@ func KronN[T any](sr semiring.Semiring[T], factors ...*COO[T]) (*COO[T], error) 
 	return acc, nil
 }
 
+// KronOrdered enumerates ⊗ factors in sorted order without a comparison
+// sort, calling emit once per stored entry: row-major (CSR order), or
+// column-major (CSC order) when colMajor is set. It folds the factors' CSR
+// forms row by row. Row i·mF + k of A ⊗ F is row i of A times row k of F,
+// and its columns, a·nF + f over the sorted columns a of A's row and f of
+// F's row, come out ascending. So sorted factor rows give sorted product
+// rows. Column-major order is the row-major order of the transpose,
+// (A ⊗ F)ᵀ = Aᵀ ⊗ Fᵀ, with each entry's coordinates swapped back. Factors
+// are read in canonical form (ToCSR), so for canonical factors the entries
+// are exactly KronN's, sorted. rows and cols are the product's dimensions,
+// MulDim-checked before anything is enumerated.
+func KronOrdered[T any](sr semiring.Semiring[T], colMajor bool, factors []*COO[T], emit func(row, col int, val T)) (rows, cols int, err error) {
+	if len(factors) == 0 {
+		return 0, 0, fmt.Errorf("sparse: KronOrdered requires at least one factor")
+	}
+	rows, cols = 1, 1
+	for _, f := range factors {
+		if rows, err = MulDim(rows, f.NumRows); err != nil {
+			return 0, 0, err
+		}
+		if cols, err = MulDim(cols, f.NumCols); err != nil {
+			return 0, 0, err
+		}
+	}
+	if colMajor {
+		out := emit
+		emit = func(row, col int, val T) { out(col, row, val) }
+	}
+	csr := make([]*CSR[T], len(factors))
+	for i, f := range factors {
+		if colMajor {
+			f = f.Transpose()
+		}
+		csr[i] = f.ToCSR(sr)
+	}
+	// Fold all but the last factor into one CSR matrix, starting from the
+	// 1×1 identity; its product with the last factor streams into emit.
+	acc := Identity(1, sr).ToCSR(sr)
+	for _, f := range csr[:len(csr)-1] {
+		nnz, err := MulDim(acc.NNZ(), f.NNZ())
+		if err != nil {
+			return 0, 0, err
+		}
+		next := &CSR[T]{
+			NumRows: acc.NumRows * f.NumRows,
+			NumCols: acc.NumCols * f.NumCols,
+			RowPtr:  make([]int, acc.NumRows*f.NumRows+1),
+			ColIdx:  make([]int, 0, nnz),
+			Val:     make([]T, 0, nnz),
+		}
+		kronRows(acc, f, sr, func(row, col int, val T) {
+			next.RowPtr[row+1]++
+			next.ColIdx = append(next.ColIdx, col)
+			next.Val = append(next.Val, val)
+		})
+		for i := range next.NumRows {
+			next.RowPtr[i+1] += next.RowPtr[i]
+		}
+		acc = next
+	}
+	kronRows(acc, csr[len(csr)-1], sr, emit)
+	return rows, cols, nil
+}
+
+// kronRows enumerates a ⊗ f in row-major order.
+func kronRows[T any](a, f *CSR[T], sr semiring.Semiring[T], emit func(row, col int, val T)) {
+	for i := 0; i < a.NumRows; i++ {
+		aCols, aVals := a.Row(i)
+		for k := 0; k < f.NumRows; k++ {
+			fCols, fVals := f.Row(k)
+			row := i*f.NumRows + k
+			for x, ac := range aCols {
+				base := ac * f.NumCols
+				for y, fc := range fCols {
+					emit(row, base+fc, sr.Mul(aVals[x], fVals[y]))
+				}
+			}
+		}
+	}
+}
+
 // KronStream enumerates the triples of A ⊗ B in order (A-triple major,
 // B-triple minor) without materializing the product, invoking fn for each.
 // A non-nil error from fn aborts the enumeration and is returned. This is the

@@ -1,7 +1,11 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/semiring"
@@ -237,5 +241,80 @@ func TestKronIdentityIsIdentity(t *testing.T) {
 	}
 	if !Equal(right, m, srI) {
 		t.Error("M ⊗ I1 != M")
+	}
+}
+
+// randomFactor is a random rows×cols matrix with distinct positions and
+// nonzero values, its triples shuffled: canonical content in arbitrary
+// storage order.
+func randomFactor(rng *rand.Rand, rows, cols int) *COO[int64] {
+	var tr []Triple[int64]
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if rng.Intn(100) < 45 {
+				v := int64(1 + rng.Intn(4))
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				tr = append(tr, tri(i, j, v))
+			}
+		}
+	}
+	rng.Shuffle(len(tr), func(i, j int) { tr[i], tr[j] = tr[j], tr[i] })
+	return MustCOO(rows, cols, tr)
+}
+
+// KronOrdered must enumerate exactly KronN's entries, in row-major or
+// column-major order, for rectangular factors with empty rows and columns
+// and non-unit values.
+func TestKronOrderedMatchesSortedKronN(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	byRow := func(a, b Triple[int64]) int { return cmp.Or(a.Row-b.Row, a.Col-b.Col) }
+	byCol := func(a, b Triple[int64]) int { return cmp.Or(a.Col-b.Col, a.Row-b.Row) }
+	for trial := 0; trial < 200; trial++ {
+		factors := make([]*COO[int64], 1+rng.Intn(4))
+		for i := range factors {
+			factors[i] = randomFactor(rng, 1+rng.Intn(4), 1+rng.Intn(4))
+		}
+		want, err := KronN(srI, factors...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, colMajor := range []bool{false, true} {
+			var got []Triple[int64]
+			rows, cols, err := KronOrdered(srI, colMajor, factors, func(r, c int, v int64) {
+				got = append(got, tri(r, c, v))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows != want.NumRows || cols != want.NumCols {
+				t.Fatalf("trial %d: dims %dx%d, want %dx%d", trial, rows, cols, want.NumRows, want.NumCols)
+			}
+			sorted := slices.Clone(want.Tr)
+			if colMajor {
+				slices.SortFunc(sorted, byCol)
+			} else {
+				slices.SortFunc(sorted, byRow)
+			}
+			if !slices.Equal(got, sorted) {
+				t.Fatalf("trial %d colMajor=%v: ordered product differs from sorted KronN", trial, colMajor)
+			}
+		}
+	}
+	if _, _, err := KronOrdered(srI, false, nil, func(int, int, int64) {}); err == nil {
+		t.Error("0-fold KronOrdered accepted")
+	}
+}
+
+// An oversized product fails MulDim's check before anything is converted or
+// enumerated.
+func TestKronOrderedOverflowGuard(t *testing.T) {
+	huge := &COO[int64]{NumRows: 1 << 32, NumCols: 1 << 32}
+	_, _, err := KronOrdered(srI, true, []*COO[int64]{huge, huge}, func(int, int, int64) {
+		t.Fatal("oversized product enumerated an entry")
+	})
+	if err == nil || !strings.Contains(err.Error(), "overflows int") {
+		t.Fatalf("err = %v, want the MulDim overflow error", err)
 	}
 }

@@ -158,7 +158,7 @@ func TestProductSpectrumMatchesRealized(t *testing.T) {
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(predicted)))
 
-		raw, err := d.RealizeRaw()
+		raw, err := rawProduct(d)
 		if err != nil {
 			t.Fatal(err)
 		}

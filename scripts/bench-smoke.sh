@@ -19,6 +19,10 @@
 #   5. deltaWireToCountRatio must be at least 0.5 — the block-replay delta
 #      encoder must keep streaming real bytes at no less than half the bare
 #      count engine's rate, the gap the replay kernels exist to close.
+#   6. deltaReadToWriteRatio must be at least 0.75 — decoding the delta
+#      sample must run at no less than three quarters of the rate encoding
+#      it does, so a client keeps up with the wire it is sent (a per-byte
+#      decoder measured 0.4-0.5 here).
 #
 # CI runners are noisy, so the throughput gates are floors with headroom, not
 # equality checks. Run from the repository root: ./scripts/bench-smoke.sh
@@ -66,5 +70,11 @@ replay=$(jq -e '.deltaReplayWireEdgesPerSec' "$FRESH3")
 echo "block-replay delta wire: ${replay} edges/s, ${ratio}x the count engine"
 jq -en --argjson r "$ratio" '$r >= 0.5' >/dev/null \
   || fail "deltaWireToCountRatio ${ratio} < 0.5: the block-replay delta path no longer keeps up with the count engine"
+
+readRatio=$(jq -e '.deltaReadToWriteRatio' "$FRESH3")
+read=$(jq -e '.binDeltaReadEdgesPerSec' "$FRESH3")
+echo "delta wire decode: ${read} edges/s, ${readRatio}x the delta encoder"
+jq -en --argjson r "$readRatio" '$r >= 0.75' >/dev/null \
+  || fail "deltaReadToWriteRatio ${readRatio} < 0.75: delta decode no longer keeps up with delta encode"
 
 echo "bench-smoke: OK"

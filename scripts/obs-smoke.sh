@@ -5,7 +5,7 @@
 # discard job and a streamed job, and then asserts the observability surface:
 #
 #   1. /metrics carries the promised series: per-route latency histograms,
-#      job queue-wait/run-time histograms, and the pipeline stage counters
+#      job queue-wait/realize/run-time histograms, and the pipeline stage counters
 #      for the service chain and the validation passes.
 #   2. /v1/jobs/{id}/trace ends in a terminal phase.
 #   3. The -debug-addr listener answers /debug/vars and a 1-second
@@ -74,6 +74,7 @@ curl -sf "$BASE/metrics" >"$WORK/metrics.txt"
 for series in \
   'kronserve_http_request_seconds_bucket{route="POST /v1/jobs"' \
   'kronserve_job_queue_wait_seconds_count' \
+  'kronserve_job_realize_seconds_count' \
   'kronserve_job_run_seconds_count' \
   'kronserve_stage_batches_total{stage="service_progress"}' \
   'kronserve_stage_edges_total{stage="service_checksum"}' \
