@@ -31,7 +31,7 @@ $(KRONVET): $(wildcard tools/kronvet/*.go tools/kronvet/*/*.go tools/cmd/kronvet
 kronvet: $(KRONVET)
 
 # vet runs the standard analyzers, then the repo's own kronvet suite
-# (sinkretain, recycleuse, atomicmix, ctxstream) over the whole tree via
+# (sinkretain, atomicmix, ctxstream) over the whole tree via
 # the vet driver. See DESIGN.md "Enforced invariants".
 vet: $(KRONVET)
 	$(GO) vet ./...

@@ -88,36 +88,50 @@ func fig3Generator(b *testing.B) *gen.Generator {
 
 // BenchmarkFig3EdgeRate measures the communication-free generator's edge
 // rate at several worker counts; the reported edges/s metric is Figure 3's
-// y-axis.
+// y-axis. Every edge is enumerated: a Func sink reads each one and folds
+// count plus XOR checksum, as kronbench -fig 3 does.
 func BenchmarkFig3EdgeRate(b *testing.B) {
 	g := fig3Generator(b)
 	maxW := runtime.GOMAXPROCS(0) * 2
 	for w := 1; w <= maxW; w *= 2 {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var edges int64
+			folds := make([]paddedCount, w)
+			sink := kron.SinkFunc(func(p int, batch []kron.Edge) error {
+				f := &folds[p]
+				n, sum := f.n, f.sum
+				for _, e := range batch {
+					n++
+					sum ^= e.Row*31 + e.Col
+				}
+				f.n, f.sum = n, sum
+				return nil
+			})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				total, _, err := g.CountEdges(context.Background(), w)
-				if err != nil {
+				if err := kron.StreamTo(context.Background(), g, w, 0, sink); err != nil {
 					b.Fatal(err)
 				}
-				edges += total
+			}
+			var edges int64
+			for _, f := range folds {
+				edges += f.n
 			}
 			b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
 		})
 	}
 }
 
-// paddedCount is a per-worker counter slot padded to a cache line so the
-// stream benchmarks measure API overhead, not false sharing.
+// paddedCount is a per-worker fold slot padded to a cache line so the
+// stream benchmarks measure generation, not false sharing.
 type paddedCount struct {
-	n int64
-	_ [56]byte
+	n, sum int64
+	_      [48]byte
 }
 
-// BenchmarkStreamPerEdgeFig3 measures the per-edge streaming API on the
-// Figure-3 workload: one indirect call + error check per generated edge.
-func BenchmarkStreamPerEdgeFig3(b *testing.B) {
+// BenchmarkStreamFuncFig3 measures the Func sink path on the Figure-3
+// workload: each run is expanded into a reused batch and the callback fires
+// once per run, without reading the edges.
+func BenchmarkStreamFuncFig3(b *testing.B) {
 	g := fig3Generator(b)
 	np := runtime.GOMAXPROCS(0)
 	counts := make([]paddedCount, np)
@@ -125,33 +139,10 @@ func BenchmarkStreamPerEdgeFig3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := g.Stream(context.Background(), np, func(p int, e kron.Edge) error {
-			counts[p].n++
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		edges += g.NumEdges()
-	}
-	b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
-}
-
-// BenchmarkStreamBatchesFig3 measures the batch-native streaming path on the
-// same workload: the inner loop fills a reusable per-worker buffer and the
-// callback fires once per batch.
-func BenchmarkStreamBatchesFig3(b *testing.B) {
-	g := fig3Generator(b)
-	np := runtime.GOMAXPROCS(0)
-	counts := make([]paddedCount, np)
-	var edges int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := g.StreamBatches(context.Background(), np, 0, func(p int, batch []kron.Edge) error {
+		err := kron.StreamTo(context.Background(), g, np, 0, kron.SinkFunc(func(p int, batch []kron.Edge) error {
 			counts[p].n += int64(len(batch))
 			return nil
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,7 +291,7 @@ func BenchmarkAblationStreamVsMaterialize(b *testing.B) {
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := g.Materialize(np); err != nil {
+			if _, err := g.Materialize(context.Background(), np); err != nil {
 				b.Fatal(err)
 			}
 		}

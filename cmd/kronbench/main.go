@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -226,12 +227,10 @@ func fig3(maxWorkers int) error {
 	perCore := 0.0
 	var measured []parallel.ScalingPoint
 	for np := 1; np <= maxWorkers; np *= 2 {
-		start := time.Now()
-		total, _, err := g.CountEdges(context.Background(), np)
+		rate, _, err := enumRate(g, np, nil, nil)
 		if err != nil {
 			return err
 		}
-		rate := float64(total) / time.Since(start).Seconds()
 		if np == 1 {
 			perCore = rate
 		}
@@ -247,108 +246,42 @@ func fig3(maxWorkers int) error {
 	recordBench("perCoreEdgesPerSec", perCore)
 	recordBench("measuredScaling", measured)
 
-	// Per-edge vs batch-native streaming on the same workload: the per-edge
-	// API pays an indirect call and error check per edge; the batch path
-	// pays one call per batch. The per-edge consumer counts into padded
-	// per-worker slots so the measurement isolates the API overhead, not
-	// cache-line sharing; the batch consumer is the pipeline Counter fold,
-	// which keeps the same padded-slot shape.
-	type paddedCount struct {
-		n int64
-		_ [56]byte
+	// The enumerated sink bare and behind pipeline.Instrument: the
+	// observability layer's per-run cost (two clock reads, three atomic
+	// adds) measured end to end against the bare path — the overhead the
+	// kronscope design budgets below 2% of streamed throughput. Bare and
+	// instrumented passes run in adjacent pairs, nine of them; the overhead
+	// is the median of the per-pair overheads, so drift between pairs on a
+	// shared machine does not land on one side.
+	instrument := func(s pipeline.Sink) pipeline.Sink {
+		return pipeline.Instrument(obs.NewStageSet().Stage("bench"), s)
 	}
-	counts := make([]paddedCount, maxWorkers)
-	start := time.Now()
-	if err := g.Stream(context.Background(), maxWorkers, func(p int, e gen.Edge) error {
-		counts[p].n++
-		return nil
-	}); err != nil {
-		return err
+	var bare, instr, overheads []float64
+	for range 9 {
+		b, _, err := enumRate(g, maxWorkers, nil, nil)
+		if err != nil {
+			return err
+		}
+		in, _, err := enumRate(g, maxWorkers, nil, instrument)
+		if err != nil {
+			return err
+		}
+		bare, instr = append(bare, b), append(instr, in)
+		overheads = append(overheads, (b-in)/b*100)
 	}
-	perEdgeRate := float64(g.NumEdges()) / time.Since(start).Seconds()
-	batchCounter := pipeline.NewCounter(maxWorkers)
-	start = time.Now()
-	if err := g.StreamTo(context.Background(), maxWorkers, 0, batchCounter); err != nil {
-		return err
+	median := func(xs []float64) float64 {
+		slices.Sort(xs)
+		return xs[len(xs)/2]
 	}
-	batchRate := float64(batchCounter.Total()) / time.Since(start).Seconds()
-	// The same fold behind pipeline.Instrument: the observability layer's
-	// per-batch cost (two clock reads, three atomic adds) measured end to end
-	// against the bare batch path — the overhead the kronscope design budgets
-	// below 2% of streamed throughput.
-	instrCounter := pipeline.NewCounter(maxWorkers)
-	instrSink := pipeline.Instrument(obs.NewStageSet().Stage("bench"), instrCounter)
-	start = time.Now()
-	if err := g.StreamTo(context.Background(), maxWorkers, 0, instrSink); err != nil {
-		return err
-	}
-	instrRate := float64(instrCounter.Total()) / time.Since(start).Seconds()
-	overheadPct := (batchRate - instrRate) / batchRate * 100
-	fmt.Printf("\nstreaming API comparison at %d workers (same workload):\n", maxWorkers)
+	bareRate, instrRate, overheadPct := median(bare), median(instr), median(overheads)
+	fmt.Printf("\nenumerated sink at %d workers (same workload):\n", maxWorkers)
 	fmt.Printf("%-14s %-14s\n", "path", "edges/s")
-	fmt.Printf("%-14s %-14.3e\n", "per-edge", perEdgeRate)
-	fmt.Printf("%-14s %-14.3e (%.2fx)\n", "batch", batchRate, batchRate/perEdgeRate)
-	fmt.Printf("%-14s %-14.3e (%+.2f%% vs batch)\n", "instrumented", instrRate, overheadPct)
-	recordBench("perEdgeStreamEdgesPerSec", perEdgeRate)
-	recordBench("batchStreamEdgesPerSec", batchRate)
-	recordBench("batchSpeedup", batchRate/perEdgeRate)
-	recordBench("bareSinkEdgesPerSec", batchRate)
+	fmt.Printf("%-14s %-14.3e\n", "bare", bareRate)
+	fmt.Printf("%-14s %-14.3e (median paired overhead %+.2f%%)\n", "instrumented", instrRate, overheadPct)
+	recordBench("batchStreamEdgesPerSec", bareRate)
+	recordBench("bareSinkEdgesPerSec", bareRate)
 	recordBench("instrumentedSinkEdgesPerSec", instrRate)
 	recordBench("instrumentOverheadPct", overheadPct)
-
-	// Pooled vs alloc+copy hand-off on the service's streaming shape: np
-	// producers pushing batches through a bounded queue to one draining
-	// consumer. The copy baseline is the pre-pipeline service hot path —
-	// one make+memmove per batch pushed into a channel; the pooled path is
-	// pipeline.Async, whose buffers come from a sync.Pool and are recycled
-	// by the consumer, so its steady state allocates nothing per batch (the
-	// invariant the service's alloc-regression guard pins).
-	const handoffDepth = 64
-	copyCh := make(chan []gen.Edge, handoffDepth)
-	drained := make(chan int64)
-	go func() {
-		var n int64
-		for b := range copyCh {
-			n += int64(len(b))
-		}
-		drained <- n
-	}()
-	start = time.Now()
-	err = g.StreamBatches(context.Background(), maxWorkers, 0, func(p int, batch []gen.Edge) error {
-		out := make([]gen.Edge, len(batch))
-		copy(out, batch)
-		copyCh <- out
-		return nil
-	})
-	close(copyCh)
-	copied := <-drained
-	if err != nil {
-		return err
-	}
-	copyRate := float64(copied) / time.Since(start).Seconds()
-	pooled := pipeline.NewAsync(context.Background(), handoffDepth)
-	go func() {
-		var n int64
-		for b := range pooled.Batches() {
-			n += int64(len(b.Edges))
-			pooled.Recycle(b)
-		}
-		drained <- n
-	}()
-	start = time.Now()
-	err = g.StreamTo(context.Background(), maxWorkers, 0, pooled)
-	pooledEdges := <-drained
-	if err != nil {
-		return err
-	}
-	pooledRate := float64(pooledEdges) / time.Since(start).Seconds()
-	fmt.Printf("\nstreaming hand-off comparison at %d workers (bounded queue, one consumer):\n", maxWorkers)
-	fmt.Printf("%-12s %-14s\n", "hand-off", "edges/s")
-	fmt.Printf("%-12s %-14.3e\n", "alloc+copy", copyRate)
-	fmt.Printf("%-12s %-14.3e (%.2fx)\n", "pooled", pooledRate, pooledRate/copyRate)
-	recordBench("copyHandoffEdgesPerSec", copyRate)
-	recordBench("pooledHandoffEdgesPerSec", pooledRate)
-	recordBench("pooledHandoffSpeedup", pooledRate/copyRate)
 	model := parallel.ScalingModel{PerCoreRate: perCore}
 	for _, pt := range model.Series([]int{64, 1024, 4096, 41472}) {
 		fmt.Printf("%-8d %-14.3e modeled (linear, zero communication)\n", pt.Cores, pt.EdgesPerSec)
@@ -367,24 +300,20 @@ func fig3(maxWorkers int) error {
 	if err != nil {
 		return err
 	}
-	start = time.Now()
-	fullTotal, _, err := g.CountEdges(context.Background(), 1)
+	fullRate, fullTotal, err := enumRate(g, 1, nil, nil)
 	if err != nil {
 		return err
 	}
-	fullRate := float64(fullTotal) / time.Since(start).Seconds()
 	fmt.Printf("\nsharded generation, 1 process vs %d shard processes (1 worker each):\n", shardProcs)
 	fmt.Printf("%-10s %-12s %-14s\n", "shard", "edges", "edges/s")
 	fmt.Printf("%-10s %-12d %-14.3e\n", "full", fullTotal, fullRate)
 	summed := 0.0
 	shardEdges := make([]int64, 0, len(plan))
 	for _, s := range plan {
-		start = time.Now()
-		n, _, err := g.CountShard(context.Background(), s, 1)
+		rate, n, err := enumRate(g, 1, &s, nil)
 		if err != nil {
 			return err
 		}
-		rate := float64(n) / time.Since(start).Seconds()
 		summed += rate
 		shardEdges = append(shardEdges, s.Edges)
 		fmt.Printf("%d/%-8d %-12d %-14.3e\n", s.Shard, s.Shards, n, rate)
@@ -405,7 +334,7 @@ func fig3(maxWorkers int) error {
 
 	// Wire formats: encoder throughput over a real band-ordered prefix of
 	// this workload's stream — the component cost of putting edges on the
-	// wire, measured against the count-only full-process rate (the
+	// wire, measured against the enumerated full-process rate (the
 	// stream-to-wire gap). TSV runs against its retired strconv encoder to
 	// isolate the two-digit-LUT formatter; the binary encodings are the KRNB
 	// format's compact (delta-varint) and memory-speed (fixed-width, batches
@@ -445,16 +374,16 @@ func fig3(maxWorkers int) error {
 		return err
 	}
 	// The block-replay delta path has no per-edge encode loop to isolate —
-	// its whole point is that generation and encoding fuse into template
-	// renders plus cached-byte replays — so it is measured end to end: a
-	// full single-worker generation pass streamed through the block-capable
-	// writer, directly comparable against fullRate (the count-only engine at
-	// one worker).
+	// its whole point is that generation and encoding fuse into replays of
+	// the shared block's cached bytes — so it is measured end to end: a full
+	// single-worker generation pass streamed through the delta Writer,
+	// directly comparable against fullRate (the enumerated sink at one
+	// worker).
 	replayRate, err := benchReplayWire(g)
 	if err != nil {
 		return err
 	}
-	wireToCount := fullRate / binFixedRate
+	countToWire := fullRate / binFixedRate
 	deltaRatio := replayRate / fullRate
 	fmt.Printf("\nwire-format encoder throughput (%d-edge band-ordered sample):\n", len(sample))
 	fmt.Printf("%-14s %-14s\n", "format", "edges/s")
@@ -462,8 +391,8 @@ func fig3(maxWorkers int) error {
 	fmt.Printf("%-14s %-14.3e (%.2fx strconv)\n", "tsv", tsvRate, tsvRate/tsvStrconvRate)
 	fmt.Printf("%-14s %-14.3e (per-edge encode)\n", "bin/delta", binDeltaRate)
 	fmt.Printf("%-14s %-14.3e (decode, %.2fx the delta encode)\n", "bin/delta read", binDeltaReadRate, binDeltaReadRate/binDeltaRate)
-	fmt.Printf("%-14s %-14.3e (count-only rate / wire rate = %.2f)\n", "bin/fixed", binFixedRate, wireToCount)
-	fmt.Printf("%-14s %-14.3e (end-to-end generate+encode, %.2fx count rate)\n", "bin/replay", replayRate, deltaRatio)
+	fmt.Printf("%-14s %-14.3e (enumerated count rate / wire rate = %.2f)\n", "bin/fixed", binFixedRate, countToWire)
+	fmt.Printf("%-14s %-14.3e (end-to-end generate+encode, %.2fx enumerated count rate)\n", "bin/replay", replayRate, deltaRatio)
 	recordBench("tsvStrconvWireEdgesPerSec", tsvStrconvRate)
 	recordBench("tsvWireEdgesPerSec", tsvRate)
 	recordBench("tsvLUTSpeedup", tsvRate/tsvStrconvRate)
@@ -471,13 +400,13 @@ func fig3(maxWorkers int) error {
 	recordBench("binDeltaReadEdgesPerSec", binDeltaReadRate)
 	recordBench("deltaReadToWriteRatio", binDeltaReadRate/binDeltaRate)
 	recordBench("binWireEdgesPerSec", binFixedRate)
-	recordBench("wireToCountRatio", wireToCount)
+	recordBench("countToWireRatio", countToWire)
 	recordBench("deltaReplayWireEdgesPerSec", replayRate)
 	recordBench("deltaWireToCountRatio", deltaRatio)
 	// Each wire series is recorded with the parallelism and batch size it
 	// ran at (the fig4 post-mortem: unlabeled recordings mislead) — the
 	// sample encoders see the whole sample per WriteEdges call, the replay
-	// series crosses the sink in C-block units.
+	// series crosses the sink in runs of at most DefaultBatchSize edges.
 	gmp := runtime.GOMAXPROCS(0)
 	recordBench("wireSeries", []wireSeries{
 		{Series: "tsvStrconv", EdgesPerSec: tsvStrconvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
@@ -485,7 +414,7 @@ func fig3(maxWorkers int) error {
 		{Series: "binDelta", EdgesPerSec: binDeltaRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDeltaRead", EdgesPerSec: binDeltaReadRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binFixed", EdgesPerSec: binFixedRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
-		{Series: "binDeltaReplay", EdgesPerSec: replayRate, Gomaxprocs: gmp, BatchEdges: g.CNNZ()},
+		{Series: "binDeltaReplay", EdgesPerSec: replayRate, Gomaxprocs: gmp, BatchEdges: min(g.CNNZ(), gen.DefaultBatchSize)},
 	})
 
 	// Full-machine simulation of the paper's actual trillion-edge workload
@@ -504,6 +433,51 @@ func fig3(maxWorkers int) error {
 			r.MaxEdgesPerCore-r.MinEdgesPerCore)
 	}
 	return nil
+}
+
+// edgeFold is one worker's enumerated count and XOR checksum, padded so
+// workers never share a cache line.
+type edgeFold struct {
+	n, sum int64
+	_      [48]byte
+}
+
+// enumRate times one pass over shard s (the whole graph when s is nil) with
+// np workers into a Func that reads every edge and folds count plus XOR
+// checksum — the per-edge work of an enumerated count, where the Counter
+// and Checksum sinks fold each run in closed form. wrap, when non-nil,
+// wraps that sink. It returns the rate and the edges counted.
+func enumRate(g *gen.Generator, np int, s *gen.ShardInfo, wrap func(pipeline.Sink) pipeline.Sink) (float64, int64, error) {
+	folds := make([]edgeFold, np)
+	var sink pipeline.Sink = pipeline.Func(func(p int, batch []gen.Edge) error {
+		f := &folds[p]
+		n, sum := f.n, f.sum
+		for _, e := range batch {
+			n++
+			sum ^= e.Row*31 + e.Col
+		}
+		f.n, f.sum = n, sum
+		return nil
+	})
+	if wrap != nil {
+		sink = wrap(sink)
+	}
+	start := time.Now()
+	var err error
+	if s != nil {
+		err = g.StreamShardTo(context.Background(), *s, np, 0, sink)
+	} else {
+		err = g.StreamTo(context.Background(), np, 0, sink)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	secs := time.Since(start).Seconds()
+	var n int64
+	for i := range folds {
+		n += folds[i].n
+	}
+	return float64(n) / secs, n, nil
 }
 
 // errSampleFull stops the sampling pass once enough edges are collected; it
@@ -605,8 +579,8 @@ type wireSeries struct {
 }
 
 // benchReplayWire measures the block-replay delta path end to end: one
-// single-worker generation pass streamed through a block-capable Writer sink
-// into io.Discard per iteration, repeated until enough wall clock has
+// single-worker generation pass streamed through a delta Writer sink into
+// io.Discard per iteration, repeated until enough wall clock has
 // elapsed, after one unmeasured warm-up pass. Each pass builds a fresh
 // writer (the KRNB trailer ends a stream), which costs one header and
 // trailer per full graph — noise at this scale.

@@ -66,8 +66,8 @@ func main() {
 	cacheSize := fs.Int("cache", 0, "design-property LRU capacity (0 = default)")
 	maxBNNZ := fs.Int64("max-bnnz", 0, "max B-side stored entries per job (0 = default)")
 	maxCNNZ := fs.Int64("max-cnnz", 0, "max C-side stored entries per job (0 = default)")
-	batch := fs.Int("batch", 0, "per-worker edge batch size, the unit of backpressure and cancellation latency (0 = default)")
-	queueDepth := fs.Int("queue-depth", 0, "per-job stream buffer in batches (0 = default)")
+	batch := fs.Int("batch", 0, "longest run of edges a worker hands the stream, the unit of backpressure and cancellation latency (0 = default)")
+	queueDepth := fs.Int("queue-depth", 0, "per-job stream buffer in runs (0 = default)")
 	attachTimeout := fs.Duration("attach-timeout", 0, "cancel streaming jobs with no consumer after this long (0 = default)")
 	history := fs.Int("history", 0, "finished jobs kept queryable (0 = default)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")

@@ -36,12 +36,12 @@ func main() {
 	}
 	workers := runtime.GOMAXPROCS(0)
 	var firstEdges []kron.Edge
-	err = gen.Stream(context.Background(), workers, func(worker int, e kron.Edge) error {
+	err = kron.StreamTo(context.Background(), gen, workers, 0, kron.SinkFunc(func(worker int, batch []kron.Edge) error {
 		if worker == 0 && len(firstEdges) < 5 {
-			firstEdges = append(firstEdges, e)
+			firstEdges = append(firstEdges, batch[:min(len(batch), 5-len(firstEdges))]...)
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

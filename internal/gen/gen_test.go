@@ -7,12 +7,26 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/semiring"
 	"repro/internal/sparse"
 	"repro/internal/star"
 )
 
 var sr = semiring.PlusTimesInt64()
+
+// streamEach streams the graph through a Func sink and calls emit once per
+// edge, stopping at the first error.
+func streamEach(ctx context.Context, g *Generator, np int, emit func(w int, e Edge) error) error {
+	return g.StreamTo(ctx, np, 0, pipeline.Func(func(p int, batch []Edge) error {
+		for _, e := range batch {
+			if err := emit(p, e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
+}
 
 func mustGen(t *testing.T, pts []int, loop star.LoopMode, nb int) (*core.Design, *Generator) {
 	t.Helper()
@@ -52,7 +66,7 @@ func TestStreamEqualsSerialRealization(t *testing.T) {
 		for _, np := range []int{1, 2, 3, 7} {
 			var mu sync.Mutex
 			var got []sparse.Triple[int64]
-			err := g.Stream(context.Background(), np, func(w int, e Edge) error {
+			err := streamEach(context.Background(), g, np, func(w int, e Edge) error {
 				mu.Lock()
 				got = append(got, sparse.Triple[int64]{Row: int(e.Row), Col: int(e.Col), Val: e.Val})
 				mu.Unlock()
@@ -119,7 +133,7 @@ func TestEqualWorkPerProcessor(t *testing.T) {
 	}
 	counts := make([]int64, 4)
 	var mu sync.Mutex
-	err := g.Stream(context.Background(), 4, func(w int, e Edge) error {
+	err := streamEach(context.Background(), g, 4, func(w int, e Edge) error {
 		mu.Lock()
 		counts[w]++
 		mu.Unlock()
@@ -141,7 +155,7 @@ func TestNoSelfLoopsEmitted(t *testing.T) {
 		loopRow, _, _ := d.LoopPosition()
 		found := false
 		var mu sync.Mutex
-		err := g.Stream(context.Background(), 3, func(w int, e Edge) error {
+		err := streamEach(context.Background(), g, 3, func(w int, e Edge) error {
 			mu.Lock()
 			if e.Row == e.Col && e.Row == int64(loopRow) {
 				found = true
@@ -172,7 +186,7 @@ func TestMaterializeAssembleRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		d, g := mustGen(t, tc.pts, tc.loop, tc.nb)
-		parts, err := g.Materialize(tc.np)
+		parts, err := g.Materialize(context.Background(), tc.np)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +212,7 @@ func TestMaterializeEmptyWorkers(t *testing.T) {
 	// assembly still reproduces the graph.
 	d, g := mustGen(t, []int{2, 2}, star.LoopNone, 1)
 	np := g.BNNZ() + 3
-	parts, err := g.Materialize(np)
+	parts, err := g.Materialize(context.Background(), np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +235,7 @@ func TestNoDuplicateEdgesAcrossWorkers(t *testing.T) {
 	_, g := mustGen(t, []int{3, 4, 5}, star.LoopHub, 2)
 	seen := make(map[[2]int64]int)
 	var mu sync.Mutex
-	err := g.Stream(context.Background(), 5, func(w int, e Edge) error {
+	err := streamEach(context.Background(), g, 5, func(w int, e Edge) error {
 		mu.Lock()
 		seen[[2]int64{e.Row, e.Col}]++
 		mu.Unlock()
@@ -246,7 +260,7 @@ func TestNoEmptyVertices(t *testing.T) {
 	_, g := mustGen(t, []int{3, 4, 5}, star.LoopLeaf, 2)
 	touched := make([]bool, g.NumVertices())
 	var mu sync.Mutex
-	err := g.Stream(context.Background(), 2, func(w int, e Edge) error {
+	err := streamEach(context.Background(), g, 2, func(w int, e Edge) error {
 		mu.Lock()
 		touched[e.Row] = true
 		touched[e.Col] = true
@@ -279,7 +293,7 @@ func TestSplitValidation(t *testing.T) {
 func TestStreamPropagatesEmitError(t *testing.T) {
 	_, g := mustGen(t, []int{3, 4}, star.LoopNone, 1)
 	sentinel := errors.New("downstream full")
-	err := g.Stream(context.Background(), 2, func(w int, e Edge) error {
+	err := streamEach(context.Background(), g, 2, func(w int, e Edge) error {
 		if w == 1 {
 			return sentinel
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/sparse"
 	"repro/internal/star"
 )
@@ -66,14 +67,55 @@ func TestOrderedRealizationMatchesSortedKron(t *testing.T) {
 				t.Fatalf("%s: B differs from the CSC-sorted KronN product", name)
 			}
 			wantC := sortedRealization(t, cd, false)
-			if g.mC != int64(wantC.NumRows) || g.nC != int64(wantC.NumCols) || len(g.cEdges) != len(wantC.Tr) {
+			cEdges := blockEdges(g)
+			if g.mC != int64(wantC.NumRows) || g.nC != int64(wantC.NumCols) || len(cEdges) != len(wantC.Tr) {
 				t.Fatalf("%s: C is %dx%d with %d entries, want %dx%d with %d",
-					name, g.mC, g.nC, len(g.cEdges), wantC.NumRows, wantC.NumCols, len(wantC.Tr))
+					name, g.mC, g.nC, len(cEdges), wantC.NumRows, wantC.NumCols, len(wantC.Tr))
 			}
 			for i, tc := range wantC.Tr {
-				if want := (Edge{Row: int64(tc.Row), Col: int64(tc.Col), Val: tc.Val}); g.cEdges[i] != want {
-					t.Fatalf("%s: C entry %d is %+v, want %+v", name, i, g.cEdges[i], want)
+				if want := (Edge{Row: int64(tc.Row), Col: int64(tc.Col), Val: tc.Val}); cEdges[i] != want {
+					t.Fatalf("%s: C entry %d is %+v, want %+v", name, i, cEdges[i], want)
 				}
+			}
+		}
+	}
+}
+
+// blockEdges returns the generator's shared C block edges.
+func blockEdges(g *Generator) []Edge {
+	return pipeline.Run{Block: g.c, Hi: g.c.Len()}.Local()
+}
+
+// TestRealizedValuesAreOne pins the invariant the shared C block rests on:
+// every realized B and C value is 1 (star adjacencies hold only 1s and the
+// ordered Kronecker product never sums two entries), so each B triple's
+// block is C shifted, with C's own values. Random designs cover every loop
+// mode, factor count and split.
+func TestRealizedValuesAreOne(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 200))
+	loops := []star.LoopMode{star.LoopNone, star.LoopHub, star.LoopLeaf}
+	for trial := 0; trial < 200; trial++ {
+		pts := make([]int, 2+rng.IntN(4))
+		for i := range pts {
+			pts[i] = 2 + rng.IntN(5)
+		}
+		d, err := core.FromPoints(pts, loops[rng.IntN(len(loops))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb := 1 + rng.IntN(len(pts)-1)
+		g, err := New(d, nb)
+		if err != nil {
+			t.Fatalf("%v split %d: %v", d, nb, err)
+		}
+		for _, tb := range g.b.Tr {
+			if tb.Val != 1 {
+				t.Fatalf("%v split %d: B value %d at (%d, %d)", d, nb, tb.Val, tb.Row, tb.Col)
+			}
+		}
+		for _, e := range blockEdges(g) {
+			if e.Val != 1 {
+				t.Fatalf("%v split %d: C value %d at (%d, %d)", d, nb, e.Val, e.Row, e.Col)
 			}
 		}
 	}

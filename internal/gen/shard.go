@@ -16,8 +16,7 @@ import (
 // C fan-out a single process generates independently. A plan is a pure
 // function of (design, split, shard count) — Section V's zero-communication
 // property means the shards never coordinate, and concatenating their
-// streams in shard order reproduces the full StreamBatches stream
-// edge-for-edge.
+// streams in shard order reproduces the full StreamTo stream edge-for-edge.
 type ShardInfo struct {
 	// Shard is this shard's index in [0, Shards).
 	Shard int `json:"shard"`
@@ -61,32 +60,13 @@ func planShards(bnnz int, cnnz int64, loopTriple, shards int) ([]ShardInfo, erro
 	return plan, nil
 }
 
-// loopTripleIndex returns the position, in B's CSC triple order, of the one
-// B triple whose block contains the removed self-loop, or -1 when no loop is
-// removed. The containing block is unique: the loop's coordinates pin both
-// the B row and B column.
-func (g *Generator) loopTripleIndex() int {
-	if g.loopRow < 0 {
-		return -1
-	}
-	mC, nC := g.mC, g.nC
-	for i, tb := range g.b.Tr {
-		rBase := int64(tb.Row) * mC
-		cBase := int64(tb.Col) * nC
-		if g.loopRow >= rBase && g.loopRow < rBase+mC && g.loopRow >= cBase && g.loopRow < cBase+nC {
-			return i
-		}
-	}
-	return -1
-}
-
 // PlanShards partitions the generator's work into shards cost-balanced
 // shards. The plan is deterministic — same design, same split, same shard
 // count, same plan — and exact: per-shard Edges are closed-form counts that
 // sum to NumEdges. Shard counts beyond nnz(B) yield trailing empty shards
 // (the paper's processors-without-triples case).
 func (g *Generator) PlanShards(shards int) ([]ShardInfo, error) {
-	return planShards(g.b.NNZ(), int64(len(g.cEdges)), g.loopTripleIndex(), shards)
+	return planShards(g.b.NNZ(), int64(g.c.Len()), g.loopTriple, shards)
 }
 
 // PlanDesignShards computes the identical plan to PlanShards on a realized
@@ -119,36 +99,20 @@ func PlanDesignShards(d *core.Design, nb, shards int) ([]ShardInfo, error) {
 	return planShards(bnnz, cnnz, loopTriple, shards)
 }
 
-// StreamShard generates exactly one shard's edge range with np workers — the
-// multi-process face of StreamBatches. Within the shard every StreamBatches
-// guarantee holds (batch reuse, per-batch cancellation, band order), and
-// concatenating all of a plan's shard streams in (shard, worker) order is
-// edge-identical to one full StreamBatches run: both enumerate B's CSC
-// triples in order against row-major C.
-func (g *Generator) StreamShard(ctx context.Context, s ShardInfo, np, batchSize int, emit func(p int, batch []Edge) error) error {
-	return g.StreamShardTo(ctx, s, np, batchSize, pipeline.Func(emit))
-}
-
-// StreamShardTo generates exactly one shard's edge range into a composable
-// sink — StreamTo's shard face, and the engine behind StreamShard (which is
-// this method over a pipeline.Func adapter). The sink is closed exactly once
-// when the pass ends, on success and failure alike; the close error is
-// returned only when generation itself succeeded. Block-capable sinks take
-// the block-replay engine under the same conditions as StreamTo; shard
-// concatenation stays edge-identical because both engines follow CSC order.
+// StreamShardTo generates exactly one shard's B-triple range into a
+// composable sink with np workers — StreamTo's multi-process face. Within
+// the shard every StreamTo guarantee holds (runs of at most batchSize, one
+// context check per run, band order), and concatenating all of a plan's
+// shard streams in (shard, worker) order is edge-identical to one full
+// StreamTo pass: both walk B's CSC triples in order against row-major C.
+// The sink is closed exactly once, on success and failure alike; the close
+// error is returned only when generation itself succeeded.
 func (g *Generator) StreamShardTo(ctx context.Context, s ShardInfo, np, batchSize int, sink pipeline.Sink) error {
-	err := g.checkShard(s)
-	if err == nil {
-		if bs, ok := sink.(pipeline.BlockSink); ok && len(g.cEdges) >= minReplayBlockEdges {
-			err = g.streamBlockRange(ctx, s.BLo, s.BHi, np, batchSize, bs)
-		} else {
-			err = g.streamBRange(ctx, s.BLo, s.BHi, np, batchSize, sink.WriteBatch)
-		}
+	if err := g.checkShard(s); err != nil {
+		_ = sink.Close() // the pass still ends; the bad shard is the error to report
+		return err
 	}
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return g.stream(ctx, s.BLo, s.BHi, np, batchSize, sink)
 }
 
 // checkShard validates a shard against this generator's workload, so a plan
@@ -165,20 +129,21 @@ func (g *Generator) checkShard(s ShardInfo) error {
 	return nil
 }
 
-// CountShard enumerates one shard's edges with np workers, computing every
-// global coordinate but storing nothing, and returns the emitted count and
-// XOR checksum — the per-shard analogue of CountEdges (and the same engine:
-// countBRange), and the verification primitive a coordinator runs against a
-// worker's claimed output.
+// CountShard streams one shard with np workers into a Counter and a
+// Checksum and returns the emitted count and XOR checksum — the per-shard
+// analogue of CountEdges (the same pass over the shard's range), and the
+// verification primitive a coordinator runs against a worker's claimed
+// output.
 func (g *Generator) CountShard(ctx context.Context, s ShardInfo, np int) (total, checksum int64, err error) {
-	if err := g.checkShard(s); err != nil {
+	cnt, cks := pipeline.NewCounter(np), pipeline.NewChecksum(np)
+	if err := g.StreamShardTo(ctx, s, np, 0, pipeline.Tee(cnt, cks)); err != nil {
 		return 0, 0, err
 	}
-	return g.countBRange(ctx, s.BLo, s.BHi, np)
+	return cnt.Total(), cks.Sum(), nil
 }
 
-// ChecksumPlan fills every shard's Checksum by enumeration (np workers per
-// shard, one shard at a time) and verifies each shard's enumerated edge
+// ChecksumPlan fills every shard's Checksum by streaming it (np workers per
+// shard, one shard at a time) and verifies each shard's streamed edge
 // count against the plan's closed form — a count mismatch means the plan and
 // generator disagree about the workload and the plan must not be trusted.
 // XORing the filled checksums together yields CountEdges' whole-graph
@@ -191,7 +156,7 @@ func (g *Generator) ChecksumPlan(ctx context.Context, plan []ShardInfo, np int) 
 			return err
 		}
 		if n != plan[i].Edges {
-			return fmt.Errorf("gen: shard %d/%d enumerated %d edges, plan says %d",
+			return fmt.Errorf("gen: shard %d/%d streamed %d edges, plan says %d",
 				plan[i].Shard, plan[i].Shards, n, plan[i].Edges)
 		}
 		plan[i].Checksum = sum

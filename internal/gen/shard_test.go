@@ -8,22 +8,23 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/star"
 )
 
-// collectStream runs one full StreamBatches pass and returns the edges
+// collectStream runs one full StreamTo pass and returns the edges
 // concatenated in worker order — the canonical stream order (B's CSC triples
 // against row-major C).
 func collectStream(t *testing.T, g *Generator, np int) []Edge {
 	t.Helper()
 	perWorker := make([][]Edge, np)
 	var mu sync.Mutex
-	err := g.StreamBatches(context.Background(), np, 64, func(p int, batch []Edge) error {
+	err := g.StreamTo(context.Background(), np, 64, pipeline.Func(func(p int, batch []Edge) error {
 		mu.Lock()
 		perWorker[p] = append(perWorker[p], batch...)
 		mu.Unlock()
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +35,18 @@ func collectStream(t *testing.T, g *Generator, np int) []Edge {
 	return all
 }
 
-// collectShard runs StreamShard for one shard and returns its edges in
+// collectShard runs StreamShardTo for one shard and returns its edges in
 // worker order.
 func collectShard(t *testing.T, g *Generator, s ShardInfo, np int) []Edge {
 	t.Helper()
 	perWorker := make([][]Edge, np)
 	var mu sync.Mutex
-	err := g.StreamShard(context.Background(), s, np, 64, func(p int, batch []Edge) error {
+	err := g.StreamShardTo(context.Background(), s, np, 64, pipeline.Func(func(p int, batch []Edge) error {
 		mu.Lock()
 		perWorker[p] = append(perWorker[p], batch...)
 		mu.Unlock()
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func collectShard(t *testing.T, g *Generator, s ShardInfo, np int) []Edge {
 
 // TestShardUnionParity is the cross-shard conformance property: for
 // randomized designs and K ∈ {1, 2, 3, 7}, the concatenation of all
-// StreamShard outputs equals the full StreamBatches stream edge-for-edge,
+// StreamShardTo outputs equals the full StreamTo stream edge-for-edge,
 // per-shard closed-form edge counts sum to CountEdges' total, and the XOR of
 // per-shard checksums reproduces the whole-graph checksum. Run under -race
 // in CI (the gen package is in the race matrix).
@@ -198,7 +199,7 @@ func TestShardValidation(t *testing.T) {
 	if _, err := PlanDesignShards(d, 0, 2); err == nil {
 		t.Error("PlanDesignShards with split 0 accepted")
 	}
-	noop := func(int, []Edge) error { return nil }
+	noop := pipeline.Func(func(int, []Edge) error { return nil })
 	for name, s := range map[string]ShardInfo{
 		"index over":     {Shard: 2, Shards: 2, BLo: 0, BHi: 1},
 		"negative index": {Shard: -1, Shards: 2, BLo: 0, BHi: 1},
@@ -207,8 +208,8 @@ func TestShardValidation(t *testing.T) {
 		"inverted range": {Shard: 0, Shards: 1, BLo: 3, BHi: 1},
 		"negative lo":    {Shard: 0, Shards: 1, BLo: -1, BHi: 1},
 	} {
-		if err := g.StreamShard(context.Background(), s, 1, 0, noop); err == nil {
-			t.Errorf("StreamShard accepted %s: %+v", name, s)
+		if err := g.StreamShardTo(context.Background(), s, 1, 0, noop); err == nil {
+			t.Errorf("StreamShardTo accepted %s: %+v", name, s)
 		}
 		if _, _, err := g.CountShard(context.Background(), s, 1); err == nil {
 			t.Errorf("CountShard accepted %s: %+v", name, s)

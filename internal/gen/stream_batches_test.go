@@ -8,16 +8,18 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/graphio"
+	"repro/internal/pipeline"
 	"repro/internal/sparse"
 	"repro/internal/star"
 )
 
-// collectPerEdge gathers Stream's edge multiset.
+// collectPerEdge gathers the edge multiset one edge at a time.
 func collectPerEdge(t *testing.T, g *Generator, np int) map[Edge]int {
 	t.Helper()
 	var mu sync.Mutex
 	seen := make(map[Edge]int)
-	err := g.Stream(context.Background(), np, func(w int, e Edge) error {
+	err := streamEach(context.Background(), g, np, func(w int, e Edge) error {
 		mu.Lock()
 		seen[e]++
 		mu.Unlock()
@@ -29,30 +31,30 @@ func collectPerEdge(t *testing.T, g *Generator, np int) map[Edge]int {
 	return seen
 }
 
-// collectBatches gathers StreamBatches' edge multiset at the given batch
+// collectBatches gathers a Func sink's edge multiset at the given batch
 // size.
 func collectBatches(t *testing.T, g *Generator, np, batchSize int) map[Edge]int {
 	t.Helper()
 	var mu sync.Mutex
 	seen := make(map[Edge]int)
-	err := g.StreamBatches(context.Background(), np, batchSize, func(p int, batch []Edge) error {
+	err := g.StreamTo(context.Background(), np, batchSize, pipeline.Func(func(p int, batch []Edge) error {
 		mu.Lock()
 		for _, e := range batch {
 			seen[e]++
 		}
 		mu.Unlock()
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return seen
 }
 
-// TestStreamBatchesParity proves the batch-native path emits exactly the
-// same edge multiset as the per-edge Stream across loop modes (exercising
-// the hoisted self-loop skip), splits, worker counts, and batch sizes that
-// land on and off batch boundaries.
+// TestStreamBatchesParity proves every batch size emits exactly the same
+// edge multiset as the default across loop modes (exercising the cut at the
+// removed self-loop), splits, worker counts, and batch sizes that land on
+// and off block boundaries.
 func TestStreamBatchesParity(t *testing.T) {
 	cases := []struct {
 		pts  []int
@@ -72,12 +74,12 @@ func TestStreamBatchesParity(t *testing.T) {
 			for _, bs := range []int{1, 7, 0 /* default */} {
 				got := collectBatches(t, g, np, bs)
 				if len(got) != len(want) {
-					t.Fatalf("%v np=%d bs=%d: %d distinct edges, per-edge path has %d",
+					t.Fatalf("%v np=%d bs=%d: %d distinct edges, one-edge-at-a-time pass has %d",
 						tc.pts, np, bs, len(got), len(want))
 				}
 				for e, n := range want {
 					if got[e] != n {
-						t.Fatalf("%v np=%d bs=%d: edge %v count %d, per-edge path has %d",
+						t.Fatalf("%v np=%d bs=%d: edge %v count %d, one-edge-at-a-time pass has %d",
 							tc.pts, np, bs, e, got[e], n)
 					}
 				}
@@ -89,40 +91,47 @@ func TestStreamBatchesParity(t *testing.T) {
 	}
 }
 
-// TestStreamBatchesBatchShape checks batch granularity: every worker's
-// batches are full except possibly its last, and per-worker totals cover
-// the whole graph.
+// TestStreamBatchesBatchShape checks run granularity: every run holds 1 to
+// batchSize edges, each block is cut into full runs except its last (and
+// the one cut at the removed self-loop), every block's runs end at C's last
+// edge, and the runs cover the whole graph.
 func TestStreamBatchesBatchShape(t *testing.T) {
-	_, g := mustGen(t, []int{3, 4, 5}, star.LoopHub, 2)
+	_, g := mustGen(t, []int{3, 4, 5}, star.LoopHub, 1)
 	const bs = 64
 	np := 3
+	n := g.CNNZ()
+	if n <= bs {
+		t.Fatalf("test setup: nnz(C) = %d does not exceed the batch size %d", n, bs)
+	}
 	var mu sync.Mutex
-	short := make([]int, np) // undersized batches seen per worker
-	total := int64(0)
-	err := g.StreamBatches(context.Background(), np, bs, func(p int, batch []Edge) error {
+	runs := make([][]pipeline.Run, np)
+	err := g.StreamTo(context.Background(), np, bs, pipeline.RunFunc(func(p int, r pipeline.Run) error {
 		mu.Lock()
-		defer mu.Unlock()
-		if len(batch) == 0 || len(batch) > bs {
-			t.Errorf("worker %d batch of %d edges, want 1..%d", p, len(batch), bs)
-		}
-		if len(batch) < bs {
-			short[p]++
-		} else if short[p] > 0 {
-			t.Errorf("worker %d emitted a full batch after a short one", p)
-		}
-		total += int64(len(batch))
+		runs[p] = append(runs[p], r)
+		mu.Unlock()
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, n := range short {
-		if n > 1 {
-			t.Errorf("worker %d emitted %d short batches, want at most the final one", p, n)
+	var total int64
+	for p, rs := range runs {
+		for i, r := range rs {
+			if r.Len() < 1 || r.Len() > bs {
+				t.Errorf("worker %d run [%d, %d) holds %d edges, want 1..%d", p, r.Lo, r.Hi, r.Len(), bs)
+			}
+			total += int64(r.Len())
+			more := i+1 < len(rs) && rs[i+1].RowBase == r.RowBase && rs[i+1].ColBase == r.ColBase
+			if more && r.Len() < bs && rs[i+1].Lo != r.Hi+1 {
+				t.Errorf("worker %d: short run [%d, %d) is neither its block's last nor cut at the loop", p, r.Lo, r.Hi)
+			}
+			if !more && r.Hi != n {
+				t.Errorf("worker %d: block (%d, %d) ends at edge %d of %d", p, r.RowBase, r.ColBase, r.Hi, n)
+			}
 		}
 	}
 	if total != g.NumEdges() {
-		t.Fatalf("streamed %d edges in batches, design says %d", total, g.NumEdges())
+		t.Fatalf("streamed %d edges in runs, design says %d", total, g.NumEdges())
 	}
 }
 
@@ -134,13 +143,13 @@ func TestStreamBatchesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var emitted int64
 	var mu sync.Mutex
-	err := g.StreamBatches(ctx, 4, 32, func(p int, batch []Edge) error {
+	err := g.StreamTo(ctx, 4, 32, pipeline.Func(func(p int, batch []Edge) error {
 		mu.Lock()
 		emitted += int64(len(batch))
 		mu.Unlock()
 		cancel() // first batch from any worker cancels the run
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -152,16 +161,16 @@ func TestStreamBatchesCancellation(t *testing.T) {
 }
 
 // TestStreamBatchesEmitErrorStopsPeers propagates a consumer error and
-// cancels the remaining workers, mirroring the per-edge contract.
+// cancels the remaining workers.
 func TestStreamBatchesEmitErrorStopsPeers(t *testing.T) {
 	_, g := mustGen(t, []int{5, 9, 16}, star.LoopLeaf, 2)
 	sentinel := errors.New("sink full")
-	err := g.StreamBatches(context.Background(), 4, 16, func(p int, batch []Edge) error {
+	err := g.StreamTo(context.Background(), 4, 16, pipeline.Func(func(p int, batch []Edge) error {
 		if p == 1 {
 			return sentinel
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -182,15 +191,16 @@ func TestMaterializeColumnOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &Generator{
-		b:       b,
-		cEdges:  []Edge{{Row: 0, Col: 0, Val: 1}},
-		mC:      int64(huge),
-		nC:      int64(huge),
-		loopRow: -1,
-		mA:      int64(b.NumRows) * int64(huge),
-		nnzA:    int64(b.NNZ()),
+		b:          b,
+		c:          graphio.NewBlock([]Edge{{Row: 0, Col: 0, Val: 1}}),
+		mC:         int64(huge),
+		nC:         int64(huge),
+		loopRow:    -1,
+		loopTriple: -1,
+		mA:         int64(b.NumRows) * int64(huge),
+		nnzA:       int64(b.NNZ()),
 	}
-	_, err = g.Materialize(1)
+	_, err = g.Materialize(context.Background(), 1)
 	if err == nil {
 		t.Fatal("Materialize accepted a column band whose local column count overflows int")
 	}

@@ -20,7 +20,7 @@ func testDesign(t *testing.T, points []int, loop star.LoopMode) *core.Design {
 	return d
 }
 
-// TestStreamEmitsDesignEdgeCount proves the per-edge path emits exactly the
+// TestStreamEmitsDesignEdgeCount proves the stream emits exactly the
 // design's edge multiset — each edge once, no duplicates across workers.
 func TestStreamEmitsDesignEdgeCount(t *testing.T) {
 	d := testDesign(t, []int{3, 4, 5}, star.LoopHub)
@@ -30,7 +30,7 @@ func TestStreamEmitsDesignEdgeCount(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := make(map[Edge]int)
-	if err := g.Stream(context.Background(), 3, func(w int, e Edge) error {
+	if err := streamEach(context.Background(), g, 3, func(w int, e Edge) error {
 		mu.Lock()
 		seen[e]++
 		mu.Unlock()
@@ -59,7 +59,7 @@ func TestStreamCancelMidStream(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	emitted := 0
-	err = g.Stream(ctx, 4, func(w int, e Edge) error {
+	err = streamEach(ctx, g, 4, func(w int, e Edge) error {
 		mu.Lock()
 		emitted++
 		if emitted == 10 {
@@ -114,7 +114,7 @@ func TestStreamEmitErrorStopsPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("sink full")
-	err = g.Stream(context.Background(), 4, func(w int, e Edge) error {
+	err = streamEach(context.Background(), g, 4, func(w int, e Edge) error {
 		if w == 1 {
 			return sentinel
 		}
@@ -137,7 +137,7 @@ func TestStreamAssemblesExactProduct(t *testing.T) {
 	n := int(g.NumVertices())
 	var mu sync.Mutex
 	var tr []sparse.Triple[int64]
-	err = g.Stream(context.Background(), 3, func(w int, e Edge) error {
+	err = streamEach(context.Background(), g, 3, func(w int, e Edge) error {
 		mu.Lock()
 		tr = append(tr, sparse.Triple[int64]{Row: int(e.Row), Col: int(e.Col), Val: e.Val})
 		mu.Unlock()

@@ -181,13 +181,11 @@ type BinaryEdgeWriter struct {
 	checksum int64
 	finished bool
 
-	// noReplay switches WriteBlockRun to the per-edge oracle encoder (see
-	// SetBlockReplay); seeded marks a trailer fixed by SeedTrailer, which
-	// also turns off the per-edge checksum fold.
-	noReplay     bool
-	seeded       bool
-	seedCount    int64
-	seedChecksum int64
+	// noReplay switches WriteRun to the per-edge oracle encoder (see
+	// SetBlockReplay); runBuf is WriteRun's expansion buffer in the fixed
+	// encoding.
+	noReplay bool
+	runBuf   []Edge
 }
 
 // NewBinaryEdgeWriter writes the KRNB header for a stream of exactly nnz
@@ -261,9 +259,7 @@ func (b *BinaryEdgeWriter) WriteEdge(row, col, val int64) error {
 	}
 	b.appendEdge(row, col, val)
 	b.count++
-	if !b.seeded {
-		b.checksum ^= row*31 + col
-	}
+	b.checksum ^= row*31 + col
 	if len(b.scratch) >= edgeChunk {
 		return b.emitFrame()
 	}
@@ -282,9 +278,7 @@ func (b *BinaryEdgeWriter) WriteEdges(batch []Edge) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if !b.seeded {
-		b.checksum = foldChecksum(b.checksum, batch)
-	}
+	b.checksum = foldChecksum(b.checksum, batch)
 	b.count += int64(len(batch))
 	if b.enc == BinaryFixed && hostIsLittleEndian && len(batch)*edgeWireBytes >= directWriteBytes {
 		// One frame, written from the batch's own memory. The pending frame
@@ -341,15 +335,11 @@ func (b *BinaryEdgeWriter) Finish() error {
 		return err
 	}
 	b.finished = true
-	count, checksum := b.count, b.checksum
-	if b.seeded {
-		count, checksum = b.seedCount, b.seedChecksum
-	}
 	var buf [2 * binary.MaxVarintLen64]byte
 	out := buf[:0]
 	out = binary.AppendUvarint(out, 0) // trailer tag
-	out = binary.AppendUvarint(out, uint64(count))
-	out = binary.LittleEndian.AppendUint64(out, uint64(checksum))
+	out = binary.AppendUvarint(out, uint64(b.count))
+	out = binary.LittleEndian.AppendUint64(out, uint64(b.checksum))
 	if _, err := b.bw.Write(out); err != nil {
 		return err
 	}
@@ -360,14 +350,8 @@ func (b *BinaryEdgeWriter) Finish() error {
 // trailer carries.
 func (b *BinaryEdgeWriter) Count() int64 { return b.count }
 
-// Checksum returns the XOR content fold of the edges written so far — or,
-// after SeedTrailer, the seeded value the trailer will carry.
-func (b *BinaryEdgeWriter) Checksum() int64 {
-	if b.seeded {
-		return b.seedChecksum
-	}
-	return b.checksum
-}
+// Checksum returns the XOR content fold of the edges written so far.
+func (b *BinaryEdgeWriter) Checksum() int64 { return b.checksum }
 
 // BinaryInfo reports what a complete binary stream declared about itself.
 type BinaryInfo struct {

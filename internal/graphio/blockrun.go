@@ -3,210 +3,182 @@ package graphio
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 )
 
-// Block-replay encode kernel.
+// Shared-block runs.
 //
-// A Kronecker product K = B ⊗ C emits, for every nonzero of B, the whole
-// edge pattern of C shifted by a constant (rowBase, colBase) block offset.
+// A Kronecker product K = B ⊗ C whose B values are all 1 (every star design
+// is: star adjacencies hold only 1s) emits, for every nonzero of B, C's whole
+// edge pattern shifted by a constant (rowBase, colBase) block offset. A Block
+// holds that pattern once, immutable and shared by every generation worker;
+// a Run names a contiguous slice of it at one offset. A Run is a small value
+// that only points at its block, so a consumer may keep it after the call
+// that delivered it returns (the service's async hand-off does).
+//
 // Inside the KRNB delta encoding the intra-block deltas
-// zig(row[i]-row[i-1]) zig(col[i]-col[i-1]) depend only on C's local
-// coordinates — the block offset cancels out of every difference — and the
-// value bytes depend only on C's values times the B nonzero. The delta byte
-// stream of a block is therefore byte-for-byte identical across all
-// B-triples that share a B value: encode it once, replay it per block.
-//
-// DeltaBlockTemplate is that cached rendering. Render encodes the block's
-// edges[1:] as delta-varint bytes once (the tail); a replayed frame is then
-// the frame-count header, the first edge encoded absolutely (frames reset
-// prev to (0,0), so "absolute" and "delta from frame start" coincide), and
-// one Write of the cached tail. The trailer's XOR checksum folds in O(n)
-// adds from a precomputed table instead of per-edge coordinate arithmetic:
+// zig(row[i]-row[i-1]) zig(col[i]-col[i-1]) depend only on block-local
+// coordinates — the offset cancels out of every difference — and the value
+// bytes depend only on C's values. The delta records of a run's edges after
+// its first are therefore the same bytes at every offset: the block renders
+// them once, on first use, with per-edge record offsets so any sub-range can
+// be sliced out. A replayed frame is the run's count header, its first edge
+// encoded absolutely (frames reset prev to (0,0), so "absolute" and "delta
+// from frame start" coincide), and one Write of the cached slice. The
+// trailer's XOR checksum folds without rebuilding coordinates:
 //
 //	(rowBase+r)*31 + (colBase+c) = (rowBase*31 + colBase) + (r*31 + c)
 //
-// holds exactly under two's-complement wraparound, so the per-edge term
-// r*31 + c is rendered once and only the per-block constant varies.
-type DeltaBlockTemplate struct {
-	n int
+// holds exactly under two's-complement wraparound, so the block renders the
+// per-edge term r*31 + c once, on first use, and a run adds only its
+// offset's constant.
 
-	// First edge in block-local coordinates; the replayed frame patches the
-	// block offset onto it and encodes it absolutely.
-	firstRow, firstCol, firstVal int64
+// Block is an immutable edge pattern in block-local coordinates, row-major
+// (for K = B ⊗ C: the edges of C). It is safe for concurrent use.
+type Block struct {
+	edges []Edge
 
-	// tail is the delta-varint payload of edges[1:], reused verbatim by
-	// every replay of this template.
-	tail []byte
-
-	// pre[i] = localRow[i]*31 + localCol[i] — the block-invariant part of
-	// the checksum fold, for all n edges.
+	foldOnce sync.Once
+	// pre[i] = edges[i].Row*31 + edges[i].Col, the offset-invariant part of
+	// the checksum fold: a third of the edges' bytes, so folds over blocks
+	// larger than the cache read a third of the memory.
 	pre []int64
 
-	// locals is an owned copy of the block's local edges, kept for the
-	// expansion fallbacks (fixed encoding, oracle path, non-binary sinks).
-	locals []Edge
+	deltaOnce sync.Once
+	// tail holds the delta record of every edge after the first, each
+	// relative to its predecessor: edge i's record (i ≥ 1) is
+	// tail[offs[i]:offs[i+1]], and offs[len(edges)] = len(tail).
+	tail []byte
+	offs []int
 }
 
-// Render (re)builds the template from a block's edges in block-local
-// coordinates, values already multiplied through (for K = B ⊗ C: C's edges
-// with vals scaled by the B-triple's value). The block slice is only read
-// during the call; the template owns its buffers and may be re-rendered in
-// place when the scaling value changes.
-func (t *DeltaBlockTemplate) Render(block []Edge) {
-	t.n = len(block)
-	t.tail = t.tail[:0]
-	t.pre = t.pre[:0]
-	t.locals = append(t.locals[:0], block...)
-	if len(block) == 0 {
-		return
+// NewBlock returns a block over edges. The block owns the slice from here
+// on; the caller must not modify it.
+func NewBlock(edges []Edge) *Block { return &Block{edges: edges} }
+
+// Len returns the number of edges in the block.
+func (b *Block) Len() int { return len(b.edges) }
+
+// foldTerms returns the checksum terms of every edge, rendering them on
+// first use.
+func (b *Block) foldTerms() []int64 {
+	b.foldOnce.Do(func() {
+		b.pre = make([]int64, len(b.edges))
+		for i, e := range b.edges {
+			b.pre[i] = e.Row*31 + e.Col
+		}
+	})
+	return b.pre
+}
+
+// deltaTail returns the cached delta records of edges lo+1 .. hi-1, rendering
+// the block's records on first use.
+func (b *Block) deltaTail(lo, hi int) []byte {
+	b.deltaOnce.Do(b.renderDelta)
+	return b.tail[b.offs[lo+1]:b.offs[hi]]
+}
+
+func (b *Block) renderDelta() {
+	n := len(b.edges)
+	b.offs = make([]int, n+1)
+	b.tail = make([]byte, 0, 3*n)
+	for i := 1; i < n; i++ {
+		prev, e := b.edges[i-1], b.edges[i]
+		b.offs[i] = len(b.tail)
+		b.tail = binary.AppendUvarint(b.tail, zigzag(e.Row-prev.Row))
+		b.tail = binary.AppendUvarint(b.tail, zigzag(e.Col-prev.Col))
+		b.tail = binary.AppendUvarint(b.tail, zigzag(e.Val))
 	}
-	first := block[0]
-	t.firstRow, t.firstCol, t.firstVal = first.Row, first.Col, first.Val
-	prevRow, prevCol := first.Row, first.Col
-	t.pre = append(t.pre, first.Row*31+first.Col)
-	for _, e := range block[1:] {
-		t.tail = binary.AppendUvarint(t.tail, zigzag(e.Row-prevRow))
-		t.tail = binary.AppendUvarint(t.tail, zigzag(e.Col-prevCol))
-		t.tail = binary.AppendUvarint(t.tail, zigzag(e.Val))
-		prevRow, prevCol = e.Row, e.Col
-		t.pre = append(t.pre, e.Row*31+e.Col)
+	if n > 0 {
+		b.offs[n] = len(b.tail)
 	}
 }
 
-// Len returns the number of edges a replay of this template carries.
-func (t *DeltaBlockTemplate) Len() int { return t.n }
+// Run is edges [Lo, Hi) of Block shifted by (RowBase, ColBase): block edge
+// e becomes the global edge (RowBase+e.Row, ColBase+e.Col, e.Val).
+type Run struct {
+	Block            *Block
+	Lo, Hi           int
+	RowBase, ColBase int64
+}
 
-// FoldChecksum folds the block's contribution at the given offset into the
-// stream checksum using the closed-form split: one add and one xor per edge,
-// no coordinate reconstruction.
-func (t *DeltaBlockTemplate) FoldChecksum(sum, rowBase, colBase int64) int64 {
-	base := rowBase*31 + colBase
-	for _, p := range t.pre {
+// Len returns the number of edges the run carries.
+func (r Run) Len() int { return r.Hi - r.Lo }
+
+// Local returns the run's edges in block-local coordinates. The slice is the
+// shared block's memory: read it, never write it.
+func (r Run) Local() []Edge { return r.Block.edges[r.Lo:r.Hi] }
+
+// AppendEdges appends the run's edges in global coordinates.
+func (r Run) AppendEdges(dst []Edge) []Edge {
+	n := len(dst)
+	dst = slices.Grow(dst, r.Len())[:n+r.Len()]
+	out := dst[n:]
+	for i, e := range r.Local() {
+		out[i] = Edge{Row: r.RowBase + e.Row, Col: r.ColBase + e.Col, Val: e.Val}
+	}
+	return dst
+}
+
+// FoldChecksum folds the run's edges into an XOR content checksum (the
+// stream fold, s ^= row*31 + col per edge) via the closed-form split: one
+// add and one xor per edge, no coordinate reconstruction.
+func (r Run) FoldChecksum(sum int64) int64 {
+	base := r.RowBase*31 + r.ColBase
+	for _, p := range r.Block.foldTerms()[r.Lo:r.Hi] {
 		sum ^= base + p
 	}
 	return sum
 }
 
-// AppendEdges appends the block's edges at the given offset in global
-// coordinates — the expansion path for consumers that want edges rather
-// than bytes.
-func (t *DeltaBlockTemplate) AppendEdges(dst []Edge, rowBase, colBase int64) []Edge {
-	for _, e := range t.locals {
-		dst = append(dst, Edge{Row: rowBase + e.Row, Col: colBase + e.Col, Val: e.Val})
-	}
-	return dst
-}
-
-// CloneInto copies the template into dst, reusing dst's buffers. Sinks that
-// retain a run past WriteBlockRun (the pooled async hand-off) must clone:
-// the producer owns the template and re-renders it in place after the call
-// returns — the same ownership contract batches have.
-func (t *DeltaBlockTemplate) CloneInto(dst *DeltaBlockTemplate) {
-	dst.n = t.n
-	dst.firstRow, dst.firstCol, dst.firstVal = t.firstRow, t.firstCol, t.firstVal
-	dst.tail = append(dst.tail[:0], t.tail...)
-	dst.pre = append(dst.pre[:0], t.pre...)
-	dst.locals = append(dst.locals[:0], t.locals...)
-}
-
-// BlockRunWriter is implemented by edge writers with a block-replay fast
-// path. WriteBlockRun appends the template's edges at the given block offset
-// — equivalent to WriteEdges over the expanded block, but (for the delta
-// encoding) paying one memcpy of the cached tail instead of per-edge varint
-// encoding. The template is owned by the caller and only valid during the
-// call.
-type BlockRunWriter interface {
-	WriteBlockRun(t *DeltaBlockTemplate, rowBase, colBase int64) error
-	// ReplaysBlocks reports whether WriteBlockRun is a genuine fast path for
-	// this writer's configuration. Pipeline sinks consult it so that, e.g.,
-	// the fixed encoding keeps its zero-copy batch path instead of being
-	// routed through per-edge expansion.
-	ReplaysBlocks() bool
-}
-
-// ReplaysBlocks reports whether this writer replays cached block bytes:
-// only the delta encoding does — fixed-width batches already stream as raw
-// memory copies, which block expansion could only slow down.
-func (b *BinaryEdgeWriter) ReplaysBlocks() bool { return b.enc == BinaryDelta }
-
-// SetBlockReplay toggles the replay fast path. With replay disabled,
-// WriteBlockRun encodes the expanded block per edge through the same frame
-// boundaries the replay path uses, producing byte-identical output — this
-// is the oracle the byte-parity suite pins the kernel against. Replay is on
-// by default.
+// SetBlockReplay toggles the delta replay fast path. With replay disabled,
+// WriteRun encodes the run per edge through the same frame boundary the
+// replay path uses, producing byte-identical output — the oracle the parity
+// suite pins the replay against. Replay is on by default.
 func (b *BinaryEdgeWriter) SetBlockReplay(enabled bool) { b.noReplay = !enabled }
 
-// WriteBlockRun writes the template's edges at the given block offset. For
-// the delta encoding the block becomes one self-contained frame: pending
-// per-edge writes are framed first (frame order = edge order), then the
-// frame-count header, the first edge absolute, and the cached tail bytes.
-// The count/checksum trailer state folds from the template's closed-form
-// sums — one add and one xor per edge — unless a seeded trailer made the
-// fold moot. Zero allocations at steady state.
-func (b *BinaryEdgeWriter) WriteBlockRun(t *DeltaBlockTemplate, rowBase, colBase int64) error {
-	if b.finished {
-		return fmt.Errorf("graphio: WriteBlockRun after Finish on binary edge stream")
-	}
-	if t.n == 0 {
-		return nil
-	}
-	if !b.seeded {
-		b.checksum = t.FoldChecksum(b.checksum, rowBase, colBase)
-	}
-	b.count += int64(t.n)
+// WriteRun writes the run's edges. In the delta encoding the run becomes one
+// self-contained frame: pending per-edge writes are framed first (frame
+// order = edge order), then the frame-count header, the first edge absolute,
+// and the block's cached delta records for the rest; the trailer fold is
+// the closed-form FoldChecksum. The fixed encoding has no offset-invariant
+// bytes to replay, so it expands the run and writes it as a batch. Zero
+// allocations at steady state.
+func (b *BinaryEdgeWriter) WriteRun(r Run) error {
 	if b.enc == BinaryFixed {
-		// No cached bytes to replay (the fixed payload is not
-		// offset-invariant); expand per edge with the usual chunked frames.
-		for _, e := range t.locals {
-			b.appendEdge(rowBase+e.Row, colBase+e.Col, e.Val)
-			if len(b.scratch) >= edgeChunk {
-				if err := b.emitFrame(); err != nil {
-					return err
-				}
-			}
-		}
+		b.runBuf = r.AppendEdges(b.runBuf[:0])
+		return b.WriteEdges(b.runBuf)
+	}
+	if b.finished {
+		return fmt.Errorf("graphio: WriteRun after Finish on binary edge stream")
+	}
+	n := r.Len()
+	if n == 0 {
 		return nil
 	}
+	b.checksum = r.FoldChecksum(b.checksum)
+	b.count += int64(n)
 	if err := b.emitFrame(); err != nil {
 		return err
 	}
 	if b.noReplay {
-		// Oracle path: same framing — one frame holding the whole block,
-		// first edge delta-from-(0,0) i.e. absolute — but every byte comes
-		// from the per-edge encoder.
-		for _, e := range t.locals {
-			b.appendEdge(rowBase+e.Row, colBase+e.Col, e.Val)
+		for _, e := range r.Local() {
+			b.appendEdge(r.RowBase+e.Row, r.ColBase+e.Col, e.Val)
 		}
 		return b.emitFrame()
 	}
-	n := binary.PutUvarint(b.hdrBuf[:], uint64(t.n))
-	if _, err := b.bw.Write(b.hdrBuf[:n]); err != nil {
-		return err
-	}
-	sc := b.scratch[:0]
-	sc = binary.AppendUvarint(sc, zigzag(rowBase+t.firstRow))
-	sc = binary.AppendUvarint(sc, zigzag(colBase+t.firstCol))
-	sc = binary.AppendUvarint(sc, zigzag(t.firstVal))
+	first := r.Block.edges[r.Lo]
+	sc := binary.AppendUvarint(b.scratch[:0], uint64(n))
+	sc = binary.AppendUvarint(sc, zigzag(r.RowBase+first.Row))
+	sc = binary.AppendUvarint(sc, zigzag(r.ColBase+first.Col))
+	sc = binary.AppendUvarint(sc, zigzag(first.Val))
 	b.scratch = sc[:0]
 	if _, err := b.bw.Write(sc); err != nil {
 		return err
 	}
-	// The tail is typically frame-sized; bufio hands writes at or above its
-	// buffer size straight to the underlying writer, so this is the one
-	// memcpy (or zero, to a direct sink) the whole block costs.
-	_, err := b.bw.Write(t.tail)
+	// bufio hands writes at or above its buffer size straight to the
+	// underlying writer, so this is the one memcpy (or none) a run costs.
+	_, err := b.bw.Write(r.Block.deltaTail(r.Lo, r.Hi))
 	return err
-}
-
-// SeedTrailer fixes the trailer's edge count and XOR checksum to the given
-// closed-form values — the ones shard plans and gen.ChecksumPlan compute
-// without enumerating edges — and disables the per-edge checksum fold from
-// here on. The writer still counts edges (Count stays live), but Finish
-// writes the seeded values verbatim. If the stream is cut short of the
-// seeded count, readers catch it exactly as they catch a cancelled job: the
-// trailer declares more edges than the stream carried.
-func (b *BinaryEdgeWriter) SeedTrailer(edges, checksum int64) {
-	b.seeded = true
-	b.seedCount = edges
-	b.seedChecksum = checksum
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // randomBlock builds a band-ordered block-local edge list (the shape a
-// C block presents to the template) with rng-chosen size and values.
+// C block presents to a writer) with rng-chosen size and values.
 func randomBlock(rng *rand.Rand, maxEdges int) []Edge {
 	n := 1 + rng.Intn(maxEdges)
 	block := make([]Edge, n)
@@ -24,87 +24,15 @@ func randomBlock(rng *rand.Rand, maxEdges int) []Edge {
 	return block
 }
 
-// replayScript is one randomized interleaving of batch writes and block
-// replays, applied identically to two writers so their byte streams can be
-// compared. It returns the reference expansion of everything written.
-func replayScript(t *testing.T, rng *rand.Rand, w *BinaryEdgeWriter) []Edge {
-	t.Helper()
-	var ref []Edge
-	var tmpl DeltaBlockTemplate
-	steps := 2 + rng.Intn(12)
-	for s := 0; s < steps; s++ {
-		if rng.Intn(3) == 0 {
-			batch := randomBlock(rng, 64)
-			if err := w.WriteEdges(batch); err != nil {
-				t.Fatal(err)
-			}
-			ref = append(ref, batch...)
-			continue
-		}
-		block := randomBlock(rng, 48)
-		tmpl.Render(block)
-		replays := 1 + rng.Intn(4)
-		for r := 0; r < replays; r++ {
-			rowBase := int64(rng.Intn(1 << 16))
-			colBase := int64(rng.Intn(1 << 16))
-			if err := w.WriteBlockRun(&tmpl, rowBase, colBase); err != nil {
-				t.Fatal(err)
-			}
-			ref = tmpl.AppendEdges(ref, rowBase, colBase)
-		}
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	return ref
+// randomRun picks a non-empty sub-range of b at a random offset.
+func randomRun(rng *rand.Rand, b *Block) Run {
+	lo := rng.Intn(b.Len())
+	hi := lo + 1 + rng.Intn(b.Len()-lo)
+	return Run{Block: b, Lo: lo, Hi: hi, RowBase: int64(rng.Intn(1 << 16)), ColBase: int64(rng.Intn(1 << 16))}
 }
 
-// TestBlockReplayMatchesOracle drives many random interleavings of batch
-// writes and block replays through the replay kernel and through the
-// per-edge oracle (SetBlockReplay(false)), which encodes the same frames
-// edge by edge. The two byte streams must be identical, and the stream must
-// round-trip through ReadBinary to exactly the reference expansion with the
-// reference checksum in the trailer.
-func TestBlockReplayMatchesOracle(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		var replayed, oracle bytes.Buffer
-		rw, err := NewBinaryEdgeWriter(&replayed, -1, BinaryDelta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ow, err := NewBinaryEdgeWriter(&oracle, -1, BinaryDelta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ow.SetBlockReplay(false)
-		ref := replayScript(t, rand.New(rand.NewSource(int64(1000+trial))), rw)
-		_ = replayScript(t, rng, ow)
-		if !bytes.Equal(replayed.Bytes(), oracle.Bytes()) {
-			t.Fatalf("trial %d: replayed stream (%d bytes) differs from per-edge oracle (%d bytes)",
-				trial, replayed.Len(), oracle.Len())
-		}
-		got, info, err := collectBinary(t, replayed.Bytes())
-		if err != nil {
-			t.Fatalf("trial %d: reading replayed stream: %v", trial, err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("trial %d: round trip produced %d edges, want %d", trial, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("trial %d: edge %d = %+v, want %+v", trial, i, got[i], ref[i])
-			}
-		}
-		if want := foldChecksum(0, ref); info.Checksum != want {
-			t.Fatalf("trial %d: trailer checksum %#x, fold of expansion %#x", trial, uint64(info.Checksum), uint64(want))
-		}
-	}
-}
-
-// TestBlockRunFixedEncoding checks the fixed encoding accepts block runs by
-// expanding them per edge: no replay fast path (ReplaysBlocks is false), but
-// the decode must still equal the expansion.
+// TestBlockRunFixedEncoding checks the fixed encoding accepts runs by
+// expanding them: the decode must equal the expansion, trailer included.
 func TestBlockRunFixedEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var buf bytes.Buffer
@@ -112,19 +40,14 @@ func TestBlockRunFixedEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.ReplaysBlocks() {
-		t.Fatal("fixed-encoding writer claims block replay")
-	}
-	var tmpl DeltaBlockTemplate
-	block := randomBlock(rng, 32)
-	tmpl.Render(block)
+	b := NewBlock(randomBlock(rng, 400))
 	var ref []Edge
-	for r := 0; r < 5; r++ {
-		rowBase, colBase := int64(100*r), int64(7*r)
-		if err := w.WriteBlockRun(&tmpl, rowBase, colBase); err != nil {
+	for r := 0; r < 8; r++ {
+		run := randomRun(rng, b)
+		if err := w.WriteRun(run); err != nil {
 			t.Fatal(err)
 		}
-		ref = tmpl.AppendEdges(ref, rowBase, colBase)
+		ref = run.AppendEdges(ref)
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
@@ -146,67 +69,32 @@ func TestBlockRunFixedEncoding(t *testing.T) {
 	}
 }
 
-// TestDeltaBlockTemplateFold pins the closed-form checksum fold against the
-// definitional per-edge fold over the expansion, including offsets large
-// enough to wrap int64 arithmetic.
+// TestDeltaBlockTemplateFold pins a run's closed-form checksum fold against
+// the definitional per-edge fold over its expansion, on random sub-ranges
+// and with offsets large enough to wrap int64 arithmetic.
 func TestDeltaBlockTemplateFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var tmpl DeltaBlockTemplate
 	for trial := 0; trial < 20; trial++ {
-		block := randomBlock(rng, 40)
-		tmpl.Render(block)
-		bases := [][2]int64{
+		b := NewBlock(randomBlock(rng, 40))
+		run := randomRun(rng, b)
+		for _, base := range [][2]int64{
 			{0, 0},
 			{int64(rng.Intn(1 << 20)), int64(rng.Intn(1 << 20))},
 			{1 << 62, 1 << 61},
-		}
-		for _, b := range bases {
-			want := foldChecksum(7, tmpl.AppendEdges(nil, b[0], b[1]))
-			if got := tmpl.FoldChecksum(7, b[0], b[1]); got != want {
+		} {
+			run.RowBase, run.ColBase = base[0], base[1]
+			want := foldChecksum(7, run.AppendEdges(nil))
+			if got := run.FoldChecksum(7); got != want {
 				t.Fatalf("trial %d bases %v: closed-form fold %#x, per-edge fold %#x",
-					trial, b, uint64(got), uint64(want))
+					trial, base, uint64(got), uint64(want))
 			}
 		}
 	}
 }
 
-// TestSeedTrailer checks a seeded trailer is written verbatim — the values a
-// caller derived from a shard plan replace the internally folded ones — and
-// that seeding with the true count and checksum yields a stream the reader
-// verifies end to end.
-func TestSeedTrailer(t *testing.T) {
-	edges := bandOrderedEdges(500)
-	sum := foldChecksum(0, edges)
-	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)), BinaryDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SeedTrailer(int64(len(edges)), sum)
-	if err := w.WriteEdges(edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Checksum() != sum {
-		t.Fatalf("Checksum() = %#x after seeding, want seed %#x", uint64(w.Checksum()), uint64(sum))
-	}
-	got, info, err := collectBinary(t, buf.Bytes())
-	if err != nil {
-		t.Fatalf("reading seeded stream: %v", err)
-	}
-	if info.Edges != int64(len(edges)) || info.Checksum != sum {
-		t.Fatalf("trailer (%d, %#x), want (%d, %#x)", info.Edges, uint64(info.Checksum), len(edges), uint64(sum))
-	}
-	if len(got) != len(edges) {
-		t.Fatalf("decoded %d edges, want %d", len(got), len(edges))
-	}
-}
-
 // TestBlockReplayZeroAllocs pins the replay hot path at zero allocations per
-// block: render once, replay many — the whole point of the kernel is that
-// steady state moves only cached bytes.
+// run: the block renders its delta records once, and steady state moves
+// only cached bytes.
 func TestBlockReplayZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -215,20 +103,20 @@ func TestBlockReplayZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tmpl DeltaBlockTemplate
-	tmpl.Render(bandOrderedEdges(512))
-	var base int64
-	if err := w.WriteBlockRun(&tmpl, 0, 0); err != nil {
+	b := NewBlock(bandOrderedEdges(2048))
+	run := Run{Block: b, Lo: 100, Hi: 612}
+	if err := w.WriteRun(run); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		base += 512
-		if err := w.WriteBlockRun(&tmpl, base, base); err != nil {
+		run.RowBase += 512
+		run.ColBase += 512
+		if err := w.WriteRun(run); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("WriteBlockRun allocates %.1f times per replayed block, want 0", avg)
+		t.Fatalf("WriteRun allocates %.1f times per replayed run, want 0", avg)
 	}
 }
 

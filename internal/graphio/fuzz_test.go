@@ -161,19 +161,18 @@ func binarySeed(nnz int64, enc BinaryEncoding, edges []Edge) []byte {
 	return buf.Bytes()
 }
 
-// blockReplaySeed encodes a stream through the block-replay kernel — one
-// template replayed at several block offsets — so the fuzz corpus carries
-// the replay path's exact framing (one self-contained frame per block run).
+// blockReplaySeed encodes a stream through the block replay — one block
+// replayed as runs at several offsets — so the fuzz corpus carries the
+// replay path's exact framing (one self-contained frame per run).
 func blockReplaySeed() []byte {
 	var buf bytes.Buffer
 	w, err := NewBinaryEdgeWriter(&buf, 6, BinaryDelta)
 	if err != nil {
 		panic(err)
 	}
-	var tmpl DeltaBlockTemplate
-	tmpl.Render([]Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 4, Val: 2}, {Row: 1, Col: 0, Val: 1}})
+	b := NewBlock([]Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 4, Val: 2}, {Row: 1, Col: 0, Val: 1}})
 	for _, base := range [][2]int64{{0, 0}, {3, 9}} {
-		if err := w.WriteBlockRun(&tmpl, base[0], base[1]); err != nil {
+		if err := w.WriteRun(Run{Block: b, Hi: b.Len(), RowBase: base[0], ColBase: base[1]}); err != nil {
 			panic(err)
 		}
 	}
@@ -183,18 +182,17 @@ func blockReplaySeed() []byte {
 	return buf.Bytes()
 }
 
-// replaySeed encodes one block template replayed at runs offsets: one
-// frame per run, each as long as the block.
+// replaySeed encodes one block replayed at runs offsets: one frame per run,
+// each as long as the block.
 func replaySeed(block []Edge, runs int) []byte {
 	var buf bytes.Buffer
 	w, err := NewBinaryEdgeWriter(&buf, int64(len(block)*runs), BinaryDelta)
 	if err != nil {
 		panic(err)
 	}
-	var tmpl DeltaBlockTemplate
-	tmpl.Render(block)
+	b := NewBlock(block)
 	for r := 0; r < runs; r++ {
-		if err := w.WriteBlockRun(&tmpl, int64(r)<<20, int64(runs-r)<<30); err != nil {
+		if err := w.WriteRun(Run{Block: b, Hi: b.Len(), RowBase: int64(r) << 20, ColBase: int64(runs-r) << 30}); err != nil {
 			panic(err)
 		}
 	}

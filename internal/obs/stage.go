@@ -32,9 +32,9 @@ type stageCell struct {
 // is needed (pipeline.Instrument is the recording site). The striping matters
 // at that rate: with a single set of counters, every worker's three adds
 // contend on one cache line, and the line bounces between cores on each
-// batch; RecordWorker routes worker p to cell p&15, so up to 16 workers
+// run; RecordWorker routes worker p to cell p&15, so up to 16 workers
 // record with no write sharing at all. Busy time is wall-clock spent inside
-// the wrapped sink's WriteBatch summed across workers, so a stage whose
+// the wrapped sink's WriteRun summed across workers, so a stage whose
 // busy_seconds grows much faster than real time is the parallel bottleneck
 // and one whose busy share is tiny is free.
 type Stage struct {
@@ -154,7 +154,7 @@ func (ss *StageSet) Render(w io.Writer, prefix string) error {
 			func(s StageSnapshot) string { return fmt.Sprintf("%d", s.Batches) }},
 		{"stage_edges_total", "Edges consumed per instrumented pipeline stage.",
 			func(s StageSnapshot) string { return fmt.Sprintf("%d", s.Edges) }},
-		{"stage_busy_seconds_total", "Cumulative wall-clock seconds spent inside each instrumented stage's WriteBatch, summed across workers.",
+		{"stage_busy_seconds_total", "Cumulative wall-clock seconds spent inside each instrumented stage's WriteRun, summed across workers.",
 			func(s StageSnapshot) string { return formatSeconds(s.Busy) }},
 	}
 	for _, f := range families {

@@ -6,51 +6,33 @@ import (
 	"repro/internal/obs"
 )
 
-// instrumented wraps a sink and folds every batch into a stage's counters.
+// instrumented wraps a sink and folds every run into a stage's counters.
 type instrumented struct {
 	stage *obs.Stage
 	sink  Sink
 }
 
-// Instrument wraps sink so that every WriteBatch records into stage: one
-// batch, the batch's edge count, and the wall-clock time the wrapped sink
-// spent handling it (its "busy" time, summed across workers). The wrapper
-// adds two time.Now reads and three atomic adds per batch and allocates
-// nothing at steady state, so it can sit on the service's streaming hot path
-// and inside validation's measurement passes — per-stage batches, edges, and
-// busy_seconds are what turn "the pipeline is slow" into "this stage is the
-// bottleneck". Recording is routed by worker index into the stage's striped
-// padded cells, so parallel passes never write-share a counter cache line
-// through their instrumentation. Close passes through untouched:
-// instrumentation must not change the sink lifecycle it observes. The
-// wrapper stays block-capable when sink is; a run records its edge count
-// into the same stage counters a batch would.
+// Instrument wraps sink so that every WriteRun records into stage: one
+// batch (the stage's unit of delivery — here, one run), the run's edge
+// count, and the wall-clock time the wrapped sink spent handling it (its
+// "busy" time, summed across workers). The wrapper adds two time.Now reads
+// and three atomic adds per run and allocates nothing, so it can sit on the
+// service's streaming hot path and inside validation's measurement passes —
+// per-stage batches, edges, and busy_seconds are what turn "the pipeline is
+// slow" into "this stage is the bottleneck". Recording is routed by worker
+// index into the stage's striped padded cells, so parallel passes never
+// write-share a counter cache line through their instrumentation. Close
+// passes through untouched: instrumentation must not change the sink
+// lifecycle it observes.
 func Instrument(stage *obs.Stage, sink Sink) Sink {
-	i := &instrumented{stage: stage, sink: sink}
-	if bs, ok := sink.(BlockSink); ok {
-		return &blockInstrumented{instrumented: i, bs: bs}
-	}
-	return i
+	return &instrumented{stage: stage, sink: sink}
 }
 
-func (i *instrumented) WriteBatch(p int, batch []Edge) error {
+func (i *instrumented) WriteRun(p int, r Run) error {
 	start := time.Now()
-	err := i.sink.WriteBatch(p, batch)
-	i.stage.RecordWorker(p, len(batch), time.Since(start))
+	err := i.sink.WriteRun(p, r)
+	i.stage.RecordWorker(p, r.Len(), time.Since(start))
 	return err
 }
 
 func (i *instrumented) Close() error { return i.sink.Close() }
-
-// blockInstrumented forwards block runs with the same per-batch accounting.
-type blockInstrumented struct {
-	*instrumented
-	bs BlockSink
-}
-
-func (i *blockInstrumented) WriteBlockRun(p int, run BlockRun) error {
-	start := time.Now()
-	err := i.bs.WriteBlockRun(p, run)
-	i.stage.RecordWorker(p, run.T.Len(), time.Since(start))
-	return err
-}

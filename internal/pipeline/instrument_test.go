@@ -2,22 +2,18 @@ package pipeline
 
 import (
 	"errors"
+	"io"
 	"testing"
 
+	"repro/internal/graphio"
 	"repro/internal/obs"
 )
 
-func testBatch(n int) []Edge {
-	batch := make([]Edge, n)
-	for i := range batch {
-		batch[i] = Edge{Row: int64(i), Col: int64(2 * i), Val: 1}
-	}
-	return batch
-}
+func testRun(n int) Run { return mkRun(n, 0) }
 
-// TestInstrumentRecords pins the stage fold: batches, edges, and a non-zero
-// busy time accumulate, the wrapped sink sees every batch, and errors pass
-// through with the batch still recorded (a failing stage's counters must
+// TestInstrumentRecords pins the stage fold: batches (one per run), edges,
+// and a non-zero busy time accumulate, the wrapped sink sees every run, and
+// errors pass through with the run still recorded (a failing stage's counters must
 // show how far it got).
 func TestInstrumentRecords(t *testing.T) {
 	set := obs.NewStageSet()
@@ -25,10 +21,10 @@ func TestInstrumentRecords(t *testing.T) {
 	cnt := NewCounter(2)
 	sink := Instrument(st, cnt)
 
-	if err := sink.WriteBatch(0, testBatch(100)); err != nil {
+	if err := sink.WriteRun(0, testRun(100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.WriteBatch(1, testBatch(50)); err != nil {
+	if err := sink.WriteRun(1, testRun(50)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -47,11 +43,11 @@ func TestInstrumentRecords(t *testing.T) {
 
 	boom := errors.New("boom")
 	fail := Instrument(set.Stage("test_fail"), Func(func(int, []Edge) error { return boom }))
-	if err := fail.WriteBatch(0, testBatch(10)); !errors.Is(err, boom) {
+	if err := fail.WriteRun(0, testRun(10)); !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 	if s := set.Stage("test_fail").Snapshot(); s.Batches != 1 || s.Edges != 10 {
-		t.Fatalf("failed batch not recorded: %+v", s)
+		t.Fatalf("failed run not recorded: %+v", s)
 	}
 }
 
@@ -74,59 +70,102 @@ type closeCounter struct {
 	err error
 }
 
-func (c closeCounter) WriteBatch(int, []Edge) error { return nil }
-func (c closeCounter) Close() error                 { *c.n++; return c.err }
+func (c closeCounter) WriteRun(int, Run) error { return nil }
+func (c closeCounter) Close() error            { *c.n++; return c.err }
 
-// BenchmarkInstrumentedSink measures the per-batch cost Instrument adds over
+// BenchmarkInstrumentedSink measures the per-run cost Instrument adds over
 // a bare Counter fold — the instrumentation overhead the observability layer
 // pins below 2% of streamed throughput (the kronbench fig3 snapshot records
 // the end-to-end generation-rate delta; this isolates the per-call cost).
 func BenchmarkInstrumentedSink(b *testing.B) {
-	batch := testBatch(16384)
+	run := testRun(16384)
 	b.Run("bare", func(b *testing.B) {
 		cnt := NewCounter(1)
-		b.SetBytes(int64(len(batch)))
+		b.SetBytes(int64(run.Len()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := cnt.WriteBatch(0, batch); err != nil {
+			if err := cnt.WriteRun(0, run); err != nil {
 				b.Fatal(err)
 			}
 		}
-		reportEdgesPerSec(b, len(batch))
+		reportEdgesPerSec(b, run.Len())
 	})
 	b.Run("instrumented", func(b *testing.B) {
 		sink := Instrument(obs.NewStageSet().Stage("bench"), NewCounter(1))
-		b.SetBytes(int64(len(batch)))
+		b.SetBytes(int64(run.Len()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sink.WriteBatch(0, batch); err != nil {
+			if err := sink.WriteRun(0, run); err != nil {
 				b.Fatal(err)
 			}
 		}
-		reportEdgesPerSec(b, len(batch))
+		reportEdgesPerSec(b, run.Len())
 	})
 }
 
-func reportEdgesPerSec(b *testing.B, batchLen int) {
+func reportEdgesPerSec(b *testing.B, runLen int) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N)*float64(batchLen)/secs, "edges/s")
+		b.ReportMetric(float64(b.N)*float64(runLen)/secs, "edges/s")
 	}
 }
 
 // TestInstrumentZeroAllocs is the pipeline-level alloc guard: one
-// instrumented WriteBatch must not allocate (the service-level guard pins
+// instrumented WriteRun must not allocate (the service-level guard pins
 // the whole jobSink chain; this isolates the combinator itself).
 func TestInstrumentZeroAllocs(t *testing.T) {
 	sink := Instrument(obs.NewStageSet().Stage("alloc"), NewCounter(1))
-	batch := testBatch(1024)
+	run := testRun(1024)
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := sink.WriteBatch(0, batch); err != nil {
+		if err := sink.WriteRun(0, run); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if raceEnabled {
-		t.Logf("race build: observed %.1f allocs/batch; assertion skipped (instrumentation allocates)", allocs)
+		t.Logf("race build: observed %.1f allocs/run; assertion skipped (instrumentation allocates)", allocs)
 	} else if allocs != 0 {
-		t.Fatalf("Instrument allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("Instrument allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestRunPathsZeroAllocs pins the run paths that expand or encode at zero
+// allocations per run once their buffers have grown: Func's borrowed
+// expansion buffer and every Writer encoding (TSV and MatrixMarket expand
+// into the sink's buffer, KRNB delta replays the block's cached bytes, KRNB
+// fixed expands into the writer's own).
+func TestRunPathsZeroAllocs(t *testing.T) {
+	newBin := func(enc graphio.BinaryEncoding) graphio.EdgeWriter {
+		w, err := graphio.NewBinaryEdgeWriter(io.Discard, -1, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	mm, err := graphio.NewMatrixMarketEdgeWriter(io.Discard, 1<<40, 1<<40, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := map[string]Sink{
+		"func":      Func(func(int, []Edge) error { return nil }),
+		"tsv":       Writer(graphio.NewTSVEdgeWriter(io.Discard)),
+		"mm":        Writer(mm),
+		"bin-delta": Writer(newBin(graphio.BinaryDelta)),
+		"bin-fixed": Writer(newBin(graphio.BinaryFixed)),
+	}
+	run := mkRun(2048, 0)
+	for name, sink := range sinks {
+		if err := sink.WriteRun(0, run); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			run.RowBase += int64(run.Len())
+			if err := sink.WriteRun(0, run); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if raceEnabled {
+			t.Logf("%s: race build: observed %.1f allocs/run; assertion skipped", name, allocs)
+		} else if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per run, want 0", name, allocs)
+		}
 	}
 }

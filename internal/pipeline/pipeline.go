@@ -2,26 +2,24 @@
 // contract for consuming the generator's communication-free edge stream.
 //
 // The paper's central observation is that generation, measurement, and
-// verification are all folds over the same edge stream. Before this layer,
-// every consumer re-implemented that fold ad hoc — the service copied each
-// batch into a channel, validation hand-rolled two passes, the CLIs carried
-// private emit loops, and counting/checksumming lived in a separate
-// enumeration engine that could not run alongside a stream. A Sink makes
-// "generate once, consume K ways" a primitive instead of K bespoke paths:
-// gen.StreamTo drives any Sink, and Tee fans one generation pass out to
-// writers, counters, checksums, and the service's pooled hand-off at once.
+// verification are all folds over the same edge stream. A Sink makes
+// "generate once, consume K ways" a primitive: gen.StreamTo drives any Sink,
+// and Tee fans one generation pass out to writers, counters, checksums, and
+// the service's async hand-off at once.
 //
 // The sink contract:
 //
-//   - WriteBatch(p, batch) receives one worker's batch. The sink owns the
-//     batch only until WriteBatch returns — the producer reuses the slice —
-//     so a sink that retains edges beyond the call must copy them (Async
-//     copies into pooled buffers for exactly this reason).
-//   - WriteBatch is called concurrently from distinct worker indices p, and
+//   - WriteRun(p, r) receives worker p's next run: at most the pass's batch
+//     size of consecutive edges of one shared, immutable C block, shifted by
+//     the B triple's block offset (graphio.Run). A run only points at its
+//     block, so a sink may keep it after the call (Async does); a sink that
+//     needs edges expands it (Func, Writer) or folds it in closed form
+//     (Counter, Checksum).
+//   - WriteRun is called concurrently from distinct worker indices p, and
 //     serially within one p. Sinks either keep per-worker state (Counter,
 //     Checksum, PerWorker) or serialize internally (Writer, Async).
 //   - Close is called exactly once, by the streaming driver, after every
-//     WriteBatch has returned — on both success and failure — so consumers
+//     WriteRun has returned — on both success and failure — so consumers
 //     blocked on a sink's output (the service's edge stream) always observe
 //     end-of-stream.
 package pipeline
@@ -37,60 +35,83 @@ import (
 // Edge aliases graphio.Edge, the unit every layer of the stack streams.
 type Edge = graphio.Edge
 
-// Sink consumes a generator's edge stream batch by batch. See the package
+// Run aliases graphio.Run: a slice of a shared block at one block offset.
+type Run = graphio.Run
+
+// Sink consumes a generator's edge stream run by run. See the package
 // comment for the ownership and concurrency contract.
 type Sink interface {
-	// WriteBatch consumes worker p's next batch; the batch is owned by the
-	// sink only until the call returns.
-	WriteBatch(p int, batch []Edge) error
+	// WriteRun consumes worker p's next run.
+	WriteRun(p int, r Run) error
 	// Close releases the sink after the stream ends (flush writers, close
-	// channels, fold per-worker state). Called once, even after an error.
+	// channels). Called once, even after an error.
 	Close() error
 }
 
-// Func adapts a bare emit callback to a Sink with a no-op Close — the bridge
-// between the pipeline layer and the historical emit-callback APIs
-// (gen.StreamBatches is StreamTo over a Func).
+// Func adapts an edge-batch callback to a Sink with a no-op Close: each run
+// is expanded into global-coordinate edges and handed over as one batch.
+// The batch buffer is reused after the callback returns, so a callback that
+// retains edges beyond the call must copy them.
 type Func func(p int, batch []Edge) error
 
-// WriteBatch invokes the callback.
-func (f Func) WriteBatch(p int, batch []Edge) error { return f(p, batch) }
+// funcBufs recycles Func's expansion buffers. A Func is a bare callback with
+// nowhere to keep per-worker state, so each run borrows a buffer for the
+// length of one call; at steady state every borrow is a pool hit.
+var funcBufs = sync.Pool{New: func() any { return new([]Edge) }}
+
+// WriteRun expands the run and invokes the callback.
+func (f Func) WriteRun(p int, r Run) error {
+	buf := funcBufs.Get().(*[]Edge)
+	*buf = r.AppendEdges((*buf)[:0])
+	err := f(p, *buf)
+	funcBufs.Put(buf)
+	return err
+}
 
 // Close is a no-op.
 func (Func) Close() error { return nil }
 
-// tee fans every batch out to each child in order.
+// RunFunc adapts a run callback to a Sink with a no-op Close, for folds
+// that account for a run without expanding it (a progress counter adds
+// r.Len()).
+type RunFunc func(p int, r Run) error
+
+// WriteRun invokes the callback.
+func (f RunFunc) WriteRun(p int, r Run) error { return f(p, r) }
+
+// Close is a no-op.
+func (RunFunc) Close() error { return nil }
+
+// tee fans every run out to each child in order.
 type tee []Sink
 
-// Tee returns a Sink that hands every batch to each of sinks, in argument
+// Tee returns a Sink that hands every run to each of sinks, in argument
 // order, within the producing worker's call — one generation pass feeds all
 // of them (stream TSV, count, and checksum simultaneously). The first child
-// error stops the batch and propagates. Close closes every child, even after
-// an error, and joins their errors. The tee is block-capable (BlockSink) iff
-// every child is, so one batch-only consumer routes the whole fan-out
-// through the batch path rather than silently expanding runs.
+// error stops the run and propagates. Close closes every child, even after
+// an error, and joins their errors.
 func Tee(sinks ...Sink) Sink {
 	if len(sinks) == 1 {
 		return sinks[0]
 	}
-	if bs := blockSinks(sinks); bs != nil {
-		return &blockTee{tee: tee(sinks), blocks: bs}
-	}
 	return tee(sinks)
 }
 
-func (t tee) WriteBatch(p int, batch []Edge) error {
+func (t tee) WriteRun(p int, r Run) error {
 	for _, s := range t {
-		if err := s.WriteBatch(p, batch); err != nil {
+		if err := s.WriteRun(p, r); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (t tee) Close() error {
+func (t tee) Close() error { return closeAll(t) }
+
+// closeAll closes every sink and joins their errors.
+func closeAll(sinks []Sink) error {
 	var errs []error
-	for _, s := range t {
+	for _, s := range sinks {
 		if err := s.Close(); err != nil {
 			errs = append(errs, err)
 		}
@@ -108,59 +129,47 @@ func (keepOpen) Close() error { return nil }
 // KeepOpen returns s with Close turned into a no-op, for sinks whose
 // lifecycle outlives one streaming pass: the owner closes the underlying
 // sink itself once it has finished its own bookkeeping (the job service
-// closes its pooled stream only after the job's terminal state is recorded,
-// so the consumer's end-of-stream snapshot sees the final state). The
-// wrapper stays block-capable when s is.
-func KeepOpen(s Sink) Sink {
-	if bs, ok := s.(BlockSink); ok {
-		return blockKeepOpen{keepOpen: keepOpen{s}, bs: bs}
-	}
-	return keepOpen{s}
-}
+// closes its stream hand-off only after the job's terminal state is
+// recorded, so the consumer's end-of-stream snapshot sees the final state).
+func KeepOpen(s Sink) Sink { return keepOpen{s} }
 
-// perWorker routes worker p's batches to the p-th child.
+// perWorker routes worker p's runs to the p-th child.
 type perWorker []Sink
 
-// PerWorker returns a Sink that routes worker p's batches to sinks[p],
-// giving each generation worker an unshared consumer — per-worker chunk
-// files, for example — so no serialization is needed and per-worker output
-// order is deterministic. A worker index outside the sink list is an error.
-// Close closes every child and joins their errors. The router is
-// block-capable iff every child is.
-func PerWorker(sinks ...Sink) Sink {
-	if bs := blockSinks(sinks); bs != nil {
-		return &blockPerWorker{perWorker: perWorker(sinks), blocks: bs}
+// PerWorker returns a Sink that routes worker p's runs to sinks[p], giving
+// each generation worker an unshared consumer — per-worker chunk files, for
+// example — so no serialization is needed and per-worker output order is
+// deterministic. A worker index outside the sink list is an error. Close
+// closes every child and joins their errors.
+func PerWorker(sinks ...Sink) Sink { return perWorker(sinks) }
+
+func (w perWorker) WriteRun(p int, r Run) error {
+	if err := checkWorker(p, len(w)); err != nil {
+		return err
 	}
-	return perWorker(sinks)
+	return w[p].WriteRun(p, r)
 }
 
-func (w perWorker) WriteBatch(p int, batch []Edge) error {
-	if p < 0 || p >= len(w) {
-		return fmt.Errorf("pipeline: worker %d outside the %d per-worker sinks", p, len(w))
-	}
-	return w[p].WriteBatch(p, batch)
-}
+func (w perWorker) Close() error { return closeAll(w) }
 
-func (w perWorker) Close() error {
-	var errs []error
-	for _, s := range w {
-		if err := s.Close(); err != nil {
-			errs = append(errs, err)
-		}
+// checkWorker rejects a worker index outside a sink built for np workers.
+func checkWorker(p, np int) error {
+	if p < 0 || p >= np {
+		return fmt.Errorf("pipeline: worker %d outside the %d workers the sink was built for", p, np)
 	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // paddedInt64 keeps each worker's fold slot on its own cache line so the
-// per-batch folds never share lines across workers.
+// per-run folds never share lines across workers.
 type paddedInt64 struct {
 	n int64
 	_ [56]byte
 }
 
-// Counter is a fold Sink that counts streamed edges, reproducing
-// CountEdges' total from a live stream instead of a separate enumeration
-// pass. Each worker folds into its own padded slot; Total merges them.
+// Counter is a fold Sink that counts streamed edges in closed form: a run
+// adds its length, no edge is touched. Each worker folds into its own padded
+// slot; Total merges them.
 type Counter struct {
 	slots []paddedInt64
 }
@@ -168,9 +177,12 @@ type Counter struct {
 // NewCounter returns a Counter for worker indices [0, np).
 func NewCounter(np int) *Counter { return &Counter{slots: make([]paddedInt64, np)} }
 
-// WriteBatch adds the batch's length to worker p's count.
-func (c *Counter) WriteBatch(p int, batch []Edge) error {
-	c.slots[p].n += int64(len(batch))
+// WriteRun adds the run's length to worker p's count.
+func (c *Counter) WriteRun(p int, r Run) error {
+	if err := checkWorker(p, len(c.slots)); err != nil {
+		return err
+	}
+	c.slots[p].n += int64(r.Len())
 	return nil
 }
 
@@ -191,10 +203,10 @@ func (c *Counter) Total() int64 {
 }
 
 // Checksum is a fold Sink computing the XOR content checksum of a stream —
-// the identical folding CountEdges and shard plans use (s ^= row·31 + col
-// per edge, XOR across workers), so a live stream's checksum reconciles
+// s ^= row·31 + col per edge, XOR across workers, the folding the KRNB
+// trailer and shard plans carry — so a live stream's checksum reconciles
 // directly against CountEdges, CountShard, and ChecksumPlan values. XOR's
-// commutativity makes the result independent of worker count and batch
+// commutativity makes the result independent of worker count and run
 // interleaving.
 type Checksum struct {
 	slots []paddedInt64
@@ -203,13 +215,12 @@ type Checksum struct {
 // NewChecksum returns a Checksum for worker indices [0, np).
 func NewChecksum(np int) *Checksum { return &Checksum{slots: make([]paddedInt64, np)} }
 
-// WriteBatch folds the batch into worker p's slot.
-func (c *Checksum) WriteBatch(p int, batch []Edge) error {
-	s := c.slots[p].n
-	for _, e := range batch {
-		s ^= e.Row*31 + e.Col
+// WriteRun folds the run into worker p's slot (graphio.Run.FoldChecksum).
+func (c *Checksum) WriteRun(p int, r Run) error {
+	if err := checkWorker(p, len(c.slots)); err != nil {
+		return err
 	}
-	c.slots[p].n = s
+	c.slots[p].n = r.FoldChecksum(c.slots[p].n)
 	return nil
 }
 
@@ -227,37 +238,44 @@ func (c *Checksum) Sum() int64 {
 	return s
 }
 
+// runWriter is implemented by edge writers that encode a run without
+// expanding it (the KRNB binary writer, which replays cached delta bytes).
+type runWriter interface {
+	WriteRun(r Run) error
+}
+
 // writerSink serializes a shared EdgeWriter behind a mutex.
 type writerSink struct {
-	mu sync.Mutex
-	ew graphio.EdgeWriter
+	mu  sync.Mutex
+	ew  graphio.EdgeWriter
+	rw  runWriter // ew's run path, or nil
+	buf []Edge    // expansion buffer for writers without one
 }
 
-// Writer wraps a graphio.EdgeWriter as a Sink. Batches are encoded whole
-// (EdgeWriter.WriteEdges) under a mutex, so the output interleaves worker
-// batches atomically; with one worker — or one Writer per worker via
-// PerWorker — the byte stream is deterministic and identical to calling
-// WriteEdges directly. Close finishes writers whose format has an explicit
-// end-of-stream marker (graphio.Finisher, e.g. the binary trailer) and
-// flushes; a sink Close marks a complete stream, so compositions ending in
-// Writer get the trailer for free. Wrap with KeepOpen to close a pipeline
-// without ending the underlying stream. When the writer replays blocks
-// natively (graphio.BlockRunWriter reporting ReplaysBlocks — the KRNB delta
-// encoder) the sink is block-capable, turning each run into one cached-byte
-// replay under the same mutex; writers without a genuine fast path (TSV,
-// fixed-width binary) stay batch-only so they keep their own hot paths.
+// Writer wraps a graphio.EdgeWriter as a Sink. Runs are encoded whole under
+// a mutex, so the output interleaves worker runs atomically; with one
+// worker — or one Writer per worker via PerWorker — the byte stream is
+// deterministic. A writer with its own run path (the KRNB binary writer:
+// cached delta bytes replayed per run) gets the run; any other writer gets
+// the run expanded into a reused buffer through WriteEdges. Close finishes
+// writers whose format has an explicit end-of-stream marker
+// (graphio.Finisher, e.g. the binary trailer) and flushes; a sink Close
+// marks a complete stream, so compositions ending in Writer get the trailer
+// for free. Wrap with KeepOpen to close a pipeline without ending the
+// underlying stream.
 func Writer(ew graphio.EdgeWriter) Sink {
-	ws := &writerSink{ew: ew}
-	if brw, ok := ew.(graphio.BlockRunWriter); ok && brw.ReplaysBlocks() {
-		return &blockWriterSink{writerSink: ws, brw: brw}
-	}
-	return ws
+	rw, _ := ew.(runWriter)
+	return &writerSink{ew: ew, rw: rw}
 }
 
-func (w *writerSink) WriteBatch(p int, batch []Edge) error {
+func (w *writerSink) WriteRun(p int, r Run) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.ew.WriteEdges(batch)
+	if w.rw != nil {
+		return w.rw.WriteRun(r)
+	}
+	w.buf = r.AppendEdges(w.buf[:0])
+	return w.ew.WriteEdges(w.buf)
 }
 
 func (w *writerSink) Close() error {

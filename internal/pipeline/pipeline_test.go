@@ -12,19 +12,20 @@ import (
 	"repro/internal/graphio"
 )
 
-func mkBatch(n int, base int64) []Edge {
-	b := make([]Edge, n)
-	for i := range b {
-		b[i] = Edge{Row: base + int64(i), Col: base + int64(2*i), Val: 1}
+// mkRun returns a run of n edges (base+i, base+2i, 1) over its own block.
+func mkRun(n int, base int64) Run {
+	edges := make([]Edge, n)
+	for i := range edges {
+		edges[i] = Edge{Row: int64(i), Col: int64(2 * i), Val: 1}
 	}
-	return b
+	return Run{Block: graphio.NewBlock(edges), Hi: n, RowBase: base, ColBase: base}
 }
 
-// foldChecksum is the reference fold from gen.countBRange.
-func foldChecksum(batches ...[]Edge) int64 {
+// foldChecksum is the definitional per-edge fold over expanded runs.
+func foldChecksum(runs ...Run) int64 {
 	var s int64
-	for _, b := range batches {
-		for _, e := range b {
+	for _, r := range runs {
+		for _, e := range r.AppendEdges(nil) {
 			s ^= e.Row*31 + e.Col
 		}
 	}
@@ -34,32 +35,44 @@ func foldChecksum(batches ...[]Edge) int64 {
 func TestCounterAndChecksumFolds(t *testing.T) {
 	const np = 3
 	cnt, sum := NewCounter(np), NewChecksum(np)
-	batches := [][]Edge{mkBatch(5, 0), mkBatch(7, 100), mkBatch(1, 9)}
+	runs := []Run{mkRun(5, 0), mkRun(7, 100), mkRun(1, 9)}
 	var total int64
-	for p, b := range batches {
-		if err := cnt.WriteBatch(p, b); err != nil {
+	for p, r := range runs {
+		if err := cnt.WriteRun(p, r); err != nil {
 			t.Fatal(err)
 		}
-		if err := sum.WriteBatch(p, b); err != nil {
+		if err := sum.WriteRun(p, r); err != nil {
 			t.Fatal(err)
 		}
-		total += int64(len(b))
+		total += int64(r.Len())
 	}
-	// A second batch on worker 0 folds into the same slot.
-	extra := mkBatch(4, 50)
-	if err := cnt.WriteBatch(0, extra); err != nil {
+	// A second run on worker 0 folds into the same slot, and a sub-range
+	// counts only its own edges.
+	extra := mkRun(9, 50)
+	extra.Lo, extra.Hi = 2, 6
+	if err := cnt.WriteRun(0, extra); err != nil {
 		t.Fatal(err)
 	}
-	if err := sum.WriteBatch(0, extra); err != nil {
+	if err := sum.WriteRun(0, extra); err != nil {
 		t.Fatal(err)
 	}
-	total += int64(len(extra))
+	total += int64(extra.Len())
 	if got := cnt.Total(); got != total {
 		t.Fatalf("Counter.Total = %d, want %d", got, total)
 	}
-	want := foldChecksum(append(batches, extra)...)
+	want := foldChecksum(append(runs, extra)...)
 	if got := sum.Sum(); got != want {
 		t.Fatalf("Checksum.Sum = %x, want %x", got, want)
+	}
+	// A fold built for np workers rejects any other index instead of
+	// writing outside its slots.
+	for _, p := range []int{-1, np} {
+		if err := cnt.WriteRun(p, mkRun(1, 0)); err == nil {
+			t.Errorf("Counter accepted worker %d of %d", p, np)
+		}
+		if err := sum.WriteRun(p, mkRun(1, 0)); err == nil {
+			t.Errorf("Checksum accepted worker %d of %d", p, np)
+		}
 	}
 }
 
@@ -71,8 +84,8 @@ type recordSink struct {
 	closeErr error
 }
 
-func (r *recordSink) WriteBatch(p int, batch []Edge) error {
-	*r.log = append(*r.log, fmt.Sprintf("%s.write(%d,%d)", r.name, p, len(batch)))
+func (r *recordSink) WriteRun(p int, run Run) error {
+	*r.log = append(*r.log, fmt.Sprintf("%s.write(%d,%d)", r.name, p, run.Len()))
 	return r.writeErr
 }
 
@@ -88,11 +101,11 @@ func TestTeeOrderErrorAndClose(t *testing.T) {
 	c := &recordSink{name: "c", log: &log, closeErr: errors.New("c close failed")}
 	tee := Tee(a, b, c)
 
-	err := tee.WriteBatch(1, mkBatch(2, 0))
+	err := tee.WriteRun(1, mkRun(2, 0))
 	if err == nil || !strings.Contains(err.Error(), "b refuses") {
 		t.Fatalf("tee write error = %v, want b's", err)
 	}
-	// The batch stopped at b: c never saw it.
+	// The run stopped at b: c never saw it.
 	if want := []string{"a.write(1,2)", "b.write(1,2)"}; !equalStrings(log, want) {
 		t.Fatalf("tee call order %v, want %v", log, want)
 	}
@@ -119,16 +132,16 @@ func TestTeeSingleSinkPassThrough(t *testing.T) {
 func TestPerWorkerRoutingAndBounds(t *testing.T) {
 	var log []string
 	s := PerWorker(&recordSink{name: "w0", log: &log}, &recordSink{name: "w1", log: &log})
-	if err := s.WriteBatch(1, mkBatch(3, 0)); err != nil {
+	if err := s.WriteRun(1, mkRun(3, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBatch(0, mkBatch(1, 0)); err != nil {
+	if err := s.WriteRun(0, mkRun(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"w1.write(1,3)", "w0.write(0,1)"}; !equalStrings(log, want) {
 		t.Fatalf("routing %v, want %v", log, want)
 	}
-	if err := s.WriteBatch(2, mkBatch(1, 0)); err == nil {
+	if err := s.WriteRun(2, mkRun(1, 0)); err == nil {
 		t.Fatal("worker index beyond the sink list must error")
 	}
 	log = log[:0]
@@ -144,7 +157,7 @@ func TestKeepOpenShieldsClose(t *testing.T) {
 	var log []string
 	a := &recordSink{name: "a", log: &log, closeErr: errors.New("never seen")}
 	k := KeepOpen(a)
-	if err := k.WriteBatch(0, mkBatch(1, 0)); err != nil {
+	if err := k.WriteRun(0, mkRun(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Close(); err != nil {
@@ -158,7 +171,8 @@ func TestKeepOpenShieldsClose(t *testing.T) {
 func TestWriterEncodesAndFlushesOnClose(t *testing.T) {
 	var buf bytes.Buffer
 	w := Writer(graphio.NewTSVEdgeWriter(&buf))
-	if err := w.WriteBatch(0, []Edge{{Row: 1, Col: 2, Val: 3}}); err != nil {
+	run := Run{Block: graphio.NewBlock([]Edge{{Row: 0, Col: 0, Val: 3}}), Hi: 1, RowBase: 1, ColBase: 2}
+	if err := w.WriteRun(0, run); err != nil {
 		t.Fatal(err)
 	}
 	// Nothing reaches the underlying writer until the buffered encoder
@@ -171,30 +185,24 @@ func TestWriterEncodesAndFlushesOnClose(t *testing.T) {
 	}
 }
 
-func TestAsyncDeliversRecyclesAndCloses(t *testing.T) {
+func TestAsyncDeliversRunsAndCloses(t *testing.T) {
 	a := NewAsync(context.Background(), 2)
-	in := mkBatch(5, 7)
-	if err := a.WriteBatch(0, in); err != nil {
+	in := mkRun(5, 7)
+	if err := a.WriteRun(0, in); err != nil {
 		t.Fatal(err)
 	}
-	b := <-a.Batches()
-	if len(b.Edges) != len(in) || b.Edges[0] != in[0] || b.Edges[4] != in[4] {
-		t.Fatalf("delivered batch %v, want copy of %v", b.Edges, in)
+	// A run only points at its immutable block, so the consumer receives
+	// the producer's value itself: no copy, nothing to hand back.
+	if got := <-a.Out(); got != in {
+		t.Fatalf("delivered run %+v, want %+v", got, in)
 	}
-	// The delivered buffer is a copy: mutating the producer's slice after
-	// WriteBatch returned must not reach the consumer.
-	in[0].Row = -1
-	if b.Edges[0].Row == -1 {
-		t.Fatal("Async delivered an aliased batch instead of a pooled copy")
-	}
-	a.Recycle(b)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal("Async.Close must be idempotent")
 	}
-	if _, ok := <-a.Batches(); ok {
+	if _, ok := <-a.Out(); ok {
 		t.Fatal("channel still open after Close")
 	}
 }
@@ -202,12 +210,12 @@ func TestAsyncDeliversRecyclesAndCloses(t *testing.T) {
 func TestAsyncBackpressureAbortsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	a := NewAsync(ctx, 1)
-	if err := a.WriteBatch(0, mkBatch(1, 0)); err != nil {
+	if err := a.WriteRun(0, mkRun(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Queue full, no consumer: the next write must block until cancel.
 	errCh := make(chan error, 1)
-	go func() { errCh <- a.WriteBatch(0, mkBatch(1, 0)) }()
+	go func() { errCh <- a.WriteRun(0, mkRun(1, 0)) }()
 	select {
 	case err := <-errCh:
 		t.Fatalf("write on a full queue returned early: %v", err)
@@ -247,7 +255,7 @@ func TestWriterCloseFinishesBinaryStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := Writer(ew)
-	if err := sink.WriteBatch(0, mkBatch(5, 3)); err != nil {
+	if err := sink.WriteRun(0, mkRun(5, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -264,7 +272,7 @@ func TestWriterCloseFinishesBinaryStream(t *testing.T) {
 	if n != 5 || info.Edges != 5 {
 		t.Fatalf("decoded %d edges (trailer %d), wrote 5", n, info.Edges)
 	}
-	if want := foldChecksum(mkBatch(5, 3)); info.Checksum != want {
+	if want := foldChecksum(mkRun(5, 3)); info.Checksum != want {
 		t.Fatalf("trailer checksum %#x, fold %#x", uint64(info.Checksum), uint64(want))
 	}
 	// KeepOpen shields the trailer too: closing a KeepOpen-wrapped Writer
@@ -275,7 +283,7 @@ func TestWriterCloseFinishesBinaryStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	shielded := KeepOpen(Writer(ew2))
-	if err := shielded.WriteBatch(0, mkBatch(2, 0)); err != nil {
+	if err := shielded.WriteRun(0, mkRun(2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := shielded.Close(); err != nil {

@@ -2,31 +2,30 @@ package service
 
 import (
 	"context"
+	"io"
 	"testing"
 
+	"repro/internal/graphio"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/kron"
 )
 
-// TestStreamServiceZeroAllocsPerBatch is the alloc-regression guard for the
-// pooled streaming hot path: one steady-state round trip — a worker batch
-// through the job's full instrumented sink chain (progress fold, checksum
-// fold, pooled hand-off, each behind pipeline.Instrument) and the consumer's
-// recycle — must allocate nothing. The
-// pre-pipeline service failed this by construction: its emit callback did
-// `out := make([]kron.Edge, len(batch)); copy(out, batch)` per batch, one
-// guaranteed allocation on the hottest serving path. The round trip is run
-// synchronously (write, receive, recycle) so the pool always holds the
-// buffer back before the next write — the steady state by definition.
-// Under -race the assertion is skipped (race instrumentation allocates) but
-// the path still runs, so the race job exercises the pooled chain.
-func TestStreamServiceZeroAllocsPerBatch(t *testing.T) {
-	cfg := DefaultConfig()
-	m := NewManager(cfg, &Metrics{})
-	defer m.Close()
-	j := &Job{
-		id:       "jalloc",
+// serviceRun is a run of n edges over its own block, as the generator would
+// hand the job's sink chain.
+func serviceRun(n int) pipeline.Run {
+	block := make([]kron.Edge, n)
+	for i := range block {
+		block[i] = kron.Edge{Row: int64(i / 16), Col: int64(i % 16), Val: 1}
+	}
+	return pipeline.Run{Block: graphio.NewBlock(block), Hi: n}
+}
+
+// streamJobForAlloc returns a streaming job wired like Submit's, with a
+// one-slot hand-off the test drains itself.
+func streamJobForAlloc(id string) *Job {
+	return &Job{
+		id:       id,
 		workers:  1,
 		sink:     SinkStream,
 		ctx:      context.Background(),
@@ -35,56 +34,72 @@ func TestStreamServiceZeroAllocsPerBatch(t *testing.T) {
 		attachCh: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+}
+
+// TestStreamServiceZeroAllocsPerBatch is the alloc-regression guard for the
+// streaming hot path: one steady-state round trip — a worker run through
+// the job's full instrumented sink chain (progress fold, checksum fold,
+// hand-off, each behind pipeline.Instrument), received by the consumer and
+// written by the TSV stream's Writer, which expands it into its reused
+// buffer — must allocate nothing. The pre-pipeline service failed this by
+// construction: its emit callback copied every batch into a fresh slice.
+// The round trip runs synchronously (write, receive, encode), the steady
+// state by definition. Under -race the assertion is skipped (race
+// instrumentation allocates) but the path still runs.
+func TestStreamServiceZeroAllocsPerBatch(t *testing.T) {
+	cfg := DefaultConfig()
+	m := NewManager(cfg, &Metrics{})
+	defer m.Close()
+	j := streamJobForAlloc("jalloc")
 	sink, cks := m.jobSink(j)
+	out := pipeline.Writer(graphio.NewTSVEdgeWriter(io.Discard))
 	// Snapshot the (process-global) stage counters so the end-of-test
 	// assertion measures only this test's traffic.
 	stageBefore := obs.Stages.Stage(stageProgress).Snapshot()
-
-	batch := make([]kron.Edge, cfg.BatchSize)
-	for i := range batch {
-		batch[i] = kron.Edge{Row: int64(i), Col: int64(2 * i), Val: 1}
-	}
+	run := serviceRun(cfg.BatchSize)
 	roundTrip := func() {
-		if err := sink.WriteBatch(0, batch); err != nil {
+		run.RowBase += 1 << 20
+		if err := sink.WriteRun(0, run); err != nil {
 			t.Fatal(err)
 		}
-		b := <-j.stream.Batches()
-		j.Recycle(b)
+		if err := out.WriteRun(0, <-j.stream.Out()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Warm-up: the first round may grow the pooled buffer to the batch
-	// size — the one allocation the pool amortizes away.
+	// Warm-up: the first round grows the Writer's expansion buffer.
 	roundTrip()
-
 	allocs := testing.AllocsPerRun(100, roundTrip)
 	if raceEnabled {
-		t.Logf("race build: observed %.1f allocs/batch; assertion skipped (instrumentation allocates)", allocs)
+		t.Logf("race build: observed %.1f allocs/run; assertion skipped (instrumentation allocates)", allocs)
 	} else if allocs != 0 {
-		t.Fatalf("pooled streaming path allocates %.1f times per batch, want 0 "+
+		t.Fatalf("streaming path allocates %.1f times per run, want 0 "+
 			"(the pre-pipeline copy hand-off allocated every batch)", allocs)
 	}
-
-	// The chain is the real one: the teed progress fold saw every round
-	// trip. (The checksum fold's XOR of identical batches cancels pairwise,
-	// so only the count is asserted; one distinct batch pins the fold.)
-	if got := j.generated.Load(); got == 0 || got%int64(cfg.BatchSize) != 0 {
-		t.Fatalf("progress fold counted %d edges — the measured chain is not the service sink chain", got)
+	// The chain is the real one: the teed progress and checksum folds saw
+	// every round trip (the warm-up, AllocsPerRun's own warm-up, and the 100
+	// timed rounds).
+	if got := j.generated.Load(); got != 102*int64(cfg.BatchSize) {
+		t.Fatalf("progress fold counted %d edges, want %d — the measured chain is not the service sink chain",
+			got, 102*cfg.BatchSize)
 	}
+	// XORs of the timed rounds can cancel, so one distinct single-edge run
+	// pins the checksum fold.
 	before := cks.Sum()
-	distinct := []kron.Edge{{Row: 1, Col: 1, Val: 1}}
-	if err := sink.WriteBatch(0, distinct); err != nil {
+	distinct := serviceRun(1)
+	distinct.RowBase, distinct.ColBase = 1, 2
+	if err := sink.WriteRun(0, distinct); err != nil {
 		t.Fatal(err)
 	}
-	b := <-j.stream.Batches()
-	j.Recycle(b)
+	<-j.stream.Out()
 	if cks.Sum() == before {
 		t.Fatal("checksum fold never ran — the measured chain is not the service sink chain")
 	}
 	// The zero-alloc figure above covers the instrumentation wrappers too:
-	// the stage counters must show every batch this test pushed, or the
+	// the stage counters must show every run this test pushed, or the
 	// measured chain silently lost its Instrument layer.
 	stageAfter := obs.Stages.Stage(stageProgress).Snapshot()
-	if d := stageAfter.Batches - stageBefore.Batches; d < 102 { // warm-up + 100 timed + distinct
-		t.Fatalf("stage %q recorded %d batches during the test, want ≥ 102 — "+
+	if d := stageAfter.Batches - stageBefore.Batches; d < 103 { // plus the distinct run
+		t.Fatalf("stage %q recorded %d runs during the test, want ≥ 103 — "+
 			"the instrumented wrappers are not in the measured chain", stageProgress, d)
 	}
 	if stageAfter.Busy <= stageBefore.Busy {
@@ -92,78 +107,44 @@ func TestStreamServiceZeroAllocsPerBatch(t *testing.T) {
 	}
 }
 
-// TestStreamServiceZeroAllocsPerBlockRun is the same guard for the
-// block-replay transport: one steady-state round trip of a rendered block
-// template — through the block-capable sink chain (progress and checksum
-// folds, pooled run hand-off via Async.Runs) and the consumer's recycle —
-// must allocate nothing. The clone into the pooled batch reuses the batch's
-// retained run scratch, so after the warm-up round the hand-off moves only
-// cached bytes, exactly like the wire path it feeds.
+// TestStreamServiceZeroAllocsPerBlockRun is the same guard for the KRNB
+// delta stream: the consumer's Writer replays each received run from the
+// block's cached delta bytes. Nothing is cloned on the way — the hand-off
+// carries the run itself — so after the block renders its records once the
+// round trip moves only cached bytes.
 func TestStreamServiceZeroAllocsPerBlockRun(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewManager(cfg, &Metrics{})
 	defer m.Close()
-	j := &Job{
-		id:        "jblockalloc",
-		workers:   1,
-		sink:      SinkStream,
-		ctx:       context.Background(),
-		cancel:    func() {},
-		stream:    pipeline.NewAsync(context.Background(), 1),
-		attachCh:  make(chan struct{}),
-		done:      make(chan struct{}),
-		blockRuns: true,
+	j := streamJobForAlloc("jblockalloc")
+	sink, _ := m.jobSink(j)
+	ew, err := graphio.NewBinaryEdgeWriter(io.Discard, -1, graphio.BinaryDelta)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sink, cks := m.jobSink(j)
-	bs, ok := sink.(pipeline.BlockSink)
-	if !ok {
-		t.Fatal("jobSink for a runs-attached stream job is not block-capable")
-	}
-
-	var tmpl kron.DeltaBlockTemplate
-	block := make([]kron.Edge, 512)
-	for i := range block {
-		block[i] = kron.Edge{Row: int64(i / 16), Col: int64(i % 16), Val: 1}
-	}
-	tmpl.Render(block)
-	var base int64
+	out := pipeline.Writer(ew)
+	run := serviceRun(512)
 	roundTrip := func() {
-		base += 512
-		if err := bs.WriteBlockRun(0, pipeline.BlockRun{T: &tmpl, RowBase: base, ColBase: base}); err != nil {
+		run.RowBase += 512
+		run.ColBase += 512
+		if err := sink.WriteRun(0, run); err != nil {
 			t.Fatal(err)
 		}
-		b := <-j.stream.Batches()
-		if b.Run == nil {
-			t.Fatal("runs hand-off delivered a batch without its block run")
+		if err := out.WriteRun(0, <-j.stream.Out()); err != nil {
+			t.Fatal(err)
 		}
-		j.Recycle(b)
 	}
 	roundTrip()
-
 	allocs := testing.AllocsPerRun(100, roundTrip)
 	if raceEnabled {
 		t.Logf("race build: observed %.1f allocs/run; assertion skipped (instrumentation allocates)", allocs)
 	} else if allocs != 0 {
-		t.Fatalf("block-run streaming path allocates %.1f times per replayed block, want 0", allocs)
+		t.Fatalf("delta streaming path allocates %.1f times per run, want 0", allocs)
 	}
-
-	// The measured chain is the real one: the progress fold counted every
-	// run's closed-form edge count. (The XOR checksum of the timed rounds can
-	// cancel pairwise — the per-round fold differs only in the block base,
-	// whose even-count XOR vanishes — so the fold is pinned with one distinct
-	// single-edge run instead.)
+	if got, want := ew.Count(), int64(102*512); got != want {
+		t.Fatalf("delta writer encoded %d edges, want %d", got, want)
+	}
 	if got := j.generated.Load(); got != 102*512 {
 		t.Fatalf("progress fold counted %d edges, want %d", got, 102*512)
-	}
-	before := cks.Sum()
-	var one kron.DeltaBlockTemplate
-	one.Render([]kron.Edge{{Row: 1, Col: 2, Val: 3}})
-	if err := bs.WriteBlockRun(0, pipeline.BlockRun{T: &one, RowBase: 5, ColBase: 6}); err != nil {
-		t.Fatal(err)
-	}
-	b := <-j.stream.Batches()
-	j.Recycle(b)
-	if cks.Sum() == before {
-		t.Fatal("checksum fold never ran — the measured chain is not the service sink chain")
 	}
 }

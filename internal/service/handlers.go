@@ -29,14 +29,14 @@ type Config struct {
 	// MaxBNNZ bounds the B side's stored entries (B is realized in server
 	// memory once per job).
 	MaxBNNZ int64
-	// BatchSize is the per-worker edge batch size generation hands to the
+	// BatchSize is the longest run, in edges, generation hands to the
 	// streaming sinks — the unit of backpressure, progress accounting, and
 	// cancellation latency (the generator checks its context once per
-	// batch). Defaults to kron.DefaultStreamBatchSize.
+	// run). Defaults to kron.DefaultStreamBatchSize.
 	BatchSize int
-	// QueueDepth is the per-job edge-stream channel capacity in batches of
-	// BatchSize edges; it bounds how far generation may run ahead of a slow
-	// client.
+	// QueueDepth is the per-job edge-stream channel capacity in runs of at
+	// most BatchSize edges; it bounds how far generation may run ahead of a
+	// slow client.
 	QueueDepth int
 	// AttachTimeout cancels a streaming job whose /edges consumer never
 	// shows up, so abandoned submissions release their admission slot.
@@ -62,7 +62,7 @@ type Config struct {
 
 // DefaultConfig returns production-shaped limits: bounded admission, a B
 // side up to ~16M triples (the paper's trillion-edge B is 13.8M), and a
-// backpressure window of 64 batches (~128k edges in flight per job).
+// backpressure window of 64 runs (at most ~128k edges in flight per job).
 // MaxWorkers bounds logical processors (goroutines carrying a paper-style
 // processor id p), not OS cores, so it stays useful on small machines.
 func DefaultConfig() Config {

@@ -56,7 +56,7 @@ const (
 	PhasePlanned = "planned"
 	// PhaseGenerating: generation workers started producing edges.
 	PhaseGenerating = "generating"
-	// PhaseStreaming: the first pooled batch reached the /edges consumer
+	// PhaseStreaming: the first run reached the /edges consumer
 	// (streaming jobs only).
 	PhaseStreaming = "streaming"
 )
@@ -130,22 +130,16 @@ type Job struct {
 	state    JobState
 	err      error
 	attached bool
-	// blockRuns records that the attached consumer opted into the block-run
-	// transport (AttachRuns): the sink chain then advertises the block
-	// capability and replayed templates cross the hand-off instead of
-	// expanded batches. Set under mu before attachCh closes, so the
-	// generation pass (which starts on that close) always observes it.
-	blockRuns bool
-	created   time.Time
-	started   time.Time
-	finished  time.Time
+	created  time.Time
+	started  time.Time
+	finished time.Time
 	// checksum is the XOR content fold over every edge the job generated
 	// (pipeline.Checksum, the same folding shard plans use); hasChecksum
 	// flips once generation completed successfully.
 	checksum    int64
 	hasChecksum bool
 
-	// stream is the pooled hand-off from generation workers to the single
+	// stream is the run hand-off from generation workers to the single
 	// /edges consumer; nil for discard jobs. Closed by the generation pass
 	// (and defensively by the run loop on paths where generation never
 	// starts), after which the consumer sees end-of-stream.
@@ -179,9 +173,9 @@ func (j *Job) mark(phase, detail string) {
 	j.mu.Unlock()
 }
 
-// markStreaming records the first batch reaching the /edges consumer. The
+// markStreaming records the first run reaching the /edges consumer. The
 // consumer goroutine races the generator's finish: a small job buffers every
-// batch in the stream channel and can reach its terminal state before the
+// run in the stream channel and can reach its terminal state before the
 // consumer dequeues one, so when a terminal event is already recorded the
 // streaming event slots in just before it, borrowing its timestamp — a
 // trace's last phase must keep naming how the job ended and its timestamps
@@ -237,24 +231,15 @@ func (j *Job) Cancel() { j.cancel() }
 // with a header and zero entries.
 var ErrJobTerminal = errors.New("job already finished; its edges were never stored and cannot be replayed")
 
-// Attach claims the job's edge stream: the pooled batches the generation
-// pass produces. Exactly one consumer may attach over the job's lifetime;
-// edges exist only in flight and are gone once read. The consumer must hand
-// every received batch back via Recycle — the pooled buffers are what make
-// steady-state streaming allocation-free. Attaching to a job that already
-// reached a terminal state fails with ErrJobTerminal (wrapped): its closed
-// channel would produce a stream that declares totalEdges entries and
-// delivers none.
-func (j *Job) Attach() (<-chan *pipeline.Batch, error) { return j.attach(false) }
-
-// AttachRuns claims the stream like Attach but opts the hand-off into the
-// block-run transport: deliveries may carry Batch.Run — a cloned block
-// template plus offset — instead of expanded edges, which a block-capable
-// encoder (the KRNB delta writer) replays as cached bytes. Everything else
-// — single consumer, Recycle, terminal semantics — is identical to Attach.
-func (j *Job) AttachRuns() (<-chan *pipeline.Batch, error) { return j.attach(true) }
-
-func (j *Job) attach(blockRuns bool) (<-chan *pipeline.Batch, error) {
+// Attach claims the job's edge stream: the runs the generation pass
+// produces, each a slice of the generator's immutable C block at one block
+// offset, which the consumer encodes (or expands) and may keep as long as
+// it likes. Exactly one consumer may attach over the job's lifetime; edges
+// exist only in flight and are gone once read. Attaching to a job that
+// already reached a terminal state fails with ErrJobTerminal (wrapped): its
+// closed channel would produce a stream that declares totalEdges entries
+// and delivers none.
+func (j *Job) Attach() (<-chan pipeline.Run, error) {
 	if j.sink != SinkStream {
 		return nil, fmt.Errorf("job %s has sink %q; only %q jobs stream edges", j.id, j.sink, SinkStream)
 	}
@@ -270,15 +255,10 @@ func (j *Job) attach(blockRuns bool) (<-chan *pipeline.Batch, error) {
 		return nil, fmt.Errorf("job %s already has a stream consumer; edges are not stored for replay", j.id)
 	}
 	j.attached = true
-	j.blockRuns = blockRuns
 	j.markLocked(PhaseConsumerAttached, "")
 	close(j.attachCh)
-	return j.stream.Batches(), nil
+	return j.stream.Out(), nil
 }
-
-// Recycle returns a batch received from Attach's channel to the job's
-// buffer pool. Required after each batch is consumed.
-func (j *Job) Recycle(b *pipeline.Batch) { j.stream.Recycle(b) }
 
 // ShardStatus is the JSON rendering of a sharded job's slice of the plan.
 type ShardStatus struct {
@@ -644,14 +624,13 @@ func (m *Manager) run(j *Job) {
 
 // generate drives the communication-free generator through one pipeline
 // pass: progress accounting, the per-job content checksum, and (for
-// streaming jobs) the pooled consumer hand-off are teed sinks fed by the
-// same batches — generate once, consume three ways. The pooled hand-off
-// replaces the old alloc+copy channel: batch buffers come from the sink's
-// sync.Pool and are recycled by the stream consumer, so steady-state
-// streaming does zero per-batch allocations while keeping the backpressure
+// streaming jobs) the consumer hand-off are teed sinks fed by the same runs
+// — generate once, consume three ways. The hand-off keeps the backpressure
 // contract (a full queue blocks the workers until the consumer catches up
-// or the job is cancelled). On success the checksum fold is recorded on the
-// job, where JobStatus surfaces it for reconciliation against shard plans.
+// or the job is cancelled) and copies nothing: a run only points at the
+// generator's immutable C block. On success the checksum fold is recorded
+// on the job, where JobStatus surfaces it for reconciliation against shard
+// plans.
 func (m *Manager) generate(j *Job, g *kron.Generator) error {
 	sink, cks := m.jobSink(j)
 	var err error
@@ -678,45 +657,33 @@ const (
 )
 
 // jobSink builds the job's one-pass sink chain: the progress/metrics fold
-// and the checksum fold, teed with the pooled stream hand-off for streaming
-// jobs. The stream sink rides behind pipeline.KeepOpen — the run loop, not
-// the generation pass, closes it, so end-of-stream is observed only after
-// the job's terminal state is recorded. Factored out of generate so the
-// alloc-regression guard can pin the chain's zero-steady-state-allocation
-// property without running a whole job.
+// and the checksum fold, teed with the stream hand-off for streaming jobs.
+// The stream sink rides behind pipeline.KeepOpen — the run loop, not the
+// generation pass, closes it, so end-of-stream is observed only after the
+// job's terminal state is recorded. Factored out of generate so the
+// alloc-regression guard can pin the chain's zero-allocation property
+// without running a whole job.
 func (m *Manager) jobSink(j *Job) (pipeline.Sink, *pipeline.Checksum) {
 	cks := pipeline.NewChecksum(j.workers)
-	record := func(n int64) error {
+	// Both folds are closed form per run: progress adds the run's length,
+	// the checksum folds its block-local terms.
+	progress := pipeline.RunFunc(func(p int, r pipeline.Run) error {
+		n := int64(r.Len())
 		j.generated.Add(n)
 		m.metrics.EdgesGenerated.Add(n)
 		return nil
-	}
-	// The progress fold is block-capable (a run's edge count is closed
-	// form), as is the checksum fold, so discard jobs — and streaming jobs
-	// whose consumer opted in via AttachRuns — take the generator's
-	// block-replay engine; any batch-only member (the plain pooled stream)
-	// routes the whole tee back through batches.
-	progress := pipeline.BlockHandler(
-		func(p int, batch []kron.Edge) error { return record(int64(len(batch))) },
-		func(p int, run pipeline.BlockRun) error { return record(int64(run.Len())) },
-	)
+	})
 	// Every member rides behind pipeline.Instrument, so /metrics carries
-	// per-stage batches, edges, and busy-seconds for the whole serving
-	// chain; the wrappers add two clock reads and three atomic adds per
-	// batch and keep the chain allocation-free (pinned by the alloc guard).
+	// per-stage batches (runs), edges, and busy-seconds for the whole
+	// serving chain; the wrappers add two clock reads and three atomic adds
+	// per run and keep the chain allocation-free (pinned by the alloc
+	// guard).
 	instrProgress := pipeline.Instrument(obs.Stages.Stage(stageProgress), progress)
 	instrCks := pipeline.Instrument(obs.Stages.Stage(stageChecksum), cks)
 	if j.stream == nil {
 		return pipeline.Tee(instrProgress, instrCks), cks
 	}
-	j.mu.Lock()
-	blockRuns := j.blockRuns
-	j.mu.Unlock()
-	var hand pipeline.Sink = j.stream
-	if blockRuns {
-		hand = j.stream.Runs()
-	}
-	stream := pipeline.Instrument(obs.Stages.Stage(stageStream), pipeline.KeepOpen(hand))
+	stream := pipeline.Instrument(obs.Stages.Stage(stageStream), pipeline.KeepOpen(j.stream))
 	return pipeline.Tee(instrProgress, instrCks, stream), cks
 }
 

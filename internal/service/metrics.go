@@ -60,7 +60,7 @@ type Metrics struct {
 	// JobRunTime measures started→finished: the generation phase proper.
 	JobRunTime *obs.Histogram
 	// StreamBatchGap measures the inter-arrival time between consecutive
-	// pooled batches observed by one /edges consumer — the streaming side's
+	// runs observed by one /edges consumer — the streaming side's
 	// answer to "is generation or the client the bottleneck" (long gaps with
 	// a fast client mean generation is starved; short gaps with slow drains
 	// mean the client is).
@@ -94,7 +94,7 @@ func NewMetrics() *Metrics {
 			"Time from generation start to the job's terminal state.",
 			obs.ExpBuckets(time.Millisecond, 2, 20)),
 		StreamBatchGap: obs.NewHistogram("kronserve_stream_batch_gap_seconds",
-			"Inter-arrival time between pooled batches at the edge-stream consumer.",
+			"Inter-arrival time between runs at the edge-stream consumer.",
 			obs.ExpBuckets(10*time.Microsecond, 2, 16)),
 		Stages: obs.Stages,
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/graphio"
 	"repro/internal/pipeline"
-	"repro/kron"
 )
 
 // Edge stream formats accepted by GET /v1/jobs/{id}/edges?format=...
@@ -113,14 +112,14 @@ func newEdgeWriter(w http.ResponseWriter, format, enc string, j *Job, header str
 	}
 }
 
-// streamJob encodes the job's pooled edge batches to the HTTP response
-// until the stream ends, the client disconnects, or encoding fails. It owns
-// the consumer side of two contracts: backpressure — the queue is bounded,
-// the workers block when it is full, and this loop drains it only as fast
-// as the client accepts bytes — and pooling: every received batch is
-// recycled back to the job's buffer pool after encoding, which is what
-// makes the generation side allocation-free at steady state. A client that
-// disconnects mid-stream cancels the job — edges are not stored, so an
+// streamJob encodes the job's runs to the HTTP response until the stream
+// ends, the client disconnects, or encoding fails. Every format takes the
+// same path: the response's edge writer behind pipeline.Writer, which
+// replays the block's cached bytes for KRNB delta and expands the run for
+// everything else. The loop owns the consumer side of the backpressure
+// contract — the queue is bounded, the workers block when it is full, and
+// this loop drains it only as fast as the client accepts bytes. A client
+// that disconnects mid-stream cancels the job — edges are not stored, so an
 // abandoned stream can never be resumed and finishing it would be pure
 // waste.
 func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, format string) {
@@ -129,16 +128,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, form
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The KRNB delta stream opts into the block-run transport: generation
-	// crosses the hand-off as cloned block templates the encoder replays as
-	// cached bytes, instead of expanded 24-byte edge records.
-	encoding, _ := binaryEncoding(enc)
-	blockRuns := format == FormatBinary && encoding == graphio.BinaryDelta
-	attach := j.Attach
-	if blockRuns {
-		attach = j.AttachRuns
-	}
-	ch, err := attach()
+	ch, err := j.Attach()
 	if err != nil {
 		// A terminal job's stream is gone for good (410), not merely busy
 		// (409): edges are never stored, so there is nothing to come back
@@ -167,6 +157,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, form
 		j.Cancel()
 		return
 	}
+	out := pipeline.Writer(ew)
 	flusher, _ := w.(http.Flusher)
 	flush := func() error {
 		if err := ew.Flush(); err != nil {
@@ -186,73 +177,47 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, form
 	// transfer).
 	flushEvery := 8 * s.cfg.BatchSize
 	sinceFlush := 0
-	account := func(n int) error {
-		j.streamed.Add(int64(n))
-		s.metrics.EdgesStreamed.Add(int64(n))
-		sinceFlush += n
-		if sinceFlush >= flushEvery {
-			sinceFlush = 0
-			return flush()
-		}
-		return nil
-	}
-	write := func(batch []kron.Edge) error {
-		if err := ew.WriteEdges(batch); err != nil {
-			return err
-		}
-		return account(len(batch))
-	}
-	// brw is non-nil exactly when the stream attached with runs: the delta
-	// binary writer replays each delivered template as one cached-byte
-	// frame.
-	brw, _ := ew.(graphio.BlockRunWriter)
-	writeRun := func(r *pipeline.BatchRun) error {
-		if err := brw.WriteBlockRun(&r.T, r.RowBase, r.ColBase); err != nil {
-			return err
-		}
-		return account(r.Len())
-	}
 	clientGone := r.Context().Done()
-	// lastBatch times the gaps between consecutive batch receives for the
-	// inter-arrival histogram; zero until the first batch lands (which also
+	// lastRun times the gaps between consecutive run receives for the
+	// inter-arrival histogram; zero until the first run lands (which also
 	// marks the job's streaming phase).
-	var lastBatch time.Time
+	var lastRun time.Time
 	for {
 		select {
-		case b, ok := <-ch:
+		case run, ok := <-ch:
 			if !ok {
 				// Generation finished (or was cancelled); report how it ended
-				// in a trailer comment the format's reader ignores. Formats
-				// with an explicit end-of-stream marker (the binary trailer)
-				// finish instead: the trailer's actual count and checksum are
-				// the end state, and a cancelled job's shortfall surfaces as a
-				// header/trailer count mismatch on read.
+				// in a trailer comment the format's reader ignores. Closing
+				// the writer sink finishes formats with an explicit
+				// end-of-stream marker (the binary trailer: its actual count
+				// and checksum are the end state, and a cancelled job's
+				// shortfall surfaces as a header/trailer count mismatch on
+				// read) and flushes the rest.
 				st := j.Status()
 				_ = ew.Comment(fmt.Sprintf("end state=%s generated=%d streamed=%d",
 					st.State, st.GeneratedEdges, st.StreamedEdges))
-				if f, ok := ew.(graphio.Finisher); ok {
-					_ = f.Finish()
+				if out.Close() == nil && flusher != nil {
+					flusher.Flush()
 				}
-				_ = flush()
 				return
 			}
 			now := time.Now()
-			if lastBatch.IsZero() {
+			if lastRun.IsZero() {
 				j.markStreaming()
 			} else {
-				s.metrics.StreamBatchGap.Observe(now.Sub(lastBatch))
+				s.metrics.StreamBatchGap.Observe(now.Sub(lastRun))
 			}
-			lastBatch = now
-			var err error
-			if b.Run != nil {
-				err = writeRun(b.Run)
-			} else {
-				err = write(b.Edges)
+			lastRun = now
+			err := out.WriteRun(0, run)
+			if err == nil {
+				n := run.Len()
+				j.streamed.Add(int64(n))
+				s.metrics.EdgesStreamed.Add(int64(n))
+				if sinceFlush += n; sinceFlush >= flushEvery {
+					sinceFlush = 0
+					err = flush()
+				}
 			}
-			// The pooled buffer goes back before any error handling: the
-			// encoder copied the bytes it needed, and recycling on every
-			// path is what keeps the producers allocation-free.
-			j.Recycle(b)
 			if err != nil {
 				// Client write failure: the sole consumer is gone.
 				j.Cancel()

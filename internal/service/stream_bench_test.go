@@ -11,16 +11,14 @@ import (
 	"testing"
 )
 
-// BenchmarkStreamServicePooled measures the pooled generation→consumer
-// hand-off the service streams through — submit a streaming job at the
-// manager level, attach, drain every pooled batch and recycle it — and
-// reports edges/s plus allocs/op. The allocation count is the benchmark's
-// point: the pre-pipeline hand-off allocated and copied one slice per batch
-// (edges/BatchSize allocations per job); the pooled sink's steady state
-// allocates nothing per batch, so allocs/op stays flat as the job's edge
-// count grows. kronbench -fig 3 records the same pooled-vs-copy delta into
-// BENCH_fig3.json.
-func BenchmarkStreamServicePooled(b *testing.B) {
+// BenchmarkStreamServiceHandoff measures the generation→consumer hand-off
+// the service streams through — submit a streaming job at the manager
+// level, attach, drain every run — and reports edges/s plus allocs/op. The
+// allocation count is the benchmark's point: the pre-pipeline hand-off
+// allocated and copied one slice per batch (edges/BatchSize allocations per
+// job); a run is sent by value and points at the generator's shared block,
+// so allocs/op stays flat as the job's edge count grows.
+func BenchmarkStreamServiceHandoff(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()
 	req := JobRequest{
@@ -40,9 +38,8 @@ func BenchmarkStreamServicePooled(b *testing.B) {
 			b.Fatal(err)
 		}
 		var n int64
-		for batch := range ch {
-			n += int64(len(batch.Edges))
-			j.Recycle(batch)
+		for run := range ch {
+			n += int64(run.Len())
 		}
 		<-j.done
 		if st := j.Status(); st.State != StateDone || n != st.TotalEdges {

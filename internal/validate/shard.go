@@ -84,7 +84,7 @@ func RunShard(ctx context.Context, d *core.Design, nb, np int, s gen.ShardInfo) 
 		return nil, err
 	}
 	// Pass 1 — tally the shard's band in flight, teeing the checksum fold
-	// off the same batches. Both sinks are per-worker-private folds, so the
+	// off the same runs. Both sinks are per-worker-private folds, so the
 	// pass shares nothing across workers, like the full engine.
 	cks := pipeline.NewChecksum(np)
 	tally := pipeline.Instrument(obs.Stages.Stage(stageTally),

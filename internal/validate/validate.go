@@ -5,7 +5,7 @@
 //
 // The measurement engine is streaming and communication-free, mirroring the
 // generator it checks. Edges are never collected into a global triple slice
-// and never comparison-sorted. Instead, the engine rides gen.StreamBatches
+// and never comparison-sorted. Instead, the engine rides gen.StreamTo
 // twice:
 //
 //   - Pass 1 (measure in flight): each worker tallies its own edge count
@@ -17,7 +17,7 @@
 //     per-worker write cursors, let every worker scatter its band straight
 //     into the final CSR arrays with no locks and no sort (the generator's
 //     band-order guarantee makes each row arrive column-sorted; see
-//     gen.StreamBatches and sparse.CSRBuilder).
+//     gen.StreamTo and sparse.CSRBuilder).
 //
 // Triangles are then counted on the CSR by the same worker pool, partitioned
 // over weight-balanced entry bands (triangle.CountBothCSR). Peak memory is
@@ -93,7 +93,7 @@ const maxRealizableVertices = 1 << 31
 // Run generates the design with np workers via the split generator (split
 // after nb factors), measures everything from the streamed edges, and
 // compares against the design's predictions. Cancellation is cooperative:
-// generation passes stop within one batch and triangle counting within one
+// generation passes stop within one run and triangle counting within one
 // band stride of ctx cancelling, returning ctx's error.
 func Run(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
 	pred, g, r, err := prepare(d, nb, np)
@@ -172,22 +172,22 @@ func RunMaterialized(ctx context.Context, d *core.Design, nb, np int) (*Report, 
 	n := pred.Vertices.Int64()
 
 	buffers := make([][]sparse.Triple[int64], np)
-	err = g.StreamBatches(ctx, np, 0, func(w int, batch []gen.Edge) error {
+	err = g.StreamTo(ctx, np, 0, pipeline.Func(func(w int, batch []gen.Edge) error {
 		buf := buffers[w]
 		for _, e := range batch {
 			buf = append(buf, sparse.Triple[int64]{Row: int(e.Row), Col: int(e.Col), Val: e.Val})
 		}
 		buffers[w] = buf
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
-	// The stream checks ctx per batch, but everything after it — the global
+	// The stream checks ctx per run, but everything after it — the global
 	// concatenation, Dedupe's sort, and both serial triangle counters — used
 	// to run uninterruptible, so a SIGINT during the sort phase hung until
 	// the whole materialized pipeline finished. One check at the seam keeps
-	// the engine's cancellation latency bounded by the stream's last batch.
+	// the engine's cancellation latency bounded by the stream's last run.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -227,9 +227,9 @@ type tallySink struct {
 	b *sparse.CSRBuilder[int64]
 }
 
-func (s tallySink) WriteBatch(w int, batch []gen.Edge) error {
-	for _, e := range batch {
-		s.b.Count(w, int(e.Row))
+func (s tallySink) WriteRun(w int, r pipeline.Run) error {
+	for _, e := range r.Local() {
+		s.b.Count(w, int(r.RowBase+e.Row))
 	}
 	return nil
 }
@@ -243,9 +243,9 @@ type scatterSink struct {
 	b *sparse.CSRBuilder[int64]
 }
 
-func (s scatterSink) WriteBatch(w int, batch []gen.Edge) error {
-	for _, e := range batch {
-		s.b.Place(w, int(e.Row), int(e.Col), e.Val)
+func (s scatterSink) WriteRun(w int, r pipeline.Run) error {
+	for _, e := range r.Local() {
+		s.b.Place(w, int(r.RowBase+e.Row), int(r.ColBase+e.Col), e.Val)
 	}
 	return nil
 }

@@ -17,7 +17,7 @@
 //     edges.
 //
 //     g, _ := kron.NewGenerator(d, 6)
-//     g.StreamBatches(ctx, 8, 0, func(worker int, batch []kron.Edge) error { ... })
+//     kron.StreamTo(ctx, g, 8, 0, kron.SinkFunc(func(worker int, batch []kron.Edge) error { ... }))
 //
 //  3. Validate: measure a generated graph and confirm exact agreement with
 //     the design.
@@ -85,15 +85,15 @@ type Generator = gen.Generator
 // Edge is one generated adjacency entry in global coordinates.
 type Edge = gen.Edge
 
-// DefaultStreamBatchSize is the per-worker batch size StreamBatches uses
-// when the caller passes batchSize <= 0.
+// DefaultStreamBatchSize is the run length StreamTo uses when the caller
+// passes batchSize <= 0.
 const DefaultStreamBatchSize = gen.DefaultBatchSize
 
 // NewGenerator splits the design after its first nb factors into A = B ⊗ C
-// and realizes both sides, ready to generate at any worker count. The
-// returned Generator's hot path is StreamBatches (cancellable, batch-native
-// — edges arrive in reusable per-worker []Edge batches); Stream is a
-// per-edge convenience layered on top of it.
+// and realizes both sides, ready to generate at any worker count. StreamTo
+// drives it into any Sink: every B triple's edges arrive as runs over one
+// shared, immutable C block, cut at most DefaultStreamBatchSize edges long
+// by default.
 func NewGenerator(d *Design, nb int) (*Generator, error) { return gen.New(d, nb) }
 
 // DefaultMaxCNNZ is the default bound on the C side's stored entries when a

@@ -108,3 +108,25 @@ func TestNewDesignWithSpecs(t *testing.T) {
 		t.Errorf("triangles = %s, want 1", tri)
 	}
 }
+
+// A fold sink built for fewer workers than the pass runs must fail the pass
+// with an error, not index past its slots inside a generation goroutine
+// (which crashed the whole process).
+func TestFoldSinkRejectsExtraWorkers(t *testing.T) {
+	d, err := kron.FromPoints([]int{3, 4, 5}, kron.LoopHub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := kron.NewGenerator(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sink := range map[string]kron.Sink{
+		"counter":  kron.NewCounter(1),
+		"checksum": kron.NewChecksum(1),
+	} {
+		if err := kron.StreamTo(context.Background(), g, 4, 0, sink); err == nil {
+			t.Errorf("%s built for 1 worker accepted a 4-worker pass", name)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/gen"
 	"repro/internal/graphio"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -14,9 +13,9 @@ import (
 //
 // Generation, measurement, and verification are all folds over one
 // communication-free edge stream (the paper's central observation). The
-// pipeline layer makes that a primitive: a Sink consumes the stream batch
-// by batch, combinators compose sinks, and StreamTo drives any sink from
-// one generation pass — stream to disk, count, and checksum simultaneously
+// pipeline layer makes that a primitive: a Sink consumes the stream run by
+// run, combinators compose sinks, and StreamTo drives any sink from one
+// generation pass — stream to disk, count, and checksum simultaneously
 // instead of generating three times:
 //
 //	cnt, sum := kron.NewCounter(np), kron.NewChecksum(np)
@@ -24,18 +23,25 @@ import (
 //		kron.Tee(kron.Writer(kron.NewTSVEdgeWriter(f)), cnt, sum))
 //	// cnt.Total() edges written; sum.Sum() reconciles against shard plans.
 
-// Sink consumes a generator's edge stream batch by batch. WriteBatch owns
-// its batch only until it returns (the generator reuses the slice), is
-// called concurrently across worker indices and serially within one, and
-// Close runs exactly once when the pass ends. See internal/pipeline for the
-// full contract.
+// Sink consumes a generator's edge stream run by run: each run is at most
+// one batch of consecutive edges of the generator's shared, immutable C
+// block at one B triple's block offset, so a sink may keep a run after the
+// call. WriteRun is called concurrently across worker indices and serially
+// within one, and Close runs exactly once when the pass ends. See
+// internal/pipeline for the full contract.
 type Sink = pipeline.Sink
 
-// SinkFunc adapts a bare emit callback to a Sink with a no-op Close.
+// Run is one run of the stream: edges [Lo, Hi) of a shared block shifted
+// by (RowBase, ColBase); Len, AppendEdges, and FoldChecksum read it.
+type Run = pipeline.Run
+
+// SinkFunc adapts an edge-batch callback to a Sink with a no-op Close: each
+// run arrives expanded into a reused batch, which the callback owns only
+// until it returns.
 type SinkFunc = pipeline.Func
 
-// Counter is a fold Sink counting streamed edges — CountEdges' total from a
-// live stream.
+// Counter is a fold Sink counting streamed edges in closed form (a run adds
+// its length) — CountEdges' total from a live stream.
 type Counter = pipeline.Counter
 
 // NewCounter returns a Counter for worker indices [0, np).
@@ -49,39 +55,31 @@ type Checksum = pipeline.Checksum
 // NewChecksum returns a Checksum for worker indices [0, np).
 func NewChecksum(np int) *Checksum { return pipeline.NewChecksum(np) }
 
-// Tee returns a Sink fanning every batch out to each of sinks in order —
+// Tee returns a Sink fanning every run out to each of sinks in order —
 // one generation pass, K consumers.
 func Tee(sinks ...Sink) Sink { return pipeline.Tee(sinks...) }
 
-// PerWorker returns a Sink routing worker p's batches to sinks[p], giving
+// PerWorker returns a Sink routing worker p's runs to sinks[p], giving
 // each generation worker an unshared consumer (per-worker chunk files) with
 // deterministic per-worker output order.
 func PerWorker(sinks ...Sink) Sink { return pipeline.PerWorker(sinks...) }
 
-// Writer wraps an EdgeWriter as a Sink: batches are encoded whole and
-// worker-atomically; Close flushes. With one worker — or one Writer per
-// worker via PerWorker — the byte stream is deterministic. When ew replays
-// blocks natively (a BlockRunWriter reporting ReplaysBlocks, i.e. the KRNB
-// delta encoder) the sink is block-capable and StreamTo switches to the
-// block-replay engine.
+// Writer wraps an EdgeWriter as a Sink: runs are encoded whole and
+// worker-atomically; Close finishes (binary trailer) or flushes. With one
+// worker — or one Writer per worker via PerWorker — the byte stream is
+// deterministic. The KRNB delta encoder replays each run from the block's
+// cached delta bytes; other writers get the run expanded into a batch.
 func Writer(ew EdgeWriter) Sink { return pipeline.Writer(ew) }
 
-// BlockRun is one replay of a rendered block template at a block offset:
-// Len() edges, expandable via AppendEdges.
-type BlockRun = pipeline.BlockRun
+// BlockRun is the name Run had when sinks took block runs and batches
+// through two methods; kept for callers written against that API.
+type BlockRun = Run
 
-// BlockSink is a Sink that additionally consumes whole block runs — the
-// Kronecker-structure fast path. Compositions (Tee, PerWorker, Instrument)
-// are block-capable exactly when every member is; StreamTo and
-// StreamShardTo detect the capability and replay each B-triple's block as
-// one call instead of many batches. Counter and Checksum are block-capable
-// folds (closed-form count and checksum per run).
-type BlockSink = pipeline.BlockSink
-
-// BlockHandler adapts a batch callback plus a run callback to a BlockSink
-// with a no-op Close — the block-capable SinkFunc.
-func BlockHandler(batch SinkFunc, run func(p int, run BlockRun) error) BlockSink {
-	return pipeline.BlockHandler(batch, run)
+// BlockHandler is the two-callback sink adapter of that API. Every edge now
+// arrives in a run, so the batch callback is never called; the sink hands
+// each run to run.
+func BlockHandler(batch SinkFunc, run func(p int, run BlockRun) error) Sink {
+	return pipeline.RunFunc(run)
 }
 
 // EdgeWriter is the streaming edge-encoder contract (TSV, MatrixMarket)
@@ -94,10 +92,10 @@ type TSVEdgeWriter = graphio.TSVEdgeWriter
 // NewTSVEdgeWriter returns a TSV edge stream over w, ready for Writer.
 func NewTSVEdgeWriter(w io.Writer) *TSVEdgeWriter { return graphio.NewTSVEdgeWriter(w) }
 
-// StreamTo generates the graph with np workers into a composable sink —
-// the pipeline-native face of Generator.StreamBatches; batchSize <= 0
-// selects DefaultStreamBatchSize. The sink is closed exactly once when the
-// pass ends, on success and failure alike.
+// StreamTo generates the graph with np workers into a composable sink, as
+// runs of at most batchSize edges (batchSize <= 0 selects
+// DefaultStreamBatchSize). The sink is closed exactly once when the pass
+// ends, on success and failure alike.
 func StreamTo(ctx context.Context, g *Generator, np, batchSize int, sink Sink) error {
 	return g.StreamTo(ctx, np, batchSize, sink)
 }
@@ -108,11 +106,11 @@ func StreamShardTo(ctx context.Context, g *Generator, s ShardInfo, np, batchSize
 	return g.StreamShardTo(ctx, s, np, batchSize, sink)
 }
 
-// Instrument wraps sink so every batch is folded into the named pipeline
-// stage of the process-default stage registry: batches, edges, and the
-// wall-clock time the wrapped sink spent in WriteBatch (its busy time,
-// summed across workers). The wrapper allocates nothing per batch, so it can
-// ride any hot path; kronserve's /metrics renders every stage as
+// Instrument wraps sink so every run is folded into the named pipeline
+// stage of the process-default stage registry: batches (one per run),
+// edges, and the wall-clock time the wrapped sink spent in WriteRun (its
+// busy time, summed across workers). The wrapper allocates nothing per run,
+// so it can ride any hot path; kronserve's /metrics renders every stage as
 // kronserve_stage_{batches,edges,busy_seconds}_total{stage="<name>"}, and
 // StageMetricsTo renders the same registry for embedding programs.
 //
@@ -128,11 +126,3 @@ func Instrument(name string, sink Sink) Sink {
 func StageMetricsTo(w io.Writer, prefix string) error {
 	return obs.Stages.Render(w, prefix)
 }
-
-// CompatStreamBatchSize is the internal batch size the per-edge
-// Stream convenience runs on. It trades against
-// DefaultStreamBatchSize on one axis: the generator checks its context once
-// per batch, so the smaller batch keeps per-edge callers' cancellation
-// latency near the historical per-B-triple check while batch-native
-// consumers use the larger, throughput-oriented default.
-const CompatStreamBatchSize = gen.CompatBatchSize

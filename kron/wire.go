@@ -67,23 +67,14 @@ var (
 	ErrBinaryCorrupt = graphio.ErrBinaryCorrupt
 )
 
-// --- Block-replay encode kernels ------------------------------------------
+// --- Block replay ------------------------------------------------------------
 //
 // K = B ⊗ C repeats C's edge pattern once per B nonzero, shifted by a
-// constant block offset — and the KRNB delta encoding of a block depends
-// only on the block-local coordinates, so its bytes can be rendered once
-// and replayed per block. DeltaBlockTemplate is the cached rendering;
-// StreamTo and StreamShardTo drive it automatically when the sink
-// composition is block-capable (see pipeline exports). This is what closes
-// the delta-encode gap to the bare count engine.
-
-// DeltaBlockTemplate is a block's rendered delta byte template: the first
-// edge held symbolically (patched per replay), the rest as cached
-// delta-varint bytes, plus closed-form checksum terms. Render it from a
-// block's local edges, replay it via BinaryEdgeWriter.WriteBlockRun.
-type DeltaBlockTemplate = graphio.DeltaBlockTemplate
-
-// BlockRunWriter is implemented by edge writers with a block-replay fast
-// path — BinaryEdgeWriter replays cached block bytes in the delta encoding
-// (ReplaysBlocks reports true exactly then).
-type BlockRunWriter = graphio.BlockRunWriter
+// constant block offset, and the generator streams it that way: every run a
+// sink receives is a slice of one shared, immutable C block. The KRNB delta
+// encoding of a run's edges after its first depends only on block-local
+// coordinates, so the block renders those bytes once, on first use, and
+// BinaryEdgeWriter (through Writer) replays each run as one frame: a count,
+// the first edge, and one copy of the cached bytes. SetBlockReplay(false)
+// encodes the same frames edge by edge instead — the byte-for-byte oracle
+// the replay is tested against.

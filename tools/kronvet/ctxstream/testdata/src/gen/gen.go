@@ -6,8 +6,10 @@ import "context"
 
 type Edge struct{ Row, Col int64 }
 
+type Run struct{ Lo, Hi int }
+
 type Sink interface {
-	WriteBatch(p int, batch []Edge) error
+	WriteRun(p int, r Run) error
 	Close() error
 }
 
@@ -16,8 +18,8 @@ func StreamTo(ctx context.Context, np int, sink Sink) error {
 	return nil
 }
 
-// StreamBatches threads ctx to an emit callback: clean.
-func StreamBatches(ctx context.Context, np int, emit func(p int, batch []Edge) error) error {
+// StreamFunc threads ctx to an emit callback: clean.
+func StreamFunc(ctx context.Context, np int, emit func(p int, batch []Edge) error) error {
 	return nil
 }
 

@@ -7,8 +7,10 @@ import "context"
 
 type Edge struct{ Row, Col int64 }
 
+type Run struct{ Lo, Hi int }
+
 type Sink interface {
-	WriteBatch(p int, batch []Edge) error
+	WriteRun(p int, r Run) error
 	Close() error
 }
 

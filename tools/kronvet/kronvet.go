@@ -1,10 +1,8 @@
 // Package kronvet bundles the house go/analysis suite that mechanically
 // enforces the repro tree's doc-comment contracts:
 //
-//   - sinkretain: WriteBatch must not let the batch slice escape the call
-//     (pipeline.Sink ownership contract).
-//   - recycleuse: a *pipeline.Batch must not be touched after Recycle(b)
-//     until reassigned (Async pool contract).
+//   - sinkretain: a pipeline.Func callback must not let the batch slice
+//     escape the call (the sink reuses its expansion buffer).
 //   - atomicmix: a field touched by sync/atomic must never be accessed
 //     non-atomically elsewhere (internal/obs counter discipline).
 //   - ctxstream: streaming entry points thread context.Context;
@@ -19,7 +17,6 @@ import (
 
 	"repro/tools/kronvet/atomicmix"
 	"repro/tools/kronvet/ctxstream"
-	"repro/tools/kronvet/recycleuse"
 	"repro/tools/kronvet/sinkretain"
 )
 
@@ -27,7 +24,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		sinkretain.Analyzer,
-		recycleuse.Analyzer,
 		atomicmix.Analyzer,
 		ctxstream.Analyzer,
 	}

@@ -1,25 +1,20 @@
-// Package sinkretain defines an analyzer enforcing the pipeline.Sink batch
-// ownership contract: WriteBatch owns its batch slice only until the call
-// returns, because the producing worker reuses the slice for the next batch.
+// Package sinkretain defines an analyzer enforcing the pipeline.Func batch
+// ownership contract: a Func callback owns its batch slice only until the
+// call returns, because the sink reuses the slice for the next run it
+// expands.
 //
-// The analyzer inspects every WriteBatch implementation — and every function
-// literal with the emit-callback shape func(int, []Edge) error — and reports
-// places where the batch slice (or a pointer into its backing array) escapes
-// the call: assignment to a struct field, map/slice element, package-level or
-// captured variable; a channel send; capture by a spawned goroutine; or a
-// non-spread append into a retained slice. Element-wise copies such as
-// append(dst, batch...) and copy(dst, batch) are recognized as safe, and
-// passing the batch to another call (sink delegation, as Tee and Instrument
-// do) is allowed because the callee is bound by the same contract.
+// The analyzer inspects every function — declared or literal — with the
+// callback shape func(int, []Edge) error and reports places where the batch
+// slice (or a pointer into its backing array) escapes the call: assignment
+// to a struct field, map/slice element, package-level or captured variable;
+// a channel send; capture by a spawned goroutine; or a non-spread append
+// into a retained slice. Element-wise copies such as append(dst, batch...)
+// and copy(dst, batch) are recognized as safe, and passing the batch to
+// another call (an encoder's WriteEdges, a wrapped callback) is allowed
+// because the callee is bound by the same contract.
 //
-// WriteBlockRun implementations carry the same ownership contract for block
-// runs: the producer re-renders the run's template after the call returns,
-// so retaining run.T — or any of the template's slices — is the same bug as
-// retaining the batch. Both shapes are checked: the pipeline-level
-// func(int, BlockRun) error (declared or literal) and the writer-level
-// func(*DeltaBlockTemplate, int64, int64) error. Reads of value-typed fields
-// (run.RowBase, t.Len()) are copies and stay unflagged;
-// run.T.CloneInto(&dst) is the sanctioned deep copy.
+// Runs need no such rule: a pipeline.Run only points at the generator's
+// immutable block, so a sink may keep one past WriteRun (Async does).
 package sinkretain
 
 import (
@@ -36,85 +31,51 @@ import (
 // Analyzer is the sinkretain analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     "sinkretain",
-	Doc:      "report WriteBatch and WriteBlockRun implementations that retain the batch slice or block template beyond the call (the producer reuses both; retained data must be copied)",
+	Doc:      "report Func callbacks that retain the batch slice beyond the call (the sink reuses it; retained edges must be copied)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
-
-// contract names one owned-until-return parameter and the wording of its
-// violation reports.
-type contract struct {
-	owned       types.Object
-	escapes     string // "<noun> escapes <method>"
-	consequence string // what the producer does after the call returns
-	fix         string // the sanctioned copy
-}
-
-const (
-	batchConsequence = "the producer reuses the slice after the call returns"
-	batchFix         = "copy the edges (append(dst, batch...))"
-	runConsequence   = "the producer re-renders the template after the call returns"
-	runFix           = "clone the template (run.T.CloneInto(&dst))"
-	templateFix      = "clone it (t.CloneInto(&dst))"
-)
 
 func run(pass *analysis.Pass) (any, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
 		var body *ast.BlockStmt
 		var ftype *ast.FuncType
-		decl := ""
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
-			if fn.Body == nil {
-				return
-			}
-			decl = fn.Name.Name
 			body, ftype = fn.Body, fn.Type
 		case *ast.FuncLit:
-			// Anonymous emit callbacks (gen.StreamBatches' argument) and
-			// BlockHandler run callbacks carry the same reuse contracts;
-			// require the house Edge / BlockRun type names so unrelated
-			// func(int, []byte) error shapes are not flagged.
 			body, ftype = fn.Body, fn.Type
 		}
-		var c contract
-		switch {
-		case decl == "WriteBatch" && emitShape(pass, ftype, false),
-			decl == "" && emitShape(pass, ftype, true):
-			c = contract{paramObj(pass, ftype, 1), "batch escapes WriteBatch", batchConsequence, batchFix}
-		case (decl == "WriteBlockRun" || decl == "") && runShape(pass, ftype):
-			c = contract{paramObj(pass, ftype, 1), "block run escapes WriteBlockRun", runConsequence, runFix}
-		case decl == "WriteBlockRun" && templateShape(pass, ftype):
-			c = contract{paramObj(pass, ftype, 0), "template escapes WriteBlockRun", runConsequence, templateFix}
-		default:
+		// Require the house Edge type name so unrelated func(int, []byte)
+		// error shapes are not flagged.
+		if body == nil || !emitShape(pass, ftype) {
 			return
 		}
-		if c.owned == nil {
-			return
+		if batch := paramObj(pass, ftype, 1); batch != nil {
+			checkFunc(pass, n, body, batch)
 		}
-		checkFunc(pass, n, body, c)
 	})
 	return nil, nil
 }
 
-// emitShape reports whether ftype is (int, []T) error; with needEdge it also
-// requires the slice element to be a named type called Edge.
-func emitShape(pass *analysis.Pass, ftype *ast.FuncType, needEdge bool) bool {
+// emitShape reports whether ftype is (int, []Edge) error, Edge being a named
+// type called Edge.
+func emitShape(pass *analysis.Pass, ftype *ast.FuncType) bool {
 	tv, ok := pass.TypesInfo.Types[ftype]
 	if !ok {
 		// FuncDecl types are recorded on the name, not the FuncType; rebuild
 		// from the parameter ASTs.
-		return emitShapeAST(pass, ftype, needEdge)
+		return emitShapeAST(pass, ftype)
 	}
 	sig, ok := tv.Type.(*types.Signature)
 	if !ok {
 		return false
 	}
-	return emitSig(sig, needEdge)
+	return emitSig(sig)
 }
 
-func emitShapeAST(pass *analysis.Pass, ftype *ast.FuncType, needEdge bool) bool {
+func emitShapeAST(pass *analysis.Pass, ftype *ast.FuncType) bool {
 	var ptypes []types.Type
 	for _, f := range ftype.Params.List {
 		t := pass.TypesInfo.TypeOf(f.Type)
@@ -139,7 +100,7 @@ func emitShapeAST(pass *analysis.Pass, ftype *ast.FuncType, needEdge bool) bool 
 	if !ok {
 		return false
 	}
-	if needEdge && !edgeNamed(sl.Elem()) {
+	if !edgeNamed(sl.Elem()) {
 		return false
 	}
 	if ftype.Results == nil || len(ftype.Results.List) != 1 {
@@ -149,7 +110,7 @@ func emitShapeAST(pass *analysis.Pass, ftype *ast.FuncType, needEdge bool) bool 
 	return rt != nil && types.Identical(rt, types.Universe.Lookup("error").Type())
 }
 
-func emitSig(sig *types.Signature, needEdge bool) bool {
+func emitSig(sig *types.Signature) bool {
 	if sig.Params().Len() != 2 || sig.Results().Len() != 1 {
 		return false
 	}
@@ -160,7 +121,7 @@ func emitSig(sig *types.Signature, needEdge bool) bool {
 	if !ok {
 		return false
 	}
-	if needEdge && !edgeNamed(sl.Elem()) {
+	if !edgeNamed(sl.Elem()) {
 		return false
 	}
 	return types.Identical(sig.Results().At(0).Type(), types.Universe.Lookup("error").Type())
@@ -183,69 +144,6 @@ func namedAs(t types.Type, name string) bool {
 	}
 }
 
-// paramTypes flattens ftype's parameter types (one entry per name).
-func paramTypes(pass *analysis.Pass, ftype *ast.FuncType) []types.Type {
-	var ptypes []types.Type
-	for _, f := range ftype.Params.List {
-		t := pass.TypesInfo.TypeOf(f.Type)
-		if t == nil {
-			return nil
-		}
-		n := len(f.Names)
-		if n == 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			ptypes = append(ptypes, t)
-		}
-	}
-	return ptypes
-}
-
-// errorResult reports whether ftype returns exactly one error.
-func errorResult(pass *analysis.Pass, ftype *ast.FuncType) bool {
-	if ftype.Results == nil || len(ftype.Results.List) != 1 || len(ftype.Results.List[0].Names) > 1 {
-		return false
-	}
-	rt := pass.TypesInfo.TypeOf(ftype.Results.List[0].Type)
-	return rt != nil && types.Identical(rt, types.Universe.Lookup("error").Type())
-}
-
-// runShape reports whether ftype is the pipeline-level block-run contract:
-// (int, BlockRun) error, with BlockRun a named struct.
-func runShape(pass *analysis.Pass, ftype *ast.FuncType) bool {
-	pt := paramTypes(pass, ftype)
-	if len(pt) != 2 || !errorResult(pass, ftype) {
-		return false
-	}
-	if b, ok := pt[0].Underlying().(*types.Basic); !ok || b.Kind() != types.Int {
-		return false
-	}
-	if _, ok := pt[1].Underlying().(*types.Struct); !ok {
-		return false
-	}
-	return namedAs(pt[1], "BlockRun")
-}
-
-// templateShape reports whether ftype is the writer-level block-run
-// contract: (*DeltaBlockTemplate, int64, int64) error.
-func templateShape(pass *analysis.Pass, ftype *ast.FuncType) bool {
-	pt := paramTypes(pass, ftype)
-	if len(pt) != 3 || !errorResult(pass, ftype) {
-		return false
-	}
-	ptr, ok := pt[0].Underlying().(*types.Pointer)
-	if !ok || !namedAs(ptr.Elem(), "DeltaBlockTemplate") {
-		return false
-	}
-	for _, t := range pt[1:] {
-		if b, ok := t.Underlying().(*types.Basic); !ok || b.Kind() != types.Int64 {
-			return false
-		}
-	}
-	return true
-}
-
 // paramObj returns the object of the idx'th (flattened) parameter.
 func paramObj(pass *analysis.Pass, ftype *ast.FuncType, idx int) types.Object {
 	var names []*ast.Ident
@@ -262,10 +160,17 @@ func paramObj(pass *analysis.Pass, ftype *ast.FuncType, idx int) types.Object {
 	return pass.TypesInfo.Defs[names[idx]]
 }
 
-// checkFunc flags escaping uses of the owned parameter (and its local
+// report wording: what escapes, what the sink does afterwards, the fix.
+const (
+	escapes     = "batch escapes the Func callback"
+	consequence = "the sink reuses the slice after the call returns"
+	fix         = "copy the edges (append(dst, batch...))"
+)
+
+// checkFunc flags escaping uses of the batch parameter (and its local
 // aliases) within one target function.
-func checkFunc(pass *analysis.Pass, root ast.Node, body *ast.BlockStmt, c contract) {
-	tracked := map[types.Object]bool{c.owned: true}
+func checkFunc(pass *analysis.Pass, root ast.Node, body *ast.BlockStmt, batch types.Object) {
+	tracked := map[types.Object]bool{batch: true}
 	// Fixpoint over simple aliases: x := batch, x := batch[i:j], var x = batch.
 	for changed := true; changed; {
 		changed = false
@@ -328,13 +233,13 @@ func checkFunc(pass *analysis.Pass, root ast.Node, body *ast.BlockStmt, c contra
 			}
 			if call, ok := stack[k-1].(*ast.CallExpr); ok && call.Fun == fl {
 				if _, ok := stack[k-2].(*ast.GoStmt); ok {
-					pass.Reportf(id.Pos(), "%s: captured by a goroutine; %s — %s instead", c.escapes, c.consequence, c.fix)
+					pass.Reportf(id.Pos(), "%s: captured by a goroutine; %s — %s instead", escapes, consequence, fix)
 					return true
 				}
 			}
 		}
 		if how, bad := verdict(pass, stack, root); bad {
-			pass.Reportf(id.Pos(), "%s: %s; %s — %s instead", c.escapes, how, c.consequence, c.fix)
+			pass.Reportf(id.Pos(), "%s: %s; %s — %s instead", escapes, how, consequence, fix)
 		}
 		return true
 	})
@@ -346,27 +251,8 @@ func aliasesTracked(pass *analysis.Pass, tracked map[types.Object]bool, e ast.Ex
 		return aliasesTracked(pass, tracked, e.X)
 	case *ast.SliceExpr:
 		return aliasesTracked(pass, tracked, e.X)
-	case *ast.SelectorExpr:
-		// run.T (and t.tail etc.) alias the tracked value only when the
-		// selected field is reference-typed; a value-typed field read is a
-		// copy.
-		return refType(pass.TypesInfo.TypeOf(e)) && aliasesTracked(pass, tracked, e.X)
 	case *ast.Ident:
 		return tracked[pass.TypesInfo.Uses[e]]
-	}
-	return false
-}
-
-// refType reports whether t shares underlying storage when copied — the
-// types whose field reads keep a tracked value tracked. Signatures are
-// included: a method value closes over its receiver.
-func refType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface, *types.Signature:
-		return true
 	}
 	return false
 }
@@ -398,14 +284,6 @@ func verdict(pass *analysis.Pass, stack []ast.Node, root ast.Node) (string, bool
 				return "", false // index position: a plain int read
 			}
 			cur = p // re-slice shares the backing array
-		case *ast.SelectorExpr:
-			if p.X != cur {
-				return "", false
-			}
-			if !refType(pass.TypesInfo.TypeOf(p)) {
-				return "", false // a value-typed field read is a copy
-			}
-			cur = p // run.T, t.tail: the field shares the owned storage
 		case *ast.IndexExpr:
 			if p.X != cur {
 				return "", false

@@ -8,5 +8,5 @@ import (
 )
 
 func TestSinkRetain(t *testing.T) {
-	vettest.Run(t, vettest.TestData(), sinkretain.Analyzer, "a", "clean", "block", "blockclean")
+	vettest.Run(t, vettest.TestData(), sinkretain.Analyzer, "a", "clean")
 }

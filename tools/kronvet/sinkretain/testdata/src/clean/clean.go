@@ -1,85 +1,55 @@
-// Fixture clean: the real composition shapes from internal/pipeline —
-// Tee delegation, Instrument count-then-delegate, Async's pooled copy,
-// Counter/Checksum folds, and a mutex-serialized writer. None of these may
-// be flagged.
+// Fixture clean: Func callbacks that use the batch only during the call —
+// element-wise copies, folds, reads by value, synchronous delegation — and
+// run sinks that keep runs, which point at an immutable block. None of
+// these may be flagged.
 package clean
 
 import "sync"
 
 type Edge struct{ Row, Col int64 }
 
-type Sink interface {
-	WriteBatch(p int, batch []Edge) error
-	Close() error
+// Run mirrors pipeline.Run: a slice of a shared immutable block.
+type Run struct {
+	Block  *[]Edge
+	Lo, Hi int
 }
 
-// tee mirrors pipeline.Tee: hand the batch to every child in order.
-type tee []Sink
-
-func (t tee) WriteBatch(p int, batch []Edge) error {
-	for _, s := range t {
-		if err := s.WriteBatch(p, batch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t tee) Close() error { return nil }
-
-// instrument mirrors obs-style instrumentation: read len, then delegate.
-type instrument struct {
-	next  Sink
-	edges int64
-}
-
-func (i *instrument) WriteBatch(p int, batch []Edge) error {
-	i.edges += int64(len(batch))
-	return i.next.WriteBatch(p, batch)
-}
-
-func (i *instrument) Close() error { return i.next.Close() }
-
-// Batch mirrors pipeline.Batch.
-type Batch struct{ Edges []Edge }
-
-// async mirrors pipeline.Async: copy into a pooled buffer (spread append is
-// an element-wise copy), then send the pooled buffer — never the batch.
+// async mirrors pipeline.Async: it sends the run itself, which is allowed.
 type async struct {
-	ch   chan *Batch
-	pool sync.Pool
+	ch chan Run
 }
 
-func (a *async) WriteBatch(p int, batch []Edge) error {
-	b := a.pool.Get().(*Batch)
-	b.Edges = append(b.Edges[:0], batch...)
-	a.ch <- b
+func (a *async) WriteRun(p int, r Run) error {
+	a.ch <- r
 	return nil
 }
 
-func (a *async) Close() error {
-	close(a.ch)
+// keeper retains runs in a field, which is allowed too.
+type keeper struct {
+	kept []Run
+}
+
+func (k *keeper) WriteRun(p int, r Run) error {
+	k.kept = append(k.kept, r)
 	return nil
 }
 
-// counter mirrors pipeline.Counter: fold the length per worker.
+// counter folds the batch length per worker.
 type counter struct {
 	slots []int64
 }
 
-func (c *counter) WriteBatch(p int, batch []Edge) error {
+func (c *counter) emit(p int, batch []Edge) error {
 	c.slots[p] += int64(len(batch))
 	return nil
 }
 
-func (c *counter) Close() error { return nil }
-
-// checksum mirrors pipeline.Checksum: range over the batch, fold values.
+// checksum ranges over the batch (element copies) and folds values.
 type checksum struct {
 	slots []int64
 }
 
-func (c *checksum) WriteBatch(p int, batch []Edge) error {
+func (c *checksum) emit(p int, batch []Edge) error {
 	s := c.slots[p]
 	for _, e := range batch {
 		s ^= e.Row*31 + e.Col
@@ -88,9 +58,8 @@ func (c *checksum) WriteBatch(p int, batch []Edge) error {
 	return nil
 }
 
-func (c *checksum) Close() error { return nil }
-
-// writer mirrors pipeline.Writer: serialize and delegate the encode.
+// writer serializes and delegates the encode, a synchronous call bound by
+// the same contract.
 type encoder interface {
 	WriteEdges(edges []Edge) error
 }
@@ -100,42 +69,36 @@ type writer struct {
 	enc encoder
 }
 
-func (w *writer) WriteBatch(p int, batch []Edge) error {
+func (w *writer) emit(p int, batch []Edge) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.enc.WriteEdges(batch)
 }
-
-func (w *writer) Close() error { return nil }
 
 // copySink retains edge values, not the slice: spread append copies.
 type copySink struct {
 	all []Edge
 }
 
-func (s *copySink) WriteBatch(p int, batch []Edge) error {
+func (s *copySink) emit(p int, batch []Edge) error {
 	s.all = append(s.all, batch...)
 	return nil
 }
-
-func (s *copySink) Close() error { return nil }
 
 // elemSink reads an element by value — a copy, not an alias.
 type elemSink struct {
 	last Edge
 }
 
-func (s *elemSink) WriteBatch(p int, batch []Edge) error {
+func (s *elemSink) emit(p int, batch []Edge) error {
 	if len(batch) > 0 {
 		s.last = batch[len(batch)-1]
 	}
 	return nil
 }
 
-func (s *elemSink) Close() error { return nil }
-
-// emit-callback literal doing an element-wise copy: the test-helper shape.
-func streamBatches(np int, emit func(p int, batch []Edge) error) error {
+// streamTo stands in for gen.StreamTo over a Func sink.
+func streamTo(np int, emit func(p int, batch []Edge) error) error {
 	buf := make([]Edge, 4)
 	for p := 0; p < np; p++ {
 		if err := emit(p, buf); err != nil {
@@ -145,40 +108,16 @@ func streamBatches(np int, emit func(p int, batch []Edge) error) error {
 	return nil
 }
 
+// CollectEdges uses a callback literal doing an element-wise copy: the
+// test-helper shape.
 func CollectEdges(np int) ([]Edge, error) {
 	var got []Edge
 	var mu sync.Mutex
-	err := streamBatches(np, func(p int, batch []Edge) error {
+	err := streamTo(np, func(p int, batch []Edge) error {
 		mu.Lock()
 		got = append(got, batch...)
 		mu.Unlock()
 		return nil
 	})
 	return got, err
-}
-
-// binaryWriter mirrors graphio.BinaryEdgeWriter's WriteEdges: fold the
-// checksum by ranging (element copies), then hand the batch to a synchronous
-// encode/write call — used only for the duration of the call, never retained.
-type binaryWriter struct {
-	checksum int64
-	count    int64
-	out      encoder
-}
-
-func (b *binaryWriter) WriteBatch(p int, batch []Edge) error {
-	for _, e := range batch {
-		b.checksum ^= e.Row*31 + e.Col
-	}
-	b.count += int64(len(batch))
-	return b.out.WriteEdges(batch)
-}
-
-// Close mirrors pipeline.Writer's finisher dispatch: a type assertion on the
-// wrapped encoder, no batch in sight.
-func (b *binaryWriter) Close() error {
-	if f, ok := b.out.(interface{ Finish() error }); ok {
-		return f.Finish()
-	}
-	return nil
 }
