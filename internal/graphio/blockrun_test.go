@@ -31,6 +31,83 @@ func randomRun(rng *rand.Rand, b *Block) Run {
 	return Run{Block: b, Lo: lo, Hi: hi, RowBase: int64(rng.Intn(1 << 16)), ColBase: int64(rng.Intn(1 << 16))}
 }
 
+// replayScript is one randomized interleaving of batch writes and run
+// replays, applied identically to two writers so their byte streams can be
+// compared. It returns the reference expansion of everything written.
+func replayScript(t *testing.T, rng *rand.Rand, w *BinaryEdgeWriter) []Edge {
+	t.Helper()
+	var ref []Edge
+	steps := 2 + rng.Intn(12)
+	for s := 0; s < steps; s++ {
+		if rng.Intn(3) == 0 {
+			batch := randomBlock(rng, 64)
+			if err := w.WriteEdges(batch); err != nil {
+				t.Fatal(err)
+			}
+			ref = append(ref, batch...)
+			continue
+		}
+		b := NewBlock(randomBlock(rng, 48))
+		replays := 1 + rng.Intn(4)
+		for r := 0; r < replays; r++ {
+			run := randomRun(rng, b)
+			if err := w.WriteRun(run); err != nil {
+				t.Fatal(err)
+			}
+			ref = run.AppendEdges(ref)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestBlockReplayMatchesOracle drives many random interleavings of batch
+// writes and run replays through the replay kernel and through the
+// per-edge oracle (SetBlockReplay(false)), which encodes the same frames
+// edge by edge. The two byte streams must be identical, and the stream must
+// round-trip through ReadBinary to exactly the reference expansion with the
+// reference checksum in the trailer.
+func TestBlockReplayMatchesOracle(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		var replayed, oracle bytes.Buffer
+		rw, err := NewBinaryEdgeWriter(&replayed, -1, BinaryDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ow, err := NewBinaryEdgeWriter(&oracle, -1, BinaryDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ow.SetBlockReplay(false)
+		ref := replayScript(t, rand.New(rand.NewSource(int64(1000+trial))), rw)
+		_ = replayScript(t, rand.New(rand.NewSource(int64(1000+trial))), ow)
+		if !bytes.Equal(replayed.Bytes(), oracle.Bytes()) {
+			t.Fatalf("trial %d: replayed stream (%d bytes) differs from per-edge oracle (%d bytes)",
+				trial, replayed.Len(), oracle.Len())
+		}
+		got, info, err := collectBinary(t, replayed.Bytes())
+		if err != nil {
+			t.Fatalf("trial %d: reading replayed stream: %v", trial, err)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("trial %d: round trip produced %d edges, want %d", trial, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("trial %d: edge %d = %+v, want %+v", trial, i, got[i], ref[i])
+			}
+		}
+		if int(info.Edges) != len(ref) {
+			t.Fatalf("trial %d: trailer count %d, want %d", trial, info.Edges, len(ref))
+		}
+		if want := foldChecksum(0, ref); info.Checksum != want {
+			t.Fatalf("trial %d: trailer checksum %#x, fold of expansion %#x", trial, uint64(info.Checksum), uint64(want))
+		}
+	}
+}
+
 // TestBlockRunFixedEncoding checks the fixed encoding accepts runs by
 // expanding them: the decode must equal the expansion, trailer included.
 func TestBlockRunFixedEncoding(t *testing.T) {

@@ -1,9 +1,9 @@
-// Byte-parity contract of the pipeline layer against the pre-pipeline
-// per-callback stream, on randomized designs. Lives in an external test
-// package because it drives the real generator (gen sits above pipeline in
-// the layer stack). Run under -race in CI (the pipeline package is in the
-// race matrix): the Tee fans batches out from concurrent workers, and the
-// fold sinks' per-worker slots must never race.
+// Byte-parity contract of the Writer sink against a per-callback stream, on
+// randomized designs. Lives in an external test package because it drives
+// the real generator (gen sits above pipeline in the layer stack). Run under
+// -race in CI (the pipeline package is in the race matrix): the Tee fans
+// runs out from concurrent workers, and the fold sinks' per-worker slots
+// must never race.
 package pipeline_test
 
 import (
@@ -19,10 +19,10 @@ import (
 	"repro/internal/star"
 )
 
-// TestTeeWriterByteParity pins the acceptance property of the pipeline
-// refactor: one StreamTo pass through Tee(Writer(TSV), Checksum, Counter)
-// produces TSV bytes identical to the pre-refactor per-callback
-// StreamBatches → WriteEdges loop, while the teed checksum equals
+// TestTeeWriterByteParity pins that one StreamTo pass through
+// Tee(PerWorker(Writer(TSV)...), Counter, Checksum) produces TSV bytes
+// identical to a per-callback loop that expands every run with a Func and
+// hands the batch to WriteEdges, while the teed checksum equals
 // CountEdges' and the XOR of the shard plan's checksums — generate once,
 // consume three ways, nothing changed on the wire.
 func TestTeeWriterByteParity(t *testing.T) {
@@ -47,16 +47,16 @@ func TestTeeWriterByteParity(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Reference: the pre-refactor per-callback form — each worker owns
-		// a TSV writer fed straight from the emit callback.
+		// Reference: the per-callback form — each worker owns a TSV writer
+		// fed straight from the expanded batch.
 		refBufs := make([]bytes.Buffer, np)
 		refWriters := make([]*graphio.TSVEdgeWriter, np)
 		for p := range refWriters {
 			refWriters[p] = graphio.NewTSVEdgeWriter(&refBufs[p])
 		}
-		err = g.StreamBatches(context.Background(), np, batchSize, func(p int, batch []gen.Edge) error {
+		err = g.StreamTo(context.Background(), np, batchSize, pipeline.Func(func(p int, batch []gen.Edge) error {
 			return refWriters[p].WriteEdges(batch)
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
