@@ -16,8 +16,8 @@
 //	kronvalidate -mhat 3,4,5,9 -loop hub -split 2 -shard 0/4
 //
 // With -sampled it runs the approximate mode: degrees, vertices, and edges
-// are still measured exactly, but triangles are estimated from a strided
-// sample of weight-balanced bands — a KS statistic over the degree
+// are still measured exactly, but triangles are estimated from a sample of
+// the degree-oriented pattern's entry bands — a KS statistic over the degree
 // distributions plus a triangle relative error replace the binary verdict.
 // Use it when the exact triangle count is the bottleneck:
 //

@@ -109,7 +109,8 @@ func TestMetricsExposition(t *testing.T) {
 	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}
 
 	// Discard job to done, then validate it (runs the instrumented
-	// validate_tally / validate_scatter passes in-process).
+	// validate_tally / validate_scatter passes and the validate_triangles
+	// count in-process).
 	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{DesignRequest: design, Workers: 2, Split: 1, Sink: SinkDiscard})
 	job := decodeBody[JobStatus](t, resp)
 	waitForState(t, ts.URL, job.ID, StateDone)
@@ -294,6 +295,7 @@ func TestMetricsExposition(t *testing.T) {
 		`kronserve_stage_busy_seconds_total{stage="service_stream"}`,
 		`kronserve_stage_batches_total{stage="validate_tally"}`,
 		`kronserve_stage_batches_total{stage="validate_scatter"}`,
+		`kronserve_stage_busy_seconds_total{stage="validate_triangles"}`,
 		"kronserve_jobs_done_total",
 	} {
 		if !strings.Contains(all, want) {

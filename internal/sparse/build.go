@@ -300,67 +300,3 @@ func DegreeHistogramCSR(rowPtr []int, np int) (map[int64]int64, error) {
 	}
 	return out, nil
 }
-
-// IntersectRatio is the adaptive sorted-list-intersection threshold shared
-// by EdgeBands' cost model and the triangle counters that consume its
-// bands: two lists are intersected by linear merge (cost ≈ len(a)+len(b))
-// when comparably sized, and by binary-searching the shorter into the
-// longer (cost ≈ min·log) when one is ≥ IntersectRatio× longer. One
-// constant for both keeps the band balance honest if the threshold is ever
-// retuned.
-const IntersectRatio = 16
-
-// intersectWeight estimates the cost of intersecting adjacency lists of
-// lengths di and dj under the adaptive strategy: the short list plus a
-// merge-regime share of the combined length. Exactness doesn't matter —
-// only that hub×hub pairs weigh much more than hub×leaf pairs.
-func intersectWeight(di, dj int64) int64 {
-	mn := di
-	if dj < mn {
-		mn = dj
-	}
-	return 1 + mn + (di+dj)/IntersectRatio
-}
-
-// EdgeBands partitions the stored-entry index space [0, nnz) of m into np
-// contiguous ranges of approximately equal intersection work, weighting
-// entry (i,j) by intersectWeight(deg(i), deg(j)). Row-granular partitions
-// starve on hub-dominated power-law graphs, where one row can hold half the
-// quadratic work; entry granularity splits a hub row across workers. Bands
-// are returned as [lo, hi) pairs covering the whole index space in order;
-// between 1 and np bands come back (fewer when the work does not divide np
-// ways), and none is empty except the final catch-all on an empty matrix.
-func (m *CSR[T]) EdgeBands(np int) [][2]int {
-	if np < 1 {
-		np = 1
-	}
-	var total int64
-	for i := 0; i < m.NumRows; i++ {
-		di := int64(m.RowPtr[i+1] - m.RowPtr[i])
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			j := m.ColIdx[p]
-			total += intersectWeight(di, int64(m.RowPtr[j+1]-m.RowPtr[j]))
-		}
-	}
-	out := make([][2]int, 0, np)
-	lo, band := 0, 1
-	var acc int64
-	for i := 0; i < m.NumRows && band < np; i++ {
-		di := int64(m.RowPtr[i+1] - m.RowPtr[i])
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1] && band < np; p++ {
-			j := m.ColIdx[p]
-			acc += intersectWeight(di, int64(m.RowPtr[j+1]-m.RowPtr[j]))
-			// total/np first: total·band can overflow int64 on cap-scale
-			// hub graphs (weights grow ~deg², so total can reach ~2^56)
-			// with high worker counts, which would wrap the threshold
-			// negative and collapse the partition into one band.
-			if acc >= total/int64(np)*int64(band) {
-				out = append(out, [2]int{lo, p + 1})
-				lo = p + 1
-				band++
-			}
-		}
-	}
-	out = append(out, [2]int{lo, m.NNZ()})
-	return out
-}

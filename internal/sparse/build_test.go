@@ -185,29 +185,3 @@ func TestDegreeHistogramCSR(t *testing.T) {
 		t.Fatal("nil row pointers accepted")
 	}
 }
-
-func TestEdgeBandsCoverAndOrder(t *testing.T) {
-	coo, _ := randomBands(t, 40, 40, 350, 1, 11)
-	csr := coo.ToCSR(semiring.PlusTimesInt64())
-	for _, np := range []int{1, 2, 5, 16, 1000} {
-		bands := csr.EdgeBands(np)
-		if len(bands) < 1 || len(bands) > np {
-			t.Fatalf("np=%d: %d bands", np, len(bands))
-		}
-		pos := 0
-		for _, b := range bands {
-			if b[0] != pos || b[1] < b[0] {
-				t.Fatalf("np=%d: band %v does not continue from %d", np, b, pos)
-			}
-			pos = b[1]
-		}
-		if pos != csr.NNZ() {
-			t.Fatalf("np=%d: bands end at %d, want %d", np, pos, csr.NNZ())
-		}
-	}
-	empty := MustCOO[int64](4, 4, nil).ToCSR(semiring.PlusTimesInt64())
-	bands := empty.EdgeBands(3)
-	if len(bands) != 1 || bands[0] != [2]int{0, 0} {
-		t.Fatalf("empty matrix bands: %v", bands)
-	}
-}

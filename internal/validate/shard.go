@@ -3,17 +3,13 @@ package validate
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"reflect"
 	"sort"
 
-	"repro/internal/bigdeg"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sparse"
-	"repro/internal/triangle"
 )
 
 // ShardReport is one shard's contribution to a design-level validation: the
@@ -48,10 +44,10 @@ type ShardReport struct {
 	// never stored its edges.
 	Checksum int64
 
-	// frag holds the shard's edges as canonical CSR over the full n×n vertex
-	// space — the mergeable fan-in unit. Unexported: its lifecycle belongs to
-	// Merge.
-	frag *sparse.CSR[int64]
+	// frag holds the shard's edges as a canonical pattern CSR over the full
+	// n×n vertex space — the mergeable fan-in unit. Unexported: its
+	// lifecycle belongs to Merge.
+	frag *sparse.CSR[struct{}]
 }
 
 // RunShard measures exactly one shard of the design's plan with np workers:
@@ -78,30 +74,12 @@ func RunShard(ctx context.Context, d *core.Design, nb, np int, s gen.ShardInfo) 
 	if err != nil {
 		return nil, err
 	}
-	n := int(pred.Vertices.Int64())
-	builder, err := sparse.NewCSRBuilder[int64](n, n, np)
-	if err != nil {
-		return nil, err
-	}
-	// Pass 1 — tally the shard's band in flight, teeing the checksum fold
-	// off the same runs. Both sinks are per-worker-private folds, so the
-	// pass shares nothing across workers, like the full engine.
+	// The tally pass tees the checksum fold off the same runs; both are
+	// per-worker-private folds, so the pass shares nothing across workers,
+	// like the full engine.
 	cks := pipeline.NewChecksum(np)
-	tally := pipeline.Instrument(obs.Stages.Stage(stageTally),
-		pipeline.Tee(tallySink{builder}, cks))
-	if err := g.StreamShardTo(ctx, s, np, 0, tally); err != nil {
-		return nil, err
-	}
-	if err := builder.Finalize(); err != nil {
-		return nil, err
-	}
-	// Pass 2 — replay the shard deterministically and scatter into the
-	// fragment through the prefix-summed cursors.
-	scatter := pipeline.Instrument(obs.Stages.Stage(stageScatter), scatterSink{builder})
-	if err := g.StreamShardTo(ctx, s, np, 0, scatter); err != nil {
-		return nil, err
-	}
-	frag, err := builder.Build()
+	frag, err := buildPattern(int(pred.Vertices.Int64()), np,
+		func(sink pipeline.Sink) error { return g.StreamShardTo(ctx, s, np, 0, sink) }, cks)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +88,7 @@ func RunShard(ctx context.Context, d *core.Design, nb, np int, s gen.ShardInfo) 
 		Split:         nb,
 		Workers:       np,
 		Shard:         s,
-		MeasuredEdges: int64(builder.NNZ()),
+		MeasuredEdges: int64(frag.NNZ()),
 		Checksum:      cks.Sum(),
 		frag:          frag,
 	}, nil
@@ -120,9 +98,9 @@ func RunShard(ctx context.Context, d *core.Design, nb, np int, s gen.ShardInfo) 
 // Report with np workers: fragments concatenate per row in shard order
 // (canonical without sorting, because the generator's band-order guarantee
 // extends across shards), degrees and vertices fall out of the merged row
-// pointers, and triangles are counted once over the merged CSR's
-// weight-balanced entry bands — the only phase of validation that must see
-// the whole graph.
+// pointers, and triangles are counted once on the merged pattern's
+// degree-oriented half — the only phase of validation that must see the
+// whole graph.
 //
 // Merge is defensive about coverage: the reports must all describe the same
 // design and split, belong to the same K-shard plan, cover every index
@@ -174,7 +152,7 @@ func Merge(ctx context.Context, reports []*ShardReport, np int) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
-	frags := make([]*sparse.CSR[int64], len(ordered))
+	frags := make([]*sparse.CSR[struct{}], len(ordered))
 	for i, r := range ordered {
 		frags[i] = r.frag
 	}
@@ -191,26 +169,9 @@ func Merge(ctx context.Context, reports []*ShardReport, np int) (*Report, error)
 		PredictedTriangles: pred.Triangles,
 		PredictedDegrees:   pred.Degrees,
 	}
-	rep.MeasuredEdges = int64(a.NNZ())
-	hist, err := sparse.DegreeHistogramCSR(a.RowPtr, np)
-	if err != nil {
+	if err := rep.measure(ctx, a, np); err != nil {
 		return nil, err
 	}
-	md := bigdeg.New()
-	var touched int64
-	for deg, cnt := range hist {
-		md.AddCount(big.NewInt(deg), big.NewInt(cnt))
-		touched += cnt
-	}
-	rep.MeasuredDegrees = md
-	rep.MeasuredVertices = touched
-
-	tri, err := triangle.CountBothCSR(ctx, a, np)
-	if err != nil {
-		return nil, err
-	}
-	rep.MeasuredTriangles = tri
-
 	rep.compare()
 	return rep, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -189,6 +190,29 @@ func TestSampledAgreesWithExact(t *testing.T) {
 	}
 	if _, err := RunSampled(context.Background(), d, 2, 2, SampleOptions{Bands: -1, Stride: 2}); err == nil {
 		t.Error("negative Bands accepted")
+	}
+}
+
+// pickBands must take exactly one band from each run of stride consecutive
+// bands, the last, shorter run included, and the same bands every time.
+func TestPickBands(t *testing.T) {
+	bands := make([][2]int, 21)
+	for i := range bands {
+		bands[i] = [2]int{i, i + 1}
+	}
+	for _, stride := range []int{1, 4, 8, 21, 40} {
+		picked := pickBands(bands, stride)
+		if want := (len(bands) + stride - 1) / stride; len(picked) != want {
+			t.Fatalf("stride %d: picked %d bands, want %d", stride, len(picked), want)
+		}
+		for g, b := range picked {
+			if b[0] < g*stride || b[0] >= min((g+1)*stride, len(bands)) {
+				t.Errorf("stride %d: pick %d is band %d, outside run [%d,%d)", stride, g, b[0], g*stride, (g+1)*stride)
+			}
+		}
+		if again := pickBands(bands, stride); !reflect.DeepEqual(again, picked) {
+			t.Errorf("stride %d: picks differ between calls", stride)
+		}
 	}
 }
 

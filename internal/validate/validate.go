@@ -19,12 +19,15 @@
 //     band-order guarantee makes each row arrive column-sorted; see
 //     gen.StreamTo and sparse.CSRBuilder).
 //
-// Triangles are then counted on the CSR by the same worker pool, partitioned
-// over weight-balanced entry bands (triangle.CountBothCSR). Peak memory is
-// the CSR itself plus the O(workers·vertices) tally tables — there is no
-// materialized COO, no Dedupe clone, and no reflection sort anywhere on the
-// path, which is what lifts MaxRealizableEdges 8× over the materialized
-// engine.
+// The CSR is a value-free pattern (sparse.CSR[struct{}], 8 bytes per
+// entry); the scatter pass rejects any edge whose value is not 1. Triangles
+// are then counted by the same worker pool on the pattern's degree-oriented
+// half U (triangle.Orient, which also proves the pattern simple and
+// symmetric, then Oriented.CountBoth). Peak memory is the pattern plus U
+// (2 bytes per pattern entry) plus the O(workers·vertices) tally tables —
+// there is no materialized COO, no Dedupe clone, and no reflection sort
+// anywhere on the path, which is what lifts MaxRealizableEdges 8× over the
+// materialized engine.
 package validate
 
 import (
@@ -47,10 +50,14 @@ import (
 // Stage names the validation passes report under in the process-default
 // stage registry (kronserve renders them as kronserve_stage_*_total{stage=...}
 // when validation runs in-server), so the per-pass batch/edge/busy totals
-// behind a fig4 scaling run are readable off /metrics.
+// behind a fig4 scaling run are readable off /metrics. The tally and scatter
+// stages count runs and edges; the triangle stage records one batch per
+// worker for each of its three passes (orient, intersect, mark), with the
+// oriented-pattern entries that worker handled as its edges.
 const (
-	stageTally   = "validate_tally"
-	stageScatter = "validate_scatter"
+	stageTally     = "validate_tally"
+	stageScatter   = "validate_scatter"
+	stageTriangles = "validate_triangles"
 )
 
 // Report compares predicted and measured properties of one design.
@@ -78,9 +85,10 @@ type Report struct {
 
 // MaxRealizableEdges caps the designs Run will realize in memory; larger
 // designs must be validated through the design-side identities alone. The
-// bound is set by the CSR footprint (16 bytes per stored entry) rather than
-// a globally sorted triple pipeline, which is why it sits 8× above the
-// materialized engine's historical 2^27 cap.
+// bound is set by the pattern CSR (8 bytes per stored entry) plus the
+// oriented pattern the triangle counters build from it (2 bytes per stored
+// entry), rather than by a globally sorted triple pipeline, which is why it
+// sits 8× above the materialized engine's historical 2^27 cap.
 const MaxRealizableEdges = 1 << 30
 
 // maxRealizableVertices bounds the row space: the engine keeps one int32
@@ -100,30 +108,75 @@ func Run(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := int(pred.Vertices.Int64())
-
-	builder, err := sparse.NewCSRBuilder[int64](n, n, np)
+	a, err := buildPattern(int(pred.Vertices.Int64()), np,
+		func(s pipeline.Sink) error { return g.StreamTo(ctx, np, 0, s) })
 	if err != nil {
 		return nil, err
 	}
-	// Pass 1 — measure in flight: per-worker degree tallies and edge
-	// counts, no edge stored. Each worker touches only its own tally row,
-	// so the pass shares nothing, like the generator underneath it. Both
-	// passes are pipeline sinks over the same StreamTo engine every other
-	// stream consumer rides — the measurement is just another fold.
-	if err := g.StreamTo(ctx, np, 0, pipeline.Instrument(obs.Stages.Stage(stageTally), tallySink{builder})); err != nil {
+	if err := r.measure(ctx, a, np); err != nil {
 		return nil, err
 	}
-	if err := builder.Finalize(); err != nil {
-		return nil, err
-	}
+	r.compare()
+	return r, nil
+}
 
-	// The band merge: edges, vertices, and the exact degree distribution
-	// all fall out of the merged row pointers before any edge is placed.
-	r.MeasuredEdges = int64(builder.NNZ())
-	hist, err := sparse.DegreeHistogramCSR(builder.RowPtr(), np)
+// buildPattern runs the engine's two measurement passes over stream and
+// returns the value-free pattern CSR they build on the n×n vertex space.
+//
+//   - Pass 1 — measure in flight: per-worker degree tallies, no edge
+//     stored. Each worker touches only its own tally row, so the pass
+//     shares nothing, like the generator underneath it. extra sinks (the
+//     shard engine's checksum fold) ride the same runs.
+//   - Pass 2 — scatter the regenerated stream into the CSR. The generator
+//     is deterministic per worker, so each worker replays exactly the band
+//     it counted, and the builder proves it did.
+//
+// Both passes are pipeline sinks over the same stream every other consumer
+// rides — the measurement is just another fold.
+func buildPattern(n, np int, stream func(pipeline.Sink) error, extra ...pipeline.Sink) (*sparse.CSR[struct{}], error) {
+	b, err := sparse.NewCSRBuilder[struct{}](n, n, np)
 	if err != nil {
 		return nil, err
+	}
+	tally := pipeline.Tee(append([]pipeline.Sink{tallySink{b}}, extra...)...)
+	if err := stream(pipeline.Instrument(obs.Stages.Stage(stageTally), tally)); err != nil {
+		return nil, err
+	}
+	if err := b.Finalize(); err != nil {
+		return nil, err
+	}
+	if err := stream(pipeline.Instrument(obs.Stages.Stage(stageScatter), scatterSink{b})); err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// measure fills the report's measured side from the pattern a: edges,
+// vertices and the exact degree distribution fall out of the row pointers,
+// and triangles are counted on the degree-oriented pattern.
+func (r *Report) measure(ctx context.Context, a *sparse.CSR[struct{}], np int) error {
+	md, touched, err := degrees(a.RowPtr, np)
+	if err != nil {
+		return err
+	}
+	r.MeasuredEdges = int64(a.NNZ())
+	r.MeasuredDegrees = md
+	r.MeasuredVertices = touched
+	st := obs.Stages.Stage(stageTriangles)
+	u, err := triangle.Orient(ctx, a, np, st)
+	if err != nil {
+		return err
+	}
+	r.MeasuredTriangles, err = u.CountBoth(ctx, np, st)
+	return err
+}
+
+// degrees reduces a pattern's row pointers to its exact degree distribution
+// and the number of vertices with at least one edge.
+func degrees(rowPtr []int, np int) (*bigdeg.Dist, int64, error) {
+	hist, err := sparse.DegreeHistogramCSR(rowPtr, np)
+	if err != nil {
+		return nil, 0, err
 	}
 	md := bigdeg.New()
 	var touched int64
@@ -131,28 +184,7 @@ func Run(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
 		md.AddCount(big.NewInt(deg), big.NewInt(cnt))
 		touched += cnt
 	}
-	r.MeasuredDegrees = md
-	r.MeasuredVertices = touched
-
-	// Pass 2 — scatter the regenerated stream into the CSR. The generator
-	// is deterministic per worker, so each worker replays exactly the band
-	// it counted.
-	if err := g.StreamTo(ctx, np, 0, pipeline.Instrument(obs.Stages.Stage(stageScatter), scatterSink{builder})); err != nil {
-		return nil, err
-	}
-	a, err := builder.Build()
-	if err != nil {
-		return nil, err
-	}
-
-	tri, err := triangle.CountBothCSR(ctx, a, np)
-	if err != nil {
-		return nil, err
-	}
-	r.MeasuredTriangles = tri
-
-	r.compare()
-	return r, nil
+	return md, touched, nil
 }
 
 // RunMaterialized is the pre-streaming reference engine: it collects every
@@ -224,7 +256,7 @@ func RunMaterialized(ctx context.Context, d *core.Design, nb, np int) (*Report, 
 // tallySink is the pass-1 measurement fold as a pipeline sink: each worker
 // bumps its private per-row tally as its band streams past, storing nothing.
 type tallySink struct {
-	b *sparse.CSRBuilder[int64]
+	b *sparse.CSRBuilder[struct{}]
 }
 
 func (s tallySink) WriteRun(w int, r pipeline.Run) error {
@@ -237,15 +269,21 @@ func (s tallySink) WriteRun(w int, r pipeline.Run) error {
 func (s tallySink) Close() error { return nil }
 
 // scatterSink is the pass-2 placement fold as a pipeline sink: each worker
-// scatters its regenerated band straight into the final CSR arrays through
-// its prefix-summed cursors.
+// scatters its regenerated band straight into the pattern CSR through its
+// prefix-summed cursors. The pattern stores no values, so the sink checks
+// that every edge carries 1 — the measured graph is a 0/1 adjacency matrix,
+// and any other value is a generator fault to report, not to drop.
 type scatterSink struct {
-	b *sparse.CSRBuilder[int64]
+	b *sparse.CSRBuilder[struct{}]
 }
 
 func (s scatterSink) WriteRun(w int, r pipeline.Run) error {
 	for _, e := range r.Local() {
-		s.b.Place(w, int(r.RowBase+e.Row), int(r.ColBase+e.Col), e.Val)
+		if e.Val != 1 {
+			return fmt.Errorf("validate: edge (%d,%d) carries value %d; the measured graph must be 0/1",
+				r.RowBase+e.Row, r.ColBase+e.Col, e.Val)
+		}
+		s.b.Place(w, int(r.RowBase+e.Row), int(r.ColBase+e.Col), struct{}{})
 	}
 	return nil
 }

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graphio"
+	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/star"
 )
 
@@ -91,5 +94,50 @@ func TestRejectsUnrealizableDesign(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), d, 8, 2); err == nil {
 		t.Error("decetta-scale design accepted for realization")
+	}
+}
+
+// The measured graph is a 0/1 adjacency matrix and the pattern CSR stores no
+// values, so a run carrying any other value must fail the measurement with
+// an error rather than be placed as if it were 1.
+func TestScatterRejectsNonUnitValue(t *testing.T) {
+	block := graphio.NewBlock([]graphio.Edge{{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 0, Val: 2}})
+	stream := func(s pipeline.Sink) error {
+		if err := s.WriteRun(0, pipeline.Run{Block: block, Lo: 0, Hi: block.Len()}); err != nil {
+			_ = s.Close()
+			return err
+		}
+		return s.Close()
+	}
+	a, err := buildPattern(2, 1, stream)
+	if err == nil {
+		t.Fatalf("a run carrying value 2 built a %d-entry pattern", a.NNZ())
+	}
+	if !strings.Contains(err.Error(), "value 2") {
+		t.Errorf("err = %v, want it to name the value", err)
+	}
+}
+
+// The triangle phase records into its stage: per worker, busy time and the
+// oriented-pattern entries each of its three passes (orient, intersect,
+// mark) handled, so a run adds three times the undirected edge count.
+func TestTriangleStageRecords(t *testing.T) {
+	d, err := core.FromPoints([]int{3, 4, 5}, star.LoopHub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := obs.Stages.Stage(stageTriangles)
+	before := st.Snapshot()
+	r, err := Run(context.Background(), d, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := st.Snapshot()
+	if got, want := after.Edges-before.Edges, 3*r.MeasuredEdges/2; got != want {
+		t.Errorf("stage recorded %d entries, want %d", got, want)
+	}
+	if after.Batches-before.Batches < 3 || after.Busy <= before.Busy {
+		t.Errorf("stage recorded %d batches and %v busy, want a batch per worker per pass",
+			after.Batches-before.Batches, after.Busy-before.Busy)
 	}
 }

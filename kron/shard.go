@@ -71,9 +71,9 @@ type SampleOptions = validate.SampleOptions
 
 // ValidateSampled runs the approximate validation mode: exact everything
 // except triangles, which are estimated from a deterministic sample of the
-// measured CSR's weight-balanced entry bands. Use it for interactive checks
-// on designs whose exact triangle count would take minutes; Validate remains
-// the exact verdict.
+// entry bands of the measured graph's degree-oriented pattern. Use it for
+// interactive checks on designs whose exact triangle count would take
+// minutes; Validate remains the exact verdict.
 func ValidateSampled(ctx context.Context, d *Design, nb, np int, opt SampleOptions) (*SampledValidationReport, error) {
 	return validate.RunSampled(ctx, d, nb, np, opt)
 }

@@ -81,6 +81,7 @@ for series in \
   'kronserve_stage_busy_seconds_total{stage="service_stream"}' \
   'kronserve_stage_batches_total{stage="validate_tally"}' \
   'kronserve_stage_batches_total{stage="validate_scatter"}' \
+  'kronserve_stage_busy_seconds_total{stage="validate_triangles"}' \
   'kronserve_jobs_done_total'
 do
   grep -qF "$series" "$WORK/metrics.txt" || fail "/metrics missing: $series"
