@@ -186,33 +186,32 @@ func BenchmarkFig4Validation(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5QuadrillionDesign measures the no-loop quadrillion design.
-func BenchmarkFig5QuadrillionDesign(b *testing.B) {
-	benchDesign(b, []int{3, 4, 5, 9, 16, 25, 81, 256, 625}, kron.LoopNone)
-}
-
-// BenchmarkFig6QuadrillionDesign measures the hub-loop quadrillion design.
-func BenchmarkFig6QuadrillionDesign(b *testing.B) {
-	benchDesign(b, []int{3, 4, 5, 9, 16, 25, 81, 256, 625}, kron.LoopHub)
-}
-
-// BenchmarkFig7DecettaDesign measures the 10³⁰-edge leaf-loop design — the
-// paper's "few minutes on a laptop" computation.
-func BenchmarkFig7DecettaDesign(b *testing.B) {
-	benchDesign(b, []int{3, 4, 5, 7, 11, 9, 16, 25, 49, 81, 121, 256, 625, 2401, 14641}, kron.LoopLeaf)
-}
-
-func benchDesign(b *testing.B, points []int, loop kron.LoopMode) {
-	b.Helper()
-	d, err := kron.FromPoints(points, loop)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Compute(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkDesignCompute measures computing every exact property of the
+// quadrillion-edge designs of Figures 5 and 6 and of Figure 7's 10³⁰-edge
+// design, the paper's "few minutes on a laptop" computation.
+func BenchmarkDesignCompute(b *testing.B) {
+	quadrillion := []int{3, 4, 5, 9, 16, 25, 81, 256, 625}
+	for _, fig := range []struct {
+		name   string
+		points []int
+		loop   kron.LoopMode
+	}{
+		{"fig5", quadrillion, kron.LoopNone},
+		{"fig6", quadrillion, kron.LoopHub},
+		{"fig7", []int{3, 4, 5, 7, 11, 9, 16, 25, 49, 81, 121, 256, 625, 2401, 14641}, kron.LoopLeaf},
+	} {
+		b.Run(fig.name, func(b *testing.B) {
+			d, err := kron.FromPoints(fig.points, fig.loop)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := d.Compute(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

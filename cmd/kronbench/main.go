@@ -823,13 +823,26 @@ func fig6(int) error {
 
 func fig7(int) error {
 	header("Figure 7: decetta-scale (10^30 edge) leaf-loop design")
-	start := time.Now()
-	err := designSummary(
+	return designSummary(
 		[]int{3, 4, 5, 7, 11, 9, 16, 25, 49, 81, 121, 256, 625, 2401, 14641},
 		kron.LoopLeaf,
-		"paper: 144,111,718,793,178,936,483,840,000 vertices, 2,705,963,586,782,877,716,483,871,216,764 edges, 178,940,587 triangles")
-	fmt.Printf("computed in %v (paper: 'a few minutes on a laptop')\n", time.Since(start))
-	return err
+		"paper: 144,111,718,793,178,936,483,840,000 vertices, 2,705,963,586,782,877,716,483,871,216,764 edges, 178,940,587 triangles, computed in 'a few minutes on a laptop'")
+}
+
+// designRepeats is how many times each of figures 5–7 times Design.Compute.
+const designRepeats = 21
+
+// designSeries is a figure's closed-form computation, measured: the wall
+// time of Design.Compute over Repeats calls, as a median and quartiles.
+type designSeries struct {
+	Series          string  `json:"series"`
+	Class           string  `json:"class"`
+	Repeats         int     `json:"repeats"`
+	MedianMs        float64 `json:"medianMs"`
+	Q1Ms            float64 `json:"q1Ms"`
+	Q3Ms            float64 `json:"q3Ms"`
+	DistinctDegrees int     `json:"distinctDegrees"`
+	Gomaxprocs      int     `json:"gomaxprocs"`
 }
 
 func designSummary(points []int, loop kron.LoopMode, note string) error {
@@ -837,16 +850,30 @@ func designSummary(points []int, loop kron.LoopMode, note string) error {
 	if err != nil {
 		return err
 	}
-	p, err := d.Compute()
-	if err != nil {
-		return err
+	var p *kron.Properties
+	ms := make([]float64, designRepeats)
+	for i := range ms {
+		start := time.Now()
+		if p, err = d.Compute(); err != nil {
+			return err
+		}
+		ms[i] = float64(time.Since(start).Nanoseconds()) / 1e6
 	}
+	slices.Sort(ms)
+	s := designSeries{
+		Series: "designCompute", Class: "closed-form", Repeats: len(ms),
+		MedianMs: ms[len(ms)/2], Q1Ms: ms[len(ms)/4], Q3Ms: ms[3*len(ms)/4],
+		DistinctDegrees: p.Degrees.Len(), Gomaxprocs: runtime.GOMAXPROCS(0),
+	}
+	recordBench("computeSeries", s)
 	fmt.Print(p.Report())
 	dev, err := p.Degrees.PowerLawDeviation()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("max power-law deviation (log space): %.4g\n", dev)
+	fmt.Printf("Design.Compute: median %.3g ms (quartiles %.3g–%.3g ms) over %d repeats\n",
+		s.MedianMs, s.Q1Ms, s.Q3Ms, s.Repeats)
 	fmt.Println(note)
 	if plotFigures {
 		rendered, err := plot.LogLog(p.Degrees, plot.DefaultConfig())

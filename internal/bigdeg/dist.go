@@ -8,8 +8,10 @@ package bigdeg
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,10 +32,11 @@ type Dist struct {
 func New() *Dist { return &Dist{} }
 
 // FromInt64Map builds a distribution from small (per-factor) degree counts.
+// Keys are added in ascending order, so each one appends.
 func FromInt64Map(m map[int64]int64) *Dist {
-	d := New()
-	for deg, n := range m {
-		if n != 0 {
+	d := &Dist{entries: make([]Entry, 0, len(m))}
+	for _, deg := range slices.Sorted(maps.Keys(m)) {
+		if n := m[deg]; n != 0 {
 			d.AddCount(big.NewInt(deg), big.NewInt(n))
 		}
 	}
@@ -97,17 +100,118 @@ func (d *Dist) AddCount(deg, delta *big.Int) {
 // Kron combines two distributions per the paper's identity: a product-graph
 // vertex (u, v) has degree dᵤ·dᵥ, so every support pair multiplies in both
 // coordinates and colliding degree products merge.
+//
+// It merges sorted runs. Each entry of the smaller side scales the larger
+// side's ascending support into one ascending run; a k-way merge takes the
+// runs' products in degree order and appends them, adding a product's count
+// into the last output entry when its degree repeats. For k runs that costs
+// O(|a|·|b|·log k), with no search and no insertion. The one precondition
+// is that degrees are non-negative, so scaling keeps each run ascending;
+// every distribution of a graph meets it, and Kron panics on one that
+// does not.
 func Kron(a, b *Dist) *Dist {
-	out := New()
-	var deg big.Int
-	for _, ea := range a.entries {
-		for _, eb := range b.entries {
-			deg.Mul(ea.D, eb.D)
-			cnt := new(big.Int).Mul(ea.N, eb.N)
-			out.AddCount(&deg, cnt)
+	outer, inner := a.entries, b.entries
+	if len(outer) > len(inner) {
+		outer, inner = inner, outer
+	}
+	out := &Dist{entries: make([]Entry, 0, len(outer)*len(inner))}
+	if len(outer) == 0 {
+		return out
+	}
+	if outer[0].D.Sign() < 0 || inner[0].D.Sign() < 0 {
+		panic("bigdeg: Kron of a distribution with a negative degree")
+	}
+	runs := make([]kronRun, len(outer))
+	heads := make([]*kronRun, len(outer))
+	for i := range runs {
+		r := &runs[i]
+		r.scale = outer[i]
+		r.d.Mul(r.scale.D, inner[0].D)
+		heads[i] = r
+	}
+	// The heads start in the smaller side's ascending degree order, which
+	// is already a min-heap.
+	mem := arena{left: 2 * len(outer) * len(inner)}
+	var cnt big.Int
+	for len(heads) > 0 {
+		r := heads[0]
+		eb := inner[r.j]
+		cnt.Mul(r.scale.N, eb.N)
+		if n := len(out.entries); n > 0 && out.entries[n-1].D.Cmp(&r.d) == 0 {
+			last := out.entries[n-1].N
+			last.Add(last, &cnt)
+		} else {
+			// N gets a spare word, so adding a colliding count rarely
+			// outgrows it.
+			out.entries = append(out.entries, Entry{
+				D: mem.alloc(len(r.d.Bits())).Set(&r.d),
+				N: mem.alloc(len(cnt.Bits()) + 1).Set(&cnt),
+			})
 		}
+		r.j++
+		if r.j < len(inner) {
+			r.d.Mul(r.scale.D, inner[r.j].D)
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		siftDown(heads)
 	}
 	return out
+}
+
+// kronRun is one entry of Kron's smaller side scaling the larger side: its
+// head is the product with the larger side's entry j.
+type kronRun struct {
+	scale Entry
+	j     int
+	d     big.Int // scale.D times the larger side's j-th degree
+}
+
+// siftDown restores the min-heap order of h after its root changed.
+func siftDown(h []*kronRun) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].d.Cmp(&h[c].d) < 0 {
+			c++
+		}
+		if h[i].d.Cmp(&h[c].d) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// arenaChunk is how many big.Ints one arena chunk holds.
+const arenaChunk = 1024
+
+// arena hands out big.Ints with their digit storage reserved, from chunks,
+// so Kron allocates once per chunk instead of twice per product.
+type arena struct {
+	ints  []big.Int
+	words []big.Word
+	left  int // big.Ints still to be asked for, at most; caps chunk sizes
+}
+
+// alloc returns a zero big.Int with room for the given number of words.
+func (m *arena) alloc(words int) *big.Int {
+	n := min(m.left, arenaChunk)
+	m.left--
+	if len(m.ints) == 0 {
+		m.ints = make([]big.Int, n)
+	}
+	if len(m.words) < words {
+		m.words = make([]big.Word, n*words)
+	}
+	z := &m.ints[0]
+	m.ints = m.ints[1:]
+	z.SetBits(m.words[:0:words])
+	m.words = m.words[words:]
+	return z
 }
 
 // KronN folds Kron over the factor distributions left to right.
@@ -115,8 +219,11 @@ func KronN(factors ...*Dist) (*Dist, error) {
 	if len(factors) == 0 {
 		return nil, fmt.Errorf("bigdeg: KronN requires at least one factor")
 	}
-	acc := factors[0].clone()
-	for _, f := range factors[1:] {
+	if len(factors) == 1 {
+		return factors[0].clone(), nil
+	}
+	acc := Kron(factors[0], factors[1])
+	for _, f := range factors[2:] {
 		acc = Kron(acc, f)
 	}
 	return acc, nil

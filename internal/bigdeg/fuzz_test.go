@@ -1,6 +1,7 @@
 package bigdeg
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 )
@@ -34,4 +35,42 @@ func FuzzParseCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzKron checks Kron, in both argument orders, against the map oracle on
+// two small distributions decoded from the input.
+func FuzzKron(f *testing.F) {
+	f.Add([]byte{2, 2, 5, 0, 4, 1, 0, 1, 3, 0, 2, 9, 1})
+	f.Add([]byte{1, 0, 7, 3, 6, 2, 0, 6, 2, 1, 12, 9, 2, 4, 4, 1})
+	f.Add([]byte{0, 5, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		rest := data[1:]
+		cut := min(3*int(data[0]), len(rest))
+		a, b := fuzzDist(rest[:cut]), fuzzDist(rest[cut:])
+		want := oracleOf(a).kron(b)
+		checkOracle(t, "a⊗b", Kron(a, b), want)
+		checkOracle(t, "b⊗a", Kron(b, a), want)
+	})
+}
+
+// fuzzDist decodes three bytes an entry: a degree below 64, so products
+// collide often, and a positive count, each shifted past 2^64 when a flag
+// bit says so.
+func fuzzDist(bs []byte) *Dist {
+	d := New()
+	for ; len(bs) >= 3; bs = bs[3:] {
+		deg := big.NewInt(int64(bs[0] % 64))
+		cnt := big.NewInt(int64(bs[1]) + 1)
+		if bs[2]&1 != 0 {
+			deg.Lsh(deg, 64)
+		}
+		if bs[2]&2 != 0 {
+			cnt.Lsh(cnt, 70)
+		}
+		d.AddCount(deg, cnt)
+	}
+	return d
 }

@@ -127,6 +127,7 @@ func TestFig5QuadrillionNoLoop(t *testing.T) {
 	if !exact {
 		t.Error("Figure 5 design not an exact power law")
 	}
+	wantDegrees(t, a, 512, "2799360000000", "2799360000000")
 }
 
 // Figure 6: quadrillion-edge hub-loop graph.
@@ -154,6 +155,7 @@ func TestFig6QuadrillionHubLoop(t *testing.T) {
 	if exact {
 		t.Error("Figure 6 design unexpectedly exact")
 	}
+	wantDegrees(t, a, 512, "2799360000000", "6997208649599")
 }
 
 // Figure 7: the decetta-scale (10³⁰ edge) leaf-loop graph, computable on a
@@ -168,6 +170,29 @@ func TestFig7DecettaLeafLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBig(t, "triangles", tri, "178940587")
+	wantDegrees(t, a, 86017, "10684262234927923200000000", "44925594092297614080000000")
+}
+
+// wantDegrees pins a design's degree distribution: ΣN against the vertex
+// count, Σd·n against the edge count, and its number of distinct degrees,
+// n(1) and largest degree.
+func wantDegrees(t *testing.T, a *Design, distinct int, n1, dmax string) {
+	t.Helper()
+	dist, err := a.DegreeDistribution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dist.SumCounts().Cmp(a.NumVertices()) != 0 {
+		t.Errorf("Σn(d) = %s, want %s vertices", dist.SumCounts(), a.NumVertices())
+	}
+	if dist.SumDegreeWeighted().Cmp(a.NumEdges()) != 0 {
+		t.Errorf("Σd·n(d) = %s, want %s edges", dist.SumDegreeWeighted(), a.NumEdges())
+	}
+	if dist.Len() != distinct {
+		t.Errorf("distinct degrees = %d, want %d", dist.Len(), distinct)
+	}
+	wantBig(t, "n(1)", dist.CountAt(big.NewInt(1)), n1)
+	wantBig(t, "max degree", dist.MaxDegree(), dmax)
 }
 
 // --- Structural properties ---------------------------------------------

@@ -178,13 +178,11 @@ func degrees(rowPtr []int, np int) (*bigdeg.Dist, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	md := bigdeg.New()
 	var touched int64
-	for deg, cnt := range hist {
-		md.AddCount(big.NewInt(deg), big.NewInt(cnt))
+	for _, cnt := range hist {
 		touched += cnt
 	}
-	return md, touched, nil
+	return bigdeg.FromInt64Map(hist), touched, nil
 }
 
 // RunMaterialized is the pre-streaming reference engine: it collects every
