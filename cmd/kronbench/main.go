@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -24,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/cliutil"
@@ -335,17 +333,10 @@ func fig3(maxWorkers int) error {
 	// Wire formats: encoder throughput over a real band-ordered prefix of
 	// this workload's stream — the component cost of putting edges on the
 	// wire, measured against the enumerated full-process rate (the
-	// stream-to-wire gap). TSV runs against its retired strconv encoder to
-	// isolate the two-digit-LUT formatter; the binary encodings are the KRNB
-	// format's compact (delta-varint) and memory-speed (fixed-width, batches
-	// written as single copies) payloads.
+	// stream-to-wire gap). The binary encodings are the KRNB format's
+	// compact (delta-varint) and memory-speed (fixed-width, batches written
+	// as single copies) payloads.
 	sample, err := sampleEdges(g, 1<<20)
-	if err != nil {
-		return err
-	}
-	tsvStrconvRate, err := benchWire(sample, func() (graphio.EdgeWriter, error) {
-		return newStrconvTSVWriter(io.Discard), nil
-	})
 	if err != nil {
 		return err
 	}
@@ -367,35 +358,39 @@ func fig3(maxWorkers int) error {
 	if err != nil {
 		return err
 	}
-	// The client half of the delta wire: the same sample, delta-encoded once,
-	// decoded and checksum-verified from memory.
+	// The client half of the delta wire: the same sample, delta-encoded once
+	// as edge frames, decoded and checksum-verified from memory.
 	binDeltaReadRate, err := benchDeltaRead(sample)
 	if err != nil {
 		return err
 	}
 	// The block-replay delta path has no per-edge encode loop to isolate —
-	// its whole point is that generation and encoding fuse into replays of
-	// the shared block's cached bytes — so it is measured end to end: a full
+	// its whole point is that generation and encoding fuse into one block
+	// frame and one run frame per run — so it is measured end to end: a full
 	// single-worker generation pass streamed through the delta Writer,
 	// directly comparable against fullRate (the enumerated sink at one
-	// worker).
-	replayRate, err := benchReplayWire(g)
+	// worker). Its client half decodes one pass's stream from memory,
+	// expanding every run frame from the decoded block.
+	replayRate, replayed, err := benchReplayWire(g)
 	if err != nil {
 		return err
 	}
+	replayReadRate, err := benchRead(replayed)
+	if err != nil {
+		return err
+	}
+	replayBytesPerEdge := float64(len(replayed)) / float64(g.NumEdges())
 	countToWire := fullRate / binFixedRate
 	deltaRatio := replayRate / fullRate
 	fmt.Printf("\nwire-format encoder throughput (%d-edge band-ordered sample):\n", len(sample))
 	fmt.Printf("%-14s %-14s\n", "format", "edges/s")
-	fmt.Printf("%-14s %-14.3e (strconv baseline)\n", "tsv/strconv", tsvStrconvRate)
-	fmt.Printf("%-14s %-14.3e (%.2fx strconv)\n", "tsv", tsvRate, tsvRate/tsvStrconvRate)
+	fmt.Printf("%-14s %-14.3e\n", "tsv", tsvRate)
 	fmt.Printf("%-14s %-14.3e (per-edge encode)\n", "bin/delta", binDeltaRate)
 	fmt.Printf("%-14s %-14.3e (decode, %.2fx the delta encode)\n", "bin/delta read", binDeltaReadRate, binDeltaReadRate/binDeltaRate)
 	fmt.Printf("%-14s %-14.3e (enumerated count rate / wire rate = %.2f)\n", "bin/fixed", binFixedRate, countToWire)
 	fmt.Printf("%-14s %-14.3e (end-to-end generate+encode, %.2fx enumerated count rate)\n", "bin/replay", replayRate, deltaRatio)
-	recordBench("tsvStrconvWireEdgesPerSec", tsvStrconvRate)
+	fmt.Printf("%-14s %-14.3e (decode, %.2fx the edge-frame decode; %.4f bytes/edge)\n", "bin/replay read", replayReadRate, replayReadRate/binDeltaReadRate, replayBytesPerEdge)
 	recordBench("tsvWireEdgesPerSec", tsvRate)
-	recordBench("tsvLUTSpeedup", tsvRate/tsvStrconvRate)
 	recordBench("binDeltaWireEdgesPerSec", binDeltaRate)
 	recordBench("binDeltaReadEdgesPerSec", binDeltaReadRate)
 	recordBench("deltaReadToWriteRatio", binDeltaReadRate/binDeltaRate)
@@ -403,18 +398,22 @@ func fig3(maxWorkers int) error {
 	recordBench("countToWireRatio", countToWire)
 	recordBench("deltaReplayWireEdgesPerSec", replayRate)
 	recordBench("deltaWireToCountRatio", deltaRatio)
+	recordBench("binDeltaReplayReadEdgesPerSec", replayReadRate)
+	recordBench("replayBytesPerEdge", replayBytesPerEdge)
 	// Each wire series is recorded with the parallelism and batch size it
 	// ran at (the fig4 post-mortem: unlabeled recordings mislead) — the
-	// sample encoders see the whole sample per WriteEdges call, the replay
-	// series crosses the sink in runs of at most DefaultBatchSize edges.
+	// sample encoders see the whole sample per WriteEdges call, and both
+	// replay series, encode and decode, carry runs of at most
+	// DefaultBatchSize edges.
 	gmp := runtime.GOMAXPROCS(0)
+	replayBatch := min(g.CNNZ(), gen.DefaultBatchSize)
 	recordBench("wireSeries", []wireSeries{
-		{Series: "tsvStrconv", EdgesPerSec: tsvStrconvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "tsv", EdgesPerSec: tsvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDelta", EdgesPerSec: binDeltaRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDeltaRead", EdgesPerSec: binDeltaReadRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binFixed", EdgesPerSec: binFixedRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
-		{Series: "binDeltaReplay", EdgesPerSec: replayRate, Gomaxprocs: gmp, BatchEdges: min(g.CNNZ(), gen.DefaultBatchSize)},
+		{Series: "binDeltaReplay", EdgesPerSec: replayRate, Gomaxprocs: gmp, BatchEdges: replayBatch},
+		{Series: "binDeltaReplayRead", EdgesPerSec: replayReadRate, Gomaxprocs: gmp, BatchEdges: replayBatch},
 	})
 
 	// Full-machine simulation of the paper's actual trillion-edge workload
@@ -528,12 +527,9 @@ func benchWire(sample []gen.Edge, newWriter func() (graphio.EdgeWriter, error)) 
 	return float64(n) / time.Since(start).Seconds(), nil
 }
 
-// benchDeltaRead measures delta KRNB decode throughput: the sample is
-// encoded once into memory, then ReadBinary decodes and verifies it against
-// its trailer until enough wall clock has elapsed, after one unmeasured
-// warm-up pass.
+// benchDeltaRead measures delta KRNB decode throughput over edge frames:
+// the sample is encoded once into memory, then decoded by benchRead.
 func benchDeltaRead(sample []gen.Edge) (float64, error) {
-	const minDur = 300 * time.Millisecond
 	var buf bytes.Buffer
 	w, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(sample)), graphio.BinaryDelta)
 	if err != nil {
@@ -545,7 +541,14 @@ func benchDeltaRead(sample []gen.Edge) (float64, error) {
 	if err := w.Finish(); err != nil {
 		return 0, err
 	}
-	data := buf.Bytes()
+	return benchRead(buf.Bytes())
+}
+
+// benchRead measures KRNB decode throughput from memory: ReadBinary decodes
+// and verifies data against its trailer until enough wall clock has
+// elapsed, after one unmeasured warm-up pass.
+func benchRead(data []byte) (float64, error) {
+	const minDur = 300 * time.Millisecond
 	pass := func() (int64, error) {
 		info, err := graphio.ReadBinary(context.Background(), bytes.NewReader(data), func([]gen.Edge) error { return nil })
 		if err != nil {
@@ -581,13 +584,13 @@ type wireSeries struct {
 // benchReplayWire measures the block-replay delta path end to end: one
 // single-worker generation pass streamed through a delta Writer sink into
 // io.Discard per iteration, repeated until enough wall clock has
-// elapsed, after one unmeasured warm-up pass. Each pass builds a fresh
-// writer (the KRNB trailer ends a stream), which costs one header and
-// trailer per full graph — noise at this scale.
-func benchReplayWire(g *gen.Generator) (float64, error) {
+// elapsed, after one unmeasured warm-up pass whose stream it returns. Each
+// pass builds a fresh writer (the KRNB trailer ends a stream), which costs
+// one header, block frame and trailer per full graph — noise at this scale.
+func benchReplayWire(g *gen.Generator) (float64, []byte, error) {
 	const minDur = 300 * time.Millisecond
-	pass := func() (int64, error) {
-		ew, err := graphio.NewBinaryEdgeWriter(io.Discard, g.NumEdges(), graphio.BinaryDelta)
+	pass := func(w io.Writer) (int64, error) {
+		ew, err := graphio.NewBinaryEdgeWriter(w, g.NumEdges(), graphio.BinaryDelta)
 		if err != nil {
 			return 0, err
 		}
@@ -596,67 +599,21 @@ func benchReplayWire(g *gen.Generator) (float64, error) {
 		}
 		return ew.Count(), nil
 	}
-	if _, err := pass(); err != nil {
-		return 0, err
+	var stream bytes.Buffer
+	if _, err := pass(&stream); err != nil {
+		return 0, nil, err
 	}
 	var n int64
 	start := time.Now()
 	for time.Since(start) < minDur {
-		c, err := pass()
+		c, err := pass(io.Discard)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		n += c
 	}
-	return float64(n) / time.Since(start).Seconds(), nil
+	return float64(n) / time.Since(start).Seconds(), stream.Bytes(), nil
 }
-
-// strconvTSVWriter is the retired strconv.AppendInt TSV encoder, kept
-// verbatim as the baseline the LUT formatter's speedup is measured against.
-type strconvTSVWriter struct {
-	bw  *bufio.Writer
-	buf []byte
-}
-
-func newStrconvTSVWriter(w io.Writer) *strconvTSVWriter {
-	return &strconvTSVWriter{bw: bufio.NewWriter(w), buf: make([]byte, 0, 64)}
-}
-
-func (t *strconvTSVWriter) WriteEdge(row, col, val int64) error {
-	return t.WriteEdges([]gen.Edge{{Row: row, Col: col, Val: val}})
-}
-
-func (t *strconvTSVWriter) WriteEdges(batch []gen.Edge) error {
-	const chunk = 1 << 14
-	b := t.buf[:0]
-	for _, e := range batch {
-		b = strconv.AppendInt(b, e.Row, 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, e.Col, 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, e.Val, 10)
-		b = append(b, '\n')
-		if len(b) >= chunk {
-			if _, err := t.bw.Write(b); err != nil {
-				return err
-			}
-			b = b[:0]
-		}
-	}
-	t.buf = b[:0]
-	if len(b) == 0 {
-		return nil
-	}
-	_, err := t.bw.Write(b)
-	return err
-}
-
-func (t *strconvTSVWriter) Comment(text string) error {
-	_, err := fmt.Fprintf(t.bw, "# %s\n", text)
-	return err
-}
-
-func (t *strconvTSVWriter) Flush() error { return t.bw.Flush() }
 
 // fig4 reproduces Figure 4: the trillion-edge hub-loop design's exact
 // properties, plus an exact predicted-vs-measured validation on a reduced

@@ -254,7 +254,7 @@ func streamChunks(g *gen.Generator, shard *gen.ShardInfo, workers int, dir, form
 	}
 	counter := pipeline.NewCounter(workers)
 	// With -format bin (delta) every member of this composition is
-	// block-capable — the delta writers replay cached block bytes, the
+	// block-capable — the delta writers send block and run frames, the
 	// counter folds closed-form counts — so the stream pass runs the
 	// generator's block-replay engine; tsv and binfixed keep their own batch
 	// fast paths and route the tee through batches.

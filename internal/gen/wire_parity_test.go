@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -14,7 +15,7 @@ import (
 
 // deltaShardStream streams one shard single-worker through a Writer sink
 // into a buffer, with delta replay on or off (off = the per-edge oracle,
-// which encodes identical frames edge by edge).
+// which encodes identical block frames edge by edge).
 func deltaShardStream(t *testing.T, g *Generator, s ShardInfo, batchSize int, replay bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -43,11 +44,31 @@ func decodeBinary(t *testing.T, data []byte) ([]Edge, *graphio.BinaryInfo) {
 	return got, info
 }
 
+// edgeFrameStream encodes edges as a delta stream of edge frames only
+// (WriteEdges), the encoding a run takes when its block is not sent.
+func edgeFrameStream(t *testing.T, nnz int64, edges []Edge) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	ew, err := graphio.NewBinaryEdgeWriter(&buf, nnz, graphio.BinaryDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.WriteEdges(edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestBlockStreamWireParity is the end-to-end conformance property of the
 // delta wire path: for randomized designs, shard plans K ∈ {1, 2, 3, 7} and
-// run lengths, the replayed delta stream of every shard is byte-identical
-// to the per-edge oracle's, decodes to exactly the shard's edges, and
-// carries the plan's closed-form count and checksum in its trailer.
+// run lengths, the replayed delta stream of every shard (one block frame,
+// then run frames) is byte-identical to the per-edge oracle's, decodes to
+// exactly the shard's edges, decodes as the edge-frame stream of those
+// edges does, trailer included, and carries the plan's closed-form count
+// and checksum in its trailer.
 func TestBlockStreamWireParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8192))
 	loops := []star.LoopMode{star.LoopNone, star.LoopHub, star.LoopLeaf}
@@ -86,6 +107,11 @@ func TestBlockStreamWireParity(t *testing.T) {
 							d, nb, k, s.Shard, batch, len(replayed), len(oracle))
 					}
 					got, info := decodeBinary(t, replayed)
+					framed, framedInfo := decodeBinary(t, edgeFrameStream(t, s.Edges, want))
+					if !slices.Equal(got, framed) || *info != *framedInfo {
+						t.Fatalf("%v nb=%d k=%d shard %d batch=%d: replayed stream decodes to %d edges %+v, its edge frames to %d edges %+v",
+							d, nb, k, s.Shard, batch, len(got), *info, len(framed), *framedInfo)
+					}
 					if int64(len(got)) != s.Edges || len(got) != len(want) {
 						t.Fatalf("%v nb=%d k=%d shard %d batch=%d: decoded %d edges, shard stream %d, plan %d",
 							d, nb, k, s.Shard, batch, len(got), len(want), s.Edges)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"unsafe"
 )
@@ -14,34 +15,50 @@ import (
 // TSV and MatrixMarket text streams: a self-describing framed encoding whose
 // header carries the design-time exact edge count (the paper's "nnz known
 // before the first edge" property, exactly as the MatrixMarket size line
-// does) and whose trailer carries the actual edge count plus the XOR content
+// does) and whose trailer carries the actual edge count, the XOR content
 // checksum every other layer of the stack folds (s ^= row*31 + col per edge
-// — pipeline.Checksum, CountEdges, shard plans), so a complete stream is
-// verifiable against its design and a truncated or bit-flipped one is
-// detected on read.
+// — pipeline.Checksum, CountEdges, shard plans), and a CRC-32C of every
+// byte, so a complete stream is verifiable against its design and a
+// truncated or damaged one is detected on read.
+//
+// Delta streams also carry the Kronecker structure itself: a shared block
+// (for K = B ⊗ C, the edges of C) crosses the wire once, as a block frame,
+// and each run over it is a run frame of a few varints that the reader
+// expands from its copy of the block.
 //
 // Layout (varints are unsigned LEB128, signed values zig-zag folded):
 //
 //	header  := "KRNB" version:byte flags:byte [nnz:uvarint]
-//	           version = 1
+//	           version = 2
 //	           flags bit0 = fixed-width encoding (else delta-varint)
 //	           flags bit1 = nnz field present (design-time exact edge count)
-//	frame   := count:uvarint payload
-//	           count >= 1: payload carries count edges
-//	           count  = 0: trailer follows; no further frames
-//	payload (delta) := per edge: zig(row-prevRow) zig(col-prevCol) zig(val)
+//	frame   := tag:uvarint body, tag = count<<2 | kind
+//	  kind 0, count >= 1: edge frame, count records (delta or fixed)
+//	  kind 1, count >= 1: block frame (delta streams only): id:uvarint, then
+//	           count delta records of the block in block-local coordinates;
+//	           ids run 0, 1, 2, ... in stream order
+//	  kind 2, count >= 1: run frame (delta streams only): id:uvarint
+//	           lo:uvarint zig(rowBase) zig(colBase) = edges [lo, lo+count)
+//	           of block id, each shifted by (rowBase, colBase)
+//	  kind 3: reserved, corrupt
+//	  tag 0:  trailer follows; no further frames
+//	record (delta) := zig(row-prevRow) zig(col-prevCol) zig(val)
 //	           prev resets to (0, 0) at each frame start, so every frame
 //	           decodes independently; band-ordered streams (rows banded,
-//	           columns sorted within rows) make the deltas 1-2 bytes each
-//	payload (fixed) := per edge: row:int64le col:int64le val:int64le
-//	trailer := edges:uvarint checksum:uint64le
+//	           columns sorted within rows) make the deltas 1-2 bytes each.
+//	           A block record's value must be 1 and its coordinates in
+//	           [0, 2^31).
+//	record (fixed) := row:int64le col:int64le val:int64le
+//	trailer := edges:uvarint checksum:uint64le crc:uint32le
 //	           edges is the actual count written; checksum is the XOR fold
-//	           (two's-complement bit pattern). The stream ends immediately
-//	           after the trailer: trailing bytes are corruption.
+//	           (two's-complement bit pattern); crc is the CRC-32C
+//	           (Castagnoli) of every stream byte before it. The stream ends
+//	           immediately after the trailer: trailing bytes are corruption.
 //
 // A missing trailer means truncation (ErrBinaryTruncated); any mismatch —
-// checksum, frame-vs-trailer count, header-nnz-vs-trailer count, trailing
-// garbage — is corruption (ErrBinaryCorrupt).
+// CRC, checksum, frame-vs-trailer count, header-nnz-vs-trailer count, a
+// frame that would pass the header's nnz, trailing garbage — is corruption
+// (ErrBinaryCorrupt).
 
 // Binary format errors, wrapped by every ReadBinary failure so callers can
 // distinguish a stream cut short from one that was damaged in flight.
@@ -50,7 +67,8 @@ var (
 	// writer never finished (crash, cancelled job, partial download).
 	ErrBinaryTruncated = errors.New("graphio: truncated binary edge stream (no trailer)")
 	// ErrBinaryCorrupt marks a stream whose bytes are inconsistent: bad
-	// magic, unknown version, checksum or count mismatch, trailing data.
+	// magic, unknown version, CRC, checksum or count mismatch, trailing
+	// data.
 	ErrBinaryCorrupt = errors.New("graphio: corrupt binary edge stream")
 )
 
@@ -79,10 +97,19 @@ func (e BinaryEncoding) String() string {
 
 const (
 	binaryMagic   = "KRNB"
-	binaryVersion = 1
+	binaryVersion = 2
 
 	binFlagFixed  = 1 << 0
 	binFlagHasNNZ = 1 << 1
+
+	// Frame kinds, the low two bits of a frame tag.
+	frameEdges = 0
+	frameBlock = 1
+	frameRun   = 2
+
+	// blockCoordMax bounds a block frame's coordinates, so a decoder can
+	// store each block edge as two int32s.
+	blockCoordMax = 1<<31 - 1
 
 	// edgeWireBytes is the fixed encoding's record size: three int64 fields.
 	edgeWireBytes = 24
@@ -129,6 +156,28 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag is zigzag's inverse.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// appendDelta appends e's delta record relative to prev.
+func appendDelta(dst []byte, prev, e Edge) []byte {
+	dst = binary.AppendUvarint(dst, zigzag(e.Row-prev.Row))
+	dst = binary.AppendUvarint(dst, zigzag(e.Col-prev.Col))
+	return binary.AppendUvarint(dst, zigzag(e.Val))
+}
+
+// castagnoli is the CRC-32C table of the trailer's byte-integrity check.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crcWriter folds every byte written through it into a CRC-32C.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	return n, err
+}
+
 // foldChecksum is the stream-content fold shared with pipeline.Checksum,
 // CountEdges, and shard plans: XOR of row*31 + col across all edges, so a
 // binary trailer reconciles directly against ChecksumPlan and job checksums.
@@ -152,15 +201,18 @@ type Finisher interface {
 
 // BinaryEdgeWriter streams edges in the KRNB framed binary format. The
 // header — magic, version, flags, and the design-time exact edge count — is
-// written at construction; frames are cut at batch boundaries (large
-// batches) or when the pending payload fills a chunk (per-edge writes), and
-// Finish writes the trailer carrying the actual count and XOR checksum.
-// WriteEdges is allocation-free at steady state; in the fixed encoding on
+// written at construction; edge frames are cut at batch boundaries (large
+// batches) or when the pending payload fills a chunk (per-edge writes), runs
+// become block and run frames (WriteRun), and Finish writes the trailer
+// carrying the actual count, XOR checksum and CRC-32C. WriteEdges and
+// WriteRun are allocation-free at steady state; in the fixed encoding on
 // little-endian hosts a large batch goes to the underlying writer directly
-// from the batch's memory, so the encode cost is one checksum fold and one
-// Write.
+// from the batch's memory, so the encode cost is one checksum fold, one CRC
+// pass and one Write.
 type BinaryEdgeWriter struct {
-	w   io.Writer
+	// w is the underlying writer behind the CRC: every byte, buffered or
+	// written directly, passes through it.
+	w   crcWriter
 	bw  *bufio.Writer
 	enc BinaryEncoding
 
@@ -172,8 +224,8 @@ type BinaryEdgeWriter struct {
 	prevRow int64
 	prevCol int64
 
-	// hdrBuf is reused for frame-count varints; a stack array would be moved
-	// to the heap on every call (bufio can pass large writes straight to the
+	// hdrBuf is reused for frame tags; a stack array would be moved to the
+	// heap on every call (bufio can pass large writes straight to the
 	// underlying io.Writer interface), breaking the zero-alloc guarantee.
 	hdrBuf [binary.MaxVarintLen64]byte
 
@@ -181,9 +233,11 @@ type BinaryEdgeWriter struct {
 	checksum int64
 	finished bool
 
-	// noReplay switches WriteRun to the per-edge oracle encoder (see
-	// SetBlockReplay); runBuf is WriteRun's expansion buffer in the fixed
-	// encoding.
+	// sent lists the blocks this stream has sent as block frames; a
+	// block's index is its frame id. noReplay switches block frames to the
+	// per-edge oracle encoder (see SetBlockReplay); runBuf is WriteRun's
+	// expansion buffer when a run is written as edge frames.
+	sent     []*Block
 	noReplay bool
 	runBuf   []Edge
 }
@@ -196,11 +250,11 @@ func NewBinaryEdgeWriter(w io.Writer, nnz int64, enc BinaryEncoding) (*BinaryEdg
 		return nil, fmt.Errorf("graphio: unknown binary encoding %d", enc)
 	}
 	b := &BinaryEdgeWriter{
-		w:       w,
-		bw:      bufio.NewWriter(w),
+		w:       crcWriter{w: w},
 		enc:     enc,
 		scratch: make([]byte, 0, edgeChunk+64),
 	}
+	b.bw = bufio.NewWriter(&b.w)
 	hdr := append(make([]byte, 0, 16), binaryMagic...)
 	flags := byte(0)
 	if enc == BinaryFixed {
@@ -219,13 +273,13 @@ func NewBinaryEdgeWriter(w io.Writer, nnz int64, enc BinaryEncoding) (*BinaryEdg
 	return b, nil
 }
 
-// emitFrame writes the pending edges as one frame: count header, then the
+// emitFrame writes the pending edges as one edge frame: tag, then the
 // encoded payload accumulated in scratch.
 func (b *BinaryEdgeWriter) emitFrame() error {
 	if b.pending == 0 {
 		return nil
 	}
-	n := binary.PutUvarint(b.hdrBuf[:], uint64(b.pending))
+	n := binary.PutUvarint(b.hdrBuf[:], uint64(b.pending)<<2|frameEdges)
 	if _, err := b.bw.Write(b.hdrBuf[:n]); err != nil {
 		return err
 	}
@@ -243,9 +297,7 @@ func (b *BinaryEdgeWriter) appendEdge(row, col, val int64) {
 		b.scratch = binary.LittleEndian.AppendUint64(b.scratch, uint64(col))
 		b.scratch = binary.LittleEndian.AppendUint64(b.scratch, uint64(val))
 	} else {
-		b.scratch = binary.AppendUvarint(b.scratch, zigzag(row-b.prevRow))
-		b.scratch = binary.AppendUvarint(b.scratch, zigzag(col-b.prevCol))
-		b.scratch = binary.AppendUvarint(b.scratch, zigzag(val))
+		b.scratch = appendDelta(b.scratch, Edge{Row: b.prevRow, Col: b.prevCol}, Edge{Row: row, Col: col, Val: val})
 		b.prevRow, b.prevCol = row, col
 	}
 	b.pending++
@@ -286,7 +338,7 @@ func (b *BinaryEdgeWriter) WriteEdges(batch []Edge) error {
 		if err := b.emitFrame(); err != nil {
 			return err
 		}
-		n := binary.PutUvarint(b.hdrBuf[:], uint64(len(batch)))
+		n := binary.PutUvarint(b.hdrBuf[:], uint64(len(batch))<<2|frameEdges)
 		if _, err := b.bw.Write(b.hdrBuf[:n]); err != nil {
 			return err
 		}
@@ -324,9 +376,10 @@ func (b *BinaryEdgeWriter) Flush() error {
 	return b.bw.Flush()
 }
 
-// Finish writes the trailer — actual edge count and XOR checksum — and
-// flushes. Idempotent: repeated calls (an explicit Finish followed by
-// pipeline.Writer's Close, say) write one trailer.
+// Finish writes the trailer — actual edge count, XOR checksum, and the
+// CRC-32C of everything before it — and flushes. Idempotent: repeated calls
+// (an explicit Finish followed by pipeline.Writer's Close, say) write one
+// trailer.
 func (b *BinaryEdgeWriter) Finish() error {
 	if b.finished {
 		return nil
@@ -341,6 +394,13 @@ func (b *BinaryEdgeWriter) Finish() error {
 	out = binary.AppendUvarint(out, uint64(b.count))
 	out = binary.LittleEndian.AppendUint64(out, uint64(b.checksum))
 	if _, err := b.bw.Write(out); err != nil {
+		return err
+	}
+	// Drain the buffer so the CRC has seen every byte before the CRC field.
+	if err := b.bw.Flush(); err != nil {
+		return err
+	}
+	if _, err := b.bw.Write(binary.LittleEndian.AppendUint32(out[:0], b.w.crc)); err != nil {
 		return err
 	}
 	return b.bw.Flush()
@@ -372,19 +432,62 @@ type BinaryInfo struct {
 // runs out of input instead.
 const readBatchSize = 4096
 
+// blockEdge is one decoded block edge. Block frames carry only values of 1
+// and coordinates below 2^31, so 8 bytes hold an edge: a block of the
+// default C-side bound (kron.DefaultMaxCNNZ, 2^20 edges) costs a client
+// 8 MB.
+type blockEdge struct{ row, col int32 }
+
+// blockChunk is the length of a decoded block's storage chunks.
+const blockChunk = 4096
+
+// decodedBlock is a block frame's edges, stored in chunks of blockChunk
+// edges (the last may be shorter) that are allocated as records decode: a
+// corrupt count cannot force a large allocation, and a large block is never
+// copied to grow.
+type decodedBlock struct {
+	chunks [][]blockEdge
+	n      int
+}
+
+// add appends the block frame's decoded records in src, each of which must
+// have value 1 and coordinates in [0, 2^31).
+func (b *decodedBlock) add(src []Edge) error {
+	for len(src) > 0 {
+		if b.n%blockChunk == 0 {
+			b.chunks = append(b.chunks, make([]blockEdge, 0, blockChunk))
+		}
+		last := b.chunks[len(b.chunks)-1]
+		take := src[:min(len(src), cap(last)-len(last))]
+		for _, e := range take {
+			if e.Val != 1 || uint64(e.Row) > blockCoordMax || uint64(e.Col) > blockCoordMax {
+				return fmt.Errorf("%w: block edge (%d, %d) = %d outside a block's 0/1 pattern", ErrBinaryCorrupt, e.Row, e.Col, e.Val)
+			}
+			last = append(last, blockEdge{int32(e.Row), int32(e.Col)})
+		}
+		b.chunks[len(b.chunks)-1] = last
+		b.n += len(take)
+		src = src[len(take):]
+	}
+	return nil
+}
+
 // ReadBinary decodes a KRNB binary edge stream, calling emit with batches of
 // decoded edges in stream order (the batch is reused across calls — the
-// pipeline ownership contract). It verifies the stream end to end: magic and
-// version, payload decode, the trailer's count and XOR checksum against what
+// pipeline ownership contract). It keeps every block frame's edges and
+// expands each run frame straight into the emit batch. It verifies the
+// stream end to end: magic and version, payload decode, block and run
+// references, the trailer's count, XOR checksum and CRC-32C against what
 // was actually read, and — when the header carries the design-time nnz —
-// that the stream is complete. A stream without a trailer returns
-// ErrBinaryTruncated; any inconsistency returns ErrBinaryCorrupt. ctx is
-// checked once per frame (nil means never cancelled); emit errors abort the
-// read.
+// that the stream is complete and that no frame passes it (checked before
+// the frame is decoded, so an over-long stream emits no excess edges). A
+// stream without a trailer returns ErrBinaryTruncated; any inconsistency
+// returns ErrBinaryCorrupt. ctx is checked once per frame (nil means never
+// cancelled); emit errors abort the read.
 func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error) (*BinaryInfo, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	d := &binReader{br: bufio.NewReaderSize(r, 1<<16)}
 	var hdr [6]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if err := d.readFull(hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBinaryCorrupt, err)
 	}
 	if string(hdr[:4]) != binaryMagic {
@@ -402,31 +505,21 @@ func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error)
 		info.Encoding = BinaryFixed
 	}
 	if flags&binFlagHasNNZ != 0 {
-		nnz, err := binary.ReadUvarint(br)
+		nnz, err := d.readUvarint()
 		if err != nil || nnz > 1<<62 {
 			return nil, fmt.Errorf("%w: bad header nnz", ErrBinaryCorrupt)
 		}
 		info.NNZ = int64(nnz)
 	}
 
+	out := &emitter{emit: emit, batch: make([]Edge, 0, readBatchSize)}
 	var (
-		batch    = make([]Edge, 0, readBatchSize)
-		seen     int64
-		checksum int64
-		done     <-chan struct{}
+		blocks []*decodedBlock
+		framed uint64 // edges of every edge and run frame read so far
+		done   <-chan struct{}
 	)
 	if ctx != nil {
 		done = ctx.Done()
-	}
-	flushEmit := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		checksum = foldChecksum(checksum, batch)
-		seen += int64(len(batch))
-		err := emit(batch)
-		batch = batch[:0]
-		return err
 	}
 	for {
 		select {
@@ -434,57 +527,236 @@ func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error)
 			return nil, ctx.Err()
 		default:
 		}
-		n, err := binary.ReadUvarint(br)
+		tag, err := d.readUvarint()
 		if err != nil {
 			if err == io.EOF {
 				return nil, ErrBinaryTruncated
 			}
-			return nil, fmt.Errorf("%w: bad frame header: %v", ErrBinaryCorrupt, err)
+			return nil, frameError(err, "frame tag")
 		}
-		if n == 0 {
+		if tag == 0 {
 			break // trailer
 		}
-		if info.Encoding == BinaryFixed {
-			if err := readFixedFrame(br, int64(n), &batch, flushEmit); err != nil {
+		kind, n := tag&3, tag>>2
+		switch {
+		case n == 0 || kind > frameRun:
+			return nil, fmt.Errorf("%w: bad frame tag %#x", ErrBinaryCorrupt, tag)
+		case kind != frameEdges && info.Encoding == BinaryFixed:
+			return nil, fmt.Errorf("%w: block or run frame in a fixed-width stream", ErrBinaryCorrupt)
+		case kind != frameBlock && info.NNZ >= 0 && n > uint64(info.NNZ)-framed:
+			return nil, fmt.Errorf("%w: frame of %d edges passes the header's %d after %d", ErrBinaryCorrupt, n, info.NNZ, framed)
+		}
+		switch {
+		case kind == frameBlock:
+			id, err := d.readUvarint()
+			if err != nil {
+				return nil, frameError(err, "block frame")
+			}
+			if id != uint64(len(blocks)) {
+				return nil, fmt.Errorf("%w: block frame id %d, want %d", ErrBinaryCorrupt, id, len(blocks))
+			}
+			// The block's records decode through the emit batch, so it is
+			// emptied first; toBlock then moves each decoded batch into
+			// the block.
+			if err := out.flush(); err != nil {
 				return nil, err
 			}
-		} else {
-			if err := readDeltaFrame(br, int64(n), &batch, flushEmit); err != nil {
+			blk := new(decodedBlock)
+			toBlock := func() error {
+				err := blk.add(out.batch)
+				out.batch = out.batch[:0]
+				return err
+			}
+			if err := d.readDeltaFrame(int64(n), &out.batch, toBlock); err != nil {
+				return nil, err
+			}
+			if err := toBlock(); err != nil {
+				return nil, err
+			}
+			blocks = append(blocks, blk)
+		case kind == frameRun:
+			var f [4]uint64 // id, lo, zig(rowBase), zig(colBase)
+			if err := d.readUvarints(f[:]); err != nil {
+				return nil, frameError(err, "run frame")
+			}
+			if f[0] >= uint64(len(blocks)) {
+				return nil, fmt.Errorf("%w: run frame names block %d, %d defined", ErrBinaryCorrupt, f[0], len(blocks))
+			}
+			blk := blocks[f[0]]
+			if f[1] > uint64(blk.n) || n > uint64(blk.n)-f[1] {
+				return nil, fmt.Errorf("%w: run [%d, +%d) passes block %d's %d edges", ErrBinaryCorrupt, f[1], n, f[0], blk.n)
+			}
+			framed += n
+			if err := out.expand(blk, int(f[1]), int(n), unzigzag(f[2]), unzigzag(f[3])); err != nil {
+				return nil, err
+			}
+		case info.Encoding == BinaryFixed:
+			framed += n
+			if err := d.readFixedFrame(int64(n), &out.batch, out.flush); err != nil {
+				return nil, err
+			}
+		default:
+			framed += n
+			if err := d.readDeltaFrame(int64(n), &out.batch, out.flush); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := flushEmit(); err != nil {
+	if err := out.flush(); err != nil {
 		return nil, err
 	}
-	edges, err := binary.ReadUvarint(br)
-	if err != nil || edges > 1<<62 {
-		return nil, fmt.Errorf("%w: short trailer", ErrBinaryTruncated)
+	edges, err := d.readUvarint()
+	if err != nil {
+		return nil, frameError(err, "trailer")
 	}
 	var sumBytes [8]byte
-	if _, err := io.ReadFull(br, sumBytes[:]); err != nil {
+	if err := d.readFull(sumBytes[:]); err != nil {
 		return nil, fmt.Errorf("%w: short trailer checksum", ErrBinaryTruncated)
+	}
+	crc := d.crc
+	var crcBytes [4]byte
+	if _, err := io.ReadFull(d.br, crcBytes[:]); err != nil {
+		return nil, fmt.Errorf("%w: short trailer CRC", ErrBinaryTruncated)
+	}
+	if got := binary.LittleEndian.Uint32(crcBytes[:]); got != crc {
+		return nil, fmt.Errorf("%w: trailer CRC %#08x, stream hashes to %#08x", ErrBinaryCorrupt, got, crc)
+	}
+	if edges > 1<<62 || int64(edges) != out.seen {
+		return nil, fmt.Errorf("%w: trailer declares %d edges, stream carried %d", ErrBinaryCorrupt, edges, out.seen)
 	}
 	info.Edges = int64(edges)
 	info.Checksum = int64(binary.LittleEndian.Uint64(sumBytes[:]))
-	if info.Edges != seen {
-		return nil, fmt.Errorf("%w: trailer declares %d edges, stream carried %d", ErrBinaryCorrupt, info.Edges, seen)
+	if info.Checksum != out.sum {
+		return nil, fmt.Errorf("%w: trailer checksum %#x, stream folds to %#x", ErrBinaryCorrupt, uint64(info.Checksum), uint64(out.sum))
 	}
-	if info.Checksum != checksum {
-		return nil, fmt.Errorf("%w: trailer checksum %#x, stream folds to %#x", ErrBinaryCorrupt, uint64(info.Checksum), uint64(checksum))
+	if info.NNZ >= 0 && info.NNZ != out.seen {
+		return nil, fmt.Errorf("%w: header declares exactly %d edges, stream carried %d (incomplete stream?)", ErrBinaryCorrupt, info.NNZ, out.seen)
 	}
-	if info.NNZ >= 0 && info.NNZ != seen {
-		return nil, fmt.Errorf("%w: header declares exactly %d edges, stream carried %d (incomplete stream?)", ErrBinaryCorrupt, info.NNZ, seen)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if _, err := d.br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing data after trailer", ErrBinaryCorrupt)
 	}
 	return info, nil
 }
 
+// emitter is ReadBinary's output side: the emit batch, and the count and
+// XOR fold of the edges it has emitted.
+type emitter struct {
+	emit     func(batch []Edge) error
+	batch    []Edge
+	unfolded int // batch[unfolded:] is not folded into sum yet
+	seen     int64
+	sum      int64
+}
+
+// fold folds the batch's edges that are not folded yet into sum.
+func (o *emitter) fold() {
+	o.sum = foldChecksum(o.sum, o.batch[o.unfolded:])
+	o.unfolded = len(o.batch)
+}
+
+// flush folds and emits the batch, and empties it.
+func (o *emitter) flush() error {
+	if len(o.batch) == 0 {
+		return nil
+	}
+	o.fold()
+	o.seen += int64(len(o.batch))
+	err := o.emit(o.batch)
+	o.batch, o.unfolded = o.batch[:0], 0
+	return err
+}
+
+// expand appends edges [lo, lo+n) of blk, shifted by (rowBase, colBase),
+// emitting as the batch fills. It takes the closed-form step WriteRun
+// takes: each edge is the block edge plus the offset, and its checksum
+// term the block edge's plus the offset's, folded as the edge is written.
+func (o *emitter) expand(blk *decodedBlock, lo, n int, rowBase, colBase int64) error {
+	base := rowBase*31 + colBase
+	o.fold()
+	for i, end := lo, lo+n; i < end; {
+		if len(o.batch) == cap(o.batch) {
+			if err := o.flush(); err != nil {
+				return err
+			}
+		}
+		chunk := blk.chunks[i/blockChunk][i%blockChunk:]
+		src := chunk[:min(len(chunk), end-i, cap(o.batch)-len(o.batch))]
+		at := len(o.batch)
+		o.batch = o.batch[:at+len(src)]
+		out, sum := o.batch[at:][:len(src)], o.sum
+		for k, e := range src {
+			r, c := int64(e.row), int64(e.col)
+			out[k] = Edge{Row: rowBase + r, Col: colBase + c, Val: 1}
+			sum ^= base + r*31 + c
+		}
+		o.sum, o.unfolded = sum, len(o.batch)
+		i += len(src)
+	}
+	return nil
+}
+
+// frameError classifies a failed varint read inside a frame or the
+// trailer: the input ending is truncation, anything else corruption.
+func frameError(err error, where string) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: %s cut short", ErrBinaryTruncated, where)
+	}
+	return fmt.Errorf("%w: bad %s varint: %v", ErrBinaryCorrupt, where, err)
+}
+
+// binReader is ReadBinary's input: a buffered reader whose consumed bytes
+// are folded into the CRC-32C the trailer is checked against. Every read
+// goes through readFull or consume, so bytes the buffer has read ahead are
+// not hashed until they are decoded.
+type binReader struct {
+	br  *bufio.Reader
+	crc uint32
+}
+
+// window returns the buffered bytes not yet consumed.
+func (d *binReader) window() []byte {
+	win, _ := d.br.Peek(d.br.Buffered())
+	return win
+}
+
+// consume hashes and discards the first n bytes of win, the current window.
+func (d *binReader) consume(win []byte, n int) {
+	d.crc = crc32.Update(d.crc, castagnoli, win[:n])
+	d.br.Discard(n) // n bytes are buffered, so Discard cannot fail
+}
+
+// readFull fills p from the stream and hashes what it read.
+func (d *binReader) readFull(p []byte) error {
+	n, err := io.ReadFull(d.br, p)
+	d.crc = crc32.Update(d.crc, castagnoli, p[:n])
+	return err
+}
+
+// readUvarint decodes one varint, with binary.ReadUvarint's errors.
+func (d *binReader) readUvarint() (uint64, error) {
+	x, win, i, err := d.uvarint(d.window(), 0)
+	if err == nil {
+		d.consume(win, i)
+	}
+	return x, err
+}
+
+// readUvarints decodes len(dst) consecutive varints.
+func (d *binReader) readUvarints(dst []uint64) error {
+	win, i := d.window(), 0
+	for k := range dst {
+		var err error
+		if dst[k], win, i, err = d.uvarint(win, i); err != nil {
+			return err
+		}
+	}
+	d.consume(win, i)
+	return nil
+}
+
 // readFixedFrame decodes n fixed-width records, emitting as the batch fills.
 // On little-endian hosts records are read straight into the batch's memory.
-func readFixedFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error) error {
+func (d *binReader) readFixedFrame(n int64, batch *[]Edge, flush func() error) error {
 	for n > 0 {
 		if len(*batch) == cap(*batch) {
 			if err := flush(); err != nil {
@@ -496,14 +768,14 @@ func readFixedFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error
 		*batch = (*batch)[:lo+int(take)]
 		dst := (*batch)[lo:]
 		if hostIsLittleEndian {
-			if _, err := io.ReadFull(br, edgesToBytes(dst)); err != nil {
+			if err := d.readFull(edgesToBytes(dst)); err != nil {
 				*batch = (*batch)[:lo]
 				return fmt.Errorf("%w: fixed frame cut short: %v", ErrBinaryTruncated, err)
 			}
 		} else {
 			var rec [edgeWireBytes]byte
 			for i := range dst {
-				if _, err := io.ReadFull(br, rec[:]); err != nil {
+				if err := d.readFull(rec[:]); err != nil {
 					*batch = (*batch)[:lo+i]
 					return fmt.Errorf("%w: fixed frame cut short: %v", ErrBinaryTruncated, err)
 				}
@@ -521,13 +793,13 @@ func readFixedFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error
 
 // readDeltaFrame decodes n delta-varint records; prev resets at frame start
 // per the format, so each frame stands alone. It decodes straight out of the
-// reader's buffered window and consumes what it decoded with one Discard.
-// The common record of a band-ordered stream, a one-byte row delta and
-// value around a column delta of one or two bytes, decodes inline with no
-// branch on its length. Any other record, including one cut off by the
-// window's end, goes through deltaRecord.
-func readDeltaFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error) error {
-	win, _ := br.Peek(br.Buffered())
+// reader's buffered window and consumes what it decoded at once. The common
+// record of a band-ordered stream, a one-byte row delta and value around a
+// column delta of one or two bytes, decodes inline with no branch on its
+// length. Any other record, including one cut off by the window's end, goes
+// through deltaRecord.
+func (d *binReader) readDeltaFrame(n int64, batch *[]Edge, flush func() error) error {
+	win := d.window()
 	i := 0
 	out := *batch
 	var prevRow, prevCol int64
@@ -541,7 +813,7 @@ func readDeltaFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error
 			i += 3 + c
 		} else {
 			var err error
-			if dr, dc, dv, win, i, err = deltaRecord(br, win, i); err != nil {
+			if dr, dc, dv, win, i, err = d.deltaRecord(win, i); err != nil {
 				return err
 			}
 		}
@@ -557,22 +829,21 @@ func readDeltaFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error
 		out = append(out, Edge{Row: prevRow, Col: prevCol, Val: unzigzag(dv)})
 	}
 	*batch = out
-	_, err := br.Discard(i)
-	return err
+	d.consume(win, i)
+	return nil
 }
 
 // deltaRecord decodes one record's three varints at win[i:] with
-// binary.Uvarint, where win is br's buffered window and nothing before i
-// has been consumed from br yet. It returns the window and position to
-// continue from. All three varints are read before any error is
-// classified, as a byte-at-a-time reader would: if the input ends among
-// them the frame is truncated, otherwise an overflowing varint is
-// corruption.
-func deltaRecord(br *bufio.Reader, win []byte, i int) (dr, dc, dv uint64, _ []byte, _ int, _ error) {
+// binary.Uvarint, where win is the buffered window and nothing before i
+// has been consumed yet. It returns the window and position to continue
+// from. All three varints are read before any error is classified, as a
+// byte-at-a-time reader would: if the input ends among them the frame is
+// truncated, otherwise an overflowing varint is corruption.
+func (d *binReader) deltaRecord(win []byte, i int) (dr, dc, dv uint64, _ []byte, _ int, _ error) {
 	var v [3]uint64
 	var errs [3]error
 	for k := range v {
-		v[k], win, i, errs[k] = uvarint(br, win, i)
+		v[k], win, i, errs[k] = d.uvarint(win, i)
 	}
 	if err := errors.Join(errs[:]...); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -587,13 +858,13 @@ func deltaRecord(br *bufio.Reader, win []byte, i int) (dr, dc, dv uint64, _ []by
 var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 
 // uvarint decodes the varint at win[i:] like deltaRecord. A varint cut off
-// by the window's end refills the window: the decoded prefix is discarded,
-// which moves the partial varint to the front of br's buffer, and at least
+// by the window's end refills the window: the decoded prefix is consumed,
+// which moves the partial varint to the front of the buffer, and at least
 // one more byte is read. The errors are binary.ReadUvarint's: io.EOF when
 // the input ends before the varint, io.ErrUnexpectedEOF when it ends inside
 // it, the reader's own error, or errVarintOverflow after ten bytes, which
 // are skipped.
-func uvarint(br *bufio.Reader, win []byte, i int) (uint64, []byte, int, error) {
+func (d *binReader) uvarint(win []byte, i int) (uint64, []byte, int, error) {
 	for {
 		x, m := binary.Uvarint(win[i:])
 		switch {
@@ -603,11 +874,9 @@ func uvarint(br *bufio.Reader, win []byte, i int) (uint64, []byte, int, error) {
 			return 0, win, i + binary.MaxVarintLen64, errVarintOverflow
 		}
 		rest := len(win) - i
-		if _, err := br.Discard(i); err != nil {
-			return 0, win, i, err
-		}
-		_, err := br.Peek(rest + 1)
-		win, _ = br.Peek(br.Buffered())
+		d.consume(win, i)
+		_, err := d.br.Peek(rest + 1)
+		win = d.window()
 		if err != nil {
 			if err == io.EOF && rest > 0 {
 				err = io.ErrUnexpectedEOF

@@ -3,11 +3,13 @@ package graphio
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
@@ -274,79 +276,57 @@ func TestBinaryFinishIdempotentAndTerminal(t *testing.T) {
 }
 
 // TestBinaryTruncation: every proper prefix of a valid stream fails with a
-// binary-format error — never a silent partial decode, never a panic.
+// binary-format error — never a silent partial decode, never a panic. Once
+// the header is whole, the error is ErrBinaryTruncated wherever the cut
+// falls: inside an edge, block or run frame, or inside the trailer.
 func TestBinaryTruncation(t *testing.T) {
 	edges := bandOrderedEdges(300)
-	for _, enc := range []BinaryEncoding{BinaryDelta, BinaryFixed} {
-		var buf bytes.Buffer
-		w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)), enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteEdges(edges); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
+	streams := map[string][]byte{
+		"delta":    binarySeed(int64(len(edges)), BinaryDelta, edges),
+		"fixed":    binarySeed(int64(len(edges)), BinaryFixed, edges),
+		"replayed": replaySeed(edges[:100], 3),
+	}
+	for name, data := range streams {
+		header := len(binary.AppendUvarint([]byte("KRNB\x02\x00"), uint64(len(edges))))
 		for _, shape := range readShapes {
 			for cut := 0; cut < len(data); cut++ {
-				if _, _, err := collectBinaryFrom(t, shape.wrap(data[:cut])); err == nil {
-					t.Fatalf("%v %s: prefix of %d/%d bytes decoded without error", enc, shape.name, cut, len(data))
-				} else if !errors.Is(err, ErrBinaryTruncated) && !errors.Is(err, ErrBinaryCorrupt) {
-					t.Fatalf("%v %s: prefix of %d bytes: unexpected error class %v", enc, shape.name, cut, err)
+				_, _, err := collectBinaryFrom(t, shape.wrap(data[:cut]))
+				switch {
+				case err == nil:
+					t.Fatalf("%s %s: prefix of %d/%d bytes decoded without error", name, shape.name, cut, len(data))
+				case cut >= header && !errors.Is(err, ErrBinaryTruncated):
+					t.Fatalf("%s %s: prefix of %d/%d bytes: %v, want ErrBinaryTruncated", name, shape.name, cut, len(data), err)
+				case !errors.Is(err, ErrBinaryTruncated) && !errors.Is(err, ErrBinaryCorrupt):
+					t.Fatalf("%s %s: prefix of %d bytes: unexpected error class %v", name, shape.name, cut, err)
 				}
 			}
 		}
 	}
 }
 
-// TestBinaryBitFlips: flipping any single bit of a valid stream never panics
-// and never silently changes the decoded edge count. In the fixed encoding a
-// flip damages exactly one record, so the stronger property holds too: any
-// silent decode has the graph structure (rows, columns) intact — only value
-// bytes, which sit outside the XOR fold (it must stay reconcilable with
-// ChecksumPlan's row/col content checksum), can flip undetected. The delta
-// encoding gets no structure guarantee: a flipped delta shifts every later
-// edge in its frame by the same amount and the per-edge XOR differences can
-// cancel pairwise, a documented limit of the reconciliation fold.
+// TestBinaryBitFlips: flipping any single bit of a valid stream makes
+// ReadBinary fail, under every read shape, for a delta stream of edge
+// frames, a replayed stream of block and run frames, and a fixed stream.
+// The XOR fold alone cannot promise this — a flipped value byte is outside
+// it, and under delta encoding or block replay one flip moves several
+// edges whose XOR differences can cancel — so this pins the trailer's
+// CRC-32C, which catches every single-bit error.
 func TestBinaryBitFlips(t *testing.T) {
 	edges := bandOrderedEdges(64)
-	for _, enc := range []BinaryEncoding{BinaryDelta, BinaryFixed} {
-		var buf bytes.Buffer
-		w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)), enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteEdges(edges); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
+	streams := map[string][]byte{
+		"delta":    binarySeed(int64(len(edges)), BinaryDelta, edges),
+		"replayed": replaySeed(edges[:16], 4),
+		"fixed":    binarySeed(int64(len(edges)), BinaryFixed, edges),
+	}
+	for name, data := range streams {
 		for _, shape := range readShapes {
 			for pos := 0; pos < len(data); pos++ {
 				for bit := 0; bit < 8; bit++ {
 					mut := bytes.Clone(data)
 					mut[pos] ^= 1 << bit
-					got, _, err := collectBinaryFrom(t, shape.wrap(mut))
-					if err != nil {
-						continue
-					}
-					if len(got) != len(edges) {
-						t.Fatalf("%v %s: flip @%d.%d decoded %d edges silently, wrote %d",
-							enc, shape.name, pos, bit, len(got), len(edges))
-					}
-					if enc != BinaryFixed {
-						continue
-					}
-					for i := range got {
-						if got[i].Row != edges[i].Row || got[i].Col != edges[i].Col {
-							t.Fatalf("%v %s: flip @%d.%d silently changed edge %d structure: got (%d,%d), wrote (%d,%d)",
-								enc, shape.name, pos, bit, i, got[i].Row, got[i].Col, edges[i].Row, edges[i].Col)
-						}
+					if got, _, err := collectBinaryFrom(t, shape.wrap(mut)); err == nil {
+						t.Fatalf("%s %s: flip @%d.%d of %d bytes decoded %d edges without error",
+							name, shape.name, pos, bit, len(data), len(got))
 					}
 				}
 			}
@@ -356,7 +336,9 @@ func TestBinaryBitFlips(t *testing.T) {
 
 // TestBinaryReadShapes: the decoder reads from its buffered window, so
 // where the reads end must not matter. Band-ordered and block-replayed
-// streams, including frames longer than the 64 KiB read buffer, decode to
+// streams (block and run frames, and the edge frames a run over an
+// ineligible block becomes), including an edge frame and a block frame
+// longer than the 64 KiB read buffer, decode to
 // the same edges and BinaryInfo through one-byte reads, half reads, and a
 // reader split at every offset (every offset of the small streams, a
 // sample of the large ones) as through one bytes.Reader.
@@ -370,8 +352,13 @@ func TestBinaryReadShapes(t *testing.T) {
 		{"band delta", binarySeed(500, BinaryDelta, bandOrderedEdges(500)), true},
 		{"band fixed", binarySeed(120, BinaryFixed, bandOrderedEdges(120)), true},
 		{"replayed", replaySeed(randomBlock(rng, 200), 3), true},
+		{"replayed ineligible", replaySeed(spoilBlock(rng, randomBlock(rng, 200)), 3), true},
 		{"band delta large", binarySeed(60_000, BinaryDelta, bandOrderedEdges(60_000)), false},
-		{"replayed long frames", replaySeed(bandOrderedEdges(40_000), 3), false},
+		{"replayed long block frame", replaySeed(bandOrderedEdges(40_000), 3), false},
+	}
+	// The long block frame must outgrow the reader's 64 KiB buffer.
+	if recs, _ := NewBlock(bandOrderedEdges(40_000)).records(); len(recs) <= 1<<16 {
+		t.Fatalf("block frame payload of %d bytes fits the 64 KiB read buffer", len(recs))
 	}
 	for _, st := range streams {
 		want, wantInfo, err := collectBinary(t, st.data)
@@ -409,7 +396,7 @@ func TestBinaryReadShapes(t *testing.T) {
 // three varints before judging them.
 func TestBinaryOverflowingVarint(t *testing.T) {
 	corrupt := overflowSeed()
-	// Cut after header and frame count (7 bytes), the first record (3) and
+	// Cut after header and frame tag (7 bytes), the first record (3) and
 	// the 11 varint bytes: the ten overflowing ones, then one read as the
 	// column delta, so the record's value is missing.
 	cut := corrupt[:7+3+11]
@@ -465,14 +452,84 @@ func TestBinaryBadHeader(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"empty":        {},
 		"short":        []byte("KRN"),
-		"bad magic":    []byte("KRNX\x01\x00"),
+		"bad magic":    []byte("KRNX\x02\x00"),
 		"bad version":  []byte("KRNB\x07\x00"),
-		"bad flags":    []byte("KRNB\x01\xf0"),
+		"bad flags":    []byte("KRNB\x02\xf0"),
 		"tsv not krnb": []byte("0\t1\t1\n"),
 	} {
 		if _, _, err := collectBinary(t, data); !errors.Is(err, ErrBinaryCorrupt) {
 			t.Fatalf("%s: %v, want ErrBinaryCorrupt", name, err)
 		}
+	}
+	// Version 1 streams have no read path; the error says which version
+	// arrived.
+	v1 := []byte("KRNB\x01\x00\x01\x02\x02\x02\x00\x01\x20\x00\x00\x00\x00\x00\x00\x00") // one edge (1, 1, 1)
+	if _, _, err := collectBinary(t, v1); !errors.Is(err, ErrBinaryCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 stream: %v, want ErrBinaryCorrupt naming version 1", err)
+	}
+}
+
+// TestBinaryBadFrames: frames that break the v2 rules are corruption, each
+// caught by its own check (the hand-built trailers carry a correct CRC).
+func TestBinaryBadFrames(t *testing.T) {
+	block := blockFrame(0, 1, [2]int64{0, 1}, [2]int64{0, 3}, [2]int64{1, 0})
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"undefined block", "names block 1", handStream(-1, 3, 0, block, runFrame(1, 0, 3, 0, 0))},
+		{"run before any block", "names block 0", handStream(-1, 1, 0, runFrame(0, 0, 1, 0, 0))},
+		{"run past block end", "passes block 0", handStream(-1, 2, 0, block, runFrame(0, 2, 2, 0, 0))},
+		{"run start past block end", "passes block 0", handStream(-1, 1, 0, block, runFrame(0, 4, 1, 0, 0))},
+		{"block value 2", "0/1 pattern", handStream(-1, 0, 0, blockFrame(0, 2, [2]int64{0, 1}))},
+		{"negative block coordinate", "0/1 pattern", handStream(-1, 0, 0, blockFrame(0, 1, [2]int64{-1, 1}))},
+		{"block coordinate 2^31", "0/1 pattern", handStream(-1, 0, 0, blockFrame(0, 1, [2]int64{0, 1 << 31}))},
+		{"block ids out of order", "block frame id 1", handStream(-1, 0, 0, blockFrame(1, 1, [2]int64{0, 1}))},
+		{"kind 3", "bad frame tag", handStream(-1, 0, 0, uvs(nil, 1<<2|3))},
+		{"empty block frame", "bad frame tag", handStream(-1, 0, 0, uvs(nil, frameBlock, 0))},
+		{"empty run frame", "bad frame tag", handStream(-1, 0, 0, block, runFrame(0, 0, 0, 0, 0))},
+		{"crc mismatch", "CRC", func() []byte {
+			data := replaySeed(bandOrderedEdges(20), 2)
+			data[len(data)-1] ^= 0x80
+			return data
+		}()},
+		{"block frame in fixed stream", "fixed-width", func() []byte {
+			data := handStream(-1, 0, 0, block)
+			data[5] |= binFlagFixed
+			return data
+		}()},
+	} {
+		if _, _, err := collectBinary(t, c.data); !errors.Is(err, ErrBinaryCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want ErrBinaryCorrupt mentioning %q", c.name, err, c.want)
+		}
+	}
+	// The well-formed versions of these frames decode.
+	got, info, err := collectBinary(t, handStream(-1, 3, foldChecksum(0, []Edge{{0, 9, 1}, {0, 11, 1}, {1, 8, 1}}), block, runFrame(0, 0, 3, 0, 8)))
+	if err != nil || len(got) != 3 || info.Edges != 3 || got[2] != (Edge{Row: 1, Col: 8, Val: 1}) {
+		t.Fatalf("well-formed hand-built stream: %v, %v, %+v", err, got, info)
+	}
+}
+
+// TestBinaryOverLongStreamStopsEarly: with nnz in the header, a frame that
+// would carry the stream past it is corruption before any of its edges is
+// emitted. A run frame of a few bytes expands to a whole block, so waiting
+// for the trailer would let a short corrupt stream emit far more edges than
+// the header promised.
+func TestBinaryOverLongStreamStopsEarly(t *testing.T) {
+	frames := [][]byte{blockFrame(0, 1, [2]int64{0, 1}, [2]int64{0, 2}, [2]int64{1, 0}, [2]int64{1, 3})}
+	for r := range 1000 {
+		frames = append(frames, runFrame(0, 0, 4, int64(r)*2, 0))
+	}
+	emitted := 0
+	_, err := ReadBinary(context.Background(), bytes.NewReader(handStream(10, 4000, 0, frames...)), func(batch []Edge) error {
+		emitted += len(batch)
+		return nil
+	})
+	if !errors.Is(err, ErrBinaryCorrupt) || !strings.Contains(err.Error(), "passes the header") {
+		t.Fatalf("over-long stream: %v, want ErrBinaryCorrupt for passing the header's nnz", err)
+	}
+	if emitted > 10 {
+		t.Fatalf("over-long stream emitted %d edges before failing, header declares 10", emitted)
 	}
 }
 

@@ -17,16 +17,13 @@ import (
 // that only points at its block, so a consumer may keep it after the call
 // that delivered it returns (the service's async hand-off does).
 //
-// Inside the KRNB delta encoding the intra-block deltas
-// zig(row[i]-row[i-1]) zig(col[i]-col[i-1]) depend only on block-local
-// coordinates — the offset cancels out of every difference — and the value
-// bytes depend only on C's values. The delta records of a run's edges after
-// its first are therefore the same bytes at every offset: the block renders
-// them once, on first use, with per-edge record offsets so any sub-range can
-// be sliced out. A replayed frame is the run's count header, its first edge
-// encoded absolutely (frames reset prev to (0,0), so "absolute" and "delta
-// from frame start" coincide), and one Write of the cached slice. The
-// trailer's XOR checksum folds without rebuilding coordinates:
+// KRNB delta streams put the same structure on the wire: the first run over
+// a block sends the block once, as a block frame of its delta records in
+// block-local coordinates, and every run becomes a run frame naming the
+// block, a sub-range and an offset. The block renders its records once, on
+// first use, so a block frame is one Write of cached bytes and a run frame
+// is a few varints. The trailer's XOR checksum folds without rebuilding
+// coordinates:
 //
 //	(rowBase+r)*31 + (colBase+c) = (rowBase*31 + colBase) + (r*31 + c)
 //
@@ -45,12 +42,12 @@ type Block struct {
 	// larger than the cache read a third of the memory.
 	pre []int64
 
-	deltaOnce sync.Once
-	// tail holds the delta record of every edge after the first, each
-	// relative to its predecessor: edge i's record (i ≥ 1) is
-	// tail[offs[i]:offs[i+1]], and offs[len(edges)] = len(tail).
-	tail []byte
-	offs []int
+	recOnce sync.Once
+	// recs holds the delta record of every edge, edge 0 relative to (0, 0)
+	// and each later edge relative to its predecessor: the payload of the
+	// block's KRNB block frame. It is nil when the block is not eligible
+	// for one (see records).
+	recs []byte
 }
 
 // NewBlock returns a block over edges. The block owns the slice from here
@@ -72,27 +69,24 @@ func (b *Block) foldTerms() []int64 {
 	return b.pre
 }
 
-// deltaTail returns the cached delta records of edges lo+1 .. hi-1, rendering
-// the block's records on first use.
-func (b *Block) deltaTail(lo, hi int) []byte {
-	b.deltaOnce.Do(b.renderDelta)
-	return b.tail[b.offs[lo+1]:b.offs[hi]]
-}
-
-func (b *Block) renderDelta() {
-	n := len(b.edges)
-	b.offs = make([]int, n+1)
-	b.tail = make([]byte, 0, 3*n)
-	for i := 1; i < n; i++ {
-		prev, e := b.edges[i-1], b.edges[i]
-		b.offs[i] = len(b.tail)
-		b.tail = binary.AppendUvarint(b.tail, zigzag(e.Row-prev.Row))
-		b.tail = binary.AppendUvarint(b.tail, zigzag(e.Col-prev.Col))
-		b.tail = binary.AppendUvarint(b.tail, zigzag(e.Val))
-	}
-	if n > 0 {
-		b.offs[n] = len(b.tail)
-	}
+// records returns the block frame payload, rendering it on first use, and
+// whether the block may be sent as a block frame at all: every value must
+// be 1 and every coordinate in [0, 2^31), the shape a decoder stores in
+// 8 bytes per edge. Every generator C block is eligible.
+func (b *Block) records() ([]byte, bool) {
+	b.recOnce.Do(func() {
+		recs := make([]byte, 0, 3*len(b.edges))
+		var prev Edge
+		for _, e := range b.edges {
+			if e.Val != 1 || uint64(e.Row) > blockCoordMax || uint64(e.Col) > blockCoordMax {
+				return
+			}
+			recs = appendDelta(recs, prev, e)
+			prev = e
+		}
+		b.recs = recs
+	})
+	return b.recs, b.recs != nil
 }
 
 // Run is edges [Lo, Hi) of Block shifted by (RowBase, ColBase): block edge
@@ -132,24 +126,21 @@ func (r Run) FoldChecksum(sum int64) int64 {
 	return sum
 }
 
-// SetBlockReplay toggles the delta replay fast path. With replay disabled,
-// WriteRun encodes the run per edge through the same frame boundary the
-// replay path uses, producing byte-identical output — the oracle the parity
-// suite pins the replay against. Replay is on by default.
+// SetBlockReplay toggles the block replay fast path. With replay disabled,
+// WriteRun emits the same block and run frames but encodes each block
+// frame's records edge by edge instead of copying the block's cached bytes:
+// byte-identical output, the oracle the parity suite pins the replay
+// against. Replay is on by default.
 func (b *BinaryEdgeWriter) SetBlockReplay(enabled bool) { b.noReplay = !enabled }
 
-// WriteRun writes the run's edges. In the delta encoding the run becomes one
-// self-contained frame: pending per-edge writes are framed first (frame
-// order = edge order), then the frame-count header, the first edge absolute,
-// and the block's cached delta records for the rest; the trailer fold is
-// the closed-form FoldChecksum. The fixed encoding has no offset-invariant
-// bytes to replay, so it expands the run and writes it as a batch. Zero
-// allocations at steady state.
+// WriteRun writes the run's edges. In the delta encoding a run over an
+// eligible block (see Block.records) is one run frame, preceded by the
+// block's block frame on the stream's first run over it; pending per-edge
+// writes are framed first (frame order = edge order), and the trailer fold
+// is the closed-form FoldChecksum. A run over any other block, and every
+// run in the fixed encoding, is expanded and written as a batch of edge
+// frames. Zero allocations at steady state.
 func (b *BinaryEdgeWriter) WriteRun(r Run) error {
-	if b.enc == BinaryFixed {
-		b.runBuf = r.AppendEdges(b.runBuf[:0])
-		return b.WriteEdges(b.runBuf)
-	}
 	if b.finished {
 		return fmt.Errorf("graphio: WriteRun after Finish on binary edge stream")
 	}
@@ -157,28 +148,69 @@ func (b *BinaryEdgeWriter) WriteRun(r Run) error {
 	if n == 0 {
 		return nil
 	}
-	b.checksum = r.FoldChecksum(b.checksum)
-	b.count += int64(n)
+	if b.enc == BinaryDelta {
+		if recs, ok := r.Block.records(); ok {
+			return b.writeRunFrame(r, recs)
+		}
+	}
+	b.runBuf = r.AppendEdges(b.runBuf[:0])
+	return b.WriteEdges(b.runBuf)
+}
+
+// writeRunFrame writes r as a run frame, sending its block first if this
+// stream has not sent it yet. recs is the block's frame payload.
+func (b *BinaryEdgeWriter) writeRunFrame(r Run, recs []byte) error {
 	if err := b.emitFrame(); err != nil {
 		return err
 	}
-	if b.noReplay {
-		for _, e := range r.Local() {
-			b.appendEdge(r.RowBase+e.Row, r.ColBase+e.Col, e.Val)
+	id := slices.Index(b.sent, r.Block)
+	if id < 0 {
+		id = len(b.sent)
+		if err := b.writeBlockFrame(r.Block, id, recs); err != nil {
+			return err
 		}
-		return b.emitFrame()
+		b.sent = append(b.sent, r.Block)
 	}
-	first := r.Block.edges[r.Lo]
-	sc := binary.AppendUvarint(b.scratch[:0], uint64(n))
-	sc = binary.AppendUvarint(sc, zigzag(r.RowBase+first.Row))
-	sc = binary.AppendUvarint(sc, zigzag(r.ColBase+first.Col))
-	sc = binary.AppendUvarint(sc, zigzag(first.Val))
+	b.checksum = r.FoldChecksum(b.checksum)
+	b.count += int64(r.Len())
+	sc := binary.AppendUvarint(b.scratch[:0], uint64(r.Len())<<2|frameRun)
+	sc = binary.AppendUvarint(sc, uint64(id))
+	sc = binary.AppendUvarint(sc, uint64(r.Lo))
+	sc = binary.AppendUvarint(sc, zigzag(r.RowBase))
+	sc = binary.AppendUvarint(sc, zigzag(r.ColBase))
 	b.scratch = sc[:0]
-	if _, err := b.bw.Write(sc); err != nil {
+	_, err := b.bw.Write(sc)
+	return err
+}
+
+// writeBlockFrame sends blk as block id: the frame tag and id, then its
+// records — one Write of the cached bytes, or, with replay disabled, each
+// record encoded afresh through the scratch buffer.
+func (b *BinaryEdgeWriter) writeBlockFrame(blk *Block, id int, recs []byte) error {
+	sc := binary.AppendUvarint(b.scratch[:0], uint64(blk.Len())<<2|frameBlock)
+	sc = binary.AppendUvarint(sc, uint64(id))
+	if !b.noReplay {
+		b.scratch = sc[:0]
+		if _, err := b.bw.Write(sc); err != nil {
+			return err
+		}
+		// bufio hands writes at or above its buffer size straight to the
+		// underlying writer, so a large block costs one copy or none.
+		_, err := b.bw.Write(recs)
 		return err
 	}
-	// bufio hands writes at or above its buffer size straight to the
-	// underlying writer, so this is the one memcpy (or none) a run costs.
-	_, err := b.bw.Write(r.Block.deltaTail(r.Lo, r.Hi))
+	var prev Edge
+	for _, e := range blk.edges {
+		sc = appendDelta(sc, prev, e)
+		prev = e
+		if len(sc) >= edgeChunk {
+			if _, err := b.bw.Write(sc); err != nil {
+				return err
+			}
+			sc = sc[:0]
+		}
+	}
+	b.scratch = sc[:0]
+	_, err := b.bw.Write(sc)
 	return err
 }

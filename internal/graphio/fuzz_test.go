@@ -2,7 +2,9 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -162,15 +164,15 @@ func binarySeed(nnz int64, enc BinaryEncoding, edges []Edge) []byte {
 }
 
 // blockReplaySeed encodes a stream through the block replay — one block
-// replayed as runs at several offsets — so the fuzz corpus carries the
-// replay path's exact framing (one self-contained frame per run).
+// frame, then one run frame per offset — so the fuzz corpus carries the
+// replay path's exact framing.
 func blockReplaySeed() []byte {
 	var buf bytes.Buffer
 	w, err := NewBinaryEdgeWriter(&buf, 6, BinaryDelta)
 	if err != nil {
 		panic(err)
 	}
-	b := NewBlock([]Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 4, Val: 2}, {Row: 1, Col: 0, Val: 1}})
+	b := NewBlock([]Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 4, Val: 1}, {Row: 1, Col: 0, Val: 1}})
 	for _, base := range [][2]int64{{0, 0}, {3, 9}} {
 		if err := w.WriteRun(Run{Block: b, Hi: b.Len(), RowBase: base[0], ColBase: base[1]}); err != nil {
 			panic(err)
@@ -182,8 +184,8 @@ func blockReplaySeed() []byte {
 	return buf.Bytes()
 }
 
-// replaySeed encodes one block replayed at runs offsets: one frame per run,
-// each as long as the block.
+// replaySeed encodes one block replayed at runs offsets: one block frame,
+// then one run frame per offset, each as long as the block.
 func replaySeed(block []Edge, runs int) []byte {
 	var buf bytes.Buffer
 	w, err := NewBinaryEdgeWriter(&buf, int64(len(block)*runs), BinaryDelta)
@@ -202,16 +204,60 @@ func replaySeed(block []Edge, runs int) []byte {
 	return buf.Bytes()
 }
 
+// uvs appends the varints of xs to dst: the hand-built streams' frame
+// fields.
+func uvs(dst []byte, xs ...uint64) []byte {
+	for _, x := range xs {
+		dst = binary.AppendUvarint(dst, x)
+	}
+	return dst
+}
+
+// handStream assembles a delta stream by hand: the header (with nnz when
+// nnz >= 0), the frames, and a trailer declaring edges and sum under a
+// correct CRC, so only what the frames get wrong can fail it.
+func handStream(nnz int64, edges, sum int64, frames ...[]byte) []byte {
+	data := []byte("KRNB\x02\x00")
+	if nnz >= 0 {
+		data[5] = binFlagHasNNZ
+		data = uvs(data, uint64(nnz))
+	}
+	for _, f := range frames {
+		data = append(data, f...)
+	}
+	data = uvs(data, 0, uint64(edges))
+	data = binary.LittleEndian.AppendUint64(data, uint64(sum))
+	return binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
+}
+
+// blockFrame is block id's frame over block-local edges (r, c) with the
+// given value: delta records, prev reset.
+func blockFrame(id uint64, val int64, edges ...[2]int64) []byte {
+	f := uvs(nil, uint64(len(edges))<<2|frameBlock, id)
+	var prev Edge
+	for _, rc := range edges {
+		e := Edge{Row: rc[0], Col: rc[1], Val: val}
+		f = appendDelta(f, prev, e)
+		prev = e
+	}
+	return f
+}
+
+// runFrame is a run frame over edges [lo, lo+n) of block id.
+func runFrame(id, lo, n uint64, rowBase, colBase int64) []byte {
+	return uvs(nil, n<<2|frameRun, id, lo, zigzag(rowBase), zigzag(colBase))
+}
+
 // overflowSeed is a delta stream whose second record starts with an
 // 11-byte varint: ten continuation bytes, more than any uint64 needs.
 func overflowSeed() []byte {
-	data := []byte("KRNB\x01\x00")
-	data = append(data, 2)       // frame of two records
+	data := []byte("KRNB\x02\x00")
+	data = append(data, 2<<2)    // edge frame of two records
 	data = append(data, 2, 2, 2) // (1, 1, 1)
 	data = append(data, bytes.Repeat([]byte{0xff}, 10)...)
 	data = append(data, 0x01, 2, 2) // overflowing row delta, then col, val
 	data = append(data, 0, 2)       // trailer tag, edges
-	return append(data, make([]byte, 8)...)
+	return append(data, make([]byte, 8+4)...)
 }
 
 // FuzzReadBinary checks the binary edge reader never panics on arbitrary
@@ -225,8 +271,9 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(binarySeed(-1, BinaryFixed, []Edge{{Row: 1 << 40, Col: -(1 << 30), Val: 9}}))
 	f.Add([]byte("KRNB"))
 	f.Add([]byte("0\t1\t1\n"))
-	f.Add(replaySeed(bandOrderedEdgesN(30_000), 1)) // one frame longer than the 64 KiB read buffer
+	f.Add(replaySeed(bandOrderedEdgesN(30_000), 1)) // a block frame longer than the 64 KiB read buffer
 	f.Add(overflowSeed())
+	f.Add(handStream(2, 2, 0, blockFrame(0, 1, [2]int64{0, 1}, [2]int64{1, 0}), runFrame(1, 0, 2, 5, 5))) // run names an undefined block
 	f.Fuzz(func(t *testing.T, input []byte) {
 		var edges []Edge
 		info, err := ReadBinary(nil, bytes.NewReader(input), func(batch []Edge) error {

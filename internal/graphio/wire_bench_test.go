@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"strconv"
 	"testing"
 )
 
@@ -46,45 +45,6 @@ func BenchmarkWireTSV(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.WriteEdges(edges); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportEdges(b, len(edges))
-}
-
-// strconvEdgeBatch is the pre-LUT encoder kept verbatim as the benchmark
-// baseline for the appendInt fast path.
-func strconvEdgeBatch(w *TSVEdgeWriter, batch []Edge) error {
-	b := w.buf[:0]
-	for _, e := range batch {
-		b = strconv.AppendInt(b, e.Row, 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, e.Col, 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, e.Val, 10)
-		b = append(b, '\n')
-		if len(b) >= edgeChunk {
-			if _, err := w.bw.Write(b); err != nil {
-				return err
-			}
-			b = b[:0]
-		}
-	}
-	w.buf = b[:0]
-	if len(b) == 0 {
-		return nil
-	}
-	_, err := w.bw.Write(b)
-	return err
-}
-
-func BenchmarkWireTSVStrconv(b *testing.B) {
-	edges := benchEdges()
-	w := NewTSVEdgeWriter(io.Discard)
-	b.SetBytes(int64(len(edges)) * edgeWireBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := strconvEdgeBatch(w, edges); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,3 +97,20 @@ func benchmarkWireBinaryRead(b *testing.B, enc BinaryEncoding) {
 
 func BenchmarkWireBinaryFixedRead(b *testing.B) { benchmarkWireBinaryRead(b, BinaryFixed) }
 func BenchmarkWireBinaryDeltaRead(b *testing.B) { benchmarkWireBinaryRead(b, BinaryDelta) }
+
+// BenchmarkWireBinaryReplayRead decodes a replayed stream: one block frame
+// of 2048 band-ordered edges, then one run frame per block offset, as a
+// single-worker generation pass writes it.
+func BenchmarkWireBinaryReplayRead(b *testing.B) {
+	const runs = 256
+	data := replaySeed(bandOrderedEdgesN(2048), runs)
+	ctx := context.Background()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBinary(ctx, bytes.NewReader(data), func([]Edge) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportEdges(b, 2048*runs)
+}

@@ -130,8 +130,8 @@ func TestInstrumentZeroAllocs(t *testing.T) {
 // TestRunPathsZeroAllocs pins the run paths that expand or encode at zero
 // allocations per run once their buffers have grown: Func's borrowed
 // expansion buffer and every Writer encoding (TSV and MatrixMarket expand
-// into the sink's buffer, KRNB delta replays the block's cached bytes, KRNB
-// fixed expands into the writer's own).
+// into the sink's buffer, KRNB delta writes a run frame over the block it
+// sent once, KRNB fixed expands into the writer's own).
 func TestRunPathsZeroAllocs(t *testing.T) {
 	newBin := func(enc graphio.BinaryEncoding) graphio.EdgeWriter {
 		w, err := graphio.NewBinaryEdgeWriter(io.Discard, -1, enc)

@@ -239,7 +239,8 @@ func (c *Checksum) Sum() int64 {
 }
 
 // runWriter is implemented by edge writers that encode a run without
-// expanding it (the KRNB binary writer, which replays cached delta bytes).
+// expanding it (the KRNB binary writer, which sends the block once and the
+// run as a run frame).
 type runWriter interface {
 	WriteRun(r Run) error
 }
@@ -256,9 +257,9 @@ type writerSink struct {
 // a mutex, so the output interleaves worker runs atomically; with one
 // worker — or one Writer per worker via PerWorker — the byte stream is
 // deterministic. A writer with its own run path (the KRNB binary writer:
-// cached delta bytes replayed per run) gets the run; any other writer gets
-// the run expanded into a reused buffer through WriteEdges. Close finishes
-// writers whose format has an explicit end-of-stream marker
+// one block frame, then a run frame per run) gets the run; any other
+// writer gets the run expanded into a reused buffer through WriteEdges.
+// Close finishes writers whose format has an explicit end-of-stream marker
 // (graphio.Finisher, e.g. the binary trailer) and flushes; a sink Close
 // marks a complete stream, so compositions ending in Writer get the trailer
 // for free. Wrap with KeepOpen to close a pipeline without ending the

@@ -108,10 +108,10 @@ func TestStreamServiceZeroAllocsPerBatch(t *testing.T) {
 }
 
 // TestStreamServiceZeroAllocsPerBlockRun is the same guard for the KRNB
-// delta stream: the consumer's Writer replays each received run from the
-// block's cached delta bytes. Nothing is cloned on the way — the hand-off
-// carries the run itself — so after the block renders its records once the
-// round trip moves only cached bytes.
+// delta stream: the consumer's Writer sends the block once and each
+// received run as a run frame. Nothing is cloned on the way — the hand-off
+// carries the run itself — so after the block frame the round trip writes
+// a few bytes per run.
 func TestStreamServiceZeroAllocsPerBlockRun(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewManager(cfg, &Metrics{})

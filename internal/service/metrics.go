@@ -28,6 +28,7 @@ type Metrics struct {
 
 	EdgesGenerated atomic.Int64 // counter: edges produced by generation workers
 	EdgesStreamed  atomic.Int64 // counter: edges encoded to clients
+	StreamBytes    atomic.Int64 // counter: edge-stream body bytes written to clients, every format
 	GenNanos       atomic.Int64 // counter: cumulative wall-clock nanoseconds of running generation
 
 	DesignsComputed atomic.Int64 // counter: property computations performed
@@ -146,6 +147,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"kronserve_jobs_active", "Jobs admitted and not yet finished.", "gauge", m.JobsActive.Load()},
 		{"kronserve_edges_generated_total", "Edges produced by generation workers.", "counter", m.EdgesGenerated.Load()},
 		{"kronserve_edges_streamed_total", "Edges encoded to clients.", "counter", m.EdgesStreamed.Load()},
+		{"kronserve_stream_bytes_total", "Edge-stream body bytes written to clients, every format.", "counter", m.StreamBytes.Load()},
 		{"kronserve_generation_seconds_total", "Cumulative active generation time.", "counter", float64(m.GenNanos.Load()) / 1e9},
 		{"kronserve_edges_per_second", "Lifetime aggregate generation rate.", "gauge", m.EdgesPerSec()},
 		{"kronserve_designs_computed_total", "Design property computations performed.", "counter", m.DesignsComputed.Load()},

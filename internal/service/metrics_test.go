@@ -130,7 +130,8 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := io.Copy(io.Discard, eresp.Body); err != nil {
+	body, err := io.Copy(io.Discard, eresp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	eresp.Body.Close()
@@ -301,6 +302,10 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(all, want) {
 			t.Errorf("exposition missing %s", want)
 		}
+	}
+	// The stream job's body is the only edge stream this server wrote.
+	if want := fmt.Sprintf("kronserve_stream_bytes_total %d\n", body); !strings.Contains(all+"\n", want) {
+		t.Errorf("exposition lacks %q: the edge stream's body bytes", strings.TrimSpace(want))
 	}
 	// The two jobs plus validation ran through the instrumented chain, so
 	// run-time observations must exist (both jobs finished).

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graphio"
@@ -84,27 +85,40 @@ func checkFormat(format, enc string, j *Job) error {
 	}
 }
 
-// newEdgeWriter builds the encoder for a checkFormat-validated format and
-// sets the response content type. The MatrixMarket and binary headers — both
-// of which declare the exact edge count — are written immediately: because
-// the design's edge count is exact before generation, the service can emit a
-// complete, well-formed header for a graph that does not exist yet.
-func newEdgeWriter(w http.ResponseWriter, format, enc string, j *Job, header string) (graphio.EdgeWriter, error) {
+// byteCounter counts the bytes written through it into n.
+type byteCounter struct {
+	w io.Writer
+	n *atomic.Int64
+}
+
+func (c byteCounter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// newEdgeWriter builds the encoder for a checkFormat-validated format over
+// body, the response body, and sets the response content type. The
+// MatrixMarket and binary headers — both of which declare the exact edge
+// count — are written immediately: because the design's edge count is
+// exact before generation, the service can emit a complete, well-formed
+// header for a graph that does not exist yet.
+func newEdgeWriter(w http.ResponseWriter, body io.Writer, format, enc string, j *Job, header string) (graphio.EdgeWriter, error) {
 	switch format {
 	case FormatMatrixMarket, "mm":
 		w.Header().Set("Content-Type", "text/plain; charset=us-ascii")
 		n := j.design.NumVertices().Int64()
-		return graphio.NewMatrixMarketEdgeWriter(w, n, n, j.totalEdges, header)
+		return graphio.NewMatrixMarketEdgeWriter(body, n, n, j.totalEdges, header)
 	case FormatBinary:
 		encoding, err := binaryEncoding(enc)
 		if err != nil {
 			return nil, err
 		}
 		w.Header().Set("Content-Type", ContentTypeBinary)
-		return graphio.NewBinaryEdgeWriter(w, j.totalEdges, encoding)
+		return graphio.NewBinaryEdgeWriter(body, j.totalEdges, encoding)
 	default:
 		w.Header().Set("Content-Type", "text/tab-separated-values")
-		ew := graphio.NewTSVEdgeWriter(w)
+		ew := graphio.NewTSVEdgeWriter(body)
 		if err := ew.Comment(header); err != nil {
 			return nil, err
 		}
@@ -115,8 +129,9 @@ func newEdgeWriter(w http.ResponseWriter, format, enc string, j *Job, header str
 // streamJob encodes the job's runs to the HTTP response until the stream
 // ends, the client disconnects, or encoding fails. Every format takes the
 // same path: the response's edge writer behind pipeline.Writer, which
-// replays the block's cached bytes for KRNB delta and expands the run for
-// everything else. The loop owns the consumer side of the backpressure
+// sends the block once and each run as a run frame for KRNB delta and
+// expands the run for everything else. Body bytes are counted into
+// kronserve_stream_bytes_total. The loop owns the consumer side of the backpressure
 // contract — the queue is bounded, the workers block when it is full, and
 // this loop drains it only as fast as the client accepts bytes. A client
 // that disconnects mid-stream cancels the job — edges are not stored, so an
@@ -145,7 +160,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, form
 	if j.shard != nil {
 		header += fmt.Sprintf(" shard %d/%d", j.shard.Shard, j.shard.Shards)
 	}
-	ew, err := newEdgeWriter(w, format, enc, j, header)
+	ew, err := newEdgeWriter(w, byteCounter{w, &s.metrics.StreamBytes}, format, enc, j, header)
 	if err != nil {
 		// Both writers buffer their header, so nothing has been committed
 		// to the response yet and a real error status can still be sent —

@@ -67,8 +67,9 @@ func PerWorker(sinks ...Sink) Sink { return pipeline.PerWorker(sinks...) }
 // Writer wraps an EdgeWriter as a Sink: runs are encoded whole and
 // worker-atomically; Close finishes (binary trailer) or flushes. With one
 // worker — or one Writer per worker via PerWorker — the byte stream is
-// deterministic. The KRNB delta encoder replays each run from the block's
-// cached delta bytes; other writers get the run expanded into a batch.
+// deterministic. The KRNB delta encoder sends the run's block once and the
+// run as a short run frame; other writers get the run expanded into a
+// batch.
 func Writer(ew EdgeWriter) Sink { return pipeline.Writer(ew) }
 
 // BlockRun is the name Run had when sinks took block runs and batches

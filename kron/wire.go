@@ -12,10 +12,12 @@ import (
 // The KRNB framed binary encoding is the wire-speed alternative to the TSV
 // and MatrixMarket text streams: a self-describing header carrying the
 // design-time exact edge count, delta-varint or fixed-width frames, and a
-// trailer carrying the actual count plus the XOR content checksum every
-// other layer folds — so a complete stream reconciles against its design
-// (Checksum sinks, shard plans, job checksums) and a truncated or corrupted
-// one is detected on read. See internal/graphio for the byte-level layout.
+// trailer carrying the actual count, the XOR content checksum every other
+// layer folds, and a CRC-32C of every byte — so a complete stream
+// reconciles against its design (Checksum sinks, shard plans, job
+// checksums) and a truncated or damaged one is detected on read. Delta
+// streams send each shared C block once and each run over it as a short
+// reference. See internal/graphio for the byte-level layout.
 
 // BinaryEncoding selects the payload encoding of a binary edge stream.
 type BinaryEncoding = graphio.BinaryEncoding
@@ -47,14 +49,17 @@ type Finisher = graphio.Finisher
 
 // BinaryInfo reports what a complete binary stream declared about itself:
 // header nnz (-1 if unknown), encoding, and the trailer's actual edge count
-// and XOR content checksum.
+// and XOR content checksum (the CRC is checked, not reported).
 type BinaryInfo = graphio.BinaryInfo
 
 // ReadBinary decodes a KRNB binary edge stream, calling emit with batches of
-// edges in stream order (the batch is reused across calls). The stream is
-// verified end to end — magic, payload, trailer count and checksum, and
-// completeness when the header declares nnz; failures wrap
-// ErrBinaryTruncated or ErrBinaryCorrupt. ctx is checked once per frame.
+// edges in stream order (the batch is reused across calls). It keeps each
+// block the stream sends — 8 bytes per edge, at most 8 MB for a service
+// job at the default MaxCNNZ — and expands every run from it. The stream
+// is verified end to end — magic, payload, block and run references,
+// trailer count, checksum and CRC, and completeness when the header
+// declares nnz; failures wrap ErrBinaryTruncated or ErrBinaryCorrupt. ctx
+// is checked once per frame.
 func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error) (*BinaryInfo, error) {
 	return graphio.ReadBinary(ctx, r, emit)
 }
@@ -72,9 +77,10 @@ var (
 // K = B ⊗ C repeats C's edge pattern once per B nonzero, shifted by a
 // constant block offset, and the generator streams it that way: every run a
 // sink receives is a slice of one shared, immutable C block. The KRNB delta
-// encoding of a run's edges after its first depends only on block-local
-// coordinates, so the block renders those bytes once, on first use, and
-// BinaryEdgeWriter (through Writer) replays each run as one frame: a count,
-// the first edge, and one copy of the cached bytes. SetBlockReplay(false)
-// encodes the same frames edge by edge instead — the byte-for-byte oracle
-// the replay is tested against.
+// encoding puts that structure on the wire: BinaryEdgeWriter (through
+// Writer) sends the block once, as one copy of delta records the block
+// renders on first use, and each run as a run frame naming the block, its
+// sub-range and its offset; ReadBinary expands each run from its decoded
+// copy of the block with the same closed-form step. SetBlockReplay(false)
+// encodes the block's records edge by edge instead — the byte-for-byte
+// oracle the replay is tested against.

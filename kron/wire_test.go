@@ -56,7 +56,7 @@ func TestPublicBinaryWire(t *testing.T) {
 	}
 
 	// The exported error classes classify failures.
-	if _, err := kron.ReadBinary(context.Background(), bytes.NewReader([]byte("KRNB\x01\x00")), func([]kron.Edge) error { return nil }); !errors.Is(err, kron.ErrBinaryTruncated) {
+	if _, err := kron.ReadBinary(context.Background(), bytes.NewReader([]byte("KRNB\x02\x00")), func([]kron.Edge) error { return nil }); !errors.Is(err, kron.ErrBinaryTruncated) {
 		t.Fatalf("headerless stream: %v, want ErrBinaryTruncated", err)
 	}
 	if _, err := kron.ReadBinary(context.Background(), bytes.NewReader([]byte("nope")), func([]kron.Edge) error { return nil }); !errors.Is(err, kron.ErrBinaryCorrupt) {

@@ -23,6 +23,11 @@
 #      sample must run at no less than three quarters of the rate encoding
 #      it does, so a client keeps up with the wire it is sent (a per-byte
 #      decoder measured 0.4-0.5 here).
+#   7. binDeltaReplayReadEdgesPerSec must be at least 2x the same run's
+#      binDeltaReadEdgesPerSec — decoding a replayed stream (one block frame,
+#      then run frames expanded from the decoded block) must stay well ahead
+#      of decoding edge frames, the gap block replay on the client exists to
+#      open (about 4x when it landed).
 #
 # CI runners are noisy, so the throughput gates are floors with headroom, not
 # equality checks. Run from the repository root: ./scripts/bench-smoke.sh
@@ -76,5 +81,10 @@ read=$(jq -e '.binDeltaReadEdgesPerSec' "$FRESH3")
 echo "delta wire decode: ${read} edges/s, ${readRatio}x the delta encoder"
 jq -en --argjson r "$readRatio" '$r >= 0.75' >/dev/null \
   || fail "deltaReadToWriteRatio ${readRatio} < 0.75: delta decode no longer keeps up with delta encode"
+
+replayRead=$(jq -e '.binDeltaReplayReadEdgesPerSec' "$FRESH3")
+echo "replayed-stream decode: ${replayRead} edges/s, edge-frame decode ${read}"
+jq -en --argjson r "$replayRead" --argjson e "$read" '$r >= 2 * $e' >/dev/null \
+  || fail "binDeltaReplayReadEdgesPerSec ${replayRead} < 2x binDeltaReadEdgesPerSec ${read}: run frames no longer decode ahead of edge frames"
 
 echo "bench-smoke: OK"

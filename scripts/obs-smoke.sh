@@ -6,7 +6,8 @@
 #
 #   1. /metrics carries the promised series: per-route latency histograms,
 #      job queue-wait/realize/run-time histograms, and the pipeline stage counters
-#      for the service chain and the validation passes.
+#      for the service chain and the validation passes; and
+#      kronserve_stream_bytes_total equals the streamed job's body size.
 #   2. /v1/jobs/{id}/trace ends in a terminal phase.
 #   3. The -debug-addr listener answers /debug/vars and a 1-second
 #      /debug/pprof/profile capture.
@@ -66,8 +67,10 @@ echo "== run a streamed job and consume its edges"
 SJOB=$(curl -sf -X POST "$BASE/v1/jobs" \
   -d "{\"points\":[3,4,5],\"loop\":\"hub\",\"workers\":2,\"split\":1}" | job_id)
 [ -n "$SJOB" ] || fail "stream job not admitted"
-EDGES=$(curl -sf "$BASE/v1/jobs/$SJOB/edges" | grep -cv '^#') || true
+curl -sf "$BASE/v1/jobs/$SJOB/edges" >"$WORK/edges.tsv" || fail "edge stream request failed"
+EDGES=$(grep -cv '^#' "$WORK/edges.tsv") || true
 [ "$EDGES" -gt 0 ] || fail "edge stream delivered no edges"
+BODY_BYTES=$(wc -c <"$WORK/edges.tsv")
 
 echo "== check /metrics for the promised series"
 curl -sf "$BASE/metrics" >"$WORK/metrics.txt"
@@ -86,6 +89,9 @@ for series in \
 do
   grep -qF "$series" "$WORK/metrics.txt" || fail "/metrics missing: $series"
 done
+STREAM_BYTES=$(awk '$1 == "kronserve_stream_bytes_total" { print $2 }' "$WORK/metrics.txt")
+[ "$STREAM_BYTES" = "$BODY_BYTES" ] \
+  || fail "kronserve_stream_bytes_total is '${STREAM_BYTES}', the streamed body was ${BODY_BYTES} bytes"
 
 echo "== check the job trace ends in a terminal phase"
 TRACE=$(curl -sf "$BASE/v1/jobs/$JOB/trace")
