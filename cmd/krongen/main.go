@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/cliutil"
@@ -101,7 +99,7 @@ func run(args []string) (err error) {
 	}
 	var shard *gen.ShardInfo
 	if *shardSpec != "" {
-		k, total, err := parseShard(*shardSpec)
+		k, total, err := cliutil.ParseShard(*shardSpec)
 		if err != nil {
 			return err
 		}
@@ -161,27 +159,6 @@ func run(args []string) (err error) {
 	}
 	fmt.Printf("wrote %d chunks under %s\n", len(paths), *out)
 	return nil
-}
-
-// parseShard parses a "k/K" shard spec into its index and total. Both
-// halves must be complete integers — trailing garbage ("1/2x", "1/2/8")
-// would silently generate the wrong slice and corrupt the reassembled
-// graph, so it is rejected, not ignored.
-func parseShard(spec string) (k, total int, err error) {
-	lo, hi, ok := strings.Cut(spec, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad -shard %q: want k/K (e.g. 0/4)", spec)
-	}
-	if k, err = strconv.Atoi(lo); err != nil {
-		return 0, 0, fmt.Errorf("bad -shard %q: %v", spec, err)
-	}
-	if total, err = strconv.Atoi(hi); err != nil {
-		return 0, 0, fmt.Errorf("bad -shard %q: %v", spec, err)
-	}
-	if total < 1 || k < 0 || k >= total {
-		return 0, 0, fmt.Errorf("bad -shard %q: need 0 ≤ k < K", spec)
-	}
-	return k, total, nil
 }
 
 // streamChunks writes one edge chunk per worker through the pipeline layer —

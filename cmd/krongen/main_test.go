@@ -15,43 +15,6 @@ import (
 	"repro/kron"
 )
 
-// parseShard must reject anything but a complete "k/K" — trailing garbage
-// silently accepted (the old fmt.Sscanf behavior) would generate the wrong
-// slice and corrupt the reassembled graph.
-func TestParseShard(t *testing.T) {
-	for _, tc := range []struct {
-		spec     string
-		k, total int
-		ok       bool
-	}{
-		{"0/4", 0, 4, true},
-		{"3/4", 3, 4, true},
-		{"0/1", 0, 1, true},
-		{"4/4", 0, 0, false},
-		{"-1/4", 0, 0, false},
-		{"0/0", 0, 0, false},
-		{"0/-2", 0, 0, false},
-		{"1", 0, 0, false},
-		{"", 0, 0, false},
-		{"a/4", 0, 0, false},
-		{"1/2junk", 0, 0, false},
-		{"1/2/8", 0, 0, false},
-		{"1x/2", 0, 0, false},
-		{"1 /2", 0, 0, false},
-	} {
-		k, total, err := parseShard(tc.spec)
-		if tc.ok {
-			if err != nil {
-				t.Errorf("parseShard(%q): unexpected error %v", tc.spec, err)
-			} else if k != tc.k || total != tc.total {
-				t.Errorf("parseShard(%q) = %d/%d, want %d/%d", tc.spec, k, total, tc.k, tc.total)
-			}
-		} else if err == nil {
-			t.Errorf("parseShard(%q) accepted as %d/%d", tc.spec, k, total)
-		}
-	}
-}
-
 // A heap profile that cannot be written must surface in run's error — and
 // hence the exit status — not just a stderr line: a silently lost profile
 // reads as a successful measurement run.

@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string) error {
 // checksums unless enumerated; the closed-form edge count is the cheap,
 // always-available reconciliation).
 func validateShard(ctx context.Context, d *kron.Design, split, workers int, spec string) error {
-	k, total, err := parseShard(spec)
+	k, total, err := cliutil.ParseShard(spec)
 	if err != nil {
 		return err
 	}
@@ -156,24 +156,6 @@ func validateSampled(ctx context.Context, d *kron.Design, split, workers int) er
 		return fmt.Errorf("validation failed")
 	}
 	return nil
-}
-
-// parseShard parses a -shard k/K spec, mirroring krongen's flag.
-func parseShard(spec string) (k, total int, err error) {
-	lo, hi, ok := strings.Cut(spec, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad -shard %q: want k/K (e.g. 0/4)", spec)
-	}
-	if k, err = strconv.Atoi(lo); err != nil {
-		return 0, 0, fmt.Errorf("bad -shard %q: %v", spec, err)
-	}
-	if total, err = strconv.Atoi(hi); err != nil {
-		return 0, 0, fmt.Errorf("bad -shard %q: %v", spec, err)
-	}
-	if total < 1 || k < 0 || k >= total {
-		return 0, 0, fmt.Errorf("bad -shard %q: need 0 ≤ k < K", spec)
-	}
-	return k, total, nil
 }
 
 // validateStreams folds the edge count and XOR content checksum over every

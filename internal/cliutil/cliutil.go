@@ -50,3 +50,24 @@ func ParseBigCount(s string) (*big.Int, error) {
 	}
 	return out, nil
 }
+
+// ParseShard parses a "k/K" shard spec into its index and total. Both
+// halves must be complete integers — trailing garbage ("1/2x", "1/2/8")
+// would silently select the wrong slice of the plan, so it is rejected,
+// not ignored.
+func ParseShard(spec string) (k, total int, err error) {
+	lo, hi, ok := strings.Cut(spec, "/")
+	if !ok {
+		return 0, 0, fmt.Errorf("bad -shard %q: want k/K (e.g. 0/4)", spec)
+	}
+	if k, err = strconv.Atoi(lo); err != nil {
+		return 0, 0, fmt.Errorf("bad -shard %q: %v", spec, err)
+	}
+	if total, err = strconv.Atoi(hi); err != nil {
+		return 0, 0, fmt.Errorf("bad -shard %q: %v", spec, err)
+	}
+	if total < 1 || k < 0 || k >= total {
+		return 0, 0, fmt.Errorf("bad -shard %q: need 0 ≤ k < K", spec)
+	}
+	return k, total, nil
+}

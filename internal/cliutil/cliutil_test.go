@@ -53,3 +53,40 @@ func TestParseBigCountErrors(t *testing.T) {
 		}
 	}
 }
+
+// ParseShard must reject anything but a complete "k/K" — trailing garbage
+// silently accepted (the old fmt.Sscanf behavior) would select the wrong
+// slice: krongen would generate it and kronvalidate would check it.
+func TestParseShard(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		k, total int
+		ok       bool
+	}{
+		{"0/4", 0, 4, true},
+		{"3/4", 3, 4, true},
+		{"0/1", 0, 1, true},
+		{"4/4", 0, 0, false},
+		{"-1/4", 0, 0, false},
+		{"0/0", 0, 0, false},
+		{"0/-2", 0, 0, false},
+		{"1", 0, 0, false},
+		{"", 0, 0, false},
+		{"a/4", 0, 0, false},
+		{"1/2junk", 0, 0, false},
+		{"1/2/8", 0, 0, false},
+		{"1x/2", 0, 0, false},
+		{"1 /2", 0, 0, false},
+	} {
+		k, total, err := ParseShard(tc.spec)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("ParseShard(%q): unexpected error %v", tc.spec, err)
+			} else if k != tc.k || total != tc.total {
+				t.Errorf("ParseShard(%q) = %d/%d, want %d/%d", tc.spec, k, total, tc.k, tc.total)
+			}
+		} else if err == nil {
+			t.Errorf("ParseShard(%q) accepted as %d/%d", tc.spec, k, total)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -331,102 +330,6 @@ func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	j.Cancel()
 	writeJSON(w, http.StatusAccepted, j.Status())
-}
-
-// ValidationResponse is the JSON rendering of the paper's predicted-vs-
-// measured comparison for one finished job.
-type ValidationResponse struct {
-	JobID   string        `json:"jobId"`
-	Design  DesignRequest `json:"design"`
-	Workers int           `json:"workers"`
-
-	PredictedVertices  string `json:"predictedVertices"`
-	PredictedEdges     string `json:"predictedEdges"`
-	PredictedTriangles string `json:"predictedTriangles"`
-
-	MeasuredVertices  int64 `json:"measuredVertices"`
-	MeasuredEdges     int64 `json:"measuredEdges"`
-	MeasuredTriangles int64 `json:"measuredTriangles"`
-
-	DegreePointsPredicted int `json:"degreePointsPredicted"`
-	DegreePointsMeasured  int `json:"degreePointsMeasured"`
-
-	ExactAgreement bool     `json:"exactAgreement"`
-	Mismatches     []string `json:"mismatches,omitempty"`
-}
-
-// handleValidate regenerates a finished job's design, measures the realized
-// edges, and reports whether every property agrees exactly with the closed
-// forms — the validation pillar of the paper as an endpoint. The report is
-// computed once per job and cached on it.
-func (s *Service) handleValidate(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	st := j.Status()
-	if st.State != StateDone {
-		writeError(w, http.StatusConflict,
-			fmt.Sprintf("job %s is %s; only done jobs can be validated", j.ID(), st.State))
-		return
-	}
-	if j.shard != nil {
-		// A shard job produced one slice of a plan, so its validation is
-		// shard-native: measure the slice, reconcile it against the plan's
-		// closed-form count and the generation checksum, and merge with the
-		// sibling shards' fragments into the design-level report once the
-		// whole plan has been validated.
-		s.handleValidateShard(w, r, j)
-		return
-	}
-	if j.totalEdges > kron.MaxValidationEdges {
-		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("job %s has %d edges, over the %d-edge validation realization bound; its design-side properties remain exact",
-				j.ID(), j.totalEdges, int64(kron.MaxValidationEdges)))
-		return
-	}
-	j.valMu.Lock()
-	defer j.valMu.Unlock()
-	if j.validation == nil {
-		// The request context rides through the whole measurement: a client
-		// that disconnects mid-validation stops the generation passes and
-		// the triangle bands instead of burning cores on an answer nobody
-		// will read. Nothing partial is cached.
-		rep, err := kron.Validate(r.Context(), j.design, j.split, j.workers)
-		if err != nil {
-			// Only an actual cancellation error counts as "client gone": a
-			// genuine validation failure must keep its 500 + message even
-			// when the impatient client has meanwhile disconnected. The
-			// status code is then a log artifact (499 is nginx's "client
-			// closed request").
-			if errors.Is(err, context.Canceled) && r.Context().Err() != nil {
-				writeError(w, statusClientClosedRequest, "validation cancelled: client disconnected")
-				return
-			}
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		s.metrics.ValidationsRun.Add(1)
-		if rep.ExactAgreement {
-			s.metrics.ValidationsExact.Add(1)
-		}
-		j.validation = &ValidationResponse{
-			JobID:                 j.ID(),
-			Design:                j.req.DesignRequest,
-			Workers:               rep.Workers,
-			PredictedVertices:     rep.PredictedVertices.String(),
-			PredictedEdges:        rep.PredictedEdges.String(),
-			PredictedTriangles:    rep.PredictedTriangles.String(),
-			MeasuredVertices:      rep.MeasuredVertices,
-			MeasuredEdges:         rep.MeasuredEdges,
-			MeasuredTriangles:     rep.MeasuredTriangles,
-			DegreePointsPredicted: rep.PredictedDegrees.Len(),
-			DegreePointsMeasured:  rep.MeasuredDegrees.Len(),
-			ExactAgreement:        rep.ExactAgreement,
-			Mismatches:            rep.Mismatches,
-		}
-	}
-	writeJSON(w, http.StatusOK, *j.validation)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -109,16 +109,16 @@ type JobRequest struct {
 
 // Job is one admitted generation job.
 type Job struct {
-	id         string
-	req        JobRequest
-	design     *kron.Design
-	workers    int
-	split      int
-	sink       string
-	totalEdges int64
-	// shard is the slice of the plan this job generates; nil for unsharded
-	// jobs.
-	shard *kron.ShardInfo
+	id      string
+	req     JobRequest
+	design  *kron.Design
+	workers int
+	split   int
+	sink    string
+	// shard is the slice of the design's plan this job generates: the
+	// requested shard of a sharded job, or the only slice of the one-shard
+	// plan of an unsharded one. Its Edges is the job's total edge count.
+	shard kron.ShardInfo
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -152,14 +152,19 @@ type Job struct {
 	// trace is the job's phase timeline, appended under mu; see TraceEvent.
 	trace []TraceEvent
 
+	// valMu guards the job's validation state. validation is the plan's
+	// design-level merged report, once this job merged it or adopted it
+	// from a sibling; measured is the job's own slice measurement, nil until
+	// /v1/validate computes it. measured keeps its mergeable CSR fragment
+	// only while validation is nil: setting validation releases it.
 	valMu      sync.Mutex
 	validation *ValidationResponse
-	// shardVal caches a sharded job's per-shard validation measurement (the
-	// mergeable fragment included); nil until /v1/validate computes it. For
-	// shard jobs, validation above holds the design-level merged report once
-	// every sibling shard has been validated.
-	shardVal *kron.ShardValidation
+	measured   *kron.ShardValidation
 }
+
+// sharded reports whether the job was submitted as one shard of a K-shard
+// plan; an unsharded job generates the one-shard plan.
+func (j *Job) sharded() bool { return j.req.Shards > 0 }
 
 // markLocked appends a phase event; the caller holds j.mu.
 func (j *Job) markLocked(phase, detail string) {
@@ -269,6 +274,11 @@ type ShardStatus struct {
 	Edges  int64 `json:"edges"`
 }
 
+// shardStatus renders a plan slice.
+func shardStatus(s kron.ShardInfo) ShardStatus {
+	return ShardStatus{Shard: s.Shard, Shards: s.Shards, BLo: s.BLo, BHi: s.BHi, Edges: s.Edges}
+}
+
 // JobStatus is the JSON rendering of a job's state and progress.
 type JobStatus struct {
 	ID     string        `json:"id"`
@@ -321,7 +331,7 @@ func (j *Job) Status() JobStatus {
 		Workers:        j.workers,
 		Split:          j.split,
 		Sink:           j.sink,
-		TotalEdges:     j.totalEdges,
+		TotalEdges:     j.shard.Edges,
 		GeneratedEdges: gen,
 		StreamedEdges:  j.streamed.Load(),
 		CreatedAt:      created,
@@ -329,14 +339,9 @@ func (j *Job) Status() JobStatus {
 	if hasChecksum {
 		st.Checksum = &checksum
 	}
-	if j.shard != nil {
-		st.Shard = &ShardStatus{
-			Shard:  j.shard.Shard,
-			Shards: j.shard.Shards,
-			BLo:    j.shard.BLo,
-			BHi:    j.shard.BHi,
-			Edges:  j.shard.Edges,
-		}
+	if j.sharded() {
+		sh := shardStatus(j.shard)
+		st.Shard = &sh
 	}
 	if !started.IsZero() {
 		st.StartedAt = &started
@@ -347,8 +352,8 @@ func (j *Job) Status() JobStatus {
 	if err != nil {
 		st.Error = err.Error()
 	}
-	if j.totalEdges > 0 {
-		st.Progress = float64(gen) / float64(j.totalEdges)
+	if j.shard.Edges > 0 {
+		st.Progress = float64(gen) / float64(j.shard.Edges)
 	}
 	if !started.IsZero() {
 		end := finished
@@ -450,29 +455,33 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		return nil, fmt.Errorf("unknown sink %q (want %q or %q)", sink, SinkStream, SinkDiscard)
 	}
 	// Shard identity: validated design-side like the split above, so a bad
-	// spec is a 400 before any slot or memory is committed. The plan comes
-	// from the LRU-backed planFor — deterministic on rebuild, so a cache
-	// eviction between a coordinator fetching the plan and a replica
-	// submitting its shard job cannot change the ranges.
-	var shard *kron.ShardInfo
-	totalEdges := edges.Int64()
+	// spec is a 400 before any slot or memory is committed. A sharded job's
+	// plan comes from the LRU-backed planFor — deterministic on rebuild, so
+	// a cache eviction between a coordinator fetching the plan and a
+	// replica submitting its shard job cannot change the ranges. An
+	// unsharded job generates the design's one-shard plan, computed here
+	// rather than cached: the cache holds the plans replicas share.
 	if req.Shards < 0 {
 		return nil, fmt.Errorf("shards %d; a sharded job needs shards ≥ 1 (0 means unsharded)", req.Shards)
 	}
 	if req.Shards == 0 && req.Shard != 0 {
 		return nil, fmt.Errorf("shard %d given without shards; set shards to the plan's total shard count", req.Shard)
 	}
-	if req.Shards > 0 {
+	sharded := req.Shards > 0
+	var plan []kron.ShardInfo
+	if sharded {
 		if req.Shard < 0 || req.Shard >= req.Shards {
 			return nil, fmt.Errorf("shard %d outside [0, %d)", req.Shard, req.Shards)
 		}
-		plan, _, err := m.planFor(req.DesignRequest, d, split, req.Shards)
-		if err != nil {
-			return nil, err
-		}
-		s := plan[req.Shard]
-		shard = &s
-		totalEdges = s.Edges
+		plan, _, err = m.planFor(req.DesignRequest, d, split, req.Shards)
+	} else {
+		plan, err = kron.PlanShards(d, split, 1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	shard := plan[req.Shard]
+	if sharded {
 		m.metrics.ShardJobs.Add(1)
 	}
 
@@ -490,20 +499,19 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 	m.seq++
 	jctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	j := &Job{
-		id:         fmt.Sprintf("j%06d", m.seq),
-		req:        req,
-		design:     d,
-		workers:    workers,
-		split:      split,
-		sink:       sink,
-		totalEdges: totalEdges,
-		shard:      shard,
-		ctx:        jctx,
-		cancel:     cancel,
-		state:      StatePending,
-		created:    time.Now(),
-		attachCh:   make(chan struct{}),
-		done:       make(chan struct{}),
+		id:       fmt.Sprintf("j%06d", m.seq),
+		req:      req,
+		design:   d,
+		workers:  workers,
+		split:    split,
+		sink:     sink,
+		shard:    shard,
+		ctx:      jctx,
+		cancel:   cancel,
+		state:    StatePending,
+		created:  time.Now(),
+		attachCh: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	if sink == SinkStream {
 		// The job's context bounds the hand-off: a producer blocked on a
@@ -512,7 +520,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		j.stream = pipeline.NewAsync(jctx, m.cfg.QueueDepth)
 	}
 	j.markLocked(PhaseAdmitted, fmt.Sprintf("workers=%d split=%d sink=%s", workers, split, sink))
-	if shard != nil {
+	if sharded {
 		j.markLocked(PhaseShardPlanned,
 			fmt.Sprintf("shard=%d/%d bRange=[%d,%d) edges=%d",
 				shard.Shard, shard.Shards, shard.BLo, shard.BHi, shard.Edges))
@@ -526,7 +534,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 	m.metrics.JobsActive.Add(1)
 	m.logger.Info("job admitted",
 		"job", j.id, "design", req.DesignRequest.Hash(), "workers", workers,
-		"split", split, "sink", sink, "totalEdges", totalEdges, "sharded", shard != nil)
+		"split", split, "sink", sink, "totalEdges", shard.Edges, "sharded", sharded)
 	go m.run(j)
 	return j, nil
 }
@@ -622,23 +630,18 @@ func (m *Manager) run(j *Job) {
 	m.finish(j, err)
 }
 
-// generate drives the communication-free generator through one pipeline
-// pass: progress accounting, the per-job content checksum, and (for
-// streaming jobs) the consumer hand-off are teed sinks fed by the same runs
-// — generate once, consume three ways. The hand-off keeps the backpressure
-// contract (a full queue blocks the workers until the consumer catches up
-// or the job is cancelled) and copies nothing: a run only points at the
-// generator's immutable C block. On success the checksum fold is recorded
-// on the job, where JobStatus surfaces it for reconciliation against shard
-// plans.
+// generate drives the communication-free generator over the job's plan
+// slice in one pipeline pass: progress accounting, the per-job content
+// checksum, and (for streaming jobs) the consumer hand-off are teed sinks
+// fed by the same runs — generate once, consume three ways. The hand-off
+// keeps the backpressure contract (a full queue blocks the workers until
+// the consumer catches up or the job is cancelled) and copies nothing: a
+// run only points at the generator's immutable C block. On success the
+// checksum fold is recorded on the job, where JobStatus surfaces it and
+// /v1/validate reconciles the slice's measurement against it.
 func (m *Manager) generate(j *Job, g *kron.Generator) error {
 	sink, cks := m.jobSink(j)
-	var err error
-	if j.shard != nil {
-		err = g.StreamShardTo(j.ctx, *j.shard, j.workers, m.cfg.BatchSize, sink)
-	} else {
-		err = g.StreamTo(j.ctx, j.workers, m.cfg.BatchSize, sink)
-	}
+	err := g.StreamShardTo(j.ctx, j.shard, j.workers, m.cfg.BatchSize, sink)
 	if err == nil {
 		j.mu.Lock()
 		j.checksum, j.hasChecksum = cks.Sum(), true

@@ -108,14 +108,14 @@ func newEdgeWriter(w http.ResponseWriter, body io.Writer, format, enc string, j 
 	case FormatMatrixMarket, "mm":
 		w.Header().Set("Content-Type", "text/plain; charset=us-ascii")
 		n := j.design.NumVertices().Int64()
-		return graphio.NewMatrixMarketEdgeWriter(body, n, n, j.totalEdges, header)
+		return graphio.NewMatrixMarketEdgeWriter(body, n, n, j.shard.Edges, header)
 	case FormatBinary:
 		encoding, err := binaryEncoding(enc)
 		if err != nil {
 			return nil, err
 		}
 		w.Header().Set("Content-Type", ContentTypeBinary)
-		return graphio.NewBinaryEdgeWriter(body, j.totalEdges, encoding)
+		return graphio.NewBinaryEdgeWriter(body, j.shard.Edges, encoding)
 	default:
 		w.Header().Set("Content-Type", "text/tab-separated-values")
 		ew := graphio.NewTSVEdgeWriter(body)
@@ -156,8 +156,8 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, form
 		return
 	}
 	header := fmt.Sprintf("kronserve job %s design %s workers %d totalEdges %d",
-		j.id, j.req.Key(), j.workers, j.totalEdges)
-	if j.shard != nil {
+		j.id, j.req.Key(), j.workers, j.shard.Edges)
+	if j.sharded() {
 		header += fmt.Sprintf(" shard %d/%d", j.shard.Shard, j.shard.Shards)
 	}
 	ew, err := newEdgeWriter(w, byteCounter{w, &s.metrics.StreamBytes}, format, enc, j, header)

@@ -10,13 +10,14 @@ import (
 	"time"
 
 	"repro/internal/pipeline"
+	"repro/kron"
 )
 
 // TestStreamWriterFailureReturnsError is the regression test for the
 // bodyless implicit 200: when the edge writer cannot be constructed, the
 // client must see a real error status (both writers buffer their header, so
 // no bytes are committed yet) and the job must be cancelled. The failure is
-// forced through a hand-built job whose totalEdges is negative — the one
+// forced through a hand-built job whose edge count is negative — the one
 // input NewMatrixMarketEdgeWriter rejects.
 func TestStreamWriterFailureReturnsError(t *testing.T) {
 	s := New(Config{})
@@ -28,19 +29,19 @@ func TestStreamWriterFailureReturnsError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		id:         "jbroken",
-		req:        req,
-		design:     d,
-		workers:    1,
-		sink:       SinkStream,
-		totalEdges: -1, // poisoned: NewMatrixMarketEdgeWriter rejects nnz < 0
-		ctx:        ctx,
-		cancel:     cancel,
-		state:      StatePending,
-		created:    time.Now(),
-		attachCh:   make(chan struct{}),
-		done:       make(chan struct{}),
-		stream:     pipeline.NewAsync(ctx, 1),
+		id:       "jbroken",
+		req:      req,
+		design:   d,
+		workers:  1,
+		sink:     SinkStream,
+		shard:    kron.ShardInfo{Edges: -1}, // poisoned: NewMatrixMarketEdgeWriter rejects nnz < 0
+		ctx:      ctx,
+		cancel:   cancel,
+		state:    StatePending,
+		created:  time.Now(),
+		attachCh: make(chan struct{}),
+		done:     make(chan struct{}),
+		stream:   pipeline.NewAsync(ctx, 1),
 	}
 	rec := httptest.NewRecorder()
 	hr := httptest.NewRequest(http.MethodGet, "/v1/jobs/jbroken/edges?format=matrixmarket", nil)

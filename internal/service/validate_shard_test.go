@@ -2,9 +2,16 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
+
+	"repro/kron"
 )
 
 // The tentpole service contract: K shard jobs of one plan, validated one by
@@ -147,5 +154,240 @@ func TestServiceShardValidationRetriedSibling(t *testing.T) {
 	v := getJSON[ShardValidationResponse](t, ts.URL+"/v1/validate/"+j1b.ID, http.StatusOK)
 	if v.Merged == nil || !v.Merged.ExactAgreement {
 		t.Fatalf("retried-sibling merge failed: %+v", v)
+	}
+}
+
+// submitDiscard submits a discard job of design (split after its first
+// factor, one worker) as shard of a shards-shard plan — unsharded when
+// shards is 0 — and waits until it is done.
+func submitDiscard(t *testing.T, base string, design DesignRequest, shards, shard int) string {
+	t.Helper()
+	job := decodeBody[JobStatus](t, postJSON(t, base+"/v1/jobs", JobRequest{
+		DesignRequest: design, Workers: 1, Split: 1, Shards: shards, Shard: shard, Sink: SinkDiscard,
+	}))
+	waitForState(t, base, job.ID, StateDone)
+	return job.ID
+}
+
+// hasFragment reports whether job id's cached slice measurement still holds
+// its CSR fragment: rebuilt from its exported fields alone, the measurement
+// is the same one without a fragment, so any difference is the fragment.
+func hasFragment(t *testing.T, s *Service, id string) bool {
+	t.Helper()
+	j, ok := s.manager.Get(id)
+	if !ok {
+		t.Fatalf("job %s vanished", id)
+	}
+	j.valMu.Lock()
+	sv := j.measured
+	j.valMu.Unlock()
+	if sv == nil {
+		t.Fatalf("job %s caches no measurement", id)
+	}
+	return !reflect.DeepEqual(*sv, kron.ShardValidation{
+		Design: sv.Design, Split: sv.Split, Workers: sv.Workers,
+		Shard: sv.Shard, MeasuredEdges: sv.MeasuredEdges, Checksum: sv.Checksum,
+	})
+}
+
+// An unsharded job is validated as the only slice of its design's
+// one-shard plan, yet keeps its unsharded face — no shard in its status,
+// trace or stream header, and no shard counter moves — and its validation
+// reconciles the regenerated slice against the job's generation checksum.
+func TestServiceUnshardedValidationChecksum(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}
+	job := decodeBody[JobStatus](t, postJSON(t, ts.URL+"/v1/jobs", JobRequest{DesignRequest: design, Workers: 2}))
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if header, _, _ := strings.Cut(string(raw), "\n"); strings.Contains(header, "shard") {
+		t.Fatalf("unsharded stream header names a shard: %q", header)
+	}
+	if st := waitForState(t, ts.URL, job.ID, StateDone); st.Shard != nil {
+		t.Fatalf("unsharded job status carries shard %+v", *st.Shard)
+	}
+	if tr, _ := getTrace(t, ts.URL, job.ID); indexOf(tr, PhaseShardPlanned) >= 0 {
+		t.Fatalf("unsharded trace %v records %q", phases(tr), PhaseShardPlanned)
+	}
+
+	v := getJSON[ValidationResponse](t, ts.URL+"/v1/validate/"+job.ID, http.StatusOK)
+	if !v.ExactAgreement || v.JobID != job.ID {
+		t.Fatalf("unsharded validation: %+v", v)
+	}
+	if v.ChecksumMatchesJob == nil || !*v.ChecksumMatchesJob {
+		t.Fatalf("validation checksum did not reconcile with the job's: %+v", v)
+	}
+	j, _ := s.manager.Get(job.ID)
+	j.mu.Lock()
+	j.checksum ^= 1
+	j.mu.Unlock()
+	v = getJSON[ValidationResponse](t, ts.URL+"/v1/validate/"+job.ID, http.StatusOK)
+	if v.ChecksumMatchesJob == nil || *v.ChecksumMatchesJob {
+		t.Fatalf("altered job checksum still reconciles: %+v", v)
+	}
+	m := s.Metrics()
+	if runs, merges := m.ShardValidationsRun.Load(), m.ShardValidationsMerged.Load(); runs != 0 || merges != 0 {
+		t.Fatalf("unsharded validation moved the shard counters: %d runs, %d merges", runs, merges)
+	}
+	if got := m.ValidationsRun.Load(); got != 1 {
+		t.Fatalf("validations run = %d, want 1", got)
+	}
+}
+
+// Once a plan's merged report is cached, no job of the plan keeps its CSR
+// fragment: not the slices the merge used, not a duplicate measured before
+// the merge, and not an unsharded job, whose plan merges at once.
+func TestServiceValidationReleasesFragments(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}
+	j0 := submitDiscard(t, ts.URL, design, 2, 0)
+	j1a := submitDiscard(t, ts.URL, design, 2, 1)
+	j1b := submitDiscard(t, ts.URL, design, 2, 1)
+	for _, id := range []string{j1a, j1b} {
+		v := getJSON[ShardValidationResponse](t, ts.URL+"/v1/validate/"+id, http.StatusOK)
+		if v.Merged != nil || !reflect.DeepEqual(v.PendingShards, []int{0}) {
+			t.Fatalf("%s: %+v, want shard 0 pending", id, v)
+		}
+		if !hasFragment(t, s, id) {
+			t.Fatalf("%s: pending measurement holds no fragment to merge", id)
+		}
+	}
+	if v := getJSON[ShardValidationResponse](t, ts.URL+"/v1/validate/"+j0, http.StatusOK); v.Merged == nil || !v.Merged.ExactAgreement {
+		t.Fatalf("plan did not merge: %+v", v)
+	}
+	u := submitDiscard(t, ts.URL, design, 0, 0)
+	if v := getJSON[ValidationResponse](t, ts.URL+"/v1/validate/"+u, http.StatusOK); !v.ExactAgreement {
+		t.Fatalf("unsharded validation: %+v", v)
+	}
+	for _, id := range []string{j0, j1a, j1b, u} {
+		if hasFragment(t, s, id) {
+			t.Errorf("%s keeps its fragment after its plan merged", id)
+		}
+	}
+}
+
+// A shard job generated and validated after its plan merged cannot merge
+// again — its siblings' fragments are gone — so it measures and reconciles
+// its own slice, then adopts the plan's merged report.
+func TestServiceShardValidationAdoptsMergedReport(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "leaf"}
+	for i := 0; i < 2; i++ {
+		getJSON[ShardValidationResponse](t, ts.URL+"/v1/validate/"+submitDiscard(t, ts.URL, design, 2, i), http.StatusOK)
+	}
+	if got := s.Metrics().ShardValidationsMerged.Load(); got != 1 {
+		t.Fatalf("merges = %d, want 1", got)
+	}
+	late := submitDiscard(t, ts.URL, design, 2, 1)
+	v := getJSON[ShardValidationResponse](t, ts.URL+"/v1/validate/"+late, http.StatusOK)
+	if v.Merged == nil || !v.Merged.ExactAgreement || v.Merged.JobID != late {
+		t.Fatalf("late shard did not adopt the merged report: %+v", v)
+	}
+	if !v.EdgesMatchPlan || v.ChecksumMatchesJob == nil || !*v.ChecksumMatchesJob {
+		t.Fatalf("late shard's own slice did not reconcile: %+v", v)
+	}
+	m := s.Metrics()
+	if merges, runs := m.ShardValidationsMerged.Load(), m.ShardValidationsRun.Load(); merges != 1 || runs != 3 {
+		t.Fatalf("merges = %d and shard validations = %d, want 1 and 3", merges, runs)
+	}
+	if hasFragment(t, s, late) {
+		t.Fatal("adopting job keeps its fragment")
+	}
+}
+
+// Validating an older duplicate completes with its own measurement: the
+// job being validated measures its own slice even when a newer done job
+// generated the same one. For a shard job the plan then merges; for two
+// unsharded jobs of one design and split, the older merges its one-shard
+// plan and the newer adopts that report.
+func TestServiceValidateOlderDuplicate(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}
+	j0 := submitDiscard(t, ts.URL, design, 2, 0)
+	j1a := submitDiscard(t, ts.URL, design, 2, 1)
+	submitDiscard(t, ts.URL, design, 2, 1) // a newer duplicate of j1a, never validated
+	if v := getJSON[ShardValidationResponse](t, ts.URL+"/v1/validate/"+j0, http.StatusOK); !reflect.DeepEqual(v.PendingShards, []int{1}) {
+		t.Fatalf("shard 0: %+v, want shard 1 pending", v)
+	}
+	v := getJSON[ShardValidationResponse](t, ts.URL+"/v1/validate/"+j1a, http.StatusOK)
+	if v.Merged == nil || !v.Merged.ExactAgreement || len(v.PendingShards) != 0 {
+		t.Fatalf("older duplicate did not complete the plan: %+v", v)
+	}
+
+	older := submitDiscard(t, ts.URL, design, 0, 0)
+	newer := submitDiscard(t, ts.URL, design, 0, 0)
+	for _, id := range []string{older, newer} {
+		u := getJSON[ValidationResponse](t, ts.URL+"/v1/validate/"+id, http.StatusOK)
+		if !u.ExactAgreement || u.JobID != id || u.ChecksumMatchesJob == nil || !*u.ChecksumMatchesJob {
+			t.Fatalf("unsharded %s: %+v", id, u)
+		}
+	}
+	// One merge for the shard plan, one for the one-shard plan; the newer
+	// unsharded job adopted.
+	if got := s.Metrics().ValidationsRun.Load(); got != 2 {
+		t.Fatalf("validations run = %d, want 2", got)
+	}
+}
+
+// Validations of one plan's jobs may cross: each reads its siblings'
+// measurements and reports while they measure, merge and release. Run
+// concurrently (and under -race), every request must succeed, and once a
+// final sequential pass completes the plan every job serves the merged
+// report and none keeps a fragment.
+func TestServiceConcurrentPlanValidation(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}
+	var sharded, unsharded []string
+	for i := 0; i < 3; i++ {
+		sharded = append(sharded, submitDiscard(t, ts.URL, design, 3, i), submitDiscard(t, ts.URL, design, 3, i))
+		unsharded = append(unsharded, submitDiscard(t, ts.URL, design, 0, 0))
+	}
+	all := append(append([]string(nil), sharded...), unsharded...)
+	errs := make(chan error, 2*len(all))
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for _, id := range all {
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				resp, err := http.Get(ts.URL + "/v1/validate/" + id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("%s: status %d: %s", id, resp.StatusCode, body)
+				}
+			}(id)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, id := range sharded {
+		if v := getJSON[ShardValidationResponse](t, ts.URL+"/v1/validate/"+id, http.StatusOK); v.Merged == nil || !v.Merged.ExactAgreement {
+			t.Errorf("%s: %+v, want the merged report", id, v)
+		}
+	}
+	for _, id := range unsharded {
+		if v := getJSON[ValidationResponse](t, ts.URL+"/v1/validate/"+id, http.StatusOK); !v.ExactAgreement {
+			t.Errorf("%s: %+v", id, v)
+		}
+	}
+	for _, id := range all {
+		if hasFragment(t, s, id) {
+			t.Errorf("%s keeps its fragment after its plan merged", id)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bigdeg"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/star"
 )
 
@@ -15,7 +16,9 @@ import (
 // measures — vertices, edges, degree distribution, triangles — on randomized
 // designs across worker counts, including under -race (the CI race step
 // covers this package). This is the parity contract that let the global
-// sort-and-dedupe pipeline be deleted.
+// sort-and-dedupe pipeline be deleted. Run is the one-shard merge, so the
+// K-shard merges are held against the materialized engine too: it is the
+// only engine that shares no code with the shard path.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	loops := []star.LoopMode{star.LoopNone, star.LoopHub, star.LoopLeaf}
@@ -35,28 +38,54 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: materialized: %v", d, err)
 		}
-		for _, np := range []int{1, 2, 4} {
-			got, err := Run(context.Background(), d, nb, np)
-			if err != nil {
-				t.Fatalf("%v np=%d: streaming: %v", d, np, err)
-			}
-			if got.MeasuredVertices != want.MeasuredVertices {
-				t.Errorf("%v np=%d: vertices %d, materialized %d", d, np, got.MeasuredVertices, want.MeasuredVertices)
-			}
-			if got.MeasuredEdges != want.MeasuredEdges {
-				t.Errorf("%v np=%d: edges %d, materialized %d", d, np, got.MeasuredEdges, want.MeasuredEdges)
-			}
-			if got.MeasuredTriangles != want.MeasuredTriangles {
-				t.Errorf("%v np=%d: triangles %d, materialized %d", d, np, got.MeasuredTriangles, want.MeasuredTriangles)
-			}
-			if !bigdeg.Equal(got.MeasuredDegrees, want.MeasuredDegrees) {
-				t.Errorf("%v np=%d: degree distributions differ", d, np)
-			}
-			if got.ExactAgreement != want.ExactAgreement {
-				t.Errorf("%v np=%d: agreement %v, materialized %v", d, np, got.ExactAgreement, want.ExactAgreement)
+		engines := []struct {
+			name string
+			run  func(np int) (*Report, error)
+		}{
+			{"streaming", func(np int) (*Report, error) { return Run(context.Background(), d, nb, np) }},
+			{"2-shard merge", func(np int) (*Report, error) { return runMerged(d, nb, np, 2) }},
+			{"3-shard merge", func(np int) (*Report, error) { return runMerged(d, nb, np, 3) }},
+		}
+		for _, e := range engines {
+			for _, np := range []int{1, 2, 4} {
+				got, err := e.run(np)
+				if err != nil {
+					t.Fatalf("%v np=%d: %s: %v", d, np, e.name, err)
+				}
+				if got.MeasuredVertices != want.MeasuredVertices {
+					t.Errorf("%v np=%d %s: vertices %d, materialized %d", d, np, e.name, got.MeasuredVertices, want.MeasuredVertices)
+				}
+				if got.MeasuredEdges != want.MeasuredEdges {
+					t.Errorf("%v np=%d %s: edges %d, materialized %d", d, np, e.name, got.MeasuredEdges, want.MeasuredEdges)
+				}
+				if got.MeasuredTriangles != want.MeasuredTriangles {
+					t.Errorf("%v np=%d %s: triangles %d, materialized %d", d, np, e.name, got.MeasuredTriangles, want.MeasuredTriangles)
+				}
+				if !bigdeg.Equal(got.MeasuredDegrees, want.MeasuredDegrees) {
+					t.Errorf("%v np=%d %s: degree distributions differ", d, np, e.name)
+				}
+				if got.ExactAgreement != want.ExactAgreement {
+					t.Errorf("%v np=%d %s: agreement %v, materialized %v", d, np, e.name, got.ExactAgreement, want.ExactAgreement)
+				}
 			}
 		}
 	}
+}
+
+// runMerged validates d shard by shard over its K-shard plan with np
+// workers and merges the reports.
+func runMerged(d *core.Design, nb, np, K int) (*Report, error) {
+	plan, err := gen.PlanDesignShards(d, nb, K)
+	if err != nil {
+		return nil, err
+	}
+	reports := make([]*ShardReport, len(plan))
+	for i, s := range plan {
+		if reports[i], err = RunShard(context.Background(), d, nb, np, s); err != nil {
+			return nil, err
+		}
+	}
+	return Merge(context.Background(), reports, np)
 }
 
 func TestRunCancelled(t *testing.T) {

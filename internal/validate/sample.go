@@ -9,7 +9,6 @@ import (
 	"repro/internal/bigdeg"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/triangle"
 )
 
@@ -79,16 +78,16 @@ type SampledReport struct {
 }
 
 // RunSampled generates the design with np workers and measures everything
-// that is cheap exactly — edges, vertices, the full degree distribution, via
-// the same in-flight tally pass Run uses — then estimates triangles from a
-// deterministic sample of the bands of the degree-oriented pattern
-// (triangle.Orient, which still checks the whole pattern). Each triangle
-// sits in exactly one U entry, so the sampled count is scaled by
-// total/picked bands and nothing else. On hub-dominated power-law graphs
-// the triangle phase dominates validation end to end (the tally and
-// scatter passes are linear in the edges; the intersections are not), so
-// sampling it is what turns a 2^30-edge validation from a batch job into
-// an interactive check.
+// that is cheap exactly — edges, vertices, the full degree distribution,
+// from the pattern of the same one-shard RunShard pass Run merges — then
+// estimates triangles from a deterministic sample of the bands of the
+// degree-oriented pattern (triangle.Orient, which still checks the whole
+// pattern). Each triangle sits in exactly one U entry, so the sampled
+// count is scaled by total/picked bands and nothing else. On hub-dominated
+// power-law graphs the triangle phase dominates validation end to end (the
+// tally and scatter passes are linear in the edges; the intersections are
+// not), so sampling it is what turns a 2^30-edge validation from a batch
+// job into an interactive check.
 func RunSampled(ctx context.Context, d *core.Design, nb, np int, opt SampleOptions) (*SampledReport, error) {
 	if opt.Bands == 0 {
 		opt.Bands = defaultSampleBands
@@ -100,15 +99,15 @@ func RunSampled(ctx context.Context, d *core.Design, nb, np int, opt SampleOptio
 		return nil, fmt.Errorf("validate: sample options need Bands ≥ 1 and Stride ≥ 1, got %d and %d",
 			opt.Bands, opt.Stride)
 	}
-	pred, g, _, err := prepare(d, nb, np)
+	whole, err := runWhole(ctx, d, nb, np)
 	if err != nil {
 		return nil, err
 	}
-	a, err := buildPattern(int(pred.Vertices.Int64()), np,
-		func(s pipeline.Sink) error { return g.StreamTo(ctx, np, 0, s) })
+	pred, err := d.Compute()
 	if err != nil {
 		return nil, err
 	}
+	a := whole.frag
 	md, touched, err := degrees(a.RowPtr, np)
 	if err != nil {
 		return nil, err

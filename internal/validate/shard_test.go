@@ -3,9 +3,11 @@ package validate
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,12 +17,14 @@ import (
 	"repro/internal/star"
 )
 
-// The tentpole parity contract: validating a design shard by shard and
-// merging must measure exactly what the unsharded streaming engine measures —
-// vertices, edges, degree distribution, triangles, agreement verdict — on
-// randomized designs across shard and worker counts, including under -race
-// (CI's race step covers this package). K=1 pins the degenerate single-shard
-// plan; K=7 doesn't divide most B-triple counts, exercising uneven slices.
+// The shard parity contract: validating a design shard by shard and merging
+// must measure exactly what Run measures — vertices, edges, degree
+// distribution, triangles, agreement verdict — on randomized designs across
+// shard and worker counts, including under -race (CI's race step covers
+// this package). Run is itself the one-shard merge, so this pins that the
+// plan's slicing changes nothing; TestStreamingMatchesMaterialized holds
+// both against the independent materialized engine. K=7 doesn't divide
+// most B-triple counts, exercising uneven slices.
 func TestShardUnionMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(271828))
 	loops := []star.LoopMode{star.LoopNone, star.LoopHub, star.LoopLeaf}
@@ -141,6 +145,35 @@ func TestMergeRejectsBrokenPlans(t *testing.T) {
 	if _, err := Merge(context.Background(), []*ShardReport{reports[0], reports[1], mixed}, 1); err == nil {
 		t.Error("mixed-split merge accepted")
 	}
+
+	// A slice set that skips the first B triple: shard 0 measured over
+	// [1, BHi), which drops the hub's diagonal (0,0) block, with its edge
+	// count lowered to match. Every slice is contiguous with the next and
+	// measured exactly what it claims, so only the design's own plan can
+	// tell that the union is not the whole graph.
+	two, err := gen.PlanDesignShards(d, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := two[0]
+	skip.BLo = 1
+	short, err := RunShard(context.Background(), d, 1, 2, skip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Shard.Edges = short.MeasuredEdges
+	rest, err := RunShard(context.Background(), d, 1, 2, two[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Merge(context.Background(), []*ShardReport{short, rest}, 1)
+	if err == nil {
+		t.Fatal("slice set skipping B triple 0 accepted")
+	}
+	want := fmt.Sprintf("shard 0/2 at [0,%d) with %d edges", two[0].BHi, two[0].Edges)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to name shard 0 and its planned range (%q)", err, want)
+	}
 }
 
 // The sampled mode with Stride 1 evaluates every band, so its triangle
@@ -260,7 +293,7 @@ func TestCheckRealizableBoundary(t *testing.T) {
 		props(big.NewInt(1), big.NewInt(1)),
 	}
 	for _, p := range ok {
-		if err := checkRealizable(p); err != nil {
+		if err := checkRealizable(p.Vertices, p.Edges); err != nil {
 			t.Errorf("%s vertices, %s edges rejected: %v", p.Vertices, p.Edges, err)
 		}
 	}
@@ -272,7 +305,7 @@ func TestCheckRealizableBoundary(t *testing.T) {
 		props(big.NewInt(1), huge),
 	}
 	for _, p := range bad {
-		if err := checkRealizable(p); err == nil {
+		if err := checkRealizable(p.Vertices, p.Edges); err == nil {
 			t.Errorf("%s vertices, %s edges accepted", p.Vertices, p.Edges)
 		}
 	}

@@ -5,29 +5,34 @@
 //
 // The measurement engine is streaming and communication-free, mirroring the
 // generator it checks. Edges are never collected into a global triple slice
-// and never comparison-sorted. Instead, the engine rides gen.StreamTo
-// twice:
+// and never comparison-sorted. RunShard measures one slice of a
+// deterministic shard plan by riding gen.StreamShardTo twice:
 //
-//   - Pass 1 (measure in flight): each worker tallies its own edge count
-//     and per-row degree counts over its contiguous B-column band while the
-//     edges are generated. Merging the bands yields the measured edge
-//     total, vertex count, and exact degree distribution — before a single
-//     edge is stored.
+//   - Pass 1 (measure in flight): each worker tallies its own edge count,
+//     per-row degree counts and XOR checksum over its contiguous band of
+//     the slice while the edges are generated — before a single edge is
+//     stored.
 //   - Pass 2 (build CSR in parallel): the same tallies, prefix-summed into
 //     per-worker write cursors, let every worker scatter its band straight
-//     into the final CSR arrays with no locks and no sort (the generator's
+//     into a CSR fragment with no locks and no sort (the generator's
 //     band-order guarantee makes each row arrive column-sorted; see
 //     gen.StreamTo and sparse.CSRBuilder).
 //
+// Merge checks a complete set of slices against the design's plan,
+// concatenates their fragments, and measures the design-level properties.
+// Run is the one-shard case: RunShard over the design's one-shard plan,
+// then Merge, which takes the single fragment as it is.
+//
 // The CSR is a value-free pattern (sparse.CSR[struct{}], 8 bytes per
-// entry); the scatter pass rejects any edge whose value is not 1. Triangles
-// are then counted by the same worker pool on the pattern's degree-oriented
-// half U (triangle.Orient, which also proves the pattern simple and
-// symmetric, then Oriented.CountBoth). Peak memory is the pattern plus U
-// (2 bytes per pattern entry) plus the O(workers·vertices) tally tables —
-// there is no materialized COO, no Dedupe clone, and no reflection sort
-// anywhere on the path, which is what lifts MaxRealizableEdges 8× over the
-// materialized engine.
+// entry); the scatter pass rejects any edge whose value is not 1. Edges,
+// vertices and the exact degree distribution fall out of the merged row
+// pointers. Triangles are then counted by the same worker pool on the
+// pattern's degree-oriented half U (triangle.Orient, which also proves the
+// pattern simple and symmetric, then Oriented.CountBoth). Peak memory is
+// the pattern plus U (2 bytes per pattern entry) plus the
+// O(workers·vertices) tally tables — there is no materialized COO, no
+// Dedupe clone, and no reflection sort anywhere on the path, which is what
+// lifts MaxRealizableEdges 8× over the materialized engine.
 package validate
 
 import (
@@ -100,24 +105,30 @@ const maxRealizableVertices = 1 << 31
 
 // Run generates the design with np workers via the split generator (split
 // after nb factors), measures everything from the streamed edges, and
-// compares against the design's predictions. Cancellation is cooperative:
-// generation passes stop within one run and triangle counting within one
-// band stride of ctx cancelling, returning ctx's error.
+// compares against the design's predictions. It is Merge over the one
+// RunShard report of the design's one-shard plan. Cancellation is
+// cooperative: generation passes stop within one run and triangle counting
+// within one band stride of ctx cancelling, returning ctx's error.
 func Run(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
-	pred, g, r, err := prepare(d, nb, np)
+	s, err := runWhole(ctx, d, nb, np)
 	if err != nil {
 		return nil, err
 	}
-	a, err := buildPattern(int(pred.Vertices.Int64()), np,
-		func(s pipeline.Sink) error { return g.StreamTo(ctx, np, 0, s) })
+	return Merge(ctx, []*ShardReport{s}, np)
+}
+
+// runWhole measures the whole graph as the only slice of the design's
+// one-shard plan. Realizability is checked before the plan is built, so an
+// oversized design fails with the realizability error, not a planning one.
+func runWhole(ctx context.Context, d *core.Design, nb, np int) (*ShardReport, error) {
+	if err := checkRealizable(d.NumVertices(), d.NumEdges()); err != nil {
+		return nil, err
+	}
+	plan, err := gen.PlanDesignShards(d, nb, 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.measure(ctx, a, np); err != nil {
-		return nil, err
-	}
-	r.compare()
-	return r, nil
+	return RunShard(ctx, d, nb, np, plan[0])
 }
 
 // buildPattern runs the engine's two measurement passes over stream and
@@ -192,14 +203,21 @@ func degrees(rowPtr []int, np int) (*bigdeg.Dist, int64, error) {
 // validation-throughput benchmark is measured against; it still enforces
 // the historical 2^27-edge bound of the global-sort pipeline.
 func RunMaterialized(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
-	pred, g, r, err := prepare(d, nb, np)
+	r, err := newReport(d, np)
 	if err != nil {
 		return nil, err
 	}
-	if pred.Edges.Int64() > 1<<27 {
-		return nil, fmt.Errorf("validate: design too large for the materialized engine (%s edges)", pred.Edges)
+	if err := checkRealizable(r.PredictedVertices, r.PredictedEdges); err != nil {
+		return nil, err
 	}
-	n := pred.Vertices.Int64()
+	if r.PredictedEdges.Int64() > 1<<27 {
+		return nil, fmt.Errorf("validate: design too large for the materialized engine (%s edges)", r.PredictedEdges)
+	}
+	g, err := gen.New(d, nb)
+	if err != nil {
+		return nil, err
+	}
+	n := r.PredictedVertices.Int64()
 
 	buffers := make([][]sparse.Triple[int64], np)
 	err = g.StreamTo(ctx, np, 0, pipeline.Func(func(w int, batch []gen.Edge) error {
@@ -294,43 +312,35 @@ func (s scatterSink) Close() error { return nil }
 // platforms, where maxRealizableVertices (2^31) exceeds math.MaxInt (2^31−1):
 // without it the vertex count would be cast through int and silently wrap,
 // building a wrong-shaped CSR instead of failing loudly.
-func checkRealizable(pred *core.Properties) error {
-	if !pred.Vertices.IsInt64() || !pred.Edges.IsInt64() ||
-		pred.Edges.Int64() > MaxRealizableEdges ||
-		pred.Vertices.Int64() > maxRealizableVertices {
+func checkRealizable(vertices, edges *big.Int) error {
+	if !vertices.IsInt64() || !edges.IsInt64() ||
+		edges.Int64() > MaxRealizableEdges ||
+		vertices.Int64() > maxRealizableVertices {
 		return fmt.Errorf("validate: design too large to realize (%s vertices, %s edges)",
-			pred.Vertices, pred.Edges)
+			vertices, edges)
 	}
-	if v := pred.Vertices.Int64(); v > math.MaxInt {
+	if v := vertices.Int64(); v > math.MaxInt {
 		return fmt.Errorf("validate: design has %d vertices, over this platform's %d-bit int range; validate on a 64-bit host",
 			v, 32<<(^uint(0)>>63))
 	}
 	return nil
 }
 
-// prepare computes the predictions, checks realizability, builds the split
-// generator, and seeds a report with the predicted side.
-func prepare(d *core.Design, nb, np int) (*core.Properties, *gen.Generator, *Report, error) {
+// newReport returns a report on d measured with np workers, its predicted
+// side filled from the design's closed forms.
+func newReport(d *core.Design, np int) (*Report, error) {
 	pred, err := d.Compute()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if err := checkRealizable(pred); err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := gen.New(d, nb)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	r := &Report{
+	return &Report{
 		Design:             d,
 		Workers:            np,
 		PredictedVertices:  pred.Vertices,
 		PredictedEdges:     pred.Edges,
 		PredictedTriangles: pred.Triangles,
 		PredictedDegrees:   pred.Degrees,
-	}
-	return pred, g, r, nil
+	}, nil
 }
 
 func (r *Report) compare() {

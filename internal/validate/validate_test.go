@@ -92,8 +92,12 @@ func TestRejectsUnrealizableDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), d, 8, 2); err == nil {
-		t.Error("decetta-scale design accepted for realization")
+	_, err = Run(context.Background(), d, 8, 2)
+	if err == nil {
+		t.Fatal("decetta-scale design accepted for realization")
+	}
+	if !strings.Contains(err.Error(), "too large to realize") {
+		t.Errorf("err = %v, want the realizability error, not a planning one", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/big"
 
 	"repro/internal/analyze"
-	"repro/internal/fit"
 	"repro/internal/search"
 	"repro/internal/sparse"
 	"repro/internal/spectrum"
@@ -27,21 +26,11 @@ func FindDesigns(target *big.Int, opt SearchOptions) ([]SearchResult, error) {
 
 // --- Spectral properties -------------------------------------------------
 
-// Eigen is one eigenvalue of a design with its multiplicity.
-type Eigen = spectrum.Eigen
-
 // SpectralRadius returns the spectral radius of the design's raw Kronecker
 // product (∏ per-factor radii); the final graph after self-loop removal
 // differs by at most 1 (rank-1, norm-1 perturbation).
 func SpectralRadius(d *Design) (float64, error) {
 	return spectrum.DesignRadius(d.Factors())
-}
-
-// Spectrum returns the complete eigenvalue multiset of the design's raw
-// product as (value, multiplicity) pairs, enumerating at most maxNonzero
-// nonzero eigenvalues.
-func Spectrum(d *Design, maxNonzero int) ([]Eigen, error) {
-	return spectrum.ProductSpectrum(d.Factors(), maxNonzero)
 }
 
 // --- Structural analysis on realized graphs -------------------------------
@@ -67,21 +56,4 @@ func Analyze(d *Design) (*Graph, error) {
 // AnalyzeMatrix wraps an existing adjacency matrix for structural analysis.
 func AnalyzeMatrix(a *sparse.COO[int64]) (*Graph, error) {
 	return analyze.NewGraph(a)
-}
-
-// --- Model fitting ---------------------------------------------------------
-
-// FitSummary is the power-law summary of a measured degree histogram.
-type FitSummary = fit.Summary
-
-// FitCandidate is one proposed design matching a measurement.
-type FitCandidate = fit.Candidate
-
-// FitOptions configures FitHistogram.
-type FitOptions = fit.Options
-
-// FitHistogram proposes Kronecker designs matching a measured degree
-// histogram — Section III's "comparing real graph data with models" use.
-func FitHistogram(hist map[int64]int64, opt FitOptions) (FitSummary, []FitCandidate, error) {
-	return fit.Fit(hist, opt)
 }

@@ -41,24 +41,6 @@ func TestSpectralRadiusThroughFacade(t *testing.T) {
 	}
 }
 
-func TestSpectrumThroughFacade(t *testing.T) {
-	d, err := kron.FromPoints([]int{3, 4}, kron.LoopNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eig, err := kron.Spectrum(d, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := new(big.Int)
-	for _, e := range eig {
-		total.Add(total, e.Mult)
-	}
-	if total.Int64() != 20 {
-		t.Errorf("spectrum multiplicities sum to %s, want 20", total)
-	}
-}
-
 func TestAnalyzeThroughFacade(t *testing.T) {
 	d, err := kron.FromPoints([]int{5, 3}, kron.LoopHub)
 	if err != nil {

@@ -127,13 +127,17 @@ const MaxValidationEdges = validate.MaxRealizableEdges
 
 // Validate generates the design (split after nb factors) with np workers,
 // measures vertices, edges, degree distribution, and triangles from the
-// realized edges, and reports whether everything agrees exactly. The
-// measurement is streaming: per-worker in-flight tallies merge into the
+// realized edges, and reports whether everything agrees exactly. It is the
+// one-shard case of the shard path: ValidateShard over the only slice of
+// PlanShards(d, nb, 1), then MergeValidation, so a whole-graph edge count
+// that contradicts the closed form is an error, as it is for any slice.
+// The measurement is streaming: per-worker in-flight tallies merge into the
 // degree distribution, and triangles are counted on a CSR the workers build
-// in parallel — edges are never collected into one sorted list. Cancellation
-// is cooperative: generation stops within one batch and triangle counting
-// within one band stride of ctx cancelling. Services should pass their
-// request context so abandoned validations release their cores.
+// in parallel — edges are never collected into one sorted list.
+// Cancellation is cooperative: generation stops within one batch and
+// triangle counting within one band stride of ctx cancelling. Services
+// should pass their request context so abandoned validations release their
+// cores.
 func Validate(ctx context.Context, d *Design, nb, np int) (*ValidationReport, error) {
 	return validate.Run(ctx, d, nb, np)
 }

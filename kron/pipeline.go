@@ -112,18 +112,10 @@ func StreamShardTo(ctx context.Context, g *Generator, s ShardInfo, np, batchSize
 // edges, and the wall-clock time the wrapped sink spent in WriteRun (its
 // busy time, summed across workers). The wrapper allocates nothing per run,
 // so it can ride any hot path; kronserve's /metrics renders every stage as
-// kronserve_stage_{batches,edges,busy_seconds}_total{stage="<name>"}, and
-// StageMetricsTo renders the same registry for embedding programs.
+// kronserve_stage_{batches,edges,busy_seconds}_total{stage="<name>"}.
 //
 //	err := kron.StreamTo(ctx, g, np, 0,
 //		kron.Tee(kron.Instrument("writer", kron.Writer(ew)), cnt))
 func Instrument(name string, sink Sink) Sink {
 	return pipeline.Instrument(obs.Stages.Stage(name), sink)
-}
-
-// StageMetricsTo renders every instrumented stage's counters in Prometheus
-// text exposition format as <prefix>_stage_{batches,edges,busy_seconds}_total
-// series labelled by stage name.
-func StageMetricsTo(w io.Writer, prefix string) error {
-	return obs.Stages.Render(w, prefix)
 }

@@ -51,9 +51,12 @@ func ValidateShard(ctx context.Context, d *Design, nb, np int, s ShardInfo) (*Sh
 // MergeValidation combines a complete plan's shard validations into one
 // design-level ValidationReport with np workers: fragments concatenate per
 // row in shard order (canonical, by the generator's cross-shard band-order
-// guarantee), and triangles are counted once over the merged CSR. It fails
-// loudly on incomplete or inconsistent coverage — a merged report never
-// silently describes a subset of the design.
+// guarantee), and triangles are counted once over the merged CSR. Each
+// validation's slice must equal the matching slice of the design's own
+// K-shard plan and must have measured its closed-form edge count; anything
+// else fails loudly — a merged report never silently describes a subset of
+// the design. A ShardValidation rebuilt from its exported fields holds no
+// fragment and cannot be merged.
 func MergeValidation(ctx context.Context, reports []*ShardValidation, np int) (*ValidationReport, error) {
 	return validate.Merge(ctx, reports, np)
 }

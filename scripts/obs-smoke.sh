@@ -60,8 +60,11 @@ for i in $(seq 1 100); do
 done
 
 echo "== validate the done job (drives the instrumented validation passes)"
-curl -sf "$BASE/v1/validate/$JOB" | grep -q '"exactAgreement": *true' \
+curl -sf "$BASE/v1/validate/$JOB" >"$WORK/validate.json" || fail "validation request failed"
+grep -q '"exactAgreement": *true' "$WORK/validate.json" \
   || fail "validation did not report exact agreement"
+grep -q '"checksumMatchesJob": *true' "$WORK/validate.json" \
+  || fail "validation did not reconcile with the job's generation checksum"
 
 echo "== run a streamed job and consume its edges"
 SJOB=$(curl -sf -X POST "$BASE/v1/jobs" \
