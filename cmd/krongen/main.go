@@ -1,16 +1,15 @@
 // Command krongen generates a designed Kronecker graph in parallel with no
 // inter-worker communication (Section V) and either reports the generation
-// rate, streams one edge chunk per worker through the batch-native path
-// (TSV by default; -format bin/binfixed for the KRNB binary wire format,
-// whose trailer carries the chunk's edge count and XOR checksum), or
-// materializes one edge-list chunk per worker.
+// rate or streams one edge chunk per worker, edges_<pppp>.tsv (-format tsv,
+// the default) or edges_<pppp>.bin (-format bin or binfixed: the KRNB binary
+// wire format, whose trailer carries the chunk's edge count and XOR
+// checksum). The graph is never materialized.
 //
 // Usage:
 //
 //	krongen -mhat 3,4,5,9,16 -loop hub -split 3 -workers 4 -count
 //	krongen -mhat 3,4,5 -loop none -split 2 -workers 2 -stream /tmp/graph
 //	krongen -mhat 3,4,5 -loop none -split 2 -stream /tmp/graph -format bin
-//	krongen -mhat 3,4,5 -loop none -split 2 -workers 2 -out /tmp/graph
 //
 // With -shard k/K the process generates only shard k of the deterministic
 // K-shard plan — run K krongen processes (one per shard, any machines, no
@@ -33,7 +32,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graphio"
 	"repro/internal/pipeline"
-	"repro/internal/sparse"
 	"repro/kron"
 )
 
@@ -51,8 +49,7 @@ func run(args []string) (err error) {
 	split := fs.Int("split", 1, "number of leading factors forming the B side of A = B ⊗ C")
 	workers := fs.Int("workers", 1, "parallel workers (simulated processors)")
 	count := fs.Bool("count", false, "stream-generate and report the edge rate instead of storing")
-	out := fs.String("out", "", "directory to write per-worker edge chunks (prefix 'edges')")
-	stream := fs.String("stream", "", "directory to stream per-worker edge chunks through the batch-native path (never materializes)")
+	stream := fs.String("stream", "", "directory to stream per-worker edge chunks into, edges_<pppp>.tsv or .bin (never materializes)")
 	format := fs.String("format", "tsv", "-stream chunk format: tsv, bin (binary delta-varint), or binfixed (binary fixed-width)")
 	shardSpec := fs.String("shard", "", "generate only shard k of the deterministic K-shard plan, as k/K (e.g. 0/4); applies to -count and -stream")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -131,34 +128,10 @@ func run(args []string) (err error) {
 			total, dur, *workers, rate, checksum)
 		return nil
 	}
-	if *stream != "" {
-		return streamChunks(g, shard, *workers, *stream, *format)
+	if *stream == "" {
+		return fmt.Errorf("choose -count or -stream DIR")
 	}
-	if shard != nil {
-		return fmt.Errorf("-shard supports -count and -stream only (materializing per-worker parts is plan-oblivious)")
-	}
-	if *out == "" {
-		return fmt.Errorf("choose -count, -stream DIR, or -out DIR")
-	}
-	parts, err := g.Materialize(context.Background(), *workers)
-	if err != nil {
-		return err
-	}
-	// Re-express each part with global columns for self-contained chunks.
-	global := make([]*sparse.COO[int64], len(parts))
-	for i, p := range parts {
-		one, err := g.Assemble([]gen.Part{p})
-		if err != nil {
-			return err
-		}
-		global[i] = one
-	}
-	paths, err := graphio.WriteChunks(*out, "edges", global)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d chunks under %s\n", len(paths), *out)
-	return nil
+	return streamChunks(g, shard, *workers, *stream, *format)
 }
 
 // streamChunks writes one edge chunk per worker through the pipeline layer —
@@ -230,11 +203,10 @@ func streamChunks(g *gen.Generator, shard *gen.ShardInfo, workers int, dir, form
 		}
 	}
 	counter := pipeline.NewCounter(workers)
-	// With -format bin (delta) every member of this composition is
-	// block-capable — the delta writers send block and run frames, the
-	// counter folds closed-form counts — so the stream pass runs the
-	// generator's block-replay engine; tsv and binfixed keep their own batch
-	// fast paths and route the tee through batches.
+	// Every format runs the generator's one loop over B triples; only the
+	// writer differs. A delta writer sends each C block once and every run
+	// as a run frame, tsv and binfixed writers expand each run into edges,
+	// and the counter adds each run's length.
 	sink := pipeline.Tee(pipeline.PerWorker(sinks...), counter)
 	start := time.Now()
 	var err error

@@ -10,7 +10,7 @@ func props(key string) *DesignProperties {
 }
 
 func TestDesignCacheLRUEviction(t *testing.T) {
-	c := newDesignCache(2)
+	c := newLRU[*DesignProperties](2)
 	c.put("a", props("a"))
 	c.put("b", props("b"))
 	if _, ok := c.get("a"); !ok { // promote a; b is now LRU
@@ -31,7 +31,7 @@ func TestDesignCacheLRUEviction(t *testing.T) {
 }
 
 func TestDesignCacheUpdateExisting(t *testing.T) {
-	c := newDesignCache(2)
+	c := newLRU[*DesignProperties](2)
 	c.put("a", props("old"))
 	c.put("a", props("new"))
 	if got, _ := c.get("a"); got.Edges != "new" {
@@ -43,7 +43,7 @@ func TestDesignCacheUpdateExisting(t *testing.T) {
 }
 
 func TestDesignCacheDisabled(t *testing.T) {
-	c := newDesignCache(0)
+	c := newLRU[*DesignProperties](0)
 	c.put("a", props("a"))
 	if _, ok := c.get("a"); ok {
 		t.Fatal("disabled cache stored an entry")
@@ -51,7 +51,7 @@ func TestDesignCacheDisabled(t *testing.T) {
 }
 
 func TestDesignCacheConcurrent(t *testing.T) {
-	c := newDesignCache(8)
+	c := newLRU[*DesignProperties](8)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {

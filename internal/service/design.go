@@ -7,8 +7,9 @@
 // validation that re-measures a finished job and confirms the paper's exact
 // agreement. The subsystem comprises a bounded-admission job manager
 // (job.go), REST handlers (handlers.go), a backpressured streaming encoder
-// layer (stream.go), an LRU design cache (cache.go), and counters/gauges
-// (metrics.go).
+// layer (stream.go), shard plans (shardplan.go), the one LRU behind the
+// design-property, design-hash and shard-plan caches (cache.go), and
+// counters/gauges (metrics.go).
 package service
 
 import (
@@ -49,10 +50,16 @@ func (r DesignRequest) Build() (*kron.Design, error) {
 func (r DesignRequest) Key() string {
 	pts := append([]int(nil), r.Points...)
 	sort.Ints(pts)
+	return DesignRequest{Points: pts, Loop: r.Loop}.label()
+}
+
+// label renders the design as "loop|p1,p2,..." with the points in request
+// order, the order generation follows.
+func (r DesignRequest) label() string {
 	var b strings.Builder
 	b.WriteString(r.Loop)
 	b.WriteByte('|')
-	for i, p := range pts {
+	for i, p := range r.Points {
 		if i > 0 {
 			b.WriteByte(',')
 		}

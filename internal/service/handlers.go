@@ -12,15 +12,18 @@ import (
 	"repro/kron"
 )
 
-// Config bounds the service. The zero value is not usable; call
-// DefaultConfig and override fields as needed.
+// Config bounds the service. New fills every unset field from
+// DefaultConfig, so Config{} serves with the default limits; NewManager
+// takes its cfg as given.
 type Config struct {
 	// MaxConcurrentJobs bounds admitted-but-unfinished jobs; submissions
 	// over the limit get 429.
 	MaxConcurrentJobs int
 	// MaxWorkers bounds the per-job generation processor count.
 	MaxWorkers int
-	// CacheSize is the design-property LRU capacity.
+	// CacheSize is the capacity of each of the service's LRUs: design
+	// properties, the design-hash registry (at least 1), and shard plans.
+	// A negative size disables the property and plan caches.
 	CacheSize int
 	// MaxCNNZ bounds the C side's stored entries (each worker scans all of
 	// C for every owned B triple, so C must stay processor-local, Section V).
@@ -44,14 +47,6 @@ type Config struct {
 	// oldest finished jobs are evicted first. Running jobs never count
 	// against it.
 	MaxJobHistory int
-	// MaxShards bounds the shard count of plans and sharded jobs (a plan
-	// response carries one entry per shard, so an unbounded count would let
-	// one GET allocate arbitrarily).
-	MaxShards int
-	// MaxChecksumEdges bounds the edges a ?checksums=1 shard-plan request may
-	// enumerate synchronously; larger plans must be verified shard-by-shard
-	// by the processes that generate them.
-	MaxChecksumEdges int64
 	// Logger receives the service's structured records: one access-log line
 	// per request and the job lifecycle (admission, completion with its
 	// phase timeline). nil discards them — embedding tests stay quiet, and
@@ -75,8 +70,6 @@ func DefaultConfig() Config {
 		QueueDepth:        64,
 		AttachTimeout:     2 * time.Minute,
 		MaxJobHistory:     256,
-		MaxShards:         1 << 16,
-		MaxChecksumEdges:  1 << 30,
 	}
 }
 
@@ -84,7 +77,7 @@ func DefaultConfig() Config {
 type Service struct {
 	cfg     Config
 	metrics *Metrics
-	cache   *designCache
+	cache   *lru[*DesignProperties]
 	// hashes maps a design's order-sensitive hash back to its request so
 	// /v1/designs/{hash}/shardplan can rebuild plans; registered on every
 	// design query and job submission.
@@ -124,12 +117,6 @@ func New(cfg Config) *Service {
 	if cfg.MaxJobHistory <= 0 {
 		cfg.MaxJobHistory = def.MaxJobHistory
 	}
-	if cfg.MaxShards <= 0 {
-		cfg.MaxShards = def.MaxShards
-	}
-	if cfg.MaxChecksumEdges <= 0 {
-		cfg.MaxChecksumEdges = def.MaxChecksumEdges
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -137,7 +124,7 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		metrics: NewMetrics(),
 		logger:  cfg.Logger,
-		cache:   newDesignCache(cfg.CacheSize),
+		cache:   newLRU[*DesignProperties](cfg.CacheSize),
 		// The hash registry is a lookup table, not a cache: a negative
 		// CacheSize legitimately disables the property and plan caches
 		// (latency only), but a capacity-0 registry would make every
@@ -340,5 +327,6 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.writeMetrics(w)
+	// A failed write means the scraper hung up; there is no one to tell.
+	_, _ = s.metrics.WriteTo(w)
 }

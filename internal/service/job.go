@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/big"
 	"runtime"
 	"strings"
 	"sync"
@@ -404,6 +405,46 @@ func NewManager(cfg Config, metrics *Metrics) *Manager {
 	}
 }
 
+// splitSides is a design's B ⊗ C decomposition at a resolved split point:
+// the closed-form stored-entry counts of both sides, known before either is
+// realized.
+type splitSides struct {
+	split      int
+	bnnz, cnnz *big.Int
+}
+
+// resolveSplit resolves a requested split point — 0 means
+// kron.BalancedSplitPoint under MaxCNNZ — and sizes both sides of d there.
+// Job admission and the shard-plan endpoint both resolve through it, so a
+// plan fetched with the default split names the split its jobs get.
+func (m *Manager) resolveSplit(d *kron.Design, split int) (splitSides, error) {
+	if split == 0 {
+		var err error
+		if split, err = kron.BalancedSplitPoint(d, m.cfg.MaxCNNZ); err != nil {
+			return splitSides{}, err
+		}
+	}
+	bd, cd, err := d.Split(split)
+	if err != nil {
+		return splitSides{}, err
+	}
+	return splitSides{split: split, bnnz: bd.NNZWithLoops(), cnnz: cd.NNZWithLoops()}, nil
+}
+
+// checkSides is the realization bound every generator the service builds
+// must pass — a job's at admission, a ?checksums=1 plan's before
+// enumeration: each worker scans all of C, so C must stay processor-local
+// (Section V), and B is realized in server memory.
+func (m *Manager) checkSides(s splitSides) error {
+	if !s.cnnz.IsInt64() || s.cnnz.Int64() > m.cfg.MaxCNNZ {
+		return fmt.Errorf("C side of split %d has %s stored entries, over the per-worker bound %d", s.split, s.cnnz, m.cfg.MaxCNNZ)
+	}
+	if !s.bnnz.IsInt64() || s.bnnz.Int64() > m.cfg.MaxBNNZ {
+		return fmt.Errorf("B side of split %d has %s stored entries, over the realization bound %d", s.split, s.bnnz, m.cfg.MaxBNNZ)
+	}
+	return nil
+}
+
 // Submit validates the request against the server's admission limits,
 // registers the job, and starts its run loop. Validation is entirely
 // design-side: the closed forms bound the realization cost of both split
@@ -423,23 +464,14 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 	if d.NumFactors() < 2 {
 		return nil, fmt.Errorf("generation needs at least two factors to split into B ⊗ C")
 	}
-	split := req.Split
-	if split == 0 {
-		split, err = kron.BalancedSplitPoint(d, m.cfg.MaxCNNZ)
-		if err != nil {
-			return nil, err
-		}
-	}
-	bd, cd, err := d.Split(split)
+	sides, err := m.resolveSplit(d, req.Split)
 	if err != nil {
 		return nil, err
 	}
-	if nnz := cd.NNZWithLoops(); !nnz.IsInt64() || nnz.Int64() > m.cfg.MaxCNNZ {
-		return nil, fmt.Errorf("C side of split %d has %s stored entries, over the per-worker bound %d", split, nnz, m.cfg.MaxCNNZ)
+	if err := m.checkSides(sides); err != nil {
+		return nil, err
 	}
-	if nnz := bd.NNZWithLoops(); !nnz.IsInt64() || nnz.Int64() > m.cfg.MaxBNNZ {
-		return nil, fmt.Errorf("B side of split %d has %s stored entries, over the realization bound %d", split, nnz, m.cfg.MaxBNNZ)
-	}
+	split := sides.split
 	workers := req.Workers
 	if workers == 0 {
 		workers = min(runtime.GOMAXPROCS(0), m.cfg.MaxWorkers)

@@ -35,7 +35,7 @@ type Metrics struct {
 	CacheHits       atomic.Int64 // counter: design cache hits
 	CacheMisses     atomic.Int64 // counter: design cache misses
 
-	ValidationsRun   atomic.Int64 // counter: validation passes executed
+	ValidationsRun   atomic.Int64 // counter: design-level validation reports merged (one per plan, not per job)
 	ValidationsExact atomic.Int64 // counter: validations reporting exact agreement
 
 	ShardValidationsRun    atomic.Int64 // counter: per-shard validation measurements executed
@@ -111,26 +111,13 @@ func (m *Metrics) EdgesPerSec() float64 {
 	return float64(m.EdgesGenerated.Load()) / (float64(ns) / 1e9)
 }
 
-// countWriter counts the bytes written through it so WriteTo can keep its
-// io.WriterTo-shaped signature while rendering through a buffer.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // WriteTo renders the metrics in Prometheus text exposition format. The
 // whole exposition is staged through one bufio.Writer and flushed once, so a
 // scrape costs one syscall burst instead of a write per series; the first
 // underlying error sticks (bufio short-circuits after it) and is returned.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 32<<10)
+	var n atomic.Int64
+	bw := bufio.NewWriterSize(byteCounter{w, &n}, 32<<10)
 	emit := func(name, help, typ string, value any) error {
 		_, err := fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, value)
 		return err
@@ -153,7 +140,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"kronserve_designs_computed_total", "Design property computations performed.", "counter", m.DesignsComputed.Load()},
 		{"kronserve_design_cache_hits_total", "Design cache hits.", "counter", m.CacheHits.Load()},
 		{"kronserve_design_cache_misses_total", "Design cache misses.", "counter", m.CacheMisses.Load()},
-		{"kronserve_validations_total", "Validation passes executed.", "counter", m.ValidationsRun.Load()},
+		{"kronserve_validations_total", "Design-level validation reports merged; a job that adopts a sibling's report adds none.", "counter", m.ValidationsRun.Load()},
 		{"kronserve_validations_exact_total", "Validations reporting exact agreement.", "counter", m.ValidationsExact.Load()},
 		{"kronserve_shard_validations_total", "Per-shard validation measurements executed.", "counter", m.ShardValidationsRun.Load()},
 		{"kronserve_shard_validations_merged_total", "Complete shard plans merged into design-level reports.", "counter", m.ShardValidationsMerged.Load()},
@@ -163,7 +150,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"kronserve_shard_plans_checksummed_total", "Plans verified by full checksum enumeration.", "counter", m.PlansChecksummed.Load()},
 	} {
 		if err := emit(row.name, row.help, row.typ, row.value); err != nil {
-			return cw.n, err
+			return n.Load(), err
 		}
 	}
 	// Histograms and stage counters render nothing when unset (zero-value
@@ -172,12 +159,12 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		Render(io.Writer) error
 	}{m.HTTPLatency, m.JobQueueWait, m.JobRealize, m.JobRunTime, m.StreamBatchGap} {
 		if err := h.Render(bw); err != nil {
-			return cw.n, err
+			return n.Load(), err
 		}
 	}
 	if err := m.Stages.Render(bw, "kronserve"); err != nil {
-		return cw.n, err
+		return n.Load(), err
 	}
 	err := bw.Flush()
-	return cw.n, err
+	return n.Load(), err
 }

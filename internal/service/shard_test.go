@@ -219,20 +219,73 @@ func TestServiceShardInvalidSpecs(t *testing.T) {
 	}
 
 	// Checksum enumeration over the bound is 422, but the plan itself stays
-	// fetchable without checksums.
-	_, ts2 := newTestServer(t, Config{MaxChecksumEdges: 10})
-	props2 := decodeBody[DesignProperties](t, postJSON(t, ts2.URL+"/v1/designs", design))
+	// fetchable without checksums. The design has about 3.6e9 edges, over
+	// the 2^30-edge enumeration bound; both answers are closed form, so
+	// nothing is realized.
+	_, ts2 := newTestServer(t, Config{})
+	huge := DesignRequest{Points: []int{3, 4, 5, 9, 16, 25, 81}, Loop: "hub"}
+	props2 := decodeBody[DesignProperties](t, postJSON(t, ts2.URL+"/v1/designs", huge))
 	r2, err := http.Get(ts2.URL + "/v1/designs/" + props2.Hash + "/shardplan?shards=2&checksums=1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	body2, _ := io.ReadAll(r2.Body)
 	r2.Body.Close()
-	if r2.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("over-bound checksums: %d, want 422", r2.StatusCode)
+	if r2.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body2), "checksum enumeration bound") {
+		t.Errorf("over-bound checksums: %d %s, want 422 naming the enumeration bound", r2.StatusCode, body2)
 	}
 	plain := getJSON[ShardPlanResponse](t, ts2.URL+"/v1/designs/"+props2.Hash+"/shardplan?shards=2", http.StatusOK)
 	if plain.Checksummed || len(plain.Plan) != 2 {
 		t.Errorf("plain plan after 422: checksummed=%v shards=%d", plain.Checksummed, len(plain.Plan))
+	}
+}
+
+// TestServiceSideBounds drives the realization bounds on every path that
+// builds a generator. A job whose C side is over MaxCNNZ, or whose B side is
+// over MaxBNNZ, is refused with 400; a ?checksums=1 plan at the same split
+// is refused with 422 and the same message. The plain plan still reports
+// both sides without enforcing them: a coordinator may plan for replicas
+// configured with larger bounds. {3,4,5,9} hub stores 7, 9, 11 and 19
+// entries per factor.
+func TestServiceSideBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxCNNZ: 100, MaxBNNZ: 10})
+	design := DesignRequest{Points: []int{3, 4, 5, 9}, Loop: "hub"}
+	props := decodeBody[DesignProperties](t, postJSON(t, ts.URL+"/v1/designs", design))
+	planURL := fmt.Sprintf("%s/v1/designs/%s/shardplan?shards=2", ts.URL, props.Hash)
+	const (
+		overC = "C side of split 1 has 1881 stored entries, over the per-worker bound 100"
+		overB = "B side of split 3 has 693 stored entries, over the realization bound 10"
+	)
+	for _, tc := range []struct {
+		name   string
+		split  int
+		plan   bool // fetch the checksummed plan instead of submitting a job
+		status int
+		msg    string
+	}{
+		{"job, C over", 1, false, http.StatusBadRequest, overC},
+		{"job, B over", 3, false, http.StatusBadRequest, overB},
+		{"checksummed plan, C over", 1, true, http.StatusUnprocessableEntity, overC},
+		{"checksummed plan, B over", 3, true, http.StatusUnprocessableEntity, overB},
+	} {
+		var resp *http.Response
+		if tc.plan {
+			var err error
+			if resp, err = http.Get(fmt.Sprintf("%s&split=%d&checksums=1", planURL, tc.split)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			resp = postJSON(t, ts.URL+"/v1/jobs", JobRequest{DesignRequest: design, Split: tc.split, Sink: SinkDiscard})
+		}
+		status := resp.StatusCode
+		if e := decodeBody[errorBody](t, resp); status != tc.status || e.Error != tc.msg {
+			t.Errorf("%s: %d %q, want %d %q", tc.name, status, e.Error, tc.status, tc.msg)
+		}
+	}
+	plain := getJSON[ShardPlanResponse](t, planURL+"&split=1", http.StatusOK)
+	if plain.Split != 1 || plain.BNNZ != 7 || plain.CNNZ != 1881 || plain.Checksummed {
+		t.Errorf("plain plan: split %d bnnz %d cnnz %d checksummed %v, want 1, 7, 1881, false",
+			plain.Split, plain.BNNZ, plain.CNNZ, plain.Checksummed)
 	}
 }
 

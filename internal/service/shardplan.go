@@ -1,70 +1,25 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 
 	"repro/kron"
 )
 
-// lru is a minimal mutex-guarded LRU used by the shard subsystem's two
-// registries: the hash → design lookup behind /v1/designs/{hash}/shardplan
-// and the (hash, split, shards) → plan cache. Eviction is safe by
-// construction — a hash can be re-registered by re-POSTing the design, and a
-// plan rebuild is deterministic (kron.PlanShards is a pure function of its
-// inputs) — so the caches trade only latency, never correctness.
-type lru[V any] struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[string]*list.Element
-}
+// maxShards bounds the shard count of plans and sharded jobs: a plan
+// response carries one entry per shard, so an unbounded count would let one
+// GET allocate arbitrarily.
+const maxShards = 1 << 16
 
-type lruEntry[V any] struct {
-	key string
-	val V
-}
-
-func newLRU[V any](capacity int) *lru[V] {
-	return &lru[V]{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (c *lru[V]) get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
-}
-
-func (c *lru[V]) put(key string, v V) {
-	if c.cap < 1 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry[V]).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry[V]).key)
-	}
-}
+// maxChecksumEdges bounds the edges a ?checksums=1 shard-plan request may
+// enumerate synchronously; larger plans must be verified shard-by-shard by
+// the processes that generate them.
+const maxChecksumEdges = 1 << 30
 
 // planKey names one deterministic plan: the design's order-sensitive hash
 // plus the split point and shard count that parameterize it.
@@ -84,8 +39,8 @@ func (m *Manager) planFor(req DesignRequest, d *kron.Design, split, shards int) 
 	if shards < 1 {
 		return nil, false, fmt.Errorf("shards %d; a plan needs at least 1", shards)
 	}
-	if shards > m.cfg.MaxShards {
-		return nil, false, fmt.Errorf("shards %d over the plan bound %d", shards, m.cfg.MaxShards)
+	if shards > maxShards {
+		return nil, false, fmt.Errorf("shards %d over the plan bound %d", shards, maxShards)
 	}
 	key := planKey(req.Hash(), split, shards)
 	if plan, ok := m.plans.get(key); ok {
@@ -127,7 +82,7 @@ type ShardPlanResponse struct {
 // [&checksums=1]. The hash comes from POST /v1/designs (or any job status);
 // an unknown hash is 404 — re-POST the design to re-register it. The plan is
 // closed-form and instant; ?checksums=1 additionally realizes the generator
-// and enumerates every shard, so it is bounded by MaxChecksumEdges and the
+// and enumerates every shard, so it is bounded by maxChecksumEdges and the
 // same B/C realization limits as jobs.
 func (s *Service) handleShardPlan(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
@@ -148,10 +103,6 @@ func (s *Service) handleShardPlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad shards %q: %v", shardsStr, err))
 		return
 	}
-	if shards < 1 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("shards %d; a plan needs at least 1", shards))
-		return
-	}
 	split := 0
 	if v := q.Get("split"); v != "" {
 		if split, err = strconv.Atoi(v); err != nil {
@@ -164,18 +115,16 @@ func (s *Service) handleShardPlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if split == 0 {
-		if split, err = kron.BalancedSplitPoint(d, s.cfg.MaxCNNZ); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	plan, cached, err := s.manager.planFor(req, d, split, shards)
+	// The plan reports both sides' sizes without enforcing MaxCNNZ and
+	// MaxBNNZ: a coordinator may plan for replicas configured with larger
+	// bounds. Only ?checksums=1, which realizes the generator here, checks
+	// them.
+	sides, err := s.manager.resolveSplit(d, split)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	bd, cd, err := d.Split(split)
+	plan, cached, err := s.manager.planFor(req, d, sides.split, shards)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -187,16 +136,16 @@ func (s *Service) handleShardPlan(w http.ResponseWriter, r *http.Request) {
 	resp := ShardPlanResponse{
 		Design:     req,
 		Hash:       hash,
-		Split:      split,
+		Split:      sides.split,
 		Shards:     shards,
 		TotalEdges: total,
-		BNNZ:       bd.NNZWithLoops().Int64(),
-		CNNZ:       cd.NNZWithLoops().Int64(),
+		BNNZ:       sides.bnnz.Int64(),
+		CNNZ:       sides.cnnz.Int64(),
 		Cached:     cached,
 		Plan:       plan,
 	}
 	if v := q.Get("checksums"); v == "1" || v == "true" {
-		checksummed, err := s.checksumPlan(r.Context(), d, split, resp.Plan, total)
+		checksummed, err := s.checksumPlan(r.Context(), d, sides, resp.Plan, total)
 		if err != nil {
 			status := http.StatusUnprocessableEntity
 			var ie internalError
@@ -226,22 +175,15 @@ func (e internalError) Unwrap() error { return e.err }
 // checksumPlan realizes the generator and enumerates every shard to fill the
 // verification checksums. It returns a copy — the cached plan stays
 // checksum-free so serving it never races with an enumeration pass.
-func (s *Service) checksumPlan(ctx context.Context, d *kron.Design, split int, plan []kron.ShardInfo, total int64) ([]kron.ShardInfo, error) {
-	if total > s.cfg.MaxChecksumEdges {
+func (s *Service) checksumPlan(ctx context.Context, d *kron.Design, sides splitSides, plan []kron.ShardInfo, total int64) ([]kron.ShardInfo, error) {
+	if total > maxChecksumEdges {
 		return nil, fmt.Errorf("plan has %d edges, over the %d-edge checksum enumeration bound; fetch without checksums and verify shards individually",
-			total, s.cfg.MaxChecksumEdges)
+			total, maxChecksumEdges)
 	}
-	bd, cd, err := d.Split(split)
-	if err != nil {
+	if err := s.manager.checkSides(sides); err != nil {
 		return nil, err
 	}
-	if nnz := cd.NNZWithLoops(); !nnz.IsInt64() || nnz.Int64() > s.cfg.MaxCNNZ {
-		return nil, fmt.Errorf("C side of split %d has %s stored entries, over the per-worker bound %d", split, nnz, s.cfg.MaxCNNZ)
-	}
-	if nnz := bd.NNZWithLoops(); !nnz.IsInt64() || nnz.Int64() > s.cfg.MaxBNNZ {
-		return nil, fmt.Errorf("B side of split %d has %s stored entries, over the realization bound %d", split, nnz, s.cfg.MaxBNNZ)
-	}
-	g, err := kron.NewGenerator(d, split)
+	g, err := kron.NewGenerator(d, sides.split)
 	if err != nil {
 		return nil, internalError{err}
 	}

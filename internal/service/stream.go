@@ -85,7 +85,9 @@ func checkFormat(format, enc string, j *Job) error {
 	}
 }
 
-// byteCounter counts the bytes written through it into n.
+// byteCounter counts the bytes written through it into n: an edge-stream
+// body into kronserve_stream_bytes_total, and the /metrics exposition into
+// Metrics.WriteTo's return value.
 type byteCounter struct {
 	w io.Writer
 	n *atomic.Int64
@@ -155,8 +157,11 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, form
 		writeError(w, status, err.Error())
 		return
 	}
-	header := fmt.Sprintf("kronserve job %s design %s workers %d totalEdges %d",
-		j.id, j.req.Key(), j.workers, j.shard.Edges)
+	// The header names the design as generated — points in request order
+	// and its designHash — not the sorted property-cache key, which two
+	// factor orders with different streams share.
+	header := fmt.Sprintf("kronserve job %s design %s designHash %s workers %d totalEdges %d",
+		j.id, j.req.label(), j.req.Hash(), j.workers, j.shard.Edges)
 	if j.sharded() {
 		header += fmt.Sprintf(" shard %d/%d", j.shard.Shard, j.shard.Shards)
 	}
@@ -243,11 +248,4 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, form
 			return
 		}
 	}
-}
-
-// copyMetrics writes the metrics exposition; split out so handlers.go stays
-// routing-only.
-func (s *Service) writeMetrics(w io.Writer) error {
-	_, err := s.metrics.WriteTo(w)
-	return err
 }

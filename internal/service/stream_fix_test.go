@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,5 +101,42 @@ func TestAttachAfterTerminalRejected(t *testing.T) {
 	}
 	if _, err := j.Attach(); !errors.Is(err, ErrJobTerminal) {
 		t.Fatalf("Attach on terminal job: %v, want ErrJobTerminal", err)
+	}
+}
+
+// TestStreamHeaderNamesGeneratedDesign: {5,4,3} and {3,4,5} share a
+// property-cache key but generate different streams, so each stream's header
+// must name its own design as generated, with the points in request order
+// and the job's designHash, in the TSV comment and the MatrixMarket header
+// alike.
+func TestStreamHeaderNamesGeneratedDesign(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, query := range []string{"", "?format=mm"} {
+		var named []string
+		for _, tc := range []struct {
+			design DesignRequest
+			label  string
+		}{
+			{DesignRequest{Points: []int{5, 4, 3}, Loop: "hub"}, "hub|5,4,3"},
+			{DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}, "hub|3,4,5"},
+		} {
+			raw, _, st := streamJobEdges(t, ts.URL, tc.design, query, nil)
+			var header string
+			for _, line := range strings.Split(string(raw), "\n") {
+				if strings.Contains(line, "kronserve job") {
+					header = line
+					break
+				}
+			}
+			want := fmt.Sprintf(" design %s designHash %s ", tc.label, st.DesignHash)
+			if !strings.Contains(header, want) {
+				t.Errorf("format %q: header %q does not contain %q", query, header, want)
+			}
+			_, after, _ := strings.Cut(header, " design ")
+			named = append(named, after)
+		}
+		if named[0] == named[1] {
+			t.Errorf("format %q: both factor orders announce %q", query, named[0])
+		}
 	}
 }
