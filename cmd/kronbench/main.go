@@ -111,14 +111,15 @@ func run(fig string, maxWorkers int) error {
 }
 
 // runFig times one figure and, under -json, writes BENCH_<name>.json with
-// the elapsed time plus whatever metrics the figure recorded.
+// the elapsed time plus the metrics the figure recorded. A figure that
+// records none writes no snapshot: its elapsed time alone is no series.
 func runFig(name string, fn func(int) error, maxWorkers int) error {
 	benchExtra = map[string]any{}
 	start := time.Now()
 	if err := fn(maxWorkers); err != nil {
 		return err
 	}
-	if jsonDir == "" {
+	if jsonDir == "" || len(benchExtra) == 0 {
 		return nil
 	}
 	payload := map[string]any{
@@ -148,6 +149,19 @@ func recordBench(key string, v any) {
 	if benchExtra != nil {
 		benchExtra[key] = v
 	}
+}
+
+// recordSpread records a repeated measurement as its median under key, with
+// its quartiles and repeat count under key+"Q1", key+"Q3" and
+// key+"Repeats", and returns the median and quartiles.
+func recordSpread(key string, xs []float64) (med, q1, q3 float64) {
+	slices.Sort(xs)
+	med, q1, q3 = xs[len(xs)/2], xs[len(xs)/4], xs[3*len(xs)/4]
+	recordBench(key, med)
+	recordBench(key+"Q1", q1)
+	recordBench(key+"Q3", q3)
+	recordBench(key+"Repeats", len(xs))
+	return med, q1, q3
 }
 
 // measuredPoint stamps a swept rate with the scheduler width it actually ran
@@ -646,32 +660,39 @@ func fig4(maxWorkers int) error {
 	// the full predicted-vs-measured pipeline (generate, degree-merge, CSR,
 	// both triangle counters) on a larger hub-loop workload. The streaming
 	// engine is compared against the materialized sort-and-dedupe baseline
-	// at one worker, then swept across worker counts.
+	// at one worker in adjacent pairs, so drift on a shared machine lands on
+	// both sides of each pair's ratio; the speedup is the median ratio. Then
+	// the streaming engine is swept across worker counts.
 	bd, err := kron.FromPoints([]int{3, 4, 5, 9, 16}, kron.LoopHub)
 	if err != nil {
 		return err
 	}
 	const benchSplit = 3
-	start := time.Now()
-	mrep, err := validate.RunMaterialized(context.Background(), bd, benchSplit, 1)
-	if err != nil {
-		return err
-	}
-	matRate := float64(mrep.MeasuredEdges) / time.Since(start).Seconds()
-	fmt.Printf("\nvalidation throughput, %d-edge hub workload %v:\n", mrep.MeasuredEdges, bd)
-	fmt.Printf("%-24s %-10s %-14s %s\n", "engine", "workers", "edges/s", "exact")
-	fmt.Printf("%-24s %-10d %-14.3e %v\n", "materialized (baseline)", 1, matRate, mrep.ExactAgreement)
-	var valScaling []parallel.ScalingPoint
-	singleRate := 0.0
-	for np := 1; np <= maxWorkers; np *= 2 {
-		start = time.Now()
-		srep, err := validate.Run(context.Background(), bd, benchSplit, np)
-		if err != nil {
+	var matRates, streamRates, speedups []float64
+	var mrep, srep *validate.Report
+	for range benchPairs {
+		var matRate, streamRate float64
+		if mrep, matRate, err = validationRate(validate.RunMaterialized, bd, benchSplit, 1); err != nil {
 			return err
 		}
-		rate := float64(srep.MeasuredEdges) / time.Since(start).Seconds()
-		if np == 1 {
-			singleRate = rate
+		if srep, streamRate, err = validationRate(validate.Run, bd, benchSplit, 1); err != nil {
+			return err
+		}
+		matRates, streamRates = append(matRates, matRate), append(streamRates, streamRate)
+		speedups = append(speedups, streamRate/matRate)
+	}
+	matRate, _, _ := recordSpread("materializedEdgesPerSec", matRates)
+	singleRate, _, _ := recordSpread("streamingEdgesPerSec", streamRates)
+	speedup, q1, q3 := recordSpread("validationSpeedup", speedups)
+	fmt.Printf("\nvalidation throughput, %d-edge hub workload %v (medians of %d pairs):\n", mrep.MeasuredEdges, bd, benchPairs)
+	fmt.Printf("%-24s %-10s %-14s %s\n", "engine", "workers", "edges/s", "exact")
+	fmt.Printf("%-24s %-10d %-14.3e %v\n", "materialized (baseline)", 1, matRate, mrep.ExactAgreement)
+	fmt.Printf("%-24s %-10d %-14.3e %v\n", "streaming", 1, singleRate, srep.ExactAgreement)
+	valScaling := []parallel.ScalingPoint{measuredPoint(1, singleRate)}
+	for np := 2; np <= maxWorkers; np *= 2 {
+		rep, rate, err := validationRate(validate.Run, bd, benchSplit, np)
+		if err != nil {
+			return err
 		}
 		pt := measuredPoint(np, rate)
 		valScaling = append(valScaling, pt)
@@ -679,13 +700,10 @@ func fig4(maxWorkers int) error {
 		if pt.Extrapolated {
 			engine = "streaming (oversub)"
 		}
-		fmt.Printf("%-24s %-10d %-14.3e %v\n", engine, np, rate, srep.ExactAgreement)
+		fmt.Printf("%-24s %-10d %-14.3e %v\n", engine, np, rate, rep.ExactAgreement)
 	}
-	fmt.Printf("single-worker streaming vs materialized: %.2fx\n", singleRate/matRate)
+	fmt.Printf("single-worker streaming vs materialized: %.2fx (quartiles %.2f–%.2fx)\n", speedup, q1, q3)
 	recordBench("validationEdges", mrep.MeasuredEdges)
-	recordBench("materializedEdgesPerSec", matRate)
-	recordBench("streamingEdgesPerSec", singleRate)
-	recordBench("validationSpeedup", singleRate/matRate)
 	recordBench("streamingScaling", valScaling)
 	recordBench("maxRealizableEdges", int64(validate.MaxRealizableEdges))
 
@@ -696,9 +714,10 @@ func fig4(maxWorkers int) error {
 	// shard's edge share and excludes triangles, so the comparable
 	// single-process row is the K=1 plan's shard — the same measurement
 	// passes over the whole stream. The summed shard throughput is the
-	// aggregate a K-replica deployment delivers; the merge, timed separately,
-	// is the coordinator's one-time cost to fold the fragments into the
-	// design-level exact report.
+	// aggregate a K-replica deployment delivers, and the speedup is the
+	// median over benchPairs repeats of the whole comparison; the merge,
+	// timed separately, is the coordinator's one-time cost to fold the
+	// fragments into the design-level exact report.
 	const valShards = 4
 	vplan, err := kron.PlanShards(bd, benchSplit, valShards)
 	if err != nil {
@@ -708,62 +727,70 @@ func fig4(maxWorkers int) error {
 	if err != nil {
 		return err
 	}
-	start = time.Now()
-	fullShard, err := kron.ValidateShard(context.Background(), bd, benchSplit, 1, fullPlan[0])
-	if err != nil {
-		return err
-	}
-	fullShardRate := float64(fullShard.MeasuredEdges) / time.Since(start).Seconds()
-	fmt.Printf("\nsharded validation, 1 process vs %d shard processes (1 worker each, no triangles):\n", valShards)
-	fmt.Printf("%-10s %-12s %-14s\n", "shard", "edges", "edges/s")
-	fmt.Printf("%-10s %-12d %-14.3e\n", "full", fullShard.MeasuredEdges, fullShardRate)
-	reports := make([]*kron.ShardValidation, 0, len(vplan))
-	summedShardRate := 0.0
-	for _, s := range vplan {
-		start = time.Now()
-		sr, err := kron.ValidateShard(context.Background(), bd, benchSplit, 1, s)
+	var fullRates, summedRates, shardSpeedups []float64
+	reports := make([]*kron.ShardValidation, len(vplan))
+	for range benchPairs {
+		_, fullRate, err := shardRate(bd, benchSplit, fullPlan[0])
 		if err != nil {
 			return err
 		}
-		rate := float64(sr.MeasuredEdges) / time.Since(start).Seconds()
-		summedShardRate += rate
-		reports = append(reports, sr)
-		fmt.Printf("%d/%-8d %-12d %-14.3e\n", s.Shard, s.Shards, sr.MeasuredEdges, rate)
+		summed := 0.0
+		for i, s := range vplan {
+			sr, rate, err := shardRate(bd, benchSplit, s)
+			if err != nil {
+				return err
+			}
+			summed += rate
+			reports[i] = sr
+		}
+		fullRates, summedRates = append(fullRates, fullRate), append(summedRates, summed)
+		shardSpeedups = append(shardSpeedups, summed/fullRate)
 	}
-	start = time.Now()
+	start := time.Now()
 	merged, err := kron.MergeValidation(context.Background(), reports, maxWorkers)
 	if err != nil {
 		return err
 	}
 	mergeDur := time.Since(start)
-	fmt.Printf("summed shard throughput: %.3e edges/s (%.2fx one process)\n",
-		summedShardRate, summedShardRate/fullShardRate)
+	fullRate, _, _ := recordSpread("shardValidationFullEdgesPerSec", fullRates)
+	summedRate, _, _ := recordSpread("shardValidationSummedEdgesPerSec", summedRates)
+	shardSpeedup, q1, q3 := recordSpread("shardValidationSpeedup", shardSpeedups)
+	fmt.Printf("\nsharded validation, 1 process vs %d shard processes (1 worker each, no triangles, medians of %d repeats):\n",
+		valShards, benchPairs)
+	fmt.Printf("one process: %.3e edges/s; summed shards: %.3e edges/s (%.2fx, quartiles %.2f–%.2fx)\n",
+		fullRate, summedRate, shardSpeedup, q1, q3)
 	fmt.Printf("merge + design-level triangles: %v, exact=%v\n", mergeDur.Round(time.Microsecond), merged.ExactAgreement)
 	recordBench("shardValidationShards", valShards)
-	recordBench("shardValidationFullEdgesPerSec", fullShardRate)
-	recordBench("shardValidationSummedEdgesPerSec", summedShardRate)
-	recordBench("shardValidationSpeedup", summedShardRate/fullShardRate)
 	recordBench("shardValidationMergeSeconds", mergeDur.Seconds())
 	recordBench("shardValidationExact", merged.ExactAgreement)
-
-	// Sampled mode on the same workload: exact degree side, stride-sampled
-	// triangle estimate — the interactive check for designs whose exact count
-	// would take minutes.
-	start = time.Now()
-	samp, err := kron.ValidateSampled(context.Background(), bd, benchSplit, maxWorkers, kron.SampleOptions{})
-	if err != nil {
-		return err
-	}
-	sampDur := time.Since(start)
-	fmt.Printf("sampled validation (%d/%d triangle bands): %v, KS=%g, triangle error %+.2f%%, exact side %v\n",
-		samp.SampledBands, samp.TotalBands, sampDur.Round(time.Microsecond),
-		samp.KSStatistic, 100*samp.TriangleRelError, samp.ExactAgreement)
-	recordBench("sampledValidationSeconds", sampDur.Seconds())
-	recordBench("sampledValidationKS", samp.KSStatistic)
-	recordBench("sampledValidationTriangleRelError", samp.TriangleRelError)
-	recordBench("sampledValidationBands", samp.SampledBands)
-	recordBench("sampledValidationTotalBands", samp.TotalBands)
 	return nil
+}
+
+// benchPairs is how many times fig4 repeats each comparison its gated
+// ratios come from; each ratio is recorded as the median of its repeats.
+const benchPairs = 5
+
+// validationRate times one validation of d by run and returns its report
+// and the edges it measured per second.
+func validationRate(run func(context.Context, *kron.Design, int, int) (*validate.Report, error),
+	d *kron.Design, nb, np int) (*validate.Report, float64, error) {
+	start := time.Now()
+	r, err := run(context.Background(), d, nb, np)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, float64(r.MeasuredEdges) / time.Since(start).Seconds(), nil
+}
+
+// shardRate times one single-worker validation of shard s of d and returns
+// its report and the edges it measured per second.
+func shardRate(d *kron.Design, nb int, s kron.ShardInfo) (*kron.ShardValidation, float64, error) {
+	start := time.Now()
+	r, err := kron.ValidateShard(context.Background(), d, nb, 1, s)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, float64(r.MeasuredEdges) / time.Since(start).Seconds(), nil
 }
 
 func fig5(int) error {

@@ -15,18 +15,11 @@
 //
 //	kronvalidate -mhat 3,4,5,9 -loop hub -split 2 -shard 0/4
 //
-// With -sampled it runs the approximate mode: degrees, vertices, and edges
-// are still measured exactly, but triangles are estimated from a sample of
-// the degree-oriented pattern's entry bands — a KS statistic over the degree
-// distributions plus a triangle relative error replace the binary verdict.
-// Use it when the exact triangle count is the bottleneck:
-//
-//	kronvalidate -mhat 3,4,5,9,16 -loop hub -split 3 -workers 4 -sampled
-//
 // With -in it instead validates previously streamed edge chunks (krongen
 // -stream output; KRNB binary chunks are auto-detected by magic, anything
-// else is read as TSV) against the design: the files' combined edge count
-// and XOR content checksum must equal the design's, recomputed by a
+// else is read as TSV) against the design: every edge must be a value-1
+// entry between two of the design's vertices, and the files' combined edge
+// count and XOR content checksum must equal the design's, recomputed by a
 // count-only generation pass. Chunks may be listed in any order — both folds
 // are order-independent — so per-worker and per-shard chunk sets reconcile
 // without reassembly:
@@ -70,18 +63,11 @@ func run(ctx context.Context, args []string) error {
 	workers := fs.Int("workers", 1, "parallel workers")
 	in := fs.String("in", "", "comma-separated edge stream files to reconcile against the design (binary auto-detected, else TSV)")
 	shardSpec := fs.String("shard", "", "validate only shard k of the deterministic K-shard plan, as k/K (e.g. 0/4)")
-	sampled := fs.Bool("sampled", false, "approximate mode: exact degrees/vertices/edges, sampled triangle estimate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	exclusive := 0
-	for _, set := range []bool{*in != "", *shardSpec != "", *sampled} {
-		if set {
-			exclusive++
-		}
-	}
-	if exclusive > 1 {
-		return fmt.Errorf("-in, -shard, and -sampled are mutually exclusive")
+	if *in != "" && *shardSpec != "" {
+		return fmt.Errorf("-in and -shard are mutually exclusive")
 	}
 	points, err := cliutil.ParsePoints(*mhat)
 	if err != nil {
@@ -100,9 +86,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *shardSpec != "" {
 		return validateShard(ctx, d, *split, *workers, *shardSpec)
-	}
-	if *sampled {
-		return validateSampled(ctx, d, *split, *workers)
 	}
 	r, err := kron.Validate(ctx, d, *split, *workers)
 	if err != nil {
@@ -144,43 +127,29 @@ func validateShard(ctx context.Context, d *kron.Design, split, workers int, spec
 	return nil
 }
 
-// validateSampled runs the approximate validation mode: exact degree,
-// vertex, and edge measurement plus a banded triangle estimate.
-func validateSampled(ctx context.Context, d *kron.Design, split, workers int) error {
-	r, err := kron.ValidateSampled(ctx, d, split, workers, kron.SampleOptions{})
+// validateStreams checks every edge of every stream file and folds their
+// edge count and XOR content checksum, recomputes the design's own count
+// and checksum with a count-only generation pass (no edges stored on either
+// side), and requires both pairs to agree exactly — the paper's
+// predicted-vs-measured check applied to bytes that went over the wire.
+func validateStreams(ctx context.Context, d *kron.Design, split, workers int, paths []string) error {
+	g, err := gen.New(d, split)
 	if err != nil {
 		return err
 	}
-	fmt.Print(r)
-	if !r.ExactAgreement {
-		return fmt.Errorf("validation failed")
-	}
-	return nil
-}
-
-// validateStreams folds the edge count and XOR content checksum over every
-// stream file, recomputes the design's own count and checksum with a
-// count-only generation pass (no edges stored on either side), and requires
-// both pairs to agree exactly — the paper's predicted-vs-measured check
-// applied to bytes that went over the wire.
-func validateStreams(ctx context.Context, d *kron.Design, split, workers int, paths []string) error {
 	var total, checksum int64
 	for _, path := range paths {
 		path = strings.TrimSpace(path)
 		if path == "" {
 			continue
 		}
-		n, sum, err := foldStreamFile(ctx, path)
+		n, sum, err := foldStreamFile(ctx, path, g.NumVertices())
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		fmt.Printf("%s: %d edges, checksum %x\n", path, n, sum)
 		total += n
 		checksum ^= sum
-	}
-	g, err := gen.New(d, split)
-	if err != nil {
-		return err
 	}
 	wantTotal, wantSum, err := g.CountEdges(ctx, workers)
 	if err != nil {
@@ -195,11 +164,11 @@ func validateStreams(ctx context.Context, d *kron.Design, split, workers int, pa
 	return nil
 }
 
-// foldStreamFile counts and checksums one edge stream file. A KRNB magic
-// prefix selects the binary reader (which additionally verifies the file's
-// own trailer and framing); anything else is parsed as a TSV stream with
-// comment lines skipped.
-func foldStreamFile(ctx context.Context, path string) (total, checksum int64, err error) {
+// foldStreamFile counts and checksums one edge stream file and checks each
+// edge with checkEdge. A KRNB magic prefix selects the binary reader (which
+// additionally verifies the file's own trailer and framing); anything else
+// is parsed as a TSV stream with comment lines skipped.
+func foldStreamFile(ctx context.Context, path string, vertices int64) (total, checksum int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -208,7 +177,14 @@ func foldStreamFile(ctx context.Context, path string) (total, checksum int64, er
 	br := bufio.NewReaderSize(f, 1<<16)
 	magic, err := br.Peek(4)
 	if err == nil && string(magic) == "KRNB" {
-		info, err := graphio.ReadBinary(ctx, br, func(batch []graphio.Edge) error { return nil })
+		info, err := graphio.ReadBinary(ctx, br, func(batch []graphio.Edge) error {
+			for _, e := range batch {
+				if err := checkEdge(e, vertices); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -233,8 +209,12 @@ func foldStreamFile(ctx context.Context, path string) (total, checksum int64, er
 		if err != nil {
 			return 0, 0, fmt.Errorf("bad col in %q: %v", line, err)
 		}
-		if _, err := strconv.ParseInt(fields[2], 10, 64); err != nil {
+		val, err := strconv.ParseInt(fields[2], 10, 64)
+		if err != nil {
 			return 0, 0, fmt.Errorf("bad val in %q: %v", line, err)
+		}
+		if err := checkEdge(graphio.Edge{Row: row, Col: col, Val: val}, vertices); err != nil {
+			return 0, 0, err
 		}
 		total++
 		checksum ^= row*31 + col
@@ -243,4 +223,15 @@ func foldStreamFile(ctx context.Context, path string) (total, checksum int64, er
 		return 0, 0, err
 	}
 	return total, checksum, nil
+}
+
+// checkEdge rejects what the count and checksum leave out: every entry of a
+// star-product adjacency matrix is 1, and both its coordinates are vertices
+// of the design.
+func checkEdge(e graphio.Edge, vertices int64) error {
+	if e.Val != 1 || uint64(e.Row) >= uint64(vertices) || uint64(e.Col) >= uint64(vertices) {
+		return fmt.Errorf("edge (%d, %d) = %d is not an entry of the design's %d-vertex 0/1 adjacency",
+			e.Row, e.Col, e.Val, vertices)
+	}
+	return nil
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -69,11 +72,40 @@ func TestValidateStreams(t *testing.T) {
 	}
 }
 
+// rewriteTSVEdge copies the TSV stream at path with the first edge that
+// edit accepts replaced by the line edit returns, and returns the copy.
+func rewriteTSVEdge(t *testing.T, path string, edit func(row, col, val int64) (string, bool)) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	for i, line := range lines {
+		var row, col, val int64
+		if _, err := fmt.Sscanf(line, "%d\t%d\t%d", &row, &col, &val); err != nil {
+			continue
+		}
+		if repl, ok := edit(row, col, val); ok {
+			lines[i] = repl
+			out := filepath.Join(t.TempDir(), "edited.tsv")
+			if err := os.WriteFile(out, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+	}
+	t.Fatal("no edge to rewrite")
+	return ""
+}
+
 // TestValidateStreamsDetectsMismatch: a stream from a different design must
-// fail reconciliation, and a truncated binary stream must fail its own
-// framing check before any counting happens.
+// fail reconciliation, a truncated binary stream must fail its own framing
+// check before any counting happens, and an edge that is not a 0/1 entry
+// between two of the design's vertices must be rejected even when the count
+// and checksum still agree.
 func TestValidateStreamsDetectsMismatch(t *testing.T) {
-	_, binPath := streamChunkFiles(t)
+	tsvPath, binPath := streamChunkFiles(t)
 	if err := run(context.Background(), []string{"-mhat", "3,4", "-loop", "hub", "-in", binPath}); err == nil {
 		t.Fatal("stream of a different design validated")
 	}
@@ -88,5 +120,55 @@ func TestValidateStreamsDetectsMismatch(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-mhat", "3,4,5", "-loop", "hub", "-split", "2", "-in", cut}); err == nil {
 		t.Fatal("truncated binary stream validated")
+	}
+
+	// The same edges written as KRNB edge frames, one carrying value 2.
+	d, err := kron.FromPoints([]int{3, 4, 5}, kron.LoopHub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.New(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges []graphio.Edge
+	if err := g.StreamTo(context.Background(), 1, 0, pipeline.Func(func(_ int, batch []gen.Edge) error {
+		edges = append(edges, batch...)
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	edges[0].Val = 2
+	var buf bytes.Buffer
+	ew, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(edges)), graphio.BinaryDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.WriteEdges(edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	binValTwo := filepath.Join(t.TempDir(), "val2.bin")
+	if err := os.WriteFile(binValTwo, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	bad := map[string]string{
+		"TSV value 2": rewriteTSVEdge(t, tsvPath, func(row, col, _ int64) (string, bool) {
+			return fmt.Sprintf("%d\t%d\t2", row, col), true
+		}),
+		"KRNB edge-frame value 2": binValTwo,
+		// (r+1)·31 + (c−31) = r·31 + c, so the count and XOR fold still agree.
+		"TSV negative column": rewriteTSVEdge(t, tsvPath, func(row, col, val int64) (string, bool) {
+			return fmt.Sprintf("%d\t%d\t%d", row+1, col-31, val), col < 31
+		}),
+	}
+	for name, path := range bad {
+		err := run(context.Background(), []string{"-mhat", "3,4,5", "-loop", "hub", "-split", "2", "-in", path})
+		if err == nil || !strings.Contains(err.Error(), "0/1 adjacency") {
+			t.Errorf("%s: err = %v, want the edge rejected", name, err)
+		}
 	}
 }

@@ -80,10 +80,14 @@ const (
 	// previous edge — the compact wire default (a band-ordered stream costs
 	// a few bytes per edge instead of 24).
 	BinaryDelta BinaryEncoding = iota
-	// BinaryFixed encodes each edge as three little-endian int64s. Widest
-	// but fastest: on little-endian hardware whole batches are written (and
-	// read) as single memory copies, so the encode cost is near zero and
-	// streamed-to-wire throughput tracks the count-only engine.
+	// BinaryFixed encodes each edge as three little-endian int64s, in edge
+	// frames only. It is the widest encoding and not the fastest: on
+	// little-endian hardware a batch is written as one memory copy, but
+	// every edge crosses the wire, while a delta stream sends each block
+	// once and each run over it as a short run frame, which kronbench fig3
+	// measures encoding and decoding several times faster. Records have a
+	// fixed stride only within a frame; each frame starts with a varint
+	// tag, so a reader still parses frames.
 	BinaryFixed
 )
 

@@ -210,13 +210,12 @@ func rowBands(rowPtr []int, np int) []parallel.Range {
 	return out
 }
 
-// Bands partitions U's entries into min(nb, NNZ()) contiguous [lo, hi)
+// bands partitions U's entries into min(nb, NNZ()) contiguous [lo, hi)
 // ranges of equal size, up to one entry, covering [0, NNZ()) in order; an
-// empty U gets one empty range. Equal entry counts make the bands equal
-// strata for the sampled estimate. For the exact count each worker takes
-// bandsPerWorker of them, interleaved across the entry space, which evens
-// out how the work per entry varies without a weighted scan of U.
-func (u *Oriented) Bands(nb int) [][2]int {
+// empty U gets one empty range. Each worker takes bandsPerWorker of them,
+// interleaved across the entry space, which evens out how the work per
+// entry varies without a weighted scan of U.
+func (u *Oriented) bands(nb int) [][2]int {
 	nnz := u.NNZ()
 	nb = max(1, min(nb, nnz))
 	out := make([][2]int, nb)
@@ -234,23 +233,12 @@ func (u *Oriented) rowOf(k int) int {
 	return sort.Search(u.n, func(i int) bool { return u.rowPtr[i+1] > k })
 }
 
-// SumBands evaluates the linear-algebra kernel over the given entry bands
-// with up to np workers, band b on worker b mod np: the sum, over each U
-// entry (i, j) in the bands, of |Uᵢ ∩ Uⱼ| — the bands' share of
-// Ntri = 1ᵀ((U·Uᵀ) ⊗ U)1. Over all of Bands' ranges it is the exact count;
-// over a stride of them, scaled by the inverse fraction, an estimate.
-// st, when non-nil, records one batch per worker: its busy time and the U
-// entries it processed.
-func (u *Oriented) SumBands(ctx context.Context, bands [][2]int, np int, st *obs.Stage) (int64, error) {
-	return u.overBands(ctx, bands, np, st, u.intersector)
-}
-
 // CountBoth counts U's triangles with np workers and both kernels over the
 // same bands — the sorted-list intersection of the linear-algebra formula
 // and the marker-based forward node-iterator — and errors if they disagree.
-// st records as in SumBands, once per kernel.
+// st records as in overBands, once per kernel.
 func (u *Oriented) CountBoth(ctx context.Context, np int, st *obs.Stage) (int64, error) {
-	bands := u.Bands(bandsPerWorker * np)
+	bands := u.bands(bandsPerWorker * np)
 	la, err := u.overBands(ctx, bands, np, st, u.intersector)
 	if err != nil {
 		return 0, err
@@ -269,7 +257,9 @@ func (u *Oriented) CountBoth(ctx context.Context, np int, st *obs.Stage) (int64,
 type bandKernel func(ctx context.Context, lo, hi int) (int64, error)
 
 // overBands runs a kernel over every band, spread over up to np workers —
-// each gets its own kernel from newKernel — and sums the results.
+// band b on worker b mod np, each with its own kernel from newKernel — and
+// sums the results. st, when non-nil, records one batch per worker: its
+// busy time and the U entries it processed.
 func (u *Oriented) overBands(ctx context.Context, bands [][2]int, np int, st *obs.Stage,
 	newKernel func() bandKernel) (int64, error) {
 	if np < 1 {
@@ -395,7 +385,7 @@ func CountLinearAlgebraCSR[T any](ctx context.Context, a *sparse.CSR[T], np int)
 	if err != nil {
 		return 0, err
 	}
-	return u.SumBands(ctx, u.Bands(bandsPerWorker*np), np, nil)
+	return u.overBands(ctx, u.bands(bandsPerWorker*np), np, nil, u.intersector)
 }
 
 // CountNodeIteratorCSR is the combinatorial cross-check on the pattern of
@@ -405,7 +395,7 @@ func CountNodeIteratorCSR[T any](ctx context.Context, a *sparse.CSR[T], np int) 
 	if err != nil {
 		return 0, err
 	}
-	return u.overBands(ctx, u.Bands(bandsPerWorker*np), np, nil, u.marker)
+	return u.overBands(ctx, u.bands(bandsPerWorker*np), np, nil, u.marker)
 }
 
 // CountBothCSR orients a once and runs both counters over U with np workers

@@ -212,7 +212,7 @@ func TestOrientedBandsCoverAndOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nb := range []int{1, 2, 5, 16, 1000} {
-		bands := u.Bands(nb)
+		bands := u.bands(nb)
 		if len(bands) < 1 || len(bands) > nb {
 			t.Fatalf("nb=%d: %d bands", nb, len(bands))
 		}
@@ -227,7 +227,7 @@ func TestOrientedBandsCoverAndOrder(t *testing.T) {
 			t.Fatalf("nb=%d: bands end at %d, want %d", nb, pos, u.NNZ())
 		}
 		for _, np := range []int{1, 3} {
-			got, err := u.SumBands(ctx, bands, np, nil)
+			got, err := u.overBands(ctx, bands, np, nil, u.intersector)
 			if err != nil || got != want {
 				t.Fatalf("nb=%d np=%d: summed bands %d, %v; want %d", nb, np, got, err, want)
 			}
@@ -237,7 +237,7 @@ func TestOrientedBandsCoverAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bands := empty.Bands(3); len(bands) != 1 || bands[0] != [2]int{0, 0} {
+	if bands := empty.bands(3); len(bands) != 1 || bands[0] != [2]int{0, 0} {
 		t.Fatalf("empty pattern bands: %v", bands)
 	}
 }

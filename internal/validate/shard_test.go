@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -173,109 +172,6 @@ func TestMergeRejectsBrokenPlans(t *testing.T) {
 	want := fmt.Sprintf("shard 0/2 at [0,%d) with %d edges", two[0].BHi, two[0].Edges)
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("err = %v, want it to name shard 0 and its planned range (%q)", err, want)
-	}
-}
-
-// The sampled mode with Stride 1 evaluates every band, so its triangle
-// "estimate" must equal the exact count and its exact side must match Run's;
-// with the default stride the exact side is still exact and the KS statistic
-// exactly 0 on a faithful generation.
-func TestSampledAgreesWithExact(t *testing.T) {
-	d, err := core.FromPoints([]int{3, 4, 5, 9}, star.LoopHub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(context.Background(), d, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := RunSampled(context.Background(), d, 2, 2, SampleOptions{Stride: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.SampledBands != exact.TotalBands {
-		t.Fatalf("Stride 1 sampled %d of %d bands", exact.SampledBands, exact.TotalBands)
-	}
-	if got := int64(exact.EstimatedTriangles); got != want.MeasuredTriangles {
-		t.Errorf("Stride-1 estimate %d, exact count %d", got, want.MeasuredTriangles)
-	}
-	for _, opt := range []SampleOptions{{}, {Bands: 32, Stride: 4}} {
-		s, err := RunSampled(context.Background(), d, 2, 2, opt)
-		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
-		}
-		if s.MeasuredVertices != want.MeasuredVertices || s.MeasuredEdges != want.MeasuredEdges {
-			t.Errorf("%+v: exact side diverged: %d vertices %d edges, want %d and %d",
-				opt, s.MeasuredVertices, s.MeasuredEdges, want.MeasuredVertices, want.MeasuredEdges)
-		}
-		if !bigdeg.Equal(s.MeasuredDegrees, want.MeasuredDegrees) {
-			t.Errorf("%+v: degree distributions differ from exact run", opt)
-		}
-		if s.KSStatistic != 0 {
-			t.Errorf("%+v: KS = %g on a faithful generation, want exactly 0", opt, s.KSStatistic)
-		}
-		if !s.ExactAgreement {
-			t.Errorf("%+v: exact side disagreed: %v", opt, s.Mismatches)
-		}
-		if s.SampledBands >= s.TotalBands && opt.Stride != 1 {
-			t.Errorf("%+v: sampled %d of %d bands — no work saved", opt, s.SampledBands, s.TotalBands)
-		}
-	}
-	if _, err := RunSampled(context.Background(), d, 2, 2, SampleOptions{Bands: -1, Stride: 2}); err == nil {
-		t.Error("negative Bands accepted")
-	}
-}
-
-// pickBands must take exactly one band from each run of stride consecutive
-// bands, the last, shorter run included, and the same bands every time.
-func TestPickBands(t *testing.T) {
-	bands := make([][2]int, 21)
-	for i := range bands {
-		bands[i] = [2]int{i, i + 1}
-	}
-	for _, stride := range []int{1, 4, 8, 21, 40} {
-		picked := pickBands(bands, stride)
-		if want := (len(bands) + stride - 1) / stride; len(picked) != want {
-			t.Fatalf("stride %d: picked %d bands, want %d", stride, len(picked), want)
-		}
-		for g, b := range picked {
-			if b[0] < g*stride || b[0] >= min((g+1)*stride, len(bands)) {
-				t.Errorf("stride %d: pick %d is band %d, outside run [%d,%d)", stride, g, b[0], g*stride, (g+1)*stride)
-			}
-		}
-		if again := pickBands(bands, stride); !reflect.DeepEqual(again, picked) {
-			t.Errorf("stride %d: picks differ between calls", stride)
-		}
-	}
-}
-
-// The KS statistic must be 0 iff the distributions match, 1 against an empty
-// distribution, and the exact maximal CDF gap otherwise.
-func TestKSStatistic(t *testing.T) {
-	dist := func(pairs ...int64) *bigdeg.Dist {
-		d := bigdeg.New()
-		for i := 0; i < len(pairs); i += 2 {
-			d.AddCount(big.NewInt(pairs[i]), big.NewInt(pairs[i+1]))
-		}
-		return d
-	}
-	if ks := ksStatistic(dist(), dist()); ks != 0 {
-		t.Errorf("empty vs empty: %g, want 0", ks)
-	}
-	if ks := ksStatistic(dist(1, 5), dist()); ks != 1 {
-		t.Errorf("nonempty vs empty: %g, want 1", ks)
-	}
-	if ks := ksStatistic(dist(1, 3, 7, 9), dist(1, 3, 7, 9)); ks != 0 {
-		t.Errorf("identical: %g, want 0", ks)
-	}
-	// P puts all 4 counts at degree 1; M puts them at degree 2. After degree
-	// 1 the CDFs are 1 and 0 — the gap is exactly 1 even though totals match.
-	if ks := ksStatistic(dist(1, 4), dist(2, 4)); ks != 1 {
-		t.Errorf("disjoint supports: %g, want 1", ks)
-	}
-	// P: 2@1, 2@3. M: 1@1, 3@3. After degree 1: 2/4 vs 1/4 → gap 1/4.
-	if ks := ksStatistic(dist(1, 2, 3, 2), dist(1, 1, 3, 3)); ks != 0.25 {
-		t.Errorf("shifted mass: %g, want 0.25", ks)
 	}
 }
 

@@ -21,7 +21,10 @@
 // Merge checks a complete set of slices against the design's plan,
 // concatenates their fragments, and measures the design-level properties.
 // Run is the one-shard case: RunShard over the design's one-shard plan,
-// then Merge, which takes the single fragment as it is.
+// then Merge, which takes the single fragment as it is. Every property is
+// measured exactly, never estimated; RunMaterialized, which collects and
+// sorts the edges instead, is the independent oracle the parity tests hold
+// Run against.
 //
 // The CSR is a value-free pattern (sparse.CSR[struct{}], 8 bytes per
 // entry); the scatter pass rejects any edge whose value is not 1. Edges,
@@ -106,21 +109,12 @@ const maxRealizableVertices = 1 << 31
 // Run generates the design with np workers via the split generator (split
 // after nb factors), measures everything from the streamed edges, and
 // compares against the design's predictions. It is Merge over the one
-// RunShard report of the design's one-shard plan. Cancellation is
-// cooperative: generation passes stop within one run and triangle counting
-// within one band stride of ctx cancelling, returning ctx's error.
+// RunShard report of the design's one-shard plan. Realizability is checked
+// before the plan is built, so an oversized design fails with the
+// realizability error, not a planning one. Cancellation is cooperative:
+// generation passes stop within one run and triangle counting within one
+// band stride of ctx cancelling, returning ctx's error.
 func Run(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
-	s, err := runWhole(ctx, d, nb, np)
-	if err != nil {
-		return nil, err
-	}
-	return Merge(ctx, []*ShardReport{s}, np)
-}
-
-// runWhole measures the whole graph as the only slice of the design's
-// one-shard plan. Realizability is checked before the plan is built, so an
-// oversized design fails with the realizability error, not a planning one.
-func runWhole(ctx context.Context, d *core.Design, nb, np int) (*ShardReport, error) {
 	if err := checkRealizable(d.NumVertices(), d.NumEdges()); err != nil {
 		return nil, err
 	}
@@ -128,7 +122,11 @@ func runWhole(ctx context.Context, d *core.Design, nb, np int) (*ShardReport, er
 	if err != nil {
 		return nil, err
 	}
-	return RunShard(ctx, d, nb, np, plan[0])
+	s, err := RunShard(ctx, d, nb, np, plan[0])
+	if err != nil {
+		return nil, err
+	}
+	return Merge(ctx, []*ShardReport{s}, np)
 }
 
 // buildPattern runs the engine's two measurement passes over stream and
@@ -166,13 +164,15 @@ func buildPattern(n, np int, stream func(pipeline.Sink) error, extra ...pipeline
 // vertices and the exact degree distribution fall out of the row pointers,
 // and triangles are counted on the degree-oriented pattern.
 func (r *Report) measure(ctx context.Context, a *sparse.CSR[struct{}], np int) error {
-	md, touched, err := degrees(a.RowPtr, np)
+	hist, err := sparse.DegreeHistogramCSR(a.RowPtr, np)
 	if err != nil {
 		return err
 	}
 	r.MeasuredEdges = int64(a.NNZ())
-	r.MeasuredDegrees = md
-	r.MeasuredVertices = touched
+	r.MeasuredDegrees = bigdeg.FromInt64Map(hist)
+	for _, cnt := range hist {
+		r.MeasuredVertices += cnt
+	}
 	st := obs.Stages.Stage(stageTriangles)
 	u, err := triangle.Orient(ctx, a, np, st)
 	if err != nil {
@@ -180,20 +180,6 @@ func (r *Report) measure(ctx context.Context, a *sparse.CSR[struct{}], np int) e
 	}
 	r.MeasuredTriangles, err = u.CountBoth(ctx, np, st)
 	return err
-}
-
-// degrees reduces a pattern's row pointers to its exact degree distribution
-// and the number of vertices with at least one edge.
-func degrees(rowPtr []int, np int) (*bigdeg.Dist, int64, error) {
-	hist, err := sparse.DegreeHistogramCSR(rowPtr, np)
-	if err != nil {
-		return nil, 0, err
-	}
-	var touched int64
-	for _, cnt := range hist {
-		touched += cnt
-	}
-	return bigdeg.FromInt64Map(hist), touched, nil
 }
 
 // RunMaterialized is the pre-streaming reference engine: it collects every

@@ -60,23 +60,3 @@ func ValidateShard(ctx context.Context, d *Design, nb, np int, s ShardInfo) (*Sh
 func MergeValidation(ctx context.Context, reports []*ShardValidation, np int) (*ValidationReport, error) {
 	return validate.Merge(ctx, reports, np)
 }
-
-// SampledValidationReport is the approximate counterpart of ValidationReport:
-// vertices, edges, and the degree distribution are still measured exactly
-// (summarized by a Kolmogorov–Smirnov statistic against the prediction), and
-// only triangle counting — the superlinear phase that dominates exact
-// validation — is estimated from a stride-sample of entry bands. See
-// validate.SampledReport.
-type SampledValidationReport = validate.SampledReport
-
-// SampleOptions tunes ValidateSampled; the zero value means defaults.
-type SampleOptions = validate.SampleOptions
-
-// ValidateSampled runs the approximate validation mode: exact everything
-// except triangles, which are estimated from a deterministic sample of the
-// entry bands of the measured graph's degree-oriented pattern. Use it for
-// interactive checks on designs whose exact triangle count would take
-// minutes; Validate remains the exact verdict.
-func ValidateSampled(ctx context.Context, d *Design, nb, np int, opt SampleOptions) (*SampledValidationReport, error) {
-	return validate.RunSampled(ctx, d, nb, np, opt)
-}

@@ -26,8 +26,9 @@ const (
 	// BinaryDelta encodes edges as zig-zag varint deltas — the compact wire
 	// default (a band-ordered stream costs a few bytes per edge).
 	BinaryDelta = graphio.BinaryDelta
-	// BinaryFixed encodes edges as three little-endian int64s — widest but
-	// fastest; whole batches move to the wire as single memory copies.
+	// BinaryFixed encodes edges as three little-endian int64s in edge
+	// frames — the widest encoding, and slower end to end than delta's
+	// block replay; see graphio.BinaryFixed.
 	BinaryFixed = graphio.BinaryFixed
 )
 
