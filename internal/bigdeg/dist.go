@@ -3,12 +3,13 @@
 // Section IV of the paper computes the degree distribution of a Kronecker
 // graph as the Kronecker product of the factor distributions,
 // nA(d) = ⊗ₖ nAₖ(d); for the 10³⁰-edge designs both the degrees and the
-// counts exceed uint64, so everything here is math/big.
+// counts exceed uint64. A distribution is one table of fixed-width words,
+// so Kron multiplies and merges without allocating per entry; math/big
+// appears only where values enter or leave the table.
 package bigdeg
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/big"
 	"slices"
@@ -24,51 +25,103 @@ type Entry struct {
 
 // Dist is an exact degree distribution: a set of (degree, count) pairs with
 // positive counts, kept sorted by increasing degree.
+//
+// The pairs sit in one table of words. Every value takes w words (see
+// words.go), entry i's degree at words[2wi:] and its count in the w words
+// after it, and w holds every value with its sign bit; AddCount re-lays the
+// table out wider when a value needs it. The table holds no pointer, so the
+// garbage collector never scans it.
 type Dist struct {
-	entries []Entry
+	w     int
+	words []big.Word
 }
 
 // New returns an empty distribution.
 func New() *Dist { return &Dist{} }
 
-// FromInt64Map builds a distribution from small (per-factor) degree counts.
-// Keys are added in ascending order, so each one appends.
+// FromInt64Map builds a distribution from small (per-factor) degree counts,
+// skipping zero counts. It panics on a negative count, as AddCount does.
 func FromInt64Map(m map[int64]int64) *Dist {
-	d := &Dist{entries: make([]Entry, 0, len(m))}
-	for _, deg := range slices.Sorted(maps.Keys(m)) {
-		if n := m[deg]; n != 0 {
-			d.AddCount(big.NewInt(deg), big.NewInt(n))
+	degs := make([]int64, 0, len(m))
+	for deg, n := range m {
+		if n < 0 {
+			panic(fmt.Sprintf("bigdeg: removing from absent degree %d", deg))
 		}
+		if n > 0 {
+			degs = append(degs, deg)
+		}
+	}
+	slices.Sort(degs)
+	// Every int64 fits this width, sign included.
+	d := &Dist{w: 64 / wordBits}
+	d.words = make([]big.Word, 2*d.w*len(degs))
+	for i, deg := range degs {
+		putInt64(d.deg(i), deg)
+		putInt64(d.cnt(i), m[deg])
 	}
 	return d
 }
 
 // Len returns the number of distinct degrees.
-func (d *Dist) Len() int { return len(d.entries) }
+func (d *Dist) Len() int {
+	if d.w == 0 {
+		return 0
+	}
+	return len(d.words) / (2 * d.w)
+}
+
+// deg and cnt return entry i's degree and count words, capped so that
+// nothing growing one of them runs into the next value.
+func (d *Dist) deg(i int) []big.Word {
+	s := 2 * i * d.w
+	return d.words[s : s+d.w : s+d.w]
+}
+
+func (d *Dist) cnt(i int) []big.Word {
+	s := (2*i + 1) * d.w
+	return d.words[s : s+d.w : s+d.w]
+}
+
+// copyInt returns x's value in a big.Int of its own.
+func copyInt(x []big.Word) *big.Int { return toInt(new(big.Int), slices.Clone(x)) }
 
 // Entries returns a deep copy of the support, sorted by increasing degree.
 func (d *Dist) Entries() []Entry {
-	out := make([]Entry, len(d.entries))
-	for i, e := range d.entries {
-		out[i] = Entry{D: new(big.Int).Set(e.D), N: new(big.Int).Set(e.N)}
+	out := make([]Entry, d.Len())
+	ints := make([]big.Int, 2*len(out))
+	c := Dist{w: d.w, words: slices.Clone(d.words)}
+	for i := range out {
+		out[i] = Entry{D: toInt(&ints[2*i], c.deg(i)), N: toInt(&ints[2*i+1], c.cnt(i))}
 	}
 	return out
 }
 
 // CountAt returns n(deg) (zero if deg is not in the support).
 func (d *Dist) CountAt(deg *big.Int) *big.Int {
-	i := d.search(deg)
-	if i < len(d.entries) && d.entries[i].D.Cmp(deg) == 0 {
-		return new(big.Int).Set(d.entries[i].N)
+	if i, ok := d.find(deg); ok {
+		return copyInt(d.cnt(i))
 	}
 	return new(big.Int)
 }
 
-// search returns the insertion index for deg.
-func (d *Dist) search(deg *big.Int) int {
-	return sort.Search(len(d.entries), func(i int) bool {
-		return d.entries[i].D.Cmp(deg) >= 0
-	})
+// find returns the index of deg in the support, or where it would go.
+func (d *Dist) find(deg *big.Int) (int, bool) {
+	x := make([]big.Word, wordsFor(deg))
+	putInt(x, deg)
+	i := sort.Search(d.Len(), func(i int) bool { return cmpWords(d.deg(i), x) >= 0 })
+	return i, i < d.Len() && cmpWords(d.deg(i), x) == 0
+}
+
+// fit re-lays the table out w words wide, if it is narrower.
+func (d *Dist) fit(w int) {
+	if w <= d.w {
+		return
+	}
+	words := make([]big.Word, 2*d.Len()*w)
+	for v := range 2 * d.Len() {
+		signExtend(words[v*w:(v+1)*w], d.words[v*d.w:(v+1)*d.w])
+	}
+	d.w, d.words = w, words
 }
 
 // AddCount adjusts n(deg) by delta (which may be negative), removing the
@@ -78,23 +131,28 @@ func (d *Dist) AddCount(deg, delta *big.Int) {
 	if delta.Sign() == 0 {
 		return
 	}
-	i := d.search(deg)
-	if i < len(d.entries) && d.entries[i].D.Cmp(deg) == 0 {
-		n := d.entries[i].N.Add(d.entries[i].N, delta)
-		switch n.Sign() {
-		case 0:
-			d.entries = append(d.entries[:i], d.entries[i+1:]...)
-		case -1:
-			panic(fmt.Sprintf("bigdeg: count at degree %s went negative", deg))
+	i, ok := d.find(deg)
+	if !ok {
+		if delta.Sign() < 0 {
+			panic(fmt.Sprintf("bigdeg: removing from absent degree %s", deg))
 		}
+		d.fit(max(wordsFor(deg), wordsFor(delta)))
+		d.words = slices.Insert(d.words, 2*i*d.w, make([]big.Word, 2*d.w)...)
+		putInt(d.deg(i), deg)
+		putInt(d.cnt(i), delta)
 		return
 	}
-	if delta.Sign() < 0 {
-		panic(fmt.Sprintf("bigdeg: removing from absent degree %s", deg))
+	var c big.Int
+	n := new(big.Int).Add(toInt(&c, d.cnt(i)), delta)
+	switch n.Sign() {
+	case 0:
+		d.words = slices.Delete(d.words, 2*i*d.w, 2*(i+1)*d.w)
+	case -1:
+		panic(fmt.Sprintf("bigdeg: count at degree %s went negative", deg))
+	default:
+		d.fit(wordsFor(n))
+		putInt(d.cnt(i), n)
 	}
-	d.entries = append(d.entries, Entry{})
-	copy(d.entries[i+1:], d.entries[i:])
-	d.entries[i] = Entry{D: new(big.Int).Set(deg), N: new(big.Int).Set(delta)}
 }
 
 // Kron combines two distributions per the paper's identity: a product-graph
@@ -105,52 +163,47 @@ func (d *Dist) AddCount(deg, delta *big.Int) {
 // side's ascending support into one ascending run; a k-way merge takes the
 // runs' products in degree order and appends them, adding a product's count
 // into the last output entry when its degree repeats. For k runs that costs
-// O(|a|·|b|·log k), with no search and no insertion. The one precondition
-// is that degrees are non-negative, so scaling keeps each run ascending;
-// every distribution of a graph meets it, and Kron panics on one that
-// does not.
+// O(|a|·|b|·log k) word operations, with no search, no insertion and no
+// allocation per entry. The one precondition is that degrees are
+// non-negative, so scaling keeps each run ascending; every distribution of
+// a graph meets it, and Kron panics on one that does not.
 func Kron(a, b *Dist) *Dist {
-	outer, inner := a.entries, b.entries
-	if len(outer) > len(inner) {
+	outer, inner := a, b
+	if outer.Len() > inner.Len() {
 		outer, inner = inner, outer
 	}
-	out := &Dist{entries: make([]Entry, 0, len(outer)*len(inner))}
-	if len(outer) == 0 {
-		return out
+	if outer.Len() == 0 {
+		return New()
 	}
-	if outer[0].D.Sign() < 0 || inner[0].D.Sign() < 0 {
+	if negative(outer.deg(0)) || negative(inner.deg(0)) {
 		panic("bigdeg: Kron of a distribution with a negative degree")
 	}
-	runs := make([]kronRun, len(outer))
-	heads := make([]*kronRun, len(outer))
+	w, ni := kronWidth(outer, inner), inner.Len()
+	out := &Dist{w: w, words: make([]big.Word, 0, 2*w*outer.Len()*ni)}
+	runs := make([]kronRun, outer.Len())
+	heads := make([]*kronRun, len(runs))
+	prods := make([]big.Word, len(runs)*w)
 	for i := range runs {
 		r := &runs[i]
-		r.scale = outer[i]
-		r.d.Mul(r.scale.D, inner[0].D)
+		r.d, r.n, r.p = outer.deg(i), outer.cnt(i), prods[i*w:(i+1)*w]
+		addMul(r.p, r.d, inner.deg(0))
 		heads[i] = r
 	}
 	// The heads start in the smaller side's ascending degree order, which
 	// is already a min-heap.
-	mem := arena{left: 2 * len(outer) * len(inner)}
-	var cnt big.Int
 	for len(heads) > 0 {
 		r := heads[0]
-		eb := inner[r.j]
-		cnt.Mul(r.scale.N, eb.N)
-		if n := len(out.entries); n > 0 && out.entries[n-1].D.Cmp(&r.d) == 0 {
-			last := out.entries[n-1].N
-			last.Add(last, &cnt)
-		} else {
-			// N gets a spare word, so adding a colliding count rarely
-			// outgrows it.
-			out.entries = append(out.entries, Entry{
-				D: mem.alloc(len(r.d.Bits())).Set(&r.d),
-				N: mem.alloc(len(cnt.Bits()) + 1).Set(&cnt),
-			})
+		n := len(out.words)
+		if n == 0 || !slices.Equal(out.words[n-2*w:n-w], r.p) {
+			n += 2 * w
+			out.words = out.words[:n]
+			copy(out.words[n-2*w:], r.p)
+			clear(out.words[n-w:])
 		}
-		r.j++
-		if r.j < len(inner) {
-			r.d.Mul(r.scale.D, inner[r.j].D)
+		addMul(out.words[n-w:], r.n, inner.cnt(r.j))
+		if r.j++; r.j < ni {
+			clear(r.p)
+			addMul(r.p, r.d, inner.deg(r.j))
 		} else {
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
@@ -160,12 +213,23 @@ func Kron(a, b *Dist) *Dist {
 	return out
 }
 
+// kronWidth returns the width of a⊗b's table: the words, with the sign
+// bit, of its largest degree maxdeg(a)·maxdeg(b) and of its vertex total
+// Σn(a)·Σn(b), which no count exceeds.
+func kronWidth(a, b *Dist) int {
+	var da, db, p big.Int
+	p.Mul(toInt(&da, a.deg(a.Len()-1)), toInt(&db, b.deg(b.Len()-1)))
+	w := wordsFor(&p)
+	p.Mul(a.SumCounts(), b.SumCounts())
+	return max(w, wordsFor(&p))
+}
+
 // kronRun is one entry of Kron's smaller side scaling the larger side: its
 // head is the product with the larger side's entry j.
 type kronRun struct {
-	scale Entry
-	j     int
-	d     big.Int // scale.D times the larger side's j-th degree
+	d, n []big.Word // the scaling entry's degree and count
+	j    int
+	p    []big.Word // d times the larger side's j-th degree
 }
 
 // siftDown restores the min-heap order of h after its root changed.
@@ -175,43 +239,15 @@ func siftDown(h []*kronRun) {
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && h[c+1].d.Cmp(&h[c].d) < 0 {
+		if c+1 < len(h) && less(h[c+1].p, h[c].p) {
 			c++
 		}
-		if h[i].d.Cmp(&h[c].d) <= 0 {
+		if !less(h[c].p, h[i].p) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-// arenaChunk is how many big.Ints one arena chunk holds.
-const arenaChunk = 1024
-
-// arena hands out big.Ints with their digit storage reserved, from chunks,
-// so Kron allocates once per chunk instead of twice per product.
-type arena struct {
-	ints  []big.Int
-	words []big.Word
-	left  int // big.Ints still to be asked for, at most; caps chunk sizes
-}
-
-// alloc returns a zero big.Int with room for the given number of words.
-func (m *arena) alloc(words int) *big.Int {
-	n := min(m.left, arenaChunk)
-	m.left--
-	if len(m.ints) == 0 {
-		m.ints = make([]big.Int, n)
-	}
-	if len(m.words) < words {
-		m.words = make([]big.Word, n*words)
-	}
-	z := &m.ints[0]
-	m.ints = m.ints[1:]
-	z.SetBits(m.words[:0:words])
-	m.words = m.words[words:]
-	return z
 }
 
 // KronN folds Kron over the factor distributions left to right.
@@ -230,52 +266,61 @@ func KronN(factors ...*Dist) (*Dist, error) {
 }
 
 func (d *Dist) clone() *Dist {
-	return &Dist{entries: d.Entries()}
+	return &Dist{w: d.w, words: slices.Clone(d.words)}
 }
 
 // SumCounts returns Σ n(d), the number of vertices with nonzero degree.
 func (d *Dist) SumCounts() *big.Int {
-	acc := new(big.Int)
-	for _, e := range d.entries {
-		acc.Add(acc, e.N)
+	// The counts are positive, each below 2^(w·wordBits−1), and fewer
+	// than 2^(wordBits−1) of them, so one more word holds their sum.
+	acc := make([]big.Word, d.w+1)
+	for i := range d.Len() {
+		addTo(acc, d.cnt(i))
 	}
-	return acc
+	return new(big.Int).SetBits(acc)
 }
 
 // SumDegreeWeighted returns Σ d·n(d), which for a structural degree
 // distribution equals nnz(A).
 func (d *Dist) SumDegreeWeighted() *big.Int {
-	acc := new(big.Int)
-	var t big.Int
-	for _, e := range d.entries {
-		acc.Add(acc, t.Mul(e.D, e.N))
+	// A product takes 2w words and the sum one more, sign included.
+	acc := make([]big.Word, 2*d.w+1)
+	for i := range d.Len() {
+		dg := d.deg(i)
+		if negative(dg) {
+			// Extended to acc's width, a negative degree multiplies
+			// exactly modulo 2^(len(acc)·wordBits).
+			dg = signExtend(make([]big.Word, len(acc)), dg)
+		}
+		addMul(acc, dg, d.cnt(i))
 	}
-	return acc
+	return toInt(new(big.Int), acc)
 }
 
 // MaxDegree returns the largest degree in the support (nil for empty).
 func (d *Dist) MaxDegree() *big.Int {
-	if len(d.entries) == 0 {
+	if d.Len() == 0 {
 		return nil
 	}
-	return new(big.Int).Set(d.entries[len(d.entries)-1].D)
+	return copyInt(d.deg(d.Len() - 1))
 }
 
 // MinDegree returns the smallest degree in the support (nil for empty).
 func (d *Dist) MinDegree() *big.Int {
-	if len(d.entries) == 0 {
+	if d.Len() == 0 {
 		return nil
 	}
-	return new(big.Int).Set(d.entries[0].D)
+	return copyInt(d.deg(0))
 }
 
-// Equal reports whether two distributions have identical support and counts.
+// Equal reports whether two distributions have identical support and
+// counts, whatever the widths of their tables.
 func Equal(a, b *Dist) bool {
-	if len(a.entries) != len(b.entries) {
+	if a.Len() != b.Len() {
 		return false
 	}
-	for i := range a.entries {
-		if a.entries[i].D.Cmp(b.entries[i].D) != 0 || a.entries[i].N.Cmp(b.entries[i].N) != 0 {
+	for i := range a.Len() {
+		if cmpWords(a.deg(i), b.deg(i)) != 0 || cmpWords(a.cnt(i), b.cnt(i)) != 0 {
 			return false
 		}
 	}
@@ -287,15 +332,15 @@ func Equal(a, b *Dist) bool {
 // dmax ≤ 1, where the formula is undefined.
 func (d *Dist) Alpha() (float64, error) {
 	one := big.NewInt(1)
-	n1 := d.CountAt(one)
-	if n1.Sign() == 0 {
+	i, ok := d.find(one)
+	if !ok {
 		return 0, fmt.Errorf("bigdeg: distribution has no degree-1 vertices")
 	}
-	dmax := d.MaxDegree()
-	if dmax == nil || dmax.Cmp(one) <= 0 {
+	var n1, dmax big.Int
+	if toInt(&dmax, d.deg(d.Len()-1)).Cmp(one) <= 0 {
 		return 0, fmt.Errorf("bigdeg: max degree ≤ 1")
 	}
-	return bigLog(n1) / bigLog(dmax), nil
+	return bigLog(toInt(&n1, d.cnt(i))) / bigLog(&dmax), nil
 }
 
 // Log returns the natural logarithm of a positive big.Int, accurate to
@@ -325,10 +370,12 @@ func (d *Dist) PowerLawDeviation() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	logN1 := bigLog(d.CountAt(big.NewInt(1)))
+	var dv, nv big.Int
+	i, _ := d.find(big.NewInt(1))
+	logN1 := bigLog(toInt(&nv, d.cnt(i)))
 	maxDev := 0.0
-	for _, e := range d.entries {
-		dev := bigLog(e.N) - (logN1 - alpha*bigLog(e.D))
+	for i := range d.Len() {
+		dev := bigLog(toInt(&nv, d.cnt(i))) - (logN1 - alpha*bigLog(toInt(&dv, d.deg(i))))
 		if dev < 0 {
 			dev = -dev
 		}
@@ -348,12 +395,13 @@ func (d *Dist) LogBinned(base float64) []LogBin {
 		return nil
 	}
 	bins := make(map[int]*big.Int)
-	for _, e := range d.entries {
-		k := binExp(e.D, base)
+	var dv, nv big.Int
+	for i := range d.Len() {
+		k := binExp(toInt(&dv, d.deg(i)), base)
 		if bins[k] == nil {
 			bins[k] = new(big.Int)
 		}
-		bins[k].Add(bins[k], e.N)
+		bins[k].Add(bins[k], toInt(&nv, d.cnt(i)))
 	}
 	keys := make([]int, 0, len(bins))
 	for k := range bins {
@@ -402,9 +450,10 @@ type LogBin struct {
 // Table renders the distribution as a two-column text table.
 func (d *Dist) Table() string {
 	var b strings.Builder
+	var dv, nv big.Int
 	fmt.Fprintf(&b, "%-40s %s\n", "degree d", "count n(d)")
-	for _, e := range d.entries {
-		fmt.Fprintf(&b, "%-40s %s\n", e.D.String(), e.N.String())
+	for i := range d.Len() {
+		fmt.Fprintf(&b, "%-40s %s\n", toInt(&dv, d.deg(i)).String(), toInt(&nv, d.cnt(i)).String())
 	}
 	return b.String()
 }
@@ -412,11 +461,12 @@ func (d *Dist) Table() string {
 // CSV renders the distribution as "degree,count" lines with a header.
 func (d *Dist) CSV() string {
 	var b strings.Builder
+	var v big.Int
 	b.WriteString("degree,count\n")
-	for _, e := range d.entries {
-		b.WriteString(e.D.String())
+	for i := range d.Len() {
+		b.WriteString(toInt(&v, d.deg(i)).String())
 		b.WriteByte(',')
-		b.WriteString(e.N.String())
+		b.WriteString(toInt(&v, d.cnt(i)).String())
 		b.WriteByte('\n')
 	}
 	return b.String()

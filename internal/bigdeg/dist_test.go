@@ -55,6 +55,46 @@ func TestAddCountMergeAndRemove(t *testing.T) {
 	}
 }
 
+// TestAddCountWidens adds a degree and then a count too wide for the
+// table, then takes both away again: every value survives each re-layout,
+// and the narrower and wider tables of one distribution compare equal.
+func TestAddCountWidens(t *testing.T) {
+	base := map[int64]int64{1: 5, 3: 2, 9: 1}
+	d := FromInt64Map(base)
+	huge := new(big.Int).Lsh(bi(3), 200)
+	d.AddCount(huge, bi(7))
+	wide := new(big.Int).Lsh(bi(1), 300)
+	d.AddCount(bi(3), wide)
+	want := map[string]string{"1": "5", "3": new(big.Int).Add(wide, bi(2)).String(), "9": "1", huge.String(): "7"}
+	for _, e := range d.Entries() {
+		if want[e.D.String()] != e.N.String() {
+			t.Errorf("n(%s) = %s, want %s", e.D, e.N, want[e.D.String()])
+		}
+	}
+	if d.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", d.Len(), len(want))
+	}
+	if Equal(d, FromInt64Map(base)) {
+		t.Error("widened distribution equals the original")
+	}
+	d.AddCount(huge, bi(-7))
+	d.AddCount(bi(3), new(big.Int).Neg(wide))
+	if !Equal(d, FromInt64Map(base)) || !Equal(FromInt64Map(base), d) {
+		t.Errorf("after removal got\n%swant\n%s", d.Table(), FromInt64Map(base).Table())
+	}
+	// Removal down to zero leaves an empty, still-usable table.
+	for deg, n := range base {
+		d.AddCount(bi(deg), bi(-n))
+	}
+	if d.Len() != 0 || !Equal(d, New()) {
+		t.Fatalf("%d entries left after removing every count", d.Len())
+	}
+	d.AddCount(bi(4), bi(1))
+	if d.CountAt(bi(4)).Int64() != 1 || d.Len() != 1 {
+		t.Error("emptied table does not take a new entry")
+	}
+}
+
 func TestAddCountPanicsOnNegative(t *testing.T) {
 	d := New()
 	d.AddCount(bi(3), bi(1))
@@ -164,6 +204,19 @@ func TestEqual(t *testing.T) {
 	d := FromInt64Map(map[int64]int64{1: 2})
 	if Equal(a, d) {
 		t.Error("different supports reported equal")
+	}
+	// The same values at different widths are equal: validation compares
+	// a one-word measured table with a wider predicted one.
+	wide := New()
+	wide.AddCount(new(big.Int).Lsh(bi(1), 200), bi(1))
+	wide.AddCount(bi(1), bi(2))
+	wide.AddCount(bi(3), bi(1))
+	wide.AddCount(new(big.Int).Lsh(bi(1), 200), bi(-1))
+	if !Equal(a, wide) || !Equal(wide, a) {
+		t.Error("equal values at different widths reported unequal")
+	}
+	if neg := FromInt64Map(map[int64]int64{-1: 2, 3: 1}); Equal(a, neg) || Equal(wide, neg) {
+		t.Error("negative degree reported equal to its absolute value's")
 	}
 }
 
@@ -279,6 +332,33 @@ func TestQuickKronMoments(t *testing.T) {
 	}
 }
 
+// rawMoment returns Σ dᵏ·n(d).
+func rawMoment(d *Dist, k int) *big.Int {
+	acc := new(big.Int)
+	for _, e := range d.Entries() {
+		t := new(big.Int).Exp(e.D, big.NewInt(int64(k)), nil)
+		acc.Add(acc, t.Mul(t, e.N))
+	}
+	return acc
+}
+
+// Property: because degrees multiply, Kron multiplies every raw moment,
+// Σdᵏn(a⊗b) = Σdᵏn(a)·Σdᵏn(b). Orders 2 and 3 also catch counts moved
+// between degrees in ways that keep the two sums above.
+func TestQuickMomentsMultiplicative(t *testing.T) {
+	f := func(degsA, degsB []uint8, kRaw uint8) bool {
+		a, b := distFromBytes(degsA), distFromBytes(degsB)
+		if a.Len() == 0 || b.Len() == 0 {
+			return true
+		}
+		k := int(kRaw % 4)
+		return rawMoment(Kron(a, b), k).Cmp(new(big.Int).Mul(rawMoment(a, k), rawMoment(b, k))) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: Kron is commutative.
 func TestQuickKronCommutative(t *testing.T) {
 	f := func(degsA, degsB []uint8) bool {
@@ -300,4 +380,28 @@ func distFromBytes(bs []uint8) *Dist {
 		d.AddCount(bi(deg), bi(int64(b/16)+1))
 	}
 	return d
+}
+
+// TestNegativeDegreeSurvivesWidening keeps a negative degree, which only
+// AddCount can store, through a re-layout: it still sorts first, reads back
+// as itself and weighs in negatively.
+func TestNegativeDegreeSurvivesWidening(t *testing.T) {
+	d := FromInt64Map(map[int64]int64{-4: 2, 3: 1})
+	d.AddCount(new(big.Int).Lsh(bi(1), 200), bi(1))
+	d.AddCount(bi(-1), bi(1))
+	if got := d.MinDegree(); got.Int64() != -4 {
+		t.Errorf("MinDegree = %s, want -4", got)
+	}
+	if got := d.CountAt(bi(-4)); got.Int64() != 2 {
+		t.Errorf("n(-4) = %s, want 2", got)
+	}
+	es := d.Entries()
+	if es[1].D.Int64() != -1 || es[2].D.Int64() != 3 {
+		t.Errorf("entries out of order: %v", es)
+	}
+	want := new(big.Int).Lsh(bi(1), 200)
+	want.Add(want, bi(-8-1+3))
+	if got := d.SumDegreeWeighted(); got.Cmp(want) != 0 {
+		t.Errorf("SumDegreeWeighted = %s, want %s", got, want)
+	}
 }

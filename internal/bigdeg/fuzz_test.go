@@ -43,6 +43,10 @@ func FuzzKron(f *testing.F) {
 	f.Add([]byte{2, 2, 5, 0, 4, 1, 0, 1, 3, 0, 2, 9, 1})
 	f.Add([]byte{1, 0, 7, 3, 6, 2, 0, 6, 2, 1, 12, 9, 2, 4, 4, 1})
 	f.Add([]byte{0, 5, 5, 0})
+	// Degrees past 2^130 and counts just below 2^128 on both sides, a zero
+	// degree among them: multi-word products whose colliding sums carry
+	// into a new top word.
+	f.Add([]byte{3, 2, 9, 12, 4, 200, 8, 0, 3, 4, 1, 255, 12, 2, 7, 8, 4, 1, 9, 8, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -57,8 +61,9 @@ func FuzzKron(f *testing.F) {
 }
 
 // fuzzDist decodes three bytes an entry: a degree below 64, so products
-// collide often, and a positive count, each shifted past 2^64 when a flag
-// bit says so.
+// collide often, and a positive count. Flag bits shift the degree past
+// 2^64 or 2^130 and the count past 2^70, or set the count to 2^128 less
+// the byte, so that colliding sums carry into a new top word.
 func fuzzDist(bs []byte) *Dist {
 	d := New()
 	for ; len(bs) >= 3; bs = bs[3:] {
@@ -69,6 +74,12 @@ func fuzzDist(bs []byte) *Dist {
 		}
 		if bs[2]&2 != 0 {
 			cnt.Lsh(cnt, 70)
+		}
+		if bs[2]&4 != 0 {
+			deg.Lsh(deg, 130)
+		}
+		if bs[2]&8 != 0 {
+			cnt.Sub(new(big.Int).Lsh(big.NewInt(1), 128), cnt)
 		}
 		d.AddCount(deg, cnt)
 	}

@@ -15,8 +15,8 @@ type oracle map[string]Entry
 
 func oracleOf(d *Dist) oracle {
 	o := oracle{}
-	for _, e := range d.entries {
-		o[e.D.String()] = Entry{D: new(big.Int).Set(e.D), N: new(big.Int).Set(e.N)}
+	for _, e := range d.Entries() {
+		o[e.D.String()] = e
 	}
 	return o
 }
@@ -26,7 +26,7 @@ func oracleOf(d *Dist) oracle {
 func (o oracle) kron(b *Dist) oracle {
 	out := oracle{}
 	for _, ea := range o {
-		for _, eb := range b.entries {
+		for _, eb := range b.Entries() {
 			deg := new(big.Int).Mul(ea.D, eb.D)
 			cnt := new(big.Int).Mul(ea.N, eb.N)
 			k := deg.String()
@@ -43,9 +43,10 @@ func (o oracle) kron(b *Dist) oracle {
 // count is positive, and that got holds exactly want's pairs.
 func checkOracle(t *testing.T, name string, got *Dist, want oracle) {
 	t.Helper()
-	for i, e := range got.entries {
-		if i > 0 && got.entries[i-1].D.Cmp(e.D) >= 0 {
-			t.Fatalf("%s: degrees not strictly increasing at %d: %s then %s", name, i, got.entries[i-1].D, e.D)
+	es := got.Entries()
+	for i, e := range es {
+		if i > 0 && es[i-1].D.Cmp(e.D) >= 0 {
+			t.Fatalf("%s: degrees not strictly increasing at %d: %s then %s", name, i, es[i-1].D, e.D)
 		}
 		if e.N.Sign() <= 0 {
 			t.Fatalf("%s: n(%s) = %s, want positive", name, e.D, e.N)
@@ -65,25 +66,33 @@ func randBig(rng *rand.Rand, bits int) *big.Int {
 }
 
 // randDist draws a distribution of n entries, before merging. Degrees are
-// either wide (up to 130 bits, some zero) or products of a few prime
-// powers scaled past 2^64, so that products collide; counts run to 100
-// bits.
+// either wide (up to 200 bits, one in eight zero) or products of a few
+// prime powers scaled past 2^64 or 2^128, so that products collide. Counts
+// run to 200 bits, and one in four sits just below a word boundary, so
+// that colliding sums carry into a new top word. Entries arrive in random
+// order, so the table widens as wider values come.
 func randDist(rng *rand.Rand, n int, collide bool) *Dist {
 	d := New()
 	for range n {
 		var deg *big.Int
-		if collide {
+		switch {
+		case collide:
 			deg = big.NewInt(1)
 			for _, p := range []int64{2, 3, 5} {
 				deg.Mul(deg, new(big.Int).Exp(big.NewInt(p), big.NewInt(rng.Int63n(4)), nil))
 			}
-			if rng.Intn(2) == 0 {
-				deg.Lsh(deg, 64)
-			}
-		} else {
-			deg = randBig(rng, 1+rng.Intn(130))
+			deg.Lsh(deg, uint(64*rng.Intn(3)))
+		case rng.Intn(8) == 0:
+			deg = new(big.Int)
+		default:
+			deg = randBig(rng, 1+rng.Intn(200))
 		}
-		d.AddCount(deg, new(big.Int).Add(randBig(rng, 1+rng.Intn(100)), big.NewInt(1)))
+		cnt := new(big.Int).Add(randBig(rng, 1+rng.Intn(200)), big.NewInt(1))
+		if rng.Intn(4) == 0 {
+			cnt.Lsh(big.NewInt(1), uint(64*(1+rng.Intn(3))))
+			cnt.Sub(cnt, big.NewInt(1+rng.Int63n(1000)))
+		}
+		d.AddCount(deg, cnt)
 	}
 	return d
 }
@@ -106,9 +115,8 @@ func TestKronMatchesOracle(t *testing.T) {
 					checkOracle(t, name+" b⊗a", ba, want)
 					// The product owns its storage: changing it leaves the
 					// operands as they were.
-					for _, e := range ab.entries {
-						e.D.Add(e.D, big.NewInt(1))
-						e.N.Add(e.N, big.NewInt(1))
+					for _, e := range ab.Entries() {
+						ab.AddCount(e.D, big.NewInt(1))
 					}
 					if !Equal(a, sa) || !Equal(b, sb) {
 						t.Fatalf("%s: Kron's result shares storage with an operand", name)

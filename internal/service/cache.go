@@ -10,7 +10,7 @@ import (
 // (DesignRequest.Key), the hash → design registry behind
 // /v1/designs/{hash}/shardplan, and the (hash, split, shards) → plan cache.
 // Property computation for the paper's larger designs takes real work (the
-// decetta-scale design of Figure 7 takes a median of 36.7 ms on a 2-vCPU VM,
+// decetta-scale design of Figure 7 takes a median of 14.6 ms on a 2-vCPU VM,
 // BENCH_fig7.json), so repeated queries for the same design — the common
 // case for a service fronting a catalog of named graphs — must be O(1).
 // Eviction is safe by construction: properties and plans are pure functions

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # bench-smoke.sh — fig3/fig4 benchmark regression gates.
 #
-# Reruns the fig4 benchmark into a scratch directory and compares the fresh
-# snapshot against the committed BENCH_fig4.json. Each gated fig4 ratio
+# Reruns the fig4 benchmark into bench-snapshot/ (git-ignored; CI uploads it
+# as the run's bench snapshot) and compares the fresh snapshot against the
+# committed BENCH_fig4.json. Each gated fig4 ratio
 # divides two rates timed on the same machine in the same run, and is the
 # median of repeated comparisons, so no gate holds a fresh rate against one
 # recorded on another machine:
@@ -39,16 +40,20 @@ set -euo pipefail
 
 FLOOR_FRACTION=${FLOOR_FRACTION:-0.75}
 COMMITTED=BENCH_fig4.json
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+OUT=bench-snapshot
 
 fail() { echo "bench-smoke: FAIL: $*" >&2; exit 1; }
 
 [ -f "$COMMITTED" ] || fail "no committed $COMMITTED to compare against"
 
-echo "== kronbench -fig 4 (fresh snapshot into $WORK)"
-go run ./cmd/kronbench -fig 4 -json -json-dir "$WORK"
-FRESH="$WORK/BENCH_fig4.json"
+# A snapshot left by an earlier run must not stand in for one this run
+# failed to write.
+mkdir -p "$OUT"
+rm -f "$OUT/BENCH_fig4.json" "$OUT/BENCH_fig3.json"
+
+echo "== kronbench -fig 4 (fresh snapshot into $OUT)"
+go run ./cmd/kronbench -fig 4 -json -json-dir "$OUT"
+FRESH="$OUT/BENCH_fig4.json"
 [ -f "$FRESH" ] || fail "benchmark did not write $FRESH"
 
 committed=$(jq -e '.validationSpeedup' "$COMMITTED")
@@ -67,9 +72,9 @@ jq -en --argjson s "$speedup" '$s > 2' >/dev/null \
 jq -e '.shardValidationExact == true' "$FRESH" >/dev/null \
   || fail "merged shard validation did not reproduce the exact design-level verdict"
 
-echo "== kronbench -fig 3 (fresh snapshot into $WORK)"
-go run ./cmd/kronbench -fig 3 -json -json-dir "$WORK"
-FRESH3="$WORK/BENCH_fig3.json"
+echo "== kronbench -fig 3 (fresh snapshot into $OUT)"
+go run ./cmd/kronbench -fig 3 -json -json-dir "$OUT"
+FRESH3="$OUT/BENCH_fig3.json"
 [ -f "$FRESH3" ] || fail "benchmark did not write $FRESH3"
 
 ratio=$(jq -e '.deltaWireToCountRatio' "$FRESH3")
