@@ -1,7 +1,7 @@
 GO ?= go
 KRONVET := bin/kronvet
 
-.PHONY: all build test test-tools race fmt vet kronvet
+.PHONY: all build test test-tools race fmt vet kronvet reach
 
 all: fmt vet build test
 
@@ -29,6 +29,12 @@ $(KRONVET): $(wildcard tools/kronvet/*.go tools/kronvet/*/*.go tools/cmd/kronvet
 	cd tools && $(GO) build -o ../$(KRONVET) ./cmd/kronvet
 
 kronvet: $(KRONVET)
+
+# reach fails on any function under internal/ or kron/ that no binary links
+# and scripts/reach.allow does not list as a test oracle. See
+# scripts/reach.sh.
+reach:
+	./scripts/reach.sh
 
 # vet runs the standard analyzers, then the repo's own kronvet suite
 # (sinkretain, atomicmix, ctxstream) over the whole tree via

@@ -1,5 +1,5 @@
-// Ablation and extension benchmarks: the design-search tool, spectral
-// computations, distributed degree measurement, and structural analysis.
+// Ablation and extension benchmarks: the design-search tool and the
+// design-side spectral radius.
 package repro
 
 import (
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/search"
-	"repro/internal/spectrum"
 	"repro/kron"
 )
 
@@ -46,56 +45,5 @@ func BenchmarkSpectrumDecettaRadius(b *testing.B) {
 		if _, err := kron.SpectralRadius(d); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSpectrumFullTrillion enumerates the complete eigenvalue multiset
-// of the trillion-edge design (2^8 nonzero eigenvalues + zeros).
-func BenchmarkSpectrumFullTrillion(b *testing.B) {
-	d, err := kron.FromPoints([]int{3, 4, 5, 9, 16, 25, 81, 256}, kron.LoopHub)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := spectrum.ProductSpectrum(d.Factors(), 1<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBetweenness measures exact Brandes betweenness on a realized
-// Figure 2-scale design (future-work feature).
-func BenchmarkBetweenness(b *testing.B) {
-	d, err := kron.FromPoints([]int{5, 3, 4}, kron.LoopHub)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := kron.Analyze(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.BetweennessCentrality()
-	}
-}
-
-// BenchmarkTriangleEnumeration measures listing (not just counting) every
-// triangle of a realized design.
-func BenchmarkTriangleEnumeration(b *testing.B) {
-	d, err := kron.FromPoints([]int{5, 3, 4}, kron.LoopHub)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := kron.Analyze(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.EnumerateTriangles(0)
 	}
 }

@@ -44,23 +44,6 @@ func BenchmarkSparseKron(b *testing.B) {
 	}
 }
 
-func BenchmarkSparseKronStream(b *testing.B) {
-	a := randomSquare(64, 0.1, 1)
-	c := randomSquare(64, 0.1, 2)
-	b.ReportAllocs()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		err := sparse.KronStream(a, c, benchSR, func(r, cc int, v int64) error {
-			sink += int64(r) ^ int64(cc)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = sink
-}
-
 func BenchmarkSparseMxM(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		a := randomSquare(n, 0.05, 3).ToCSR(benchSR)

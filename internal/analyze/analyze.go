@@ -1,9 +1,7 @@
 // Package analyze provides structural graph analysis on realized adjacency
-// matrices: BFS, connected components, bipartiteness, and triangle
-// enumeration. It backs the structural claims around Figure 1 (the Kronecker
-// product of two connected bipartite graphs consists of exactly two
-// bipartite sub-graphs — Weichsel's theorem) and implements the "triangle
-// enumeration" item from the paper's future-work list.
+// matrices: BFS, connected components and degrees. It backs the structural
+// claims around Figure 1 (the Kronecker product of two connected bipartite
+// graphs consists of exactly two bipartite sub-graphs — Weichsel's theorem).
 package analyze
 
 import (
@@ -94,78 +92,6 @@ func (g *Graph) ConnectedComponents() (labels []int, count int) {
 		count++
 	}
 	return labels, count
-}
-
-// IsBipartite reports whether the graph is 2-colorable. A self-loop makes
-// its component non-bipartite.
-func (g *Graph) IsBipartite() bool {
-	n := g.csr.NumRows
-	color := make([]int8, n) // 0 unvisited, 1 / 2 the two sides
-	for src := 0; src < n; src++ {
-		if color[src] != 0 {
-			continue
-		}
-		color[src] = 1
-		queue := []int{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(v) {
-				if w == v {
-					return false // self-loop: odd cycle of length 1
-				}
-				if color[w] == 0 {
-					color[w] = 3 - color[v]
-					queue = append(queue, w)
-				} else if color[w] == color[v] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// Triangle is an unordered vertex triple with U < V < W.
-type Triangle struct {
-	U, V, W int
-}
-
-// EnumerateTriangles lists every triangle exactly once (U < V < W order),
-// ignoring self-loops — the future-work "triangle enumeration" operation.
-// The optional limit caps the result size (0 = unlimited).
-func (g *Graph) EnumerateTriangles(limit int) []Triangle {
-	var out []Triangle
-	n := g.csr.NumRows
-	for u := 0; u < n; u++ {
-		nu := g.Neighbors(u)
-		for _, v := range nu {
-			if v <= u {
-				continue
-			}
-			nv := g.Neighbors(v)
-			// Merge-walk nu and nv for common neighbors w > v.
-			x, y := 0, 0
-			for x < len(nu) && y < len(nv) {
-				switch {
-				case nu[x] < nv[y]:
-					x++
-				case nu[x] > nv[y]:
-					y++
-				default:
-					if w := nu[x]; w > v {
-						out = append(out, Triangle{U: u, V: v, W: w})
-						if limit > 0 && len(out) >= limit {
-							return out
-						}
-					}
-					x++
-					y++
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Degrees returns the structural degree (stored entries per row) of every

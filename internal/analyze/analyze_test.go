@@ -1,13 +1,13 @@
 package analyze
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/semiring"
 	"repro/internal/sparse"
 	"repro/internal/star"
-	"repro/internal/triangle"
 )
 
 var sr = semiring.PlusTimesInt64()
@@ -88,29 +88,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestIsBipartite(t *testing.T) {
-	if g, _ := NewGraph(path(4)); !g.IsBipartite() {
-		t.Error("path not bipartite")
-	}
-	// Odd cycle C3.
-	c3 := sparse.FromDense([][]int64{
-		{0, 1, 1},
-		{1, 0, 1},
-		{1, 1, 0},
-	}, sr)
-	if g, _ := NewGraph(c3); g.IsBipartite() {
-		t.Error("C3 reported bipartite")
-	}
-	// Self-loop breaks bipartiteness.
-	loop := sparse.FromDense([][]int64{
-		{1, 1},
-		{1, 0},
-	}, sr)
-	if g, _ := NewGraph(loop); g.IsBipartite() {
-		t.Error("self-loop graph reported bipartite")
-	}
-}
-
 // Figure 1 / Weichsel's theorem: the Kronecker product of two connected
 // bipartite graphs (two stars) has exactly two connected components, each
 // bipartite.
@@ -129,8 +106,20 @@ func TestFig1TwoBipartiteSubgraphs(t *testing.T) {
 	if k != 2 {
 		t.Fatalf("star ⊗ star has %d components, want 2 (Weichsel)", k)
 	}
-	if !g.IsBipartite() {
-		t.Error("product not bipartite")
+	// Each component is bipartite: every edge joins BFS depths of opposite
+	// parity.
+	for comp := 0; comp < k; comp++ {
+		dist, err := g.BFS(slices.Index(labels, comp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u, du := range dist {
+			for _, w := range g.Neighbors(u) {
+				if du >= 0 && (du+dist[w])%2 == 0 {
+					t.Fatalf("component %d: edge (%d,%d) joins depths %d and %d", comp, u, w, du, dist[w])
+				}
+			}
+		}
 	}
 	// Both components non-trivial.
 	sizes := make([]int, k)
@@ -160,70 +149,6 @@ func TestHubLoopProductConnected(t *testing.T) {
 	}
 	if _, k := g.ConnectedComponents(); k != 1 {
 		t.Errorf("hub-loop product has %d components, want 1", k)
-	}
-	if g.IsBipartite() {
-		t.Error("hub-loop product reported bipartite (it has triangles)")
-	}
-}
-
-// Triangle enumeration agrees with the counters and the design prediction.
-func TestEnumerateTrianglesMatchesCount(t *testing.T) {
-	for _, tc := range []struct {
-		pts  []int
-		loop star.LoopMode
-	}{
-		{[]int{5, 3}, star.LoopHub},
-		{[]int{5, 3}, star.LoopLeaf},
-		{[]int{3, 4, 5}, star.LoopHub},
-	} {
-		d, err := core.FromPoints(tc.pts, tc.loop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := d.Realize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewGraph(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tris := g.EnumerateTriangles(0)
-		want, err := triangle.CountBoth(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(len(tris)) != want {
-			t.Errorf("%v: enumerated %d triangles, counted %d", d, len(tris), want)
-		}
-		// Each triple is strictly ordered and genuinely a triangle.
-		sr2 := semiring.PlusTimesInt64()
-		for _, tr := range tris {
-			if !(tr.U < tr.V && tr.V < tr.W) {
-				t.Fatalf("unordered triangle %+v", tr)
-			}
-			if a.At(tr.U, tr.V, sr2) == 0 || a.At(tr.V, tr.W, sr2) == 0 || a.At(tr.U, tr.W, sr2) == 0 {
-				t.Fatalf("non-triangle %+v enumerated", tr)
-			}
-		}
-	}
-}
-
-func TestEnumerateTrianglesLimit(t *testing.T) {
-	d, err := core.FromPoints([]int{5, 3}, star.LoopHub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := d.Realize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGraph(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.EnumerateTriangles(4); len(got) != 4 {
-		t.Errorf("limit 4 returned %d triangles", len(got))
 	}
 }
 

@@ -305,14 +305,6 @@ func (d *Dist) MaxDegree() *big.Int {
 	return copyInt(d.deg(d.Len() - 1))
 }
 
-// MinDegree returns the smallest degree in the support (nil for empty).
-func (d *Dist) MinDegree() *big.Int {
-	if d.Len() == 0 {
-		return nil
-	}
-	return copyInt(d.deg(0))
-}
-
 // Equal reports whether two distributions have identical support and
 // counts, whatever the widths of their tables.
 func Equal(a, b *Dist) bool {

@@ -194,32 +194,6 @@ func (d *Design) MaxDegree() (*big.Int, error) {
 	return dist.MaxDegree(), nil
 }
 
-// Alpha returns the power-law slope α = log n(1) / log dmax of the final
-// degree distribution.
-func (d *Design) Alpha() (float64, error) {
-	dist, err := d.DegreeDistribution()
-	if err != nil {
-		return 0, err
-	}
-	return dist.Alpha()
-}
-
-// IsExactPowerLaw reports whether every point of the degree distribution
-// lies exactly on n(d) = n(1)/d^α (within tol in log space). Section III:
-// this holds when all products of the constituent m̂ values are unique, as
-// in Figure 5's design.
-func (d *Design) IsExactPowerLaw(tol float64) (bool, error) {
-	dist, err := d.DegreeDistribution()
-	if err != nil {
-		return false, err
-	}
-	dev, err := dist.PowerLawDeviation()
-	if err != nil {
-		return false, err
-	}
-	return dev <= tol, nil
-}
-
 // String summarizes the design, e.g. "kron[none m̂={3,4,5}]".
 func (d *Design) String() string {
 	pts := make([]string, len(d.factors))

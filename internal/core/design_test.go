@@ -109,6 +109,21 @@ func TestTrillionHubLoopExactCounts(t *testing.T) {
 	wantBig(t, "A triangles", tri, "6777007252427")
 }
 
+// powerLawDeviation returns how far d's degree distribution lies from
+// n(d) = n(1)/d^α in log space.
+func powerLawDeviation(t *testing.T, d *Design) float64 {
+	t.Helper()
+	dist, err := d.DegreeDistribution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := dist.PowerLawDeviation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
 // Figure 5: quadrillion-edge no-loop graph.
 func TestFig5QuadrillionNoLoop(t *testing.T) {
 	a := mustDesign(t, []int{3, 4, 5, 9, 16, 25, 81, 256, 625}, star.LoopNone)
@@ -120,12 +135,8 @@ func TestFig5QuadrillionNoLoop(t *testing.T) {
 	}
 	wantBig(t, "triangles", tri, "0")
 	// The no-loop design's degree distribution lies exactly on the power law.
-	exact, err := a.IsExactPowerLaw(1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact {
-		t.Error("Figure 5 design not an exact power law")
+	if dev := powerLawDeviation(t, a); dev > 1e-9 {
+		t.Errorf("Figure 5 design not an exact power law (deviation %g)", dev)
 	}
 	wantDegrees(t, a, 512, "2799360000000", "2799360000000")
 }
@@ -148,12 +159,8 @@ func TestFig6QuadrillionHubLoop(t *testing.T) {
 	wantBig(t, "triangles", tri, "12720651636552427")
 	// Hub loops push points off the exact power law (small deviations,
 	// Figure 6).
-	exact, err := a.IsExactPowerLaw(1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact {
-		t.Error("Figure 6 design unexpectedly exact")
+	if dev := powerLawDeviation(t, a); dev <= 1e-9 {
+		t.Errorf("Figure 6 design unexpectedly exact (deviation %g)", dev)
 	}
 	wantDegrees(t, a, 512, "2799360000000", "6997208649599")
 }
@@ -293,7 +300,11 @@ func TestLeafLoopDegreeAdjustmentWithCollision(t *testing.T) {
 
 func TestAlphaNearOne(t *testing.T) {
 	d := mustDesign(t, []int{3, 4, 5, 9, 16, 25, 81, 256}, star.LoopNone)
-	alpha, err := d.Alpha()
+	dist, err := d.DegreeDistribution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha, err := dist.Alpha()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,5 +360,20 @@ func TestTriangleClosedFormsSmall(t *testing.T) {
 	}
 	if tri2.Int64() != 1 {
 		t.Errorf("Fig 2 bottom triangles = %s, want 1", tri2)
+	}
+	// The same design from explicit star specs.
+	specs, err := NewDesign([]star.Spec{
+		{Points: 5, Loop: star.LoopLeaf},
+		{Points: 3, Loop: star.LoopLeaf},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri3, err := specs.Triangles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tri3.Int64() != 1 {
+		t.Errorf("Fig 2 bottom from specs: triangles = %s, want 1", tri3)
 	}
 }

@@ -105,7 +105,11 @@ func TestSplitBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, c, err := d.SplitBalanced(200000)
+	nb, err := d.BalancedSplitPoint(200000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, c, err := d.Split(nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +125,14 @@ func TestSplitBalanced(t *testing.T) {
 		t.Errorf("C has %d factors, want 2", c.NumFactors())
 	}
 	// Bound smaller than the last factor alone: error.
-	if _, _, err := d.SplitBalanced(100); err == nil {
+	if _, err := d.BalancedSplitPoint(100); err == nil {
 		t.Error("impossible bound accepted")
 	}
 	single, err := FromPoints([]int{3}, star.LoopNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := single.SplitBalanced(1000); err == nil {
+	if _, err := single.BalancedSplitPoint(1000); err == nil {
 		t.Error("single-factor split accepted")
 	}
 }

@@ -71,23 +71,12 @@ func (d *Design) Split(nb int) (b, c *Design, err error) {
 	return b, c, nil
 }
 
-// SplitBalanced chooses the split point whose C-side nonzero count is the
-// largest that stays at or below maxCNNZ, so that C "fits in the memory of
-// any one processor" while B carries as much parallelism (nnz(B) triples to
-// distribute) as possible. It returns an error when even the single last
-// factor exceeds the bound.
-func (d *Design) SplitBalanced(maxCNNZ int64) (b, c *Design, err error) {
-	nb, err := d.BalancedSplitPoint(maxCNNZ)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.Split(nb)
-}
-
-// BalancedSplitPoint returns the split index nb that SplitBalanced would
-// choose for maxCNNZ: the smallest nb whose C-side suffix has at most
-// maxCNNZ stored entries. Callers that need the index itself (the generator
-// and validator take nb, not the split designs) use this form.
+// BalancedSplitPoint returns the smallest split index nb whose C-side suffix
+// has at most maxCNNZ stored entries, so that C "fits in the memory of any
+// one processor" while B carries as much parallelism (nnz(B) triples to
+// distribute) as possible. It returns an error when even the last factor
+// alone exceeds the bound. The generator and validator take nb; Split turns
+// it into the two designs.
 func (d *Design) BalancedSplitPoint(maxCNNZ int64) (int, error) {
 	if len(d.factors) < 2 {
 		return 0, fmt.Errorf("core: need at least two factors to split")

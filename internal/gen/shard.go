@@ -33,9 +33,6 @@ type ShardInfo struct {
 	Checksum int64 `json:"checksum"`
 }
 
-// BRange returns the shard's B-triple range.
-func (s ShardInfo) BRange() parallel.Range { return parallel.Range{Lo: s.BLo, Hi: s.BHi} }
-
 // planShards is the one closed-form planner behind both the generator-side
 // and design-side entry points: partition bnnz B triples into shards
 // contiguous cost-balanced ranges (each triple costs exactly cnnz edges of

@@ -206,7 +206,7 @@ type Finisher interface {
 // BinaryEdgeWriter streams edges in the KRNB framed binary format. The
 // header — magic, version, flags, and the design-time exact edge count — is
 // written at construction; edge frames are cut at batch boundaries (large
-// batches) or when the pending payload fills a chunk (per-edge writes), runs
+// batches) or when the pending payload fills a chunk (small batches), runs
 // become block and run frames (WriteRun), and Finish writes the trailer
 // carrying the actual count, XOR checksum and CRC-32C. WriteEdges and
 // WriteRun are allocation-free at steady state; in the fixed encoding on
@@ -305,21 +305,6 @@ func (b *BinaryEdgeWriter) appendEdge(row, col, val int64) {
 		b.prevRow, b.prevCol = row, col
 	}
 	b.pending++
-}
-
-// WriteEdge encodes one edge; consecutive single-edge writes coalesce into
-// chunk-sized frames.
-func (b *BinaryEdgeWriter) WriteEdge(row, col, val int64) error {
-	if b.finished {
-		return fmt.Errorf("graphio: WriteEdge after Finish on binary edge stream")
-	}
-	b.appendEdge(row, col, val)
-	b.count++
-	b.checksum ^= row*31 + col
-	if len(b.scratch) >= edgeChunk {
-		return b.emitFrame()
-	}
-	return nil
 }
 
 // WriteEdges encodes a whole batch. In the fixed encoding on little-endian

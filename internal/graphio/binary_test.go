@@ -73,7 +73,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Mix the write shapes: a large batch, a comment (discarded), a
-			// mid-stream flush, single edges, then a small batch.
+			// mid-stream flush, one-edge batches, then a small batch.
 			if err := w.WriteEdges(edges[:8000]); err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range edges[8000:8100] {
-				if err := w.WriteEdge(e.Row, e.Col, e.Val); err != nil {
+				if err := w.WriteEdges([]Edge{e}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -201,7 +201,7 @@ func TestBinaryBatchMatchesPerEdge(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range edges {
-			if err := ws.WriteEdge(e.Row, e.Col, e.Val); err != nil {
+			if err := ws.WriteEdges([]Edge{e}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,7 +251,7 @@ func TestBinaryFinishIdempotentAndTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEdge(1, 2, 1); err != nil {
+	if err := w.WriteEdges([]Edge{{Row: 1, Col: 2, Val: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {
@@ -263,9 +263,6 @@ func TestBinaryFinishIdempotentAndTerminal(t *testing.T) {
 	}
 	if buf.Len() != size {
 		t.Fatal("second Finish wrote a second trailer")
-	}
-	if err := w.WriteEdge(3, 4, 1); err == nil {
-		t.Fatal("WriteEdge after Finish accepted")
 	}
 	if err := w.WriteEdges([]Edge{{Row: 3, Col: 4, Val: 1}}); err == nil {
 		t.Fatal("WriteEdges after Finish accepted")
@@ -436,7 +433,7 @@ func TestBinaryTrailingGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEdge(1, 2, 1); err != nil {
+	if err := w.WriteEdges([]Edge{{Row: 1, Col: 2, Val: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {

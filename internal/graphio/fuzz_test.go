@@ -70,7 +70,7 @@ func FuzzTSVEdgeWriterRoundTrip(f *testing.F) {
 		if err := ew.WriteEdges(edges[:1]); err != nil {
 			t.Fatal(err)
 		}
-		if err := ew.WriteEdge(edges[1].Row, edges[1].Col, edges[1].Val); err != nil {
+		if err := ew.WriteEdges(edges[1:2]); err != nil {
 			t.Fatal(err)
 		}
 		if err := ew.Comment(comment); err != nil {
@@ -118,7 +118,7 @@ func FuzzMatrixMarketEdgeWriterRoundTrip(f *testing.F) {
 		if err := ew.WriteEdges(edges[:1]); err != nil {
 			t.Fatal(err)
 		}
-		if err := ew.WriteEdge(edges[1].Row, edges[1].Col, edges[1].Val); err != nil {
+		if err := ew.WriteEdges(edges[1:2]); err != nil {
 			t.Fatal(err)
 		}
 		if err := ew.Flush(); err != nil {

@@ -19,16 +19,14 @@ type Edge struct {
 
 // EdgeWriter encodes edges to an underlying stream, the shape the paper's
 // generator produces: edges exist only in flight, never as a materialized
-// matrix. WriteEdges is the hot path — one call encodes a whole batch with
-// buffer management amortized across it; WriteEdge remains for single
-// entries. Implementations buffer internally; Flush pushes everything
+// matrix. WriteEdges encodes a whole batch with buffer management amortized
+// across it. Implementations buffer internally; Flush pushes everything
 // written so far to the underlying io.Writer (the job service calls it at
 // chunk boundaries so HTTP clients see edges while generation is still
 // running).
 type EdgeWriter interface {
-	// WriteEdge encodes one "row col value" entry (0-based global indices).
-	WriteEdge(row, col, val int64) error
-	// WriteEdges encodes a whole batch of entries in order.
+	// WriteEdges encodes a whole batch of "row col value" entries (0-based
+	// global indices) in order.
 	WriteEdges(batch []Edge) error
 	// Comment writes a line the matching reader ignores, used for
 	// end-of-stream trailers ("# state=done edges=N"). Implementations
@@ -107,20 +105,6 @@ func NewTSVEdgeWriter(w io.Writer) *TSVEdgeWriter {
 	return &TSVEdgeWriter{bw: bufio.NewWriter(w), buf: make([]byte, 0, 64)}
 }
 
-// WriteEdge appends one tab-separated triple line.
-func (t *TSVEdgeWriter) WriteEdge(row, col, val int64) error {
-	b := t.buf[:0]
-	b = appendInt(b, row)
-	b = append(b, '\t')
-	b = appendInt(b, col)
-	b = append(b, '\t')
-	b = appendInt(b, val)
-	b = append(b, '\n')
-	t.buf = b
-	_, err := t.bw.Write(b)
-	return err
-}
-
 // WriteEdges encodes a batch of tab-separated triple lines through the
 // shared chunked encoder — per-call overhead paid once per chunk instead of
 // once per edge.
@@ -171,21 +155,6 @@ func NewMatrixMarketEdgeWriter(w io.Writer, rows, cols, nnz int64, comments ...s
 		return nil, err
 	}
 	return m, nil
-}
-
-// WriteEdge appends one coordinate entry, converting to the format's 1-based
-// indices.
-func (m *MatrixMarketEdgeWriter) WriteEdge(row, col, val int64) error {
-	b := m.buf[:0]
-	b = appendInt(b, row+1)
-	b = append(b, ' ')
-	b = appendInt(b, col+1)
-	b = append(b, ' ')
-	b = appendInt(b, val)
-	b = append(b, '\n')
-	m.buf = b
-	_, err := m.bw.Write(b)
-	return err
 }
 
 // WriteEdges encodes a batch of coordinate entries (1-based) through the

@@ -24,7 +24,7 @@ func TestTSVEdgeWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range testTriples() {
-		if err := w.WriteEdge(int64(tr.Row), int64(tr.Col), tr.Val); err != nil {
+		if err := w.WriteEdges([]Edge{{Row: int64(tr.Row), Col: int64(tr.Col), Val: tr.Val}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestTSVEdgeWriterMatchesWriteTSV(t *testing.T) {
 	}
 	w := NewTSVEdgeWriter(&streamed)
 	for _, tr := range m.Tr {
-		if err := w.WriteEdge(int64(tr.Row), int64(tr.Col), tr.Val); err != nil {
+		if err := w.WriteEdges([]Edge{{Row: int64(tr.Row), Col: int64(tr.Col), Val: tr.Val}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestMatrixMarketEdgeWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range tr {
-		if err := w.WriteEdge(int64(e.Row), int64(e.Col), e.Val); err != nil {
+		if err := w.WriteEdges([]Edge{{Row: int64(e.Row), Col: int64(e.Col), Val: e.Val}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestMatrixMarketEdgeWriterMatchesWriteMatrixMarket(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range m.Tr {
-		if err := w.WriteEdge(int64(tr.Row), int64(tr.Col), tr.Val); err != nil {
+		if err := w.WriteEdges([]Edge{{Row: int64(tr.Row), Col: int64(tr.Col), Val: tr.Val}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,67 +133,56 @@ func TestMatrixMarketEdgeWriterMatchesWriteMatrixMarket(t *testing.T) {
 }
 
 // TestWriteEdgesMatchesWriteEdge proves the batch encoder is byte-for-byte
-// the per-edge encoder on both formats, including batches large enough to
-// cross the edgeChunk internal flush boundary more than once.
+// the whole-matrix writers WriteTSV and WriteMatrixMarket on both formats,
+// including batches large enough to cross the edgeChunk internal flush
+// boundary more than once.
 func TestWriteEdgesMatchesWriteEdge(t *testing.T) {
 	// Wide coordinates make each line ~60 bytes, so ~1000 edges cross the
 	// 16 KiB edgeChunk threshold several times.
 	batch := make([]Edge, 1000)
+	tr := make([]sparse.Triple[int64], len(batch))
 	for i := range batch {
 		batch[i] = Edge{
 			Row: int64(i) * 1_000_000_007,
 			Col: int64(i) * 999_999_937,
 			Val: int64(i%7) - 3,
 		}
+		tr[i] = sparse.Triple[int64]{Row: int(batch[i].Row), Col: int(batch[i].Col), Val: batch[i].Val}
 	}
+	m := sparse.MustCOO(1<<40, 1<<40, tr)
 	t.Run("tsv", func(t *testing.T) {
-		var perEdge, batched strings.Builder
-		w1 := NewTSVEdgeWriter(&perEdge)
-		for _, e := range batch {
-			if err := w1.WriteEdge(e.Row, e.Col, e.Val); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w2 := NewTSVEdgeWriter(&batched)
-		if err := w2.WriteEdges(batch); err != nil {
+		var whole, batched strings.Builder
+		if err := WriteTSV(&whole, m); err != nil {
 			t.Fatal(err)
 		}
-		if err := w1.Flush(); err != nil {
+		w := NewTSVEdgeWriter(&batched)
+		if err := w.WriteEdges(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := w2.Flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if perEdge.String() != batched.String() {
-			t.Fatal("TSV batch output differs from per-edge output")
+		if whole.String() != batched.String() {
+			t.Fatal("TSV batch output differs from WriteTSV")
 		}
 	})
 	t.Run("matrixmarket", func(t *testing.T) {
-		var perEdge, batched strings.Builder
-		w1, err := NewMatrixMarketEdgeWriter(&perEdge, 1<<40, 1<<40, int64(len(batch)))
+		var whole, batched strings.Builder
+		if err := WriteMatrixMarket(&whole, m); err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewMatrixMarketEdgeWriter(&batched, 1<<40, 1<<40, int64(len(batch)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range batch {
-			if err := w1.WriteEdge(e.Row, e.Col, e.Val); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w2, err := NewMatrixMarketEdgeWriter(&batched, 1<<40, 1<<40, int64(len(batch)))
-		if err != nil {
+		if err := w.WriteEdges(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := w2.WriteEdges(batch); err != nil {
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if err := w1.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w2.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if perEdge.String() != batched.String() {
-			t.Fatal("MatrixMarket batch output differs from per-edge output")
+		if whole.String() != batched.String() {
+			t.Fatal("MatrixMarket batch output differs from WriteMatrixMarket")
 		}
 	})
 	t.Run("empty-batch", func(t *testing.T) {

@@ -101,14 +101,6 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Sum returns the sum of all observed durations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
 // Render writes the histogram in Prometheus text exposition format:
 // HELP and TYPE headers, cumulative _bucket series ending in le="+Inf",
 // then _sum (seconds) and _count.

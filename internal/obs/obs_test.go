@@ -57,7 +57,7 @@ func TestHistogramBucketPlacement(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second) // must not panic
-	if h.Count() != 0 || h.Sum() != 0 {
+	if h.Count() != 0 {
 		t.Fatal("nil histogram reports observations")
 	}
 	var v *HistogramVec
@@ -120,9 +120,9 @@ func TestStageSet(t *testing.T) {
 	if ss.Stage("tally") != st {
 		t.Fatal("Stage is not idempotent")
 	}
-	st.Record(100, 5*time.Millisecond)
-	st.Record(50, 3*time.Millisecond)
-	ss.Stage("scatter").Record(7, time.Millisecond)
+	st.RecordWorker(0, 100, 5*time.Millisecond)
+	st.RecordWorker(0, 50, 3*time.Millisecond)
+	ss.Stage("scatter").RecordWorker(0, 7, time.Millisecond)
 
 	snaps := ss.Snapshot()
 	if len(snaps) != 2 || snaps[0].Name != "scatter" || snaps[1].Name != "tally" {
@@ -150,7 +150,7 @@ func TestStageSet(t *testing.T) {
 	}
 	var nilSet *StageSet
 	var nilStage *Stage
-	nilStage.Record(1, time.Second) // nil-safe
+	nilStage.RecordWorker(0, 1, time.Second) // nil-safe
 	nilStage.RecordWorker(3, 1, time.Second)
 	if err := nilSet.Render(&out, "x"); err != nil {
 		t.Fatal(err)

@@ -45,13 +45,6 @@ type Stage struct {
 // Name returns the stage's registered name.
 func (s *Stage) Name() string { return s.name }
 
-// Record folds one batch into the stage through cell 0 — the single-writer
-// entry point for callers without a worker identity. Nil-safe and
-// allocation-free. Parallel recorders should use RecordWorker.
-func (s *Stage) Record(edges int, busy time.Duration) {
-	s.RecordWorker(0, edges, busy)
-}
-
 // RecordWorker folds one batch recorded by worker p into the stage. Workers
 // up to stageCells apart land in distinct padded cells, so concurrent
 // recording is free of false sharing. Nil-safe and allocation-free.
@@ -100,7 +93,7 @@ type StageSet struct {
 // NewStageSet returns an empty stage registry.
 func NewStageSet() *StageSet { return &StageSet{m: make(map[string]*Stage)} }
 
-// Stages is the process-default stage registry — the one kron.Instrument,
+// Stages is the process-default stage registry — the one pipeline.Instrument,
 // the job service's sink chains, and validation's tally/scatter passes all
 // record into, and the one kronserve's /metrics renders. Like the Prometheus
 // default registry, it is deliberately process-global: stage counters are

@@ -289,7 +289,7 @@ func TestWriterCloseFinishesBinaryStream(t *testing.T) {
 	if err := shielded.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ew2.WriteEdge(9, 9, 1); err != nil {
+	if err := ew2.WriteEdges([]graphio.Edge{{Row: 9, Col: 9, Val: 1}}); err != nil {
 		t.Fatalf("KeepOpen-closed binary stream rejected further edges: %v", err)
 	}
 }

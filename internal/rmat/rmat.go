@@ -9,7 +9,6 @@ package rmat
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/parallel"
 )
@@ -93,7 +92,7 @@ func Generate(p Params, np int) ([]Edge, error) {
 	}
 	total := p.NumSampledEdges()
 	if total > 1<<28 {
-		return nil, fmt.Errorf("rmat: %d edges too large to materialize; use GenerateStream", total)
+		return nil, fmt.Errorf("rmat: %d edges exceed the 2^28-edge limit of one materialized sample", total)
 	}
 	parts, err := parallel.Partition(int(total), np)
 	if err != nil {
@@ -111,32 +110,6 @@ func Generate(p Params, np int) ([]Edge, error) {
 		return nil, err
 	}
 	return edges, nil
-}
-
-// GenerateStream samples edges with np workers, invoking emit per edge
-// without materializing the list — the R-MAT counterpart of the Kronecker
-// generator's streaming mode, used for rate comparisons.
-func GenerateStream(p Params, np int, emit func(worker int, e Edge) error) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	total := p.NumSampledEdges()
-	if total > 1<<62 {
-		return fmt.Errorf("rmat: edge count overflow")
-	}
-	parts, err := parallel.Partition(int(total), np)
-	if err != nil {
-		return err
-	}
-	return parallel.Run(np, func(w int) error {
-		rng := rand.New(rand.NewSource(p.Seed + int64(w)*0x7F4A7C15F39CC061))
-		for i := parts[w].Lo; i < parts[w].Hi; i++ {
-			if err := emit(w, sampleEdge(p, rng)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // Measured summarizes the post-hoc properties of a sampled edge list — the
@@ -199,31 +172,4 @@ func Measure(edges []Edge, n int64) Measured {
 		}
 	}
 	return m
-}
-
-// Reindex maps the vertex IDs that actually appear in the edge list onto a
-// dense [0, k) range — the cleanup step random generators force on their
-// users — returning the remapped edges and the number of live vertices.
-func Reindex(edges []Edge) ([]Edge, int64) {
-	ids := make(map[int64]int64)
-	order := make([]int64, 0)
-	for _, e := range edges {
-		if _, ok := ids[e.Src]; !ok {
-			ids[e.Src] = 0
-			order = append(order, e.Src)
-		}
-		if _, ok := ids[e.Dst]; !ok {
-			ids[e.Dst] = 0
-			order = append(order, e.Dst)
-		}
-	}
-	slices.Sort(order) // radix-free but reflection-free; order is []int64
-	for i, v := range order {
-		ids[v] = int64(i)
-	}
-	out := make([]Edge, len(edges))
-	for i, e := range edges {
-		out[i] = Edge{Src: ids[e.Src], Dst: ids[e.Dst]}
-	}
-	return out, int64(len(order))
 }

@@ -1,7 +1,6 @@
 package rmat
 
 import (
-	"sync"
 	"testing"
 )
 
@@ -63,37 +62,6 @@ func TestGenerateBounds(t *testing.T) {
 	for _, e := range edges {
 		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
 			t.Fatalf("edge %v out of bounds for %d vertices", e, n)
-		}
-	}
-}
-
-func TestGenerateStreamMatchesGenerate(t *testing.T) {
-	p := Graph500(7, 4, 9)
-	want, err := Generate(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[Edge]int)
-	var mu sync.Mutex
-	err = GenerateStream(p, 2, func(w int, e Edge) error {
-		mu.Lock()
-		counts[e]++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCounts := make(map[Edge]int)
-	for _, e := range want {
-		wantCounts[e]++
-	}
-	if len(counts) != len(wantCounts) {
-		t.Fatalf("stream produced %d distinct edges, want %d", len(counts), len(wantCounts))
-	}
-	for e, n := range wantCounts {
-		if counts[e] != n {
-			t.Fatalf("edge %v count %d, want %d", e, counts[e], n)
 		}
 	}
 }
@@ -174,26 +142,6 @@ func TestRMATProducesArtifacts(t *testing.T) {
 	}
 	if m.DuplicateSamples == 0 {
 		t.Error("expected duplicate samples")
-	}
-}
-
-func TestReindex(t *testing.T) {
-	edges := []Edge{{10, 5}, {5, 10}, {100, 10}}
-	re, n := Reindex(edges)
-	if n != 3 {
-		t.Fatalf("live vertices = %d, want 3", n)
-	}
-	// Order-preserving dense mapping: 5→0, 10→1, 100→2.
-	want := []Edge{{1, 0}, {0, 1}, {2, 1}}
-	for i := range want {
-		if re[i] != want[i] {
-			t.Errorf("edge %d = %v, want %v", i, re[i], want[i])
-		}
-	}
-	for _, e := range re {
-		if e.Src >= n || e.Dst >= n {
-			t.Error("reindexed id out of dense range")
-		}
 	}
 }
 

@@ -63,10 +63,6 @@ func PlusTimesInt64() Semiring[int64] { return PlusTimes[int64]("plus.times.int6
 // PlusTimesFloat64 is the (+, ×) semiring over float64.
 func PlusTimesFloat64() Semiring[float64] { return PlusTimes[float64]("plus.times.float64") }
 
-// PlusTimesUint64 is the (+, ×) semiring over uint64, used where counts are
-// known non-negative and headroom matters.
-func PlusTimesUint64() Semiring[uint64] { return PlusTimes[uint64]("plus.times.uint64") }
-
 // OrAnd returns the Boolean (∨, ∧) semiring. Under it an adjacency matrix is
 // a pure connectivity structure: Kronecker products and matrix multiplies
 // compute reachability rather than counts.
@@ -95,54 +91,6 @@ func MinPlus() Semiring[float64] {
 		Eq:     func(a, b float64) bool { return a == b },
 		IsZero: func(a float64) bool { return math.IsInf(a, 1) },
 	}
-}
-
-// MaxPlus returns the (max, +) semiring over float64 with -Inf as the
-// additive identity. Matrix powers under it compute longest paths.
-func MaxPlus() Semiring[float64] {
-	ninf := math.Inf(-1)
-	return Semiring[float64]{
-		Name:   "max.plus.float64",
-		Zero:   ninf,
-		One:    0,
-		Add:    math.Max,
-		Mul:    func(a, b float64) float64 { return a + b },
-		Eq:     func(a, b float64) bool { return a == b },
-		IsZero: func(a float64) bool { return math.IsInf(a, -1) },
-	}
-}
-
-// MaxMin returns the (max, min) semiring over float64 with 0 as the additive
-// identity and +Inf as the multiplicative identity, useful for bottleneck
-// path problems on non-negative weights.
-func MaxMin() Semiring[float64] {
-	return Semiring[float64]{
-		Name:   "max.min.float64",
-		Zero:   0,
-		One:    math.Inf(1),
-		Add:    math.Max,
-		Mul:    math.Min,
-		Eq:     func(a, b float64) bool { return a == b },
-		IsZero: func(a float64) bool { return a == 0 },
-	}
-}
-
-// AddN folds Add over vs, returning Zero for an empty argument list.
-func (s Semiring[T]) AddN(vs ...T) T {
-	acc := s.Zero
-	for _, v := range vs {
-		acc = s.Add(acc, v)
-	}
-	return acc
-}
-
-// MulN folds Mul over vs, returning One for an empty argument list.
-func (s Semiring[T]) MulN(vs ...T) T {
-	acc := s.One
-	for _, v := range vs {
-		acc = s.Mul(acc, v)
-	}
-	return acc
 }
 
 // CheckLaws exercises the semiring axioms on the supplied sample values and

@@ -21,13 +21,6 @@ func TestPlusTimesFloat64Laws(t *testing.T) {
 	}
 }
 
-func TestPlusTimesUint64Laws(t *testing.T) {
-	s := PlusTimesUint64()
-	if v := s.CheckLaws([]uint64{0, 1, 2, 9, 31}); v != "" {
-		t.Fatalf("plus-times uint64 violates %s", v)
-	}
-}
-
 func TestOrAndLaws(t *testing.T) {
 	s := OrAnd()
 	if v := s.CheckLaws([]bool{false, true}); v != "" {
@@ -39,20 +32,6 @@ func TestMinPlusLaws(t *testing.T) {
 	s := MinPlus()
 	if v := s.CheckLaws([]float64{math.Inf(1), 0, 1, 2.5, 7}); v != "" {
 		t.Fatalf("min-plus violates %s", v)
-	}
-}
-
-func TestMaxPlusLaws(t *testing.T) {
-	s := MaxPlus()
-	if v := s.CheckLaws([]float64{math.Inf(-1), -1, 0, 3, 9}); v != "" {
-		t.Fatalf("max-plus violates %s", v)
-	}
-}
-
-func TestMaxMinLaws(t *testing.T) {
-	s := MaxMin()
-	if v := s.CheckLaws([]float64{0, 1, 2, 5, math.Inf(1)}); v != "" {
-		t.Fatalf("max-min violates %s", v)
 	}
 }
 
@@ -77,35 +56,6 @@ func TestIsZero(t *testing.T) {
 	}
 	if s := MinPlus(); !s.IsZero(math.Inf(1)) || s.IsZero(0) {
 		t.Error("min-plus IsZero wrong")
-	}
-	if s := MaxPlus(); !s.IsZero(math.Inf(-1)) || s.IsZero(0) {
-		t.Error("max-plus IsZero wrong")
-	}
-	if s := MaxMin(); !s.IsZero(0) || s.IsZero(3) {
-		t.Error("max-min IsZero wrong")
-	}
-}
-
-func TestAddNMulN(t *testing.T) {
-	s := PlusTimesInt64()
-	if got := s.AddN(); got != 0 {
-		t.Errorf("AddN() = %d, want 0", got)
-	}
-	if got := s.MulN(); got != 1 {
-		t.Errorf("MulN() = %d, want 1", got)
-	}
-	if got := s.AddN(1, 2, 3, 4); got != 10 {
-		t.Errorf("AddN(1..4) = %d, want 10", got)
-	}
-	if got := s.MulN(2, 3, 4); got != 24 {
-		t.Errorf("MulN(2,3,4) = %d, want 24", got)
-	}
-	b := OrAnd()
-	if got := b.AddN(false, false, true); !got {
-		t.Error("or-and AddN(false,false,true) = false, want true")
-	}
-	if got := b.MulN(true, true, false); got {
-		t.Error("or-and MulN(true,true,false) = true, want false")
 	}
 }
 
@@ -151,11 +101,8 @@ func TestNames(t *testing.T) {
 	}{
 		{PlusTimesInt64().Name, "plus.times.int64"},
 		{PlusTimesFloat64().Name, "plus.times.float64"},
-		{PlusTimesUint64().Name, "plus.times.uint64"},
 		{OrAnd().Name, "lor.land.bool"},
 		{MinPlus().Name, "min.plus.float64"},
-		{MaxPlus().Name, "max.plus.float64"},
-		{MaxMin().Name, "max.min.float64"},
 	}
 	for _, c := range cases {
 		if c.got != c.want {

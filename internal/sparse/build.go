@@ -131,11 +131,6 @@ func (b *CSRBuilder[T]) Finalize() error {
 	return nil
 }
 
-// RowPtr exposes the finalized row-pointer array (nil before Finalize).
-// rowPtr[i+1]-rowPtr[i] is row i's exact entry count — the measured degree
-// vector, available before the entries themselves are placed.
-func (b *CSRBuilder[T]) RowPtr() []int { return b.rowPtr }
-
 // NNZ returns the total entry count after Finalize.
 func (b *CSRBuilder[T]) NNZ() int {
 	if !b.finalized {
@@ -223,49 +218,6 @@ func (s *pairSorter[T]) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
 func (s *pairSorter[T]) Swap(i, j int) {
 	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
 	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
-}
-
-// BuildCSRParallel merges per-worker COO bands into one CSR matrix with the
-// counting-sort builder: band w's triples keep their relative order and land
-// in worker-major position within each row, then out-of-order rows are
-// sorted. This is the materialized-band form of the streaming builder, for
-// callers that already hold each worker's output (e.g. gen.Materialize
-// parts re-based to global columns). Duplicates are not combined.
-func BuildCSRParallel[T any](rows, cols int, bands [][]Triple[T]) (*CSR[T], error) {
-	if len(bands) == 0 {
-		return nil, fmt.Errorf("sparse: BuildCSRParallel needs at least one band")
-	}
-	b, err := NewCSRBuilder[T](rows, cols, len(bands))
-	if err != nil {
-		return nil, err
-	}
-	bounds := make([]error, len(bands))
-	_ = parallel.Run(len(bands), func(w int) error {
-		for _, t := range bands[w] {
-			if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
-				bounds[w] = fmt.Errorf("sparse: triple (%d,%d) out of bounds for %dx%d matrix",
-					t.Row, t.Col, rows, cols)
-				return nil
-			}
-			b.Count(w, t.Row)
-		}
-		return nil
-	})
-	for _, e := range bounds {
-		if e != nil {
-			return nil, e
-		}
-	}
-	if err := b.Finalize(); err != nil {
-		return nil, err
-	}
-	_ = parallel.Run(len(bands), func(w int) error {
-		for _, t := range bands[w] {
-			b.Place(w, t.Row, t.Col, t.Val)
-		}
-		return nil
-	})
-	return b.Build()
 }
 
 // DegreeHistogramCSR reduces a row-pointer array into the paper's n(d)

@@ -30,41 +30,6 @@ func randomBands(t *testing.T, rows, cols, nnz, w int, seed int64) (*COO[int64],
 	return MustCOO(rows, cols, tr), bands
 }
 
-func TestBuildCSRParallelMatchesToCSR(t *testing.T) {
-	sr := semiring.PlusTimesInt64()
-	for _, workers := range []int{1, 2, 4, 7} {
-		coo, bands := randomBands(t, 37, 41, 300, workers, int64(workers))
-		got, err := BuildCSRParallel(37, 41, bands)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("workers=%d: invalid CSR: %v", workers, err)
-		}
-		want := coo.ToCSR(sr)
-		if !Equal(got.ToCOO(), want.ToCOO(), sr) {
-			t.Fatalf("workers=%d: parallel build differs from ToCSR", workers)
-		}
-	}
-}
-
-func TestBuildCSRParallelEmptyAndBounds(t *testing.T) {
-	got, err := BuildCSRParallel(5, 5, make([][]Triple[int64], 3))
-	if err != nil || got.NNZ() != 0 {
-		t.Fatalf("empty bands: %v nnz=%d", err, got.NNZ())
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = BuildCSRParallel(5, 5, [][]Triple[int64]{{{Row: 5, Col: 0, Val: 1}}})
-	if err == nil {
-		t.Fatal("out-of-bounds row accepted")
-	}
-	if _, err := BuildCSRParallel[int64](5, 5, nil); err == nil {
-		t.Fatal("zero bands accepted")
-	}
-}
-
 // The streaming two-pass protocol: concurrent Count, Finalize, concurrent
 // Place, Build — exercised with workers that interleave rows arbitrarily.
 func TestCSRBuilderTwoPassConcurrent(t *testing.T) {
@@ -87,7 +52,7 @@ func TestCSRBuilderTwoPassConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Degrees are exact before any entry is placed.
-	rp := b.RowPtr()
+	rp := b.rowPtr
 	degs := make([]int, 29)
 	for _, tr := range coo.Tr {
 		degs[tr.Row]++

@@ -1,8 +1,8 @@
 // Package sparse implements the sparse linear-algebra substrate the paper's
 // Kronecker graph machinery is built on: coordinate (COO) and compressed
 // sparse row (CSR) matrices over an arbitrary semiring, with Kronecker
-// products, sparse matrix-matrix multiply, element-wise operations,
-// transposition, reductions, and selection.
+// products, sparse matrix-matrix multiply, element-wise multiplication,
+// transposition, and reductions.
 //
 // All matrices are rectangular with 0-based indices. Operations never mutate
 // their inputs unless documented otherwise.
@@ -123,16 +123,6 @@ func (m *COO[T]) At(i, j int, sr semiring.Semiring[T]) T {
 		}
 	}
 	return acc
-}
-
-// Set appends a triple (no deduplication). The entry must be in bounds.
-func (m *COO[T]) Set(i, j int, v T) error {
-	if i < 0 || i >= m.NumRows || j < 0 || j >= m.NumCols {
-		return fmt.Errorf("sparse: set (%d,%d) out of bounds for %dx%d matrix",
-			i, j, m.NumRows, m.NumCols)
-	}
-	m.Tr = append(m.Tr, Triple[T]{Row: i, Col: j, Val: v})
-	return nil
 }
 
 // Remove deletes all stored triples at (i, j) and reports how many were

@@ -101,17 +101,8 @@ func TestAtSumsDuplicates(t *testing.T) {
 	}
 }
 
-func TestSetRemove(t *testing.T) {
-	m := MustCOO[int64](3, 3, nil)
-	if err := m.Set(1, 2, 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Set(3, 0, 1); err == nil {
-		t.Error("out-of-bounds Set accepted")
-	}
-	if err := m.Set(1, 2, 1); err != nil {
-		t.Fatal(err)
-	}
+func TestRemove(t *testing.T) {
+	m := MustCOO(3, 3, []Triple[int64]{tri(1, 2, 9), tri(1, 2, 1)})
 	if got := m.Remove(1, 2); got != 2 {
 		t.Errorf("Remove removed %d, want 2", got)
 	}

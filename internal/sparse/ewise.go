@@ -6,20 +6,6 @@ import (
 	"repro/internal/semiring"
 )
 
-// EWiseAdd computes C = A ⊕ B element-wise ("combining graphs" in the
-// paper's terminology). Dimensions must match.
-func EWiseAdd[T any](a, b *COO[T], sr semiring.Semiring[T]) (*COO[T], error) {
-	if a.NumRows != b.NumRows || a.NumCols != b.NumCols {
-		return nil, fmt.Errorf("sparse: EWiseAdd dimension mismatch %dx%d vs %dx%d",
-			a.NumRows, a.NumCols, b.NumRows, b.NumCols)
-	}
-	tr := make([]Triple[T], 0, len(a.Tr)+len(b.Tr))
-	tr = append(tr, a.Tr...)
-	tr = append(tr, b.Tr...)
-	c := &COO[T]{NumRows: a.NumRows, NumCols: a.NumCols, Tr: tr}
-	return c.Dedupe(sr), nil
-}
-
 // EWiseMult computes C = A ⊗ B element-wise ("intersecting graphs"): only
 // positions stored in both inputs survive, with values multiplied.
 func EWiseMult[T any](a, b *COO[T], sr semiring.Semiring[T]) (*COO[T], error) {
@@ -54,56 +40,4 @@ func lessRowMajor[T any](a, b Triple[T]) bool {
 		return a.Row < b.Row
 	}
 	return a.Col < b.Col
-}
-
-// Apply returns a copy of m with fn applied to every stored value; entries
-// mapping to sr.Zero are dropped.
-func Apply[T any](m *COO[T], sr semiring.Semiring[T], fn func(T) T) *COO[T] {
-	tr := make([]Triple[T], 0, len(m.Tr))
-	for _, t := range m.Tr {
-		v := fn(t.Val)
-		if sr.IsZero(v) {
-			continue
-		}
-		tr = append(tr, Triple[T]{Row: t.Row, Col: t.Col, Val: v})
-	}
-	return &COO[T]{NumRows: m.NumRows, NumCols: m.NumCols, Tr: tr}
-}
-
-// Extract returns the submatrix C(i,j) = A(rowIdx[i], colIdx[j]), the
-// selection operation of the paper's Section 7.17 reference. Index lists may
-// repeat and reorder rows/columns.
-func Extract[T any](m *COO[T], rowIdx, colIdx []int, sr semiring.Semiring[T]) (*COO[T], error) {
-	rowMap := make(map[int][]int, len(rowIdx))
-	for i, r := range rowIdx {
-		if r < 0 || r >= m.NumRows {
-			return nil, fmt.Errorf("sparse: Extract row %d out of bounds", r)
-		}
-		rowMap[r] = append(rowMap[r], i)
-	}
-	colMap := make(map[int][]int, len(colIdx))
-	for j, c := range colIdx {
-		if c < 0 || c >= m.NumCols {
-			return nil, fmt.Errorf("sparse: Extract col %d out of bounds", c)
-		}
-		colMap[c] = append(colMap[c], j)
-	}
-	var tr []Triple[T]
-	for _, t := range m.Tr {
-		ris, ok := rowMap[t.Row]
-		if !ok {
-			continue
-		}
-		cjs, ok := colMap[t.Col]
-		if !ok {
-			continue
-		}
-		for _, ri := range ris {
-			for _, cj := range cjs {
-				tr = append(tr, Triple[T]{Row: ri, Col: cj, Val: t.Val})
-			}
-		}
-	}
-	c := &COO[T]{NumRows: len(rowIdx), NumCols: len(colIdx), Tr: tr}
-	return c.Dedupe(sr), nil
 }

@@ -4,25 +4,9 @@ import (
 	"testing"
 )
 
-func TestEWiseAdd(t *testing.T) {
-	a := FromDense([][]int64{{1, 0}, {2, 3}}, srI)
-	b := FromDense([][]int64{{4, 5}, {0, -3}}, srI)
-	c, err := EWiseAdd(a, b, srI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FromDense([][]int64{{5, 5}, {2, 0}}, srI)
-	if !Equal(c, want, srI) {
-		t.Fatalf("EWiseAdd = %v, want %v", c, want)
-	}
-}
-
-func TestEWiseAddDimMismatch(t *testing.T) {
+func TestEWiseMultDimMismatch(t *testing.T) {
 	a := FromDense([][]int64{{1}}, srI)
 	b := FromDense([][]int64{{1, 2}}, srI)
-	if _, err := EWiseAdd(a, b, srI); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
 	if _, err := EWiseMult(a, b, srI); err == nil {
 		t.Error("dimension mismatch accepted by EWiseMult")
 	}
@@ -55,50 +39,5 @@ func TestEWiseMultWithDuplicates(t *testing.T) {
 	}
 	if got := c.At(0, 0, srI); got != 6 {
 		t.Errorf("EWiseMult with duplicates = %d, want 6", got)
-	}
-}
-
-func TestApply(t *testing.T) {
-	m := FromDense([][]int64{{1, -2}, {3, 0}}, srI)
-	doubled := Apply(m, srI, func(v int64) int64 { return 2 * v })
-	want := FromDense([][]int64{{2, -4}, {6, 0}}, srI)
-	if !Equal(doubled, want, srI) {
-		t.Error("Apply double wrong")
-	}
-	// Mapping everything to zero empties the matrix.
-	zeroed := Apply(m, srI, func(int64) int64 { return 0 })
-	if zeroed.NNZ() != 0 {
-		t.Error("Apply kept zero entries")
-	}
-}
-
-func TestExtract(t *testing.T) {
-	m := FromDense([][]int64{
-		{1, 2, 3},
-		{4, 5, 6},
-		{7, 8, 9},
-	}, srI)
-	sub, err := Extract(m, []int{2, 0}, []int{1}, srI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FromDense([][]int64{{8}, {2}}, srI)
-	if !Equal(sub, want, srI) {
-		t.Fatalf("Extract = %v, want %v", sub, want)
-	}
-	// Repeated indices duplicate rows.
-	dup, err := Extract(m, []int{1, 1}, []int{0, 2}, srI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDup := FromDense([][]int64{{4, 6}, {4, 6}}, srI)
-	if !Equal(dup, wantDup, srI) {
-		t.Fatalf("Extract with repeats = %v, want %v", dup, wantDup)
-	}
-	if _, err := Extract(m, []int{9}, []int{0}, srI); err == nil {
-		t.Error("row index out of bounds accepted")
-	}
-	if _, err := Extract(m, []int{0}, []int{-1}, srI); err == nil {
-		t.Error("col index out of bounds accepted")
 	}
 }

@@ -136,30 +136,6 @@ func kronRows[T any](a, f *CSR[T], sr semiring.Semiring[T], emit func(row, col i
 	}
 }
 
-// KronStream enumerates the triples of A ⊗ B in order (A-triple major,
-// B-triple minor) without materializing the product, invoking fn for each.
-// A non-nil error from fn aborts the enumeration and is returned. This is the
-// edge-stream form the parallel generator uses so that trillion-scale
-// products never need to exist in memory at once.
-func KronStream[T any](a, b *COO[T], sr semiring.Semiring[T], fn func(row, col int, val T) error) error {
-	if _, err := MulDim(a.NumRows, b.NumRows); err != nil {
-		return err
-	}
-	if _, err := MulDim(a.NumCols, b.NumCols); err != nil {
-		return err
-	}
-	for _, ta := range a.Tr {
-		rBase := ta.Row * b.NumRows
-		cBase := ta.Col * b.NumCols
-		for _, tb := range b.Tr {
-			if err := fn(rBase+tb.Row, cBase+tb.Col, sr.Mul(ta.Val, tb.Val)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // MulDim multiplies two dimensions, guarding against int overflow, which on
 // 64-bit platforms bounds realizable matrices to ~9.2e18 rows — beyond that
 // the designer's big-integer path must be used instead. Exported so every

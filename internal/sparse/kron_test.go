@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"cmp"
-	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -70,15 +69,17 @@ func TestKronAssociativity(t *testing.T) {
 	}
 }
 
+// plus returns A ⊕ B as one COO holding both operands' triples: a COO's
+// duplicate entries accumulate under ⊕.
+func plus(a, b *COO[int64]) *COO[int64] {
+	return MustCOO(a.NumRows, a.NumCols, append(append([]Triple[int64]{}, a.Tr...), b.Tr...))
+}
+
 func TestKronDistributesOverAdd(t *testing.T) {
 	a := FromDense([][]int64{{1, 0}, {2, 3}}, srI)
 	b := FromDense([][]int64{{0, 1}, {4, 0}}, srI)
 	c := FromDense([][]int64{{5, 0}, {0, 6}}, srI)
-	bPlusC, err := EWiseAdd(b, c, srI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	left, err := Kron(a, bPlusC, srI)
+	left, err := Kron(a, plus(b, c), srI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,7 @@ func TestKronDistributesOverAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := EWiseAdd(ab, ac, srI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(left, right, srI) {
+	if !Equal(left, plus(ab, ac), srI) {
 		t.Error("A⊗(B⊕C) != (A⊗B)⊕(A⊗C)")
 	}
 }
@@ -175,53 +172,10 @@ func TestKronNFold(t *testing.T) {
 	}
 }
 
-func TestKronStreamMatchesMaterialized(t *testing.T) {
-	a := FromDense([][]int64{{1, 2}, {0, 3}}, srI)
-	b := FromDense([][]int64{{0, 1}, {5, 0}}, srI)
-	want, err := Kron(a, b, srI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Triple[int64]
-	err = KronStream(a, b, srI, func(r, c int, v int64) error {
-		got = append(got, tri(r, c, v))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gm := MustCOO(want.NumRows, want.NumCols, got)
-	if !Equal(gm, want, srI) {
-		t.Error("KronStream triples disagree with Kron")
-	}
-}
-
-func TestKronStreamAbortsOnError(t *testing.T) {
-	a := FromDense([][]int64{{1, 1}, {1, 1}}, srI)
-	sentinel := errors.New("stop")
-	n := 0
-	err := KronStream(a, a, srI, func(r, c int, v int64) error {
-		n++
-		if n == 3 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if n != 3 {
-		t.Errorf("callback ran %d times after abort, want 3", n)
-	}
-}
-
 func TestKronOverflowGuard(t *testing.T) {
 	huge := &COO[int64]{NumRows: 1 << 32, NumCols: 1 << 32}
 	if _, err := Kron(huge, huge, srI); err == nil {
 		t.Error("dimension overflow not caught")
-	}
-	if err := KronStream(huge, huge, srI, func(int, int, int64) error { return nil }); err == nil {
-		t.Error("stream dimension overflow not caught")
 	}
 }
 

@@ -11,9 +11,22 @@ import (
 // the reference construction for merge tests.
 func buildCSR(t *testing.T, rows, cols int, tr []Triple[int64]) *CSR[int64] {
 	t.Helper()
-	m, err := BuildCSRParallel(rows, cols, [][]Triple[int64]{tr})
+	b, err := NewCSRBuilder[int64](rows, cols, 1)
 	if err != nil {
-		t.Fatalf("BuildCSRParallel: %v", err)
+		t.Fatal(err)
+	}
+	for _, e := range tr {
+		b.Count(0, e.Row)
+	}
+	if err := b.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tr {
+		b.Place(0, e.Row, e.Col, e.Val)
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
 	}
 	return m
 }

@@ -4,33 +4,6 @@ import (
 	"repro/internal/semiring"
 )
 
-// ReduceRows returns the vector of per-row ⊕-reductions of the stored
-// values: out[i] = ⊕ⱼ A(i,j). For a 0/1 adjacency matrix under plus-times
-// this is the out-degree vector.
-func ReduceRows[T any](m *COO[T], sr semiring.Semiring[T]) []T {
-	out := make([]T, m.NumRows)
-	for i := range out {
-		out[i] = sr.Zero
-	}
-	for _, t := range m.Tr {
-		out[t.Row] = sr.Add(out[t.Row], t.Val)
-	}
-	return out
-}
-
-// ReduceCols returns the vector of per-column ⊕-reductions:
-// out[j] = ⊕ᵢ A(i,j) — the in-degree vector for 0/1 adjacency matrices.
-func ReduceCols[T any](m *COO[T], sr semiring.Semiring[T]) []T {
-	out := make([]T, m.NumCols)
-	for j := range out {
-		out[j] = sr.Zero
-	}
-	for _, t := range m.Tr {
-		out[t.Col] = sr.Add(out[t.Col], t.Val)
-	}
-	return out
-}
-
 // ReduceAll folds ⊕ over every stored value of m.
 func ReduceAll[T any](m *COO[T], sr semiring.Semiring[T]) T {
 	acc := sr.Zero

@@ -23,22 +23,6 @@ func reduceFixture() *COO[int64] {
 	})
 }
 
-func TestReduceRows(t *testing.T) {
-	got := ReduceRows(reduceFixture(), semiring.PlusTimesInt64())
-	want := []int64{3, 8, 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReduceRows = %v, want %v", got, want)
-	}
-}
-
-func TestReduceCols(t *testing.T) {
-	got := ReduceCols(reduceFixture(), semiring.PlusTimesInt64())
-	want := []int64{1, 5, 4, 5}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReduceCols = %v, want %v", got, want)
-	}
-}
-
 func TestReduceAll(t *testing.T) {
 	if got := ReduceAll(reduceFixture(), semiring.PlusTimesInt64()); got != 15 {
 		t.Fatalf("ReduceAll = %d, want 15", got)
@@ -48,12 +32,6 @@ func TestReduceAll(t *testing.T) {
 func TestReduceEmptyMatrix(t *testing.T) {
 	sr := semiring.PlusTimesInt64()
 	empty := MustCOO[int64](2, 3, nil)
-	if got := ReduceRows(empty, sr); !reflect.DeepEqual(got, []int64{0, 0}) {
-		t.Fatalf("ReduceRows(empty) = %v", got)
-	}
-	if got := ReduceCols(empty, sr); !reflect.DeepEqual(got, []int64{0, 0, 0}) {
-		t.Fatalf("ReduceCols(empty) = %v", got)
-	}
 	if got := ReduceAll(empty, sr); got != 0 {
 		t.Fatalf("ReduceAll(empty) = %d", got)
 	}
@@ -64,16 +42,15 @@ func TestReduceEmptyMatrix(t *testing.T) {
 
 func TestReduceUnderMinPlus(t *testing.T) {
 	// Reductions must honor the semiring's ⊕, not assume +: under min-plus,
-	// a row reduction is the row minimum.
+	// the reduction is the minimum.
 	sr := semiring.MinPlus()
 	m := MustCOO(2, 2, []Triple[float64]{
 		{Row: 0, Col: 0, Val: 7},
 		{Row: 0, Col: 1, Val: 2},
 		{Row: 1, Col: 1, Val: 5},
 	})
-	got := ReduceRows(m, sr)
-	if got[0] != 2 || got[1] != 5 {
-		t.Fatalf("min-plus ReduceRows = %v, want [2 5]", got)
+	if got := ReduceAll(m, sr); got != 2 {
+		t.Fatalf("min-plus ReduceAll = %v, want 2", got)
 	}
 }
 

@@ -1,10 +1,7 @@
 package spectrum
 
 import (
-	"fmt"
 	"math"
-	"math/big"
-	"sort"
 
 	"repro/internal/star"
 )
@@ -89,57 +86,4 @@ func DesignRadius(factors []star.Spec) (float64, error) {
 		r *= fs.Radius()
 	}
 	return r, nil
-}
-
-// Eigen is one eigenvalue with its multiplicity (multiplicities are huge for
-// extreme-scale designs, hence big.Int).
-type Eigen struct {
-	Value float64
-	Mult  *big.Int
-}
-
-// ProductSpectrum returns the complete spectrum of the raw Kronecker product
-// as (value, multiplicity) pairs sorted by descending value: every product
-// of one quotient eigenvalue per factor (multiplicity 1 each), plus zero
-// with the remaining multiplicity. maxNonzero caps the enumerated nonzero
-// combinations (the count is ∏|quotient_k|, up to 3^Nₖ).
-func ProductSpectrum(factors []star.Spec, maxNonzero int) ([]Eigen, error) {
-	if len(factors) == 0 {
-		return nil, fmt.Errorf("spectrum: no factors")
-	}
-	combos := 1
-	verts := big.NewInt(1)
-	specs := make([]FactorSpectrum, len(factors))
-	for i, f := range factors {
-		fs, err := Star(f)
-		if err != nil {
-			return nil, err
-		}
-		specs[i] = fs
-		combos *= len(fs.Quotient)
-		if combos > maxNonzero {
-			return nil, fmt.Errorf("spectrum: %d+ nonzero eigenvalues exceeds cap %d", combos, maxNonzero)
-		}
-		verts.Mul(verts, big.NewInt(int64(f.Vertices())))
-	}
-	products := []float64{1}
-	for _, fs := range specs {
-		next := make([]float64, 0, len(products)*len(fs.Quotient))
-		for _, p := range products {
-			for _, q := range fs.Quotient {
-				next = append(next, p*q)
-			}
-		}
-		products = next
-	}
-	out := make([]Eigen, 0, len(products)+1)
-	for _, v := range products {
-		out = append(out, Eigen{Value: v, Mult: big.NewInt(1)})
-	}
-	zeroMult := new(big.Int).Sub(verts, big.NewInt(int64(len(products))))
-	if zeroMult.Sign() > 0 {
-		out = append(out, Eigen{Value: 0, Mult: zeroMult})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value > out[j].Value })
-	return out, nil
 }

@@ -2,11 +2,9 @@ package spectrum
 
 import (
 	"math"
-	"math/big"
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/semiring"
 	"repro/internal/star"
 )
@@ -125,66 +123,6 @@ func TestStarSpectrumMatchesDense(t *testing.T) {
 	}
 }
 
-// eig(A ⊗ B) = {λμ}: the design-side product spectrum must match the dense
-// spectrum of the realized raw product.
-func TestProductSpectrumMatchesRealized(t *testing.T) {
-	sr := semiring.PlusTimesInt64()
-	for _, tc := range []struct {
-		pts  []int
-		loop star.LoopMode
-	}{
-		{[]int{3, 4}, star.LoopNone},
-		{[]int{3, 4}, star.LoopHub},
-		{[]int{3, 4}, star.LoopLeaf},
-		{[]int{5, 3}, star.LoopHub},
-	} {
-		d, err := core.FromPoints(tc.pts, tc.loop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pred, err := ProductSpectrum(d.Factors(), 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Expand the (value, mult) pairs.
-		var predicted []float64
-		for _, e := range pred {
-			if !e.Mult.IsInt64() {
-				t.Fatal("multiplicity overflow in small test")
-			}
-			for i := int64(0); i < e.Mult.Int64(); i++ {
-				predicted = append(predicted, e.Value)
-			}
-		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(predicted)))
-
-		raw, err := rawProduct(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		denseInt := raw.Dense(sr)
-		dense := make([][]float64, len(denseInt))
-		for i, row := range denseInt {
-			dense[i] = make([]float64, len(row))
-			for j, v := range row {
-				dense[i][j] = float64(v)
-			}
-		}
-		direct, err := Jacobi(dense, 0, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(predicted) != len(direct) {
-			t.Fatalf("%v: predicted %d eigenvalues, dense %d", d, len(predicted), len(direct))
-		}
-		for i := range direct {
-			if math.Abs(predicted[i]-direct[i]) > 1e-7 {
-				t.Errorf("%v: eig %d predicted %v, dense %v", d, i, predicted[i], direct[i])
-			}
-		}
-	}
-}
-
 func TestDesignRadiusDecetta(t *testing.T) {
 	// The design-side radius of the 10³⁰-edge graph is a laptop computation.
 	pts := []int{3, 4, 5, 7, 11, 9, 16, 25, 49, 81, 121, 256, 625, 2401, 14641}
@@ -203,37 +141,5 @@ func TestDesignRadiusDecetta(t *testing.T) {
 	}
 	if r < plain {
 		t.Errorf("radius %v below plain-star bound %v", r, plain)
-	}
-}
-
-func TestProductSpectrumCaps(t *testing.T) {
-	pts := []int{3, 4, 5, 7, 11, 9, 16, 25, 49, 81, 121, 256, 625, 2401, 14641}
-	if _, err := ProductSpectrum(star.Specs(pts, star.LoopLeaf), 1000); err == nil {
-		t.Error("oversized enumeration accepted")
-	}
-	if _, err := ProductSpectrum(nil, 10); err == nil {
-		t.Error("empty factor list accepted")
-	}
-}
-
-func TestProductSpectrumZeroMultiplicity(t *testing.T) {
-	// star(3) ⊗ star(4): 20 vertices, 4 nonzero products, 16 zeros.
-	pred, err := ProductSpectrum(star.Specs([]int{3, 4}, star.LoopNone), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var zeros *big.Int
-	total := new(big.Int)
-	for _, e := range pred {
-		total.Add(total, e.Mult)
-		if e.Value == 0 {
-			zeros = e.Mult
-		}
-	}
-	if total.Int64() != 20 {
-		t.Errorf("total multiplicity %s, want 20", total)
-	}
-	if zeros == nil || zeros.Int64() != 16 {
-		t.Errorf("zero multiplicity = %v, want 16", zeros)
 	}
 }

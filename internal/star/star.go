@@ -134,14 +134,6 @@ func (s Spec) TraceA3() int64 {
 	}
 }
 
-// MaxDegree returns the factor's largest vertex degree.
-func (s Spec) MaxDegree() int64 {
-	if s.Loop == LoopHub {
-		return int64(s.Points) + 1
-	}
-	return int64(s.Points)
-}
-
 // Adjacency realizes the constituent adjacency matrix Aₖ. Vertex 0 is the
 // hub; vertices 1..m̂ are the points; a LoopLeaf self-loop is placed on the
 // last point (vertex m̂), matching the paper's Aₖ(m,m) = 1 convention.

@@ -138,18 +138,6 @@ func TestStarIsPowerLawAlphaOne(t *testing.T) {
 	}
 }
 
-func TestMaxDegree(t *testing.T) {
-	if got := (Spec{Points: 9, Loop: LoopNone}).MaxDegree(); got != 9 {
-		t.Errorf("none max degree %d, want 9", got)
-	}
-	if got := (Spec{Points: 9, Loop: LoopHub}).MaxDegree(); got != 10 {
-		t.Errorf("hub max degree %d, want 10", got)
-	}
-	if got := (Spec{Points: 9, Loop: LoopLeaf}).MaxDegree(); got != 9 {
-		t.Errorf("leaf max degree %d, want 9", got)
-	}
-}
-
 func TestSpecsHelper(t *testing.T) {
 	specs := Specs([]int{3, 4, 5}, LoopHub)
 	if len(specs) != 3 {

@@ -105,22 +105,3 @@ func CountBoth(a *sparse.COO[int64]) (int64, error) {
 	}
 	return la, nil
 }
-
-// PerFactorTraceProduct computes ∏ₖ 1ᵀ(AₖAₖ ⊗ Aₖ)1 directly from realized
-// constituent matrices, the component form of the paper's triangle identity.
-func PerFactorTraceProduct(factors []*sparse.COO[int64]) (int64, error) {
-	sr := semiring.PlusTimesInt64()
-	prod := int64(1)
-	for i, f := range factors {
-		if f.NumRows != f.NumCols {
-			return 0, fmt.Errorf("triangle: factor %d not square", i)
-		}
-		csr := f.ToCSR(sr)
-		h, err := sparse.MxMMasked(csr, csr, csr, sr)
-		if err != nil {
-			return 0, err
-		}
-		prod *= sparse.ReduceAll(h.ToCOO(), sr)
-	}
-	return prod, nil
-}

@@ -146,43 +146,6 @@ func TestFig2MeasuredCounts(t *testing.T) {
 	}
 }
 
-// The component identity: 1ᵀ(AA⊗A)1 of the product equals the product of
-// the per-factor values (before any loop removal).
-func TestPerFactorTraceProduct(t *testing.T) {
-	specs := []star.Spec{
-		{Points: 5, Loop: star.LoopHub},
-		{Points: 3, Loop: star.LoopHub},
-	}
-	factors := make([]*sparse.COO[int64], len(specs))
-	for i, s := range specs {
-		factors[i] = s.Adjacency()
-	}
-	perFactor, err := PerFactorTraceProduct(factors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := sparse.KronN(sr, factors...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr := full.ToCSR(sr)
-	aa, err := sparse.MxM(csr, csr, sr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sparse.EWiseMult(aa.ToCOO(), full.Dedupe(sr), sr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole := sparse.ReduceAll(h, sr); whole != perFactor {
-		t.Errorf("product trace %d != per-factor product %d", whole, perFactor)
-	}
-	// And both match the closed form ∏(3m̂+1) = 16·10 = 160.
-	if perFactor != 160 {
-		t.Errorf("per-factor product = %d, want 160", perFactor)
-	}
-}
-
 // Property-style: random symmetric simple graphs — both counters agree.
 func TestRandomGraphsCountersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

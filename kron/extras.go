@@ -36,12 +36,8 @@ func SpectralRadius(d *Design) (float64, error) {
 // --- Structural analysis on realized graphs -------------------------------
 
 // Graph is an analysis view over a realized symmetric adjacency matrix
-// providing BFS, connected components, bipartiteness, triangle enumeration,
-// and betweenness centrality.
+// providing BFS, connected components and degrees.
 type Graph = analyze.Graph
-
-// TriangleList is one enumerated triangle (U < V < W).
-type TriangleList = analyze.Triangle
 
 // Analyze realizes a design (feasible sizes only) and wraps it for
 // structural analysis.

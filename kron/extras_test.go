@@ -50,15 +50,7 @@ func TestAnalyzeThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tris := g.EnumerateTriangles(0)
-	if len(tris) != 15 {
-		t.Errorf("enumerated %d triangles, want 15 (Figure 2 top)", len(tris))
-	}
 	if _, k := g.ConnectedComponents(); k != 1 {
 		t.Errorf("components = %d, want 1", k)
-	}
-	bc := g.BetweennessCentrality()
-	if len(bc) != 24 {
-		t.Errorf("betweenness length %d, want 24", len(bc))
 	}
 }

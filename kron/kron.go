@@ -61,14 +61,11 @@ type StarSpec = star.Spec
 
 // Design is a Kronecker power-law graph design with exact, closed-form
 // properties. See internal/core for the full method set: NumVertices,
-// NumEdges, Triangles, DegreeDistribution, Alpha, Compute, Realize, Split.
+// NumEdges, Triangles, DegreeDistribution, Compute, Realize, Split.
 type Design = core.Design
 
 // Properties bundles a design's exact property set.
 type Properties = core.Properties
-
-// NewDesign builds a design from explicit star specs.
-func NewDesign(factors []StarSpec) (*Design, error) { return core.NewDesign(factors) }
 
 // FromPoints builds a design from m̂ values and a loop mode — the paper's
 // "star graphs with m̂ = {...}" notation.

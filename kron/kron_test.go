@@ -92,23 +92,6 @@ func TestPublicRMATBaseline(t *testing.T) {
 	}
 }
 
-func TestNewDesignWithSpecs(t *testing.T) {
-	d, err := kron.NewDesign([]kron.StarSpec{
-		{Points: 5, Loop: kron.LoopLeaf},
-		{Points: 3, Loop: kron.LoopLeaf},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tri, err := d.Triangles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tri.Int64() != 1 {
-		t.Errorf("triangles = %s, want 1", tri)
-	}
-}
-
 // A fold sink built for fewer workers than the pass runs must fail the pass
 // with an error, not index past its slots inside a generation goroutine
 // (which crashed the whole process).

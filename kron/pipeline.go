@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/graphio"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -59,17 +58,11 @@ func NewChecksum(np int) *Checksum { return pipeline.NewChecksum(np) }
 // one generation pass, K consumers.
 func Tee(sinks ...Sink) Sink { return pipeline.Tee(sinks...) }
 
-// PerWorker returns a Sink routing worker p's runs to sinks[p], giving
-// each generation worker an unshared consumer (per-worker chunk files) with
-// deterministic per-worker output order.
-func PerWorker(sinks ...Sink) Sink { return pipeline.PerWorker(sinks...) }
-
 // Writer wraps an EdgeWriter as a Sink: runs are encoded whole and
 // worker-atomically; Close finishes (binary trailer) or flushes. With one
-// worker — or one Writer per worker via PerWorker — the byte stream is
-// deterministic. The KRNB delta encoder sends the run's block once and the
-// run as a short run frame; other writers get the run expanded into a
-// batch.
+// worker the byte stream is deterministic. The KRNB delta encoder sends the
+// run's block once and the run as a short run frame; other writers get the
+// run expanded into a batch.
 func Writer(ew EdgeWriter) Sink { return pipeline.Writer(ew) }
 
 // BlockRun is the name Run had when sinks took block runs and batches
@@ -99,23 +92,4 @@ func NewTSVEdgeWriter(w io.Writer) *TSVEdgeWriter { return graphio.NewTSVEdgeWri
 // ends, on success and failure alike.
 func StreamTo(ctx context.Context, g *Generator, np, batchSize int, sink Sink) error {
 	return g.StreamTo(ctx, np, batchSize, sink)
-}
-
-// StreamShardTo generates exactly one shard of a deterministic plan into a
-// composable sink — StreamTo's multi-process face.
-func StreamShardTo(ctx context.Context, g *Generator, s ShardInfo, np, batchSize int, sink Sink) error {
-	return g.StreamShardTo(ctx, s, np, batchSize, sink)
-}
-
-// Instrument wraps sink so every run is folded into the named pipeline
-// stage of the process-default stage registry: batches (one per run),
-// edges, and the wall-clock time the wrapped sink spent in WriteRun (its
-// busy time, summed across workers). The wrapper allocates nothing per run,
-// so it can ride any hot path; kronserve's /metrics renders every stage as
-// kronserve_stage_{batches,edges,busy_seconds}_total{stage="<name>"}.
-//
-//	err := kron.StreamTo(ctx, g, np, 0,
-//		kron.Tee(kron.Instrument("writer", kron.Writer(ew)), cnt))
-func Instrument(name string, sink Sink) Sink {
-	return pipeline.Instrument(obs.Stages.Stage(name), sink)
 }

@@ -33,7 +33,7 @@ const (
 )
 
 // BinaryEdgeWriter streams edges in the KRNB framed binary format; it is an
-// EdgeWriter (ready for Writer/PerWorker compositions) and a Finisher.
+// EdgeWriter (ready for Writer) and a Finisher.
 type BinaryEdgeWriter = graphio.BinaryEdgeWriter
 
 // NewBinaryEdgeWriter writes the KRNB header for a stream of exactly nnz
