@@ -1,6 +1,6 @@
 // Micro-benchmarks for the sparse substrate primitives every experiment
-// rests on: Kronecker products, SpGEMM, masked multiply, format conversion,
-// and the two triangle counters.
+// rests on: Kronecker products, masked multiply, format conversion, and the
+// two triangle counters.
 package repro
 
 import (
@@ -44,23 +44,8 @@ func BenchmarkSparseKron(b *testing.B) {
 	}
 }
 
-func BenchmarkSparseMxM(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		a := randomSquare(n, 0.05, 3).ToCSR(benchSR)
-		c := randomSquare(n, 0.05, 4).ToCSR(benchSR)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.MxM(a, c, benchSR); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Masked vs unmasked triangle-pattern multiply: the masked form is the one
-// that keeps hub-heavy Kronecker graphs tractable.
+// Masked triangle-pattern multiply: the masked form is the one that keeps
+// hub-heavy Kronecker graphs tractable.
 func BenchmarkSparseMxMMaskedTriangle(b *testing.B) {
 	d, err := starProduct()
 	if err != nil {

@@ -347,9 +347,7 @@ func fig3(maxWorkers int) error {
 	// Wire formats: encoder throughput over a real band-ordered prefix of
 	// this workload's stream — the component cost of putting edges on the
 	// wire, measured against the enumerated full-process rate (the
-	// stream-to-wire gap). The binary encodings are the KRNB format's
-	// compact (delta-varint) and memory-speed (fixed-width, batches written
-	// as single copies) payloads.
+	// stream-to-wire gap).
 	sample, err := sampleEdges(g, 1<<20)
 	if err != nil {
 		return err
@@ -361,13 +359,7 @@ func fig3(maxWorkers int) error {
 		return err
 	}
 	binDeltaRate, err := benchWire(sample, func() (graphio.EdgeWriter, error) {
-		return kron.NewBinaryEdgeWriter(io.Discard, -1, kron.BinaryDelta)
-	})
-	if err != nil {
-		return err
-	}
-	binFixedRate, err := benchWire(sample, func() (graphio.EdgeWriter, error) {
-		return kron.NewBinaryEdgeWriter(io.Discard, -1, kron.BinaryFixed)
+		return graphio.NewBinaryEdgeWriter(io.Discard, -1)
 	})
 	if err != nil {
 		return err
@@ -394,22 +386,18 @@ func fig3(maxWorkers int) error {
 		return err
 	}
 	replayBytesPerEdge := float64(len(replayed)) / float64(g.NumEdges())
-	countToWire := fullRate / binFixedRate
 	deltaRatio := replayRate / fullRate
 	fmt.Printf("\nwire-format encoder throughput (%d-edge band-ordered sample):\n", len(sample))
 	fmt.Printf("%-14s %-14s\n", "format", "edges/s")
 	fmt.Printf("%-14s %-14.3e\n", "tsv", tsvRate)
 	fmt.Printf("%-14s %-14.3e (per-edge encode)\n", "bin/delta", binDeltaRate)
 	fmt.Printf("%-14s %-14.3e (decode, %.2fx the delta encode)\n", "bin/delta read", binDeltaReadRate, binDeltaReadRate/binDeltaRate)
-	fmt.Printf("%-14s %-14.3e (enumerated count rate / wire rate = %.2f)\n", "bin/fixed", binFixedRate, countToWire)
 	fmt.Printf("%-14s %-14.3e (end-to-end generate+encode, %.2fx enumerated count rate)\n", "bin/replay", replayRate, deltaRatio)
 	fmt.Printf("%-14s %-14.3e (decode, %.2fx the edge-frame decode; %.4f bytes/edge)\n", "bin/replay read", replayReadRate, replayReadRate/binDeltaReadRate, replayBytesPerEdge)
 	recordBench("tsvWireEdgesPerSec", tsvRate)
 	recordBench("binDeltaWireEdgesPerSec", binDeltaRate)
 	recordBench("binDeltaReadEdgesPerSec", binDeltaReadRate)
 	recordBench("deltaReadToWriteRatio", binDeltaReadRate/binDeltaRate)
-	recordBench("binWireEdgesPerSec", binFixedRate)
-	recordBench("countToWireRatio", countToWire)
 	recordBench("deltaReplayWireEdgesPerSec", replayRate)
 	recordBench("deltaWireToCountRatio", deltaRatio)
 	recordBench("binDeltaReplayReadEdgesPerSec", replayReadRate)
@@ -425,7 +413,6 @@ func fig3(maxWorkers int) error {
 		{Series: "tsv", EdgesPerSec: tsvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDelta", EdgesPerSec: binDeltaRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDeltaRead", EdgesPerSec: binDeltaReadRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
-		{Series: "binFixed", EdgesPerSec: binFixedRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDeltaReplay", EdgesPerSec: replayRate, Gomaxprocs: gmp, BatchEdges: replayBatch},
 		{Series: "binDeltaReplayRead", EdgesPerSec: replayReadRate, Gomaxprocs: gmp, BatchEdges: replayBatch},
 	})
@@ -545,7 +532,7 @@ func benchWire(sample []gen.Edge, newWriter func() (graphio.EdgeWriter, error)) 
 // the sample is encoded once into memory, then decoded by benchRead.
 func benchDeltaRead(sample []gen.Edge) (float64, error) {
 	var buf bytes.Buffer
-	w, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(sample)), graphio.BinaryDelta)
+	w, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(sample)))
 	if err != nil {
 		return 0, err
 	}
@@ -604,7 +591,7 @@ type wireSeries struct {
 func benchReplayWire(g *gen.Generator) (float64, []byte, error) {
 	const minDur = 300 * time.Millisecond
 	pass := func(w io.Writer) (int64, error) {
-		ew, err := graphio.NewBinaryEdgeWriter(w, g.NumEdges(), graphio.BinaryDelta)
+		ew, err := graphio.NewBinaryEdgeWriter(w, g.NumEdges())
 		if err != nil {
 			return 0, err
 		}

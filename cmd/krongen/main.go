@@ -1,9 +1,9 @@
 // Command krongen generates a designed Kronecker graph in parallel with no
 // inter-worker communication (Section V) and either reports the generation
 // rate or streams one edge chunk per worker, edges_<pppp>.tsv (-format tsv,
-// the default) or edges_<pppp>.bin (-format bin or binfixed: the KRNB binary
-// wire format, whose trailer carries the chunk's edge count and XOR
-// checksum). The graph is never materialized.
+// the default) or edges_<pppp>.bin (-format bin: the KRNB binary wire
+// format, whose trailer carries the chunk's edge count and XOR checksum).
+// The graph is never materialized.
 //
 // Usage:
 //
@@ -50,7 +50,7 @@ func run(args []string) (err error) {
 	workers := fs.Int("workers", 1, "parallel workers (simulated processors)")
 	count := fs.Bool("count", false, "stream-generate and report the edge rate instead of storing")
 	stream := fs.String("stream", "", "directory to stream per-worker edge chunks into, edges_<pppp>.tsv or .bin (never materializes)")
-	format := fs.String("format", "tsv", "-stream chunk format: tsv, bin (binary delta-varint), or binfixed (binary fixed-width)")
+	format := fs.String("format", "tsv", "-stream chunk format: tsv or bin (KRNB binary)")
 	shardSpec := fs.String("shard", "", "generate only shard k of the deterministic K-shard plan, as k/K (e.g. 0/4); applies to -count and -stream")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -145,18 +145,10 @@ func run(args []string) (err error) {
 // chunk's header also carries the design-time exact edge count, so the file
 // is verifiable on its own (kronvalidate -in).
 func streamChunks(g *gen.Generator, shard *gen.ShardInfo, workers int, dir, format string) error {
-	var enc graphio.BinaryEncoding
-	binary := true
-	switch format {
-	case "tsv":
-		binary = false
-	case "bin":
-		enc = graphio.BinaryDelta
-	case "binfixed":
-		enc = graphio.BinaryFixed
-	default:
-		return fmt.Errorf("unknown -format %q (want tsv, bin, or binfixed)", format)
+	if format != "tsv" && format != "bin" {
+		return fmt.Errorf("unknown -format %q (want tsv or bin)", format)
 	}
+	binary := format == "bin"
 	// A multi-worker chunk covers an unpredictable share of the stream, so
 	// its header omits nnz; a single chunk is the whole (shard's) stream,
 	// whose exact count is known before generation.
@@ -193,7 +185,7 @@ func streamChunks(g *gen.Generator, shard *gen.ShardInfo, workers int, dir, form
 		}
 		files[p] = f
 		if binary {
-			ew, err := graphio.NewBinaryEdgeWriter(f, chunkNNZ, enc)
+			ew, err := graphio.NewBinaryEdgeWriter(f, chunkNNZ)
 			if err != nil {
 				return err
 			}
@@ -204,9 +196,9 @@ func streamChunks(g *gen.Generator, shard *gen.ShardInfo, workers int, dir, form
 	}
 	counter := pipeline.NewCounter(workers)
 	// Every format runs the generator's one loop over B triples; only the
-	// writer differs. A delta writer sends each C block once and every run
-	// as a run frame, tsv and binfixed writers expand each run into edges,
-	// and the counter adds each run's length.
+	// writer differs. A bin writer sends each C block once and every run
+	// as a run frame, a tsv writer expands each run into edges, and the
+	// counter adds each run's length.
 	sink := pipeline.Tee(pipeline.PerWorker(sinks...), counter)
 	start := time.Now()
 	var err error

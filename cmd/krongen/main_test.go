@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,23 +26,20 @@ func TestRunSurfacesProfileWriteFailure(t *testing.T) {
 	}
 }
 
-// TestStreamBinaryMatchesTSV is the CLI conformance check mandated by the
-// wire-format work: the same design streamed with -format bin (and binfixed)
-// decodes to exactly the TSV stream's edges, per worker file and in order,
+// TestStreamBinaryMatchesTSV is the CLI conformance check of the wire
+// format: the same design streamed with -format bin decodes to exactly the
+// TSV stream's edges, per worker file and in order,
 // and the XOR of the chunks' trailer checksums equals the checksum the
 // count-only engine computes for the design — the wire carries precisely
 // what the design predicts.
 func TestStreamBinaryMatchesTSV(t *testing.T) {
 	const workers = 2
 	args := []string{"-mhat", "3,4,5", "-loop", "hub", "-split", "2", "-workers", strconv.Itoa(workers), "-stream"}
-	tsvDir, binDir, fixedDir := t.TempDir(), t.TempDir(), t.TempDir()
+	tsvDir, binDir := t.TempDir(), t.TempDir()
 	if err := run(append(args, tsvDir)); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(append(args, binDir, "-format", "bin")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(args, fixedDir, "-format", "binfixed")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -58,36 +56,34 @@ func TestStreamBinaryMatchesTSV(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, binRoot := range []string{binDir, fixedDir} {
-		var total, checksum int64
-		for p := 0; p < workers; p++ {
-			wantEdges := readTSVChunk(t, filepath.Join(tsvDir, fmt.Sprintf("edges_%04d.tsv", p)))
-			raw, err := os.ReadFile(filepath.Join(binRoot, fmt.Sprintf("edges_%04d.bin", p)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []graphio.Edge
-			info, err := graphio.ReadBinary(context.Background(), bytes.NewReader(raw), func(batch []graphio.Edge) error {
-				got = append(got, batch...)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s chunk %d: %v", binRoot, p, err)
-			}
-			if len(got) != len(wantEdges) {
-				t.Fatalf("chunk %d: binary carries %d edges, tsv %d", p, len(got), len(wantEdges))
-			}
-			for i := range got {
-				if got[i] != wantEdges[i] {
-					t.Fatalf("chunk %d edge %d: binary %+v, tsv %+v", p, i, got[i], wantEdges[i])
-				}
-			}
-			total += info.Edges
-			checksum ^= info.Checksum
+	var total, checksum int64
+	for p := 0; p < workers; p++ {
+		wantEdges := readTSVChunk(t, filepath.Join(tsvDir, fmt.Sprintf("edges_%04d.tsv", p)))
+		raw, err := os.ReadFile(filepath.Join(binDir, fmt.Sprintf("edges_%04d.bin", p)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if total != wantTotal || checksum != wantSum {
-			t.Fatalf("%s: chunks fold to %d/%x, design counts %d/%x", binRoot, total, checksum, wantTotal, wantSum)
+		var got []graphio.Edge
+		info, err := graphio.ReadBinary(context.Background(), bytes.NewReader(raw), func(batch []graphio.Edge) error {
+			got = append(got, batch...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("chunk %d: %v", p, err)
 		}
+		if len(got) != len(wantEdges) {
+			t.Fatalf("chunk %d: binary carries %d edges, tsv %d", p, len(got), len(wantEdges))
+		}
+		for i := range got {
+			if got[i] != wantEdges[i] {
+				t.Fatalf("chunk %d edge %d: binary %+v, tsv %+v", p, i, got[i], wantEdges[i])
+			}
+		}
+		total += info.Edges
+		checksum ^= info.Checksum
+	}
+	if total != wantTotal || checksum != wantSum {
+		t.Fatalf("chunks fold to %d/%x, design counts %d/%x", total, checksum, wantTotal, wantSum)
 	}
 }
 
@@ -151,12 +147,24 @@ func TestStreamSingleWorkerBinaryCarriesNNZ(t *testing.T) {
 }
 
 // TestFormatRequiresStream pins the flag contract: -format means nothing
-// outside -stream mode and silently ignoring it would mislead.
+// outside -stream mode and silently ignoring it would mislead, and a format
+// other than tsv or bin, the retired binfixed included, fails before any
+// chunk file is created.
 func TestFormatRequiresStream(t *testing.T) {
-	if err := run([]string{"-mhat", "3,4", "-loop", "hub", "-count", "-format", "bin"}); err == nil {
-		t.Fatal("-format bin accepted with -count")
-	}
-	if err := run([]string{"-mhat", "3,4", "-loop", "hub", "-stream", t.TempDir(), "-format", "bogus"}); err == nil {
-		t.Fatal("unknown -format accepted")
+	out := filepath.Join(t.TempDir(), "chunks")
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"bin with -count", []string{"-count", "-format", "bin"}},
+		{"unknown format", []string{"-stream", out, "-format", "bogus"}},
+		{"retired binfixed", []string{"-stream", out, "-format", "binfixed"}},
+	} {
+		if err := run(append([]string{"-mhat", "3,4", "-loop", "hub"}, c.args...)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: %s exists after the run failed (stat: %v)", c.name, out, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func streamChunkFiles(t *testing.T) (tsvPath, binPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ew, err := graphio.NewBinaryEdgeWriter(bf, g.NumEdges(), graphio.BinaryDelta)
+	ew, err := graphio.NewBinaryEdgeWriter(bf, g.NumEdges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +101,11 @@ func rewriteTSVEdge(t *testing.T, path string, edit func(row, col, val int64) (s
 }
 
 // TestValidateStreamsDetectsMismatch: a stream from a different design must
-// fail reconciliation, a truncated binary stream must fail its own framing
-// check before any counting happens, and an edge that is not a 0/1 entry
-// between two of the design's vertices must be rejected even when the count
-// and checksum still agree.
+// fail reconciliation, a truncated binary stream and one flagged with the
+// retired fixed-width encoding must fail their own framing checks before
+// any counting happens, and an edge that is not a 0/1 entry between two of
+// the design's vertices must be rejected even when the count and checksum
+// still agree.
 func TestValidateStreamsDetectsMismatch(t *testing.T) {
 	tsvPath, binPath := streamChunkFiles(t)
 	if err := run(context.Background(), []string{"-mhat", "3,4", "-loop", "hub", "-in", binPath}); err == nil {
@@ -120,6 +122,16 @@ func TestValidateStreamsDetectsMismatch(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-mhat", "3,4,5", "-loop", "hub", "-split", "2", "-in", cut}); err == nil {
 		t.Fatal("truncated binary stream validated")
+	}
+	fixed := bytes.Clone(raw)
+	fixed[5] |= 1 // the header flag bit that marked a fixed-width stream
+	fixedPath := filepath.Join(t.TempDir(), "fixed.bin")
+	if err := os.WriteFile(fixedPath, fixed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), []string{"-mhat", "3,4,5", "-loop", "hub", "-split", "2", "-in", fixedPath})
+	if !errors.Is(err, graphio.ErrBinaryCorrupt) || !strings.Contains(err.Error(), "fixed-width") {
+		t.Fatalf("fixed-width chunk: err = %v, want ErrBinaryCorrupt naming the fixed-width encoding", err)
 	}
 
 	// The same edges written as KRNB edge frames, one carrying value 2.
@@ -140,7 +152,7 @@ func TestValidateStreamsDetectsMismatch(t *testing.T) {
 	}
 	edges[0].Val = 2
 	var buf bytes.Buffer
-	ew, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(edges)), graphio.BinaryDelta)
+	ew, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(edges)))
 	if err != nil {
 		t.Fatal(err)
 	}

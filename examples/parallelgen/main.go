@@ -1,23 +1,24 @@
 // Parallel generation: the Section V algorithm end to end. A design is
 // split into A = B ⊗ C; each simulated processor takes an equal slice of
 // B's triples and locally forms Ap = Bp ⊗ C with no communication. The
-// example shows the per-worker load balance, writes one edge-list chunk per
+// example shows the per-worker load balance, streams one edge-list chunk per
 // worker (the natural distributed output), reads the chunks back, and
-// checks the reassembled graph's edge count against the design — then
-// sweeps the worker count to show Figure 3's linear scaling shape.
+// checks their summed edge count against the design — then sweeps the
+// worker count to show Figure 3's linear scaling shape.
 package main
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
-	"repro/internal/gen"
 	"repro/internal/graphio"
-	"repro/internal/sparse"
+	"repro/internal/pipeline"
 	"repro/kron"
 )
 
@@ -45,31 +46,43 @@ func main() {
 			p.Worker, p.Ap.NNZ(), p.ColOffset)
 	}
 
-	// Write one chunk per worker, as a distributed run would, then read the
-	// chunks back and verify the total.
+	// Stream one chunk per worker, as krongen -stream does: each worker
+	// writes its own file, with no coordination. Then read the chunks back
+	// and verify the total.
 	dir, err := os.MkdirTemp("", "krongen")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	global := make([]*sparse.COO[int64], len(parts))
-	for i, p := range parts {
-		m, err := g.Assemble([]gen.Part{p})
+	files := make([]*os.File, np)
+	sinks := make([]pipeline.Sink, np)
+	for p := range files {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("edges_%04d.tsv", p)))
 		if err != nil {
 			log.Fatal(err)
 		}
-		global[i] = m
+		files[p] = f
+		sinks[p] = pipeline.Writer(graphio.NewTSVEdgeWriter(f))
 	}
-	paths, err := graphio.WriteChunks(dir, "edges", global)
-	if err != nil {
+	if err := g.StreamTo(context.Background(), np, 0, pipeline.PerWorker(sinks...)); err != nil {
 		log.Fatal(err)
 	}
-	whole, err := graphio.ReadChunks(paths, int(g.NumVertices()), int(g.NumVertices()))
-	if err != nil {
-		log.Fatal(err)
+	total := 0
+	for _, f := range files {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			log.Fatal(err)
+		}
+		m, err := graphio.ReadTSV(f, int(g.NumVertices()), int(g.NumVertices()))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		total += m.NNZ()
 	}
 	fmt.Printf("\nwrote and re-read %d chunks: %d edges total (design says %d)\n",
-		len(paths), whole.NNZ(), g.NumEdges())
+		len(files), total, g.NumEdges())
 
 	// Rate sweep: the Figure 3 experiment shape.
 	fmt.Println("\nedge generation rate vs workers:")

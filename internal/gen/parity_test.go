@@ -3,8 +3,10 @@ package gen_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,7 +29,7 @@ import (
 // parityCase is one row.
 type parityCase struct {
 	sink  string // sink composition under test; see newSubject
-	enc   string // wire encoding: "tsv", "delta", "delta-oracle" (replay off), "fixed"
+	enc   string // wire encoding: "tsv", "delta", "delta-oracle" (replay off), "fixed" (edge frames only; see edgeFrames)
 	loop  star.LoopMode
 	k     int // shard plan size
 	batch int // run length; batchOverC stands for nnz(C)+1
@@ -220,7 +222,8 @@ func (r *recorder) check(t *testing.T, batch int, loop [2]int64) *shardGot {
 // encoding, checks replayed delta bytes against the per-edge oracle's, and
 // round-trips the bytes through the reader: decoded edges must equal the
 // expanded runs, and a KRNB trailer must carry the plan's count and
-// checksum.
+// checksum. An edge-frame stream whose header claims the retired
+// fixed-width encoding must be refused before any edge reaches emit.
 func (got *shardGot) checkWire(t *testing.T, enc string, s gen.ShardInfo) {
 	t.Helper()
 	var edges, sum int64
@@ -231,6 +234,15 @@ func (got *shardGot) checkWire(t *testing.T, enc string, s gen.ShardInfo) {
 			other := map[string]string{"delta": "delta-oracle", "delta-oracle": "delta"}[enc]
 			if !bytes.Equal(data, encodeRuns(t, other, runs)) {
 				t.Fatalf("worker %d: replayed delta bytes differ from the per-edge oracle's", p)
+			}
+		case "fixed":
+			old := slices.Clone(data)
+			old[5] |= 1 // header flags bit 0: the retired fixed-width encoding
+			_, err := graphio.ReadBinary(context.Background(), bytes.NewReader(old), func(batch []gen.Edge) error {
+				return fmt.Errorf("emitted %d edges", len(batch))
+			})
+			if !errors.Is(err, graphio.ErrBinaryCorrupt) || !strings.Contains(err.Error(), "fixed-width") {
+				t.Fatalf("worker %d: stream flagged fixed-width read as %v, want ErrBinaryCorrupt naming the encoding", p, err)
 			}
 		}
 		dec, info := decode(t, enc, data)
@@ -254,17 +266,27 @@ func newWriter(t *testing.T, enc string, w *bytes.Buffer, nnz int64) graphio.Edg
 	if enc == "tsv" {
 		return graphio.NewTSVEdgeWriter(w)
 	}
-	e := graphio.BinaryDelta
-	if enc == "fixed" {
-		e = graphio.BinaryFixed
-	}
-	bw, err := graphio.NewBinaryEdgeWriter(w, nnz, e)
+	bw, err := graphio.NewBinaryEdgeWriter(w, nnz)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bw.SetBlockReplay(enc != "delta-oracle")
+	if enc == "fixed" {
+		return edgeFrames{bw}
+	}
 	return bw
 }
+
+// edgeFrames is a KRNB writer without its WriteRun, so pipeline.Writer
+// expands every run into a WriteEdges batch and the stream carries edge
+// frames only: the frame layout of the retired fixed-width encoding, in
+// delta records.
+type edgeFrames struct{ bw *graphio.BinaryEdgeWriter }
+
+func (e edgeFrames) WriteEdges(batch []gen.Edge) error { return e.bw.WriteEdges(batch) }
+func (e edgeFrames) Comment(text string) error         { return e.bw.Comment(text) }
+func (e edgeFrames) Flush() error                      { return e.bw.Flush() }
+func (e edgeFrames) Finish() error                     { return e.bw.Finish() }
 
 func encodeRuns(t *testing.T, enc string, runs []pipeline.Run) []byte {
 	t.Helper()

@@ -19,7 +19,7 @@ import (
 func deltaShardStream(t *testing.T, g *Generator, s ShardInfo, batchSize int, replay bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	ew, err := graphio.NewBinaryEdgeWriter(&buf, s.Edges, graphio.BinaryDelta)
+	ew, err := graphio.NewBinaryEdgeWriter(&buf, s.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func decodeBinary(t *testing.T, data []byte) ([]Edge, *graphio.BinaryInfo) {
 func edgeFrameStream(t *testing.T, nnz int64, edges []Edge) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	ew, err := graphio.NewBinaryEdgeWriter(&buf, nnz, graphio.BinaryDelta)
+	ew, err := graphio.NewBinaryEdgeWriter(&buf, nnz)
 	if err != nil {
 		t.Fatal(err)
 	}

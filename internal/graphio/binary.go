@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"unsafe"
 )
 
 // The kron binary edge format ("KRNB") is the wire-speed alternative to the
@@ -21,7 +20,7 @@ import (
 // byte, so a complete stream is verifiable against its design and a
 // truncated or damaged one is detected on read.
 //
-// Delta streams also carry the Kronecker structure itself: a shared block
+// The stream also carries the Kronecker structure itself: a shared block
 // (for K = B ⊗ C, the edges of C) crosses the wire once, as a block frame,
 // and each run over it is a run frame of a few varints that the reader
 // expands from its copy of the block.
@@ -30,25 +29,25 @@ import (
 //
 //	header  := "KRNB" version:byte flags:byte [nnz:uvarint]
 //	           version = 2
-//	           flags bit0 = fixed-width encoding (else delta-varint)
+//	           flags bit0 = reserved: it marked the retired fixed-width
+//	           encoding, and a stream that sets it is rejected
 //	           flags bit1 = nnz field present (design-time exact edge count)
 //	frame   := tag:uvarint body, tag = count<<2 | kind
-//	  kind 0, count >= 1: edge frame, count records (delta or fixed)
-//	  kind 1, count >= 1: block frame (delta streams only): id:uvarint, then
-//	           count delta records of the block in block-local coordinates;
+//	  kind 0, count >= 1: edge frame, count records
+//	  kind 1, count >= 1: block frame: id:uvarint, then
+//	           count records of the block in block-local coordinates;
 //	           ids run 0, 1, 2, ... in stream order
-//	  kind 2, count >= 1: run frame (delta streams only): id:uvarint
+//	  kind 2, count >= 1: run frame: id:uvarint
 //	           lo:uvarint zig(rowBase) zig(colBase) = edges [lo, lo+count)
 //	           of block id, each shifted by (rowBase, colBase)
 //	  kind 3: reserved, corrupt
 //	  tag 0:  trailer follows; no further frames
-//	record (delta) := zig(row-prevRow) zig(col-prevCol) zig(val)
+//	record  := zig(row-prevRow) zig(col-prevCol) zig(val)
 //	           prev resets to (0, 0) at each frame start, so every frame
 //	           decodes independently; band-ordered streams (rows banded,
 //	           columns sorted within rows) make the deltas 1-2 bytes each.
 //	           A block record's value must be 1 and its coordinates in
 //	           [0, 2^31).
-//	record (fixed) := row:int64le col:int64le val:int64le
 //	trailer := edges:uvarint checksum:uint64le crc:uint32le
 //	           edges is the actual count written; checksum is the XOR fold
 //	           (two's-complement bit pattern); crc is the CRC-32C
@@ -72,39 +71,14 @@ var (
 	ErrBinaryCorrupt = errors.New("graphio: corrupt binary edge stream")
 )
 
-// BinaryEncoding selects the payload encoding of a binary edge stream.
-type BinaryEncoding uint8
-
-const (
-	// BinaryDelta encodes each edge as zig-zag varint deltas from the
-	// previous edge — the compact wire default (a band-ordered stream costs
-	// a few bytes per edge instead of 24).
-	BinaryDelta BinaryEncoding = iota
-	// BinaryFixed encodes each edge as three little-endian int64s, in edge
-	// frames only. It is the widest encoding and not the fastest: on
-	// little-endian hardware a batch is written as one memory copy, but
-	// every edge crosses the wire, while a delta stream sends each block
-	// once and each run over it as a short run frame, which kronbench fig3
-	// measures encoding and decoding several times faster. Records have a
-	// fixed stride only within a frame; each frame starts with a varint
-	// tag, so a reader still parses frames.
-	BinaryFixed
-)
-
-// String names the encoding as the CLI flags spell it.
-func (e BinaryEncoding) String() string {
-	if e == BinaryFixed {
-		return "fixed"
-	}
-	return "delta"
-}
-
 const (
 	binaryMagic   = "KRNB"
 	binaryVersion = 2
 
-	binFlagFixed  = 1 << 0
-	binFlagHasNNZ = 1 << 1
+	// binFlagRetiredFixed marked the fixed-width encoding, which is no
+	// longer written or read.
+	binFlagRetiredFixed = 1 << 0
+	binFlagHasNNZ       = 1 << 1
 
 	// Frame kinds, the low two bits of a frame tag.
 	frameEdges = 0
@@ -114,44 +88,7 @@ const (
 	// blockCoordMax bounds a block frame's coordinates, so a decoder can
 	// store each block edge as two int32s.
 	blockCoordMax = 1<<31 - 1
-
-	// edgeWireBytes is the fixed encoding's record size: three int64 fields.
-	edgeWireBytes = 24
-
-	// directWriteBytes is the fixed-encoding threshold above which a batch
-	// payload bypasses the scratch buffer and is written straight from the
-	// batch's own memory (little-endian hosts only): one frame header, one
-	// Write, zero copies inside the encoder.
-	directWriteBytes = 1 << 12
 )
-
-// Compile-time layout guards for the zero-copy fixed path: Edge must be
-// exactly three consecutive int64s with no padding, or the direct cast of a
-// batch to bytes would not be the wire encoding.
-var (
-	_ [unsafe.Sizeof(Edge{}) - edgeWireBytes]struct{}
-	_ [edgeWireBytes - unsafe.Sizeof(Edge{})]struct{}
-	_ [unsafe.Offsetof(Edge{}.Row) - 0]struct{}
-	_ [unsafe.Offsetof(Edge{}.Col) - 8]struct{}
-	_ [8 - unsafe.Offsetof(Edge{}.Col)]struct{}
-	_ [unsafe.Offsetof(Edge{}.Val) - 16]struct{}
-	_ [16 - unsafe.Offsetof(Edge{}.Val)]struct{}
-)
-
-// hostIsLittleEndian gates the zero-copy paths; big-endian hosts fall back
-// to the portable per-field encoder, producing identical bytes.
-var hostIsLittleEndian = func() bool {
-	var probe [2]byte
-	binary.NativeEndian.PutUint16(probe[:], 0x0102)
-	return probe[0] == 0x02
-}()
-
-// edgesToBytes reinterprets a batch as its fixed-encoding wire bytes. Valid
-// only on little-endian hosts (the layout guards above pin the record
-// shape). The returned slice aliases the batch and must not outlive it.
-func edgesToBytes(batch []Edge) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(&batch[0])), len(batch)*edgeWireBytes)
-}
 
 // zigzag folds a signed value into the unsigned varint space (0, -1, 1, -2
 // → 0, 1, 2, 3) so small deltas of either sign stay one byte.
@@ -205,20 +142,15 @@ type Finisher interface {
 
 // BinaryEdgeWriter streams edges in the KRNB framed binary format. The
 // header — magic, version, flags, and the design-time exact edge count — is
-// written at construction; edge frames are cut at batch boundaries (large
-// batches) or when the pending payload fills a chunk (small batches), runs
-// become block and run frames (WriteRun), and Finish writes the trailer
-// carrying the actual count, XOR checksum and CRC-32C. WriteEdges and
-// WriteRun are allocation-free at steady state; in the fixed encoding on
-// little-endian hosts a large batch goes to the underlying writer directly
-// from the batch's memory, so the encode cost is one checksum fold, one CRC
-// pass and one Write.
+// written at construction; edge frames are cut when the pending payload
+// fills a chunk, runs become block and run frames (WriteRun), and Finish
+// writes the trailer carrying the actual count, XOR checksum and CRC-32C.
+// WriteEdges and WriteRun are allocation-free at steady state.
 type BinaryEdgeWriter struct {
-	// w is the underlying writer behind the CRC: every byte, buffered or
-	// written directly, passes through it.
-	w   crcWriter
-	bw  *bufio.Writer
-	enc BinaryEncoding
+	// w is the underlying writer behind the CRC: every byte passes through
+	// it.
+	w  crcWriter
+	bw *bufio.Writer
 
 	// scratch holds the encoded payload of the pending (not yet framed)
 	// edges; pending counts them. Deltas reset at frame start, so prevRow
@@ -249,21 +181,14 @@ type BinaryEdgeWriter struct {
 // NewBinaryEdgeWriter writes the KRNB header for a stream of exactly nnz
 // edges (the design-time count; pass nnz < 0 when it is not known, e.g. a
 // per-worker chunk of a larger stream) and returns the edge encoder.
-func NewBinaryEdgeWriter(w io.Writer, nnz int64, enc BinaryEncoding) (*BinaryEdgeWriter, error) {
-	if enc != BinaryDelta && enc != BinaryFixed {
-		return nil, fmt.Errorf("graphio: unknown binary encoding %d", enc)
-	}
+func NewBinaryEdgeWriter(w io.Writer, nnz int64) (*BinaryEdgeWriter, error) {
 	b := &BinaryEdgeWriter{
 		w:       crcWriter{w: w},
-		enc:     enc,
 		scratch: make([]byte, 0, edgeChunk+64),
 	}
 	b.bw = bufio.NewWriter(&b.w)
 	hdr := append(make([]byte, 0, 16), binaryMagic...)
 	flags := byte(0)
-	if enc == BinaryFixed {
-		flags |= binFlagFixed
-	}
 	if nnz >= 0 {
 		flags |= binFlagHasNNZ
 	}
@@ -296,22 +221,13 @@ func (b *BinaryEdgeWriter) emitFrame() error {
 
 // appendEdge encodes one edge onto the pending frame's scratch payload.
 func (b *BinaryEdgeWriter) appendEdge(row, col, val int64) {
-	if b.enc == BinaryFixed {
-		b.scratch = binary.LittleEndian.AppendUint64(b.scratch, uint64(row))
-		b.scratch = binary.LittleEndian.AppendUint64(b.scratch, uint64(col))
-		b.scratch = binary.LittleEndian.AppendUint64(b.scratch, uint64(val))
-	} else {
-		b.scratch = appendDelta(b.scratch, Edge{Row: b.prevRow, Col: b.prevCol}, Edge{Row: row, Col: col, Val: val})
-		b.prevRow, b.prevCol = row, col
-	}
+	b.scratch = appendDelta(b.scratch, Edge{Row: b.prevRow, Col: b.prevCol}, Edge{Row: row, Col: col, Val: val})
+	b.prevRow, b.prevCol = row, col
 	b.pending++
 }
 
-// WriteEdges encodes a whole batch. In the fixed encoding on little-endian
-// hosts a batch above the direct-write threshold becomes one frame written
-// straight from the batch's memory — no encode, no copy; otherwise edges are
-// appended to the pending frame and framed at chunk boundaries. Zero
-// allocations at steady state on every path.
+// WriteEdges encodes a whole batch: edges are appended to the pending frame
+// and framed at chunk boundaries. Zero allocations at steady state.
 func (b *BinaryEdgeWriter) WriteEdges(batch []Edge) error {
 	if b.finished {
 		return fmt.Errorf("graphio: WriteEdges after Finish on binary edge stream")
@@ -321,24 +237,6 @@ func (b *BinaryEdgeWriter) WriteEdges(batch []Edge) error {
 	}
 	b.checksum = foldChecksum(b.checksum, batch)
 	b.count += int64(len(batch))
-	if b.enc == BinaryFixed && hostIsLittleEndian && len(batch)*edgeWireBytes >= directWriteBytes {
-		// One frame, written from the batch's own memory. The pending frame
-		// (if any) must go first to keep frame order = edge order.
-		if err := b.emitFrame(); err != nil {
-			return err
-		}
-		n := binary.PutUvarint(b.hdrBuf[:], uint64(len(batch))<<2|frameEdges)
-		if _, err := b.bw.Write(b.hdrBuf[:n]); err != nil {
-			return err
-		}
-		// Bypass the bufio copy: flush what is buffered, then hand the cast
-		// payload to the underlying writer in one call.
-		if err := b.bw.Flush(); err != nil {
-			return err
-		}
-		_, err := b.w.Write(edgesToBytes(batch))
-		return err
-	}
 	for _, e := range batch {
 		b.appendEdge(e.Row, e.Col, e.Val)
 		if len(b.scratch) >= edgeChunk {
@@ -407,8 +305,6 @@ type BinaryInfo struct {
 	// NNZ is the header's design-time exact edge count, -1 when the writer
 	// did not know it (per-worker chunks of a larger stream).
 	NNZ int64
-	// Encoding is the payload encoding the stream used.
-	Encoding BinaryEncoding
 	// Edges is the trailer's actual edge count.
 	Edges int64
 	// Checksum is the trailer's XOR content fold, directly comparable to
@@ -486,13 +382,13 @@ func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error)
 		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBinaryCorrupt, hdr[4], binaryVersion)
 	}
 	flags := hdr[5]
-	if flags&^(binFlagFixed|binFlagHasNNZ) != 0 {
+	if flags&binFlagRetiredFixed != 0 {
+		return nil, fmt.Errorf("%w: unknown flags %#x (fixed-width streams are no longer read)", ErrBinaryCorrupt, flags)
+	}
+	if flags&^binFlagHasNNZ != 0 {
 		return nil, fmt.Errorf("%w: unknown flags %#x", ErrBinaryCorrupt, flags)
 	}
-	info := &BinaryInfo{NNZ: -1, Encoding: BinaryDelta}
-	if flags&binFlagFixed != 0 {
-		info.Encoding = BinaryFixed
-	}
+	info := &BinaryInfo{NNZ: -1}
 	if flags&binFlagHasNNZ != 0 {
 		nnz, err := d.readUvarint()
 		if err != nil || nnz > 1<<62 {
@@ -530,8 +426,6 @@ func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error)
 		switch {
 		case n == 0 || kind > frameRun:
 			return nil, fmt.Errorf("%w: bad frame tag %#x", ErrBinaryCorrupt, tag)
-		case kind != frameEdges && info.Encoding == BinaryFixed:
-			return nil, fmt.Errorf("%w: block or run frame in a fixed-width stream", ErrBinaryCorrupt)
 		case kind != frameBlock && info.NNZ >= 0 && n > uint64(info.NNZ)-framed:
 			return nil, fmt.Errorf("%w: frame of %d edges passes the header's %d after %d", ErrBinaryCorrupt, n, info.NNZ, framed)
 		}
@@ -577,11 +471,6 @@ func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error)
 			}
 			framed += n
 			if err := out.expand(blk, int(f[1]), int(n), unzigzag(f[2]), unzigzag(f[3])); err != nil {
-				return nil, err
-			}
-		case info.Encoding == BinaryFixed:
-			framed += n
-			if err := d.readFixedFrame(int64(n), &out.batch, out.flush); err != nil {
 				return nil, err
 			}
 		default:
@@ -740,43 +629,6 @@ func (d *binReader) readUvarints(dst []uint64) error {
 		}
 	}
 	d.consume(win, i)
-	return nil
-}
-
-// readFixedFrame decodes n fixed-width records, emitting as the batch fills.
-// On little-endian hosts records are read straight into the batch's memory.
-func (d *binReader) readFixedFrame(n int64, batch *[]Edge, flush func() error) error {
-	for n > 0 {
-		if len(*batch) == cap(*batch) {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		take := min(n, int64(cap(*batch)-len(*batch)))
-		lo := len(*batch)
-		*batch = (*batch)[:lo+int(take)]
-		dst := (*batch)[lo:]
-		if hostIsLittleEndian {
-			if err := d.readFull(edgesToBytes(dst)); err != nil {
-				*batch = (*batch)[:lo]
-				return fmt.Errorf("%w: fixed frame cut short: %v", ErrBinaryTruncated, err)
-			}
-		} else {
-			var rec [edgeWireBytes]byte
-			for i := range dst {
-				if err := d.readFull(rec[:]); err != nil {
-					*batch = (*batch)[:lo+i]
-					return fmt.Errorf("%w: fixed frame cut short: %v", ErrBinaryTruncated, err)
-				}
-				dst[i] = Edge{
-					Row: int64(binary.LittleEndian.Uint64(rec[0:8])),
-					Col: int64(binary.LittleEndian.Uint64(rec[8:16])),
-					Val: int64(binary.LittleEndian.Uint64(rec[16:24])),
-				}
-			}
-		}
-		n -= take
-	}
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"slices"
@@ -62,71 +63,90 @@ var readShapes = []struct {
 	{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
 }
 
+// TestBinaryRoundTrip reads back exactly what the writer wrote. A stream
+// as the retired fixed-width encoding wrote it no longer round-trips: it is
+// refused whole, naming the encoding, before any edge reaches emit.
 func TestBinaryRoundTrip(t *testing.T) {
 	edges := bandOrderedEdges(10_000)
 	wantSum := foldChecksum(0, edges)
-	for _, enc := range []BinaryEncoding{BinaryDelta, BinaryFixed} {
-		t.Run(enc.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)), enc)
-			if err != nil {
+	t.Run("delta", func(t *testing.T) {
+		var buf bytes.Buffer
+		w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Mix the write shapes: a large batch, a comment (discarded), a
+		// mid-stream flush, one-edge batches, then a small batch.
+		if err := w.WriteEdges(edges[:8000]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Comment("end state=ignored"); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edges[8000:8100] {
+			if err := w.WriteEdges([]Edge{e}); err != nil {
 				t.Fatal(err)
 			}
-			// Mix the write shapes: a large batch, a comment (discarded), a
-			// mid-stream flush, one-edge batches, then a small batch.
-			if err := w.WriteEdges(edges[:8000]); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Comment("end state=ignored"); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range edges[8000:8100] {
-				if err := w.WriteEdges([]Edge{e}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.WriteEdges(edges[8100:]); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Finish(); err != nil {
-				t.Fatal(err)
-			}
-			if w.Count() != int64(len(edges)) || w.Checksum() != wantSum {
-				t.Fatalf("writer folded count=%d sum=%#x, want %d/%#x", w.Count(), w.Checksum(), len(edges), uint64(wantSum))
-			}
+		}
+		if err := w.WriteEdges(edges[8100:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Count() != int64(len(edges)) || w.Checksum() != wantSum {
+			t.Fatalf("writer folded count=%d sum=%#x, want %d/%#x", w.Count(), w.Checksum(), len(edges), uint64(wantSum))
+		}
 
-			got, info, err := collectBinary(t, buf.Bytes())
-			if err != nil {
-				t.Fatal(err)
+		got, info, err := collectBinary(t, buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.NNZ != int64(len(edges)) {
+			t.Fatalf("info %+v, want nnz=%d", info, len(edges))
+		}
+		if info.Edges != int64(len(edges)) || info.Checksum != wantSum {
+			t.Fatalf("trailer %d edges sum %#x, want %d/%#x", info.Edges, uint64(info.Checksum), len(edges), uint64(wantSum))
+		}
+		if len(got) != len(edges) {
+			t.Fatalf("decoded %d edges, wrote %d", len(got), len(edges))
+		}
+		for i := range got {
+			if got[i] != edges[i] {
+				t.Fatalf("edge %d: got %+v, wrote %+v", i, got[i], edges[i])
 			}
-			if info.Encoding != enc || info.NNZ != int64(len(edges)) {
-				t.Fatalf("info %+v, want encoding=%v nnz=%d", info, enc, len(edges))
+		}
+	})
+	t.Run("fixed", func(t *testing.T) {
+		// Flags bit 0 (fixed-width) and bit 1 (nnz present), one edge frame
+		// of three little-endian int64s per edge, then a trailer with the
+		// right count, checksum and CRC.
+		data := uvs([]byte{'K', 'R', 'N', 'B', 2, binFlagRetiredFixed | binFlagHasNNZ}, uint64(len(edges)), uint64(len(edges))<<2|frameEdges)
+		for _, e := range edges {
+			for _, x := range []int64{e.Row, e.Col, e.Val} {
+				data = binary.LittleEndian.AppendUint64(data, uint64(x))
 			}
-			if info.Edges != int64(len(edges)) || info.Checksum != wantSum {
-				t.Fatalf("trailer %d edges sum %#x, want %d/%#x", info.Edges, uint64(info.Checksum), len(edges), uint64(wantSum))
-			}
-			if len(got) != len(edges) {
-				t.Fatalf("decoded %d edges, wrote %d", len(got), len(edges))
-			}
-			for i := range got {
-				if got[i] != edges[i] {
-					t.Fatalf("edge %d: got %+v, wrote %+v", i, got[i], edges[i])
-				}
-			}
-		})
-	}
+		}
+		data = uvs(data, 0, uint64(len(edges)))
+		data = binary.LittleEndian.AppendUint64(data, uint64(wantSum))
+		data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
+		got, _, err := collectBinary(t, data)
+		if !errors.Is(err, ErrBinaryCorrupt) || !strings.Contains(err.Error(), "fixed-width") || len(got) != 0 {
+			t.Fatalf("fixed-width stream: %d edges, %v; want none and ErrBinaryCorrupt naming the encoding", len(got), err)
+		}
+	})
 }
 
 // TestBinaryDeltaIsCompact pins the point of the delta encoding: on a
-// band-ordered stream it spends a few bytes per edge, far under the fixed
-// encoding's 24.
+// band-ordered stream it spends a few bytes per edge, far under the 24 of
+// an edge's three int64 fields.
 func TestBinaryDeltaIsCompact(t *testing.T) {
 	edges := bandOrderedEdges(10_000)
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)), BinaryDelta)
+	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +163,7 @@ func TestBinaryDeltaIsCompact(t *testing.T) {
 
 // TestBinaryNegativeAndExtremeValues: the encoding is not limited to the
 // generator's non-negative band-ordered output — arbitrary int64 triples
-// round-trip under both encodings (zig-zag handles signs, fixed is exact).
+// round-trip (zig-zag handles signs, and deltas wrap exactly).
 func TestBinaryNegativeAndExtremeValues(t *testing.T) {
 	edges := []Edge{
 		{Row: 0, Col: 0, Val: 0},
@@ -152,30 +172,26 @@ func TestBinaryNegativeAndExtremeValues(t *testing.T) {
 		{Row: -1 << 63, Col: 17, Val: -1 << 63},
 		{Row: 3, Col: 5, Val: -9},
 	}
-	for _, enc := range []BinaryEncoding{BinaryDelta, BinaryFixed} {
-		var buf bytes.Buffer
-		w, err := NewBinaryEdgeWriter(&buf, -1, enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteEdges(edges); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		got, info, err := collectBinary(t, buf.Bytes())
-		if err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		if info.NNZ != -1 {
-			t.Fatalf("%v: nnz %d, want -1 (unknown)", enc, info.NNZ)
-		}
-		for i := range got {
-			if got[i] != edges[i] {
-				t.Fatalf("%v: edge %d: got %+v, wrote %+v", enc, i, got[i], edges[i])
-			}
-		}
+	var buf bytes.Buffer
+	w, err := NewBinaryEdgeWriter(&buf, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteEdges(edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	got, info, err := collectBinary(t, buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NNZ != -1 {
+		t.Fatalf("nnz %d, want -1 (unknown)", info.NNZ)
+	}
+	if !slices.Equal(got, edges) {
+		t.Fatalf("decoded %+v, wrote %+v", got, edges)
 	}
 }
 
@@ -184,52 +200,45 @@ func TestBinaryNegativeAndExtremeValues(t *testing.T) {
 // and trailer may not).
 func TestBinaryBatchMatchesPerEdge(t *testing.T) {
 	edges := bandOrderedEdges(5_000)
-	for _, enc := range []BinaryEncoding{BinaryDelta, BinaryFixed} {
-		var batched, single bytes.Buffer
-		wb, err := NewBinaryEdgeWriter(&batched, int64(len(edges)), enc)
-		if err != nil {
+	var batched, single bytes.Buffer
+	wb, err := NewBinaryEdgeWriter(&batched, int64(len(edges)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wb.WriteEdges(edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := wb.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := NewBinaryEdgeWriter(&single, int64(len(edges)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		if err := ws.WriteEdges([]Edge{e}); err != nil {
 			t.Fatal(err)
 		}
-		if err := wb.WriteEdges(edges); err != nil {
-			t.Fatal(err)
-		}
-		if err := wb.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		ws, err := NewBinaryEdgeWriter(&single, int64(len(edges)), enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range edges {
-			if err := ws.WriteEdges([]Edge{e}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ws.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		gb, ib, err := collectBinary(t, batched.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, is, err := collectBinary(t, single.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gb) != len(gs) || ib.Checksum != is.Checksum || ib.Edges != is.Edges {
-			t.Fatalf("%v: batch and per-edge streams decode differently", enc)
-		}
-		for i := range gb {
-			if gb[i] != gs[i] {
-				t.Fatalf("%v: edge %d differs between batch and per-edge streams", enc, i)
-			}
-		}
+	}
+	if err := ws.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	gb, ib, err := collectBinary(t, batched.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, is, err := collectBinary(t, single.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *ib != *is || !slices.Equal(gb, gs) {
+		t.Fatalf("batch stream decodes to %d edges %+v, per-edge stream to %d edges %+v", len(gb), *ib, len(gs), *is)
 	}
 }
 
 func TestBinaryEmptyStream(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, 0, BinaryDelta)
+	w, err := NewBinaryEdgeWriter(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +256,7 @@ func TestBinaryEmptyStream(t *testing.T) {
 
 func TestBinaryFinishIdempotentAndTerminal(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, 1, BinaryDelta)
+	w, err := NewBinaryEdgeWriter(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +288,7 @@ func TestBinaryFinishIdempotentAndTerminal(t *testing.T) {
 func TestBinaryTruncation(t *testing.T) {
 	edges := bandOrderedEdges(300)
 	streams := map[string][]byte{
-		"delta":    binarySeed(int64(len(edges)), BinaryDelta, edges),
-		"fixed":    binarySeed(int64(len(edges)), BinaryFixed, edges),
+		"delta":    binarySeed(int64(len(edges)), edges),
 		"replayed": replaySeed(edges[:100], 3),
 	}
 	for name, data := range streams {
@@ -302,8 +310,8 @@ func TestBinaryTruncation(t *testing.T) {
 }
 
 // TestBinaryBitFlips: flipping any single bit of a valid stream makes
-// ReadBinary fail, under every read shape, for a delta stream of edge
-// frames, a replayed stream of block and run frames, and a fixed stream.
+// ReadBinary fail, under every read shape, for a stream of edge frames and
+// a replayed stream of block and run frames.
 // The XOR fold alone cannot promise this — a flipped value byte is outside
 // it, and under delta encoding or block replay one flip moves several
 // edges whose XOR differences can cancel — so this pins the trailer's
@@ -311,9 +319,8 @@ func TestBinaryTruncation(t *testing.T) {
 func TestBinaryBitFlips(t *testing.T) {
 	edges := bandOrderedEdges(64)
 	streams := map[string][]byte{
-		"delta":    binarySeed(int64(len(edges)), BinaryDelta, edges),
+		"delta":    binarySeed(int64(len(edges)), edges),
 		"replayed": replaySeed(edges[:16], 4),
-		"fixed":    binarySeed(int64(len(edges)), BinaryFixed, edges),
 	}
 	for name, data := range streams {
 		for _, shape := range readShapes {
@@ -346,11 +353,10 @@ func TestBinaryReadShapes(t *testing.T) {
 		data  []byte
 		every bool // split at every offset, not a sample
 	}{
-		{"band delta", binarySeed(500, BinaryDelta, bandOrderedEdges(500)), true},
-		{"band fixed", binarySeed(120, BinaryFixed, bandOrderedEdges(120)), true},
+		{"band delta", binarySeed(500, bandOrderedEdges(500)), true},
 		{"replayed", replaySeed(randomBlock(rng, 200), 3), true},
 		{"replayed ineligible", replaySeed(spoilBlock(rng, randomBlock(rng, 200)), 3), true},
-		{"band delta large", binarySeed(60_000, BinaryDelta, bandOrderedEdges(60_000)), false},
+		{"band delta large", binarySeed(60_000, bandOrderedEdges(60_000)), false},
 		{"replayed long block frame", replaySeed(bandOrderedEdges(40_000), 3), false},
 	}
 	// The long block frame must outgrow the reader's 64 KiB buffer.
@@ -409,7 +415,7 @@ func TestBinaryOverflowingVarint(t *testing.T) {
 
 func TestBinaryHeaderNNZMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, 5, BinaryDelta)
+	w, err := NewBinaryEdgeWriter(&buf, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +435,7 @@ func TestBinaryHeaderNNZMismatch(t *testing.T) {
 
 func TestBinaryTrailingGarbage(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, 1, BinaryDelta)
+	w, err := NewBinaryEdgeWriter(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,9 +496,9 @@ func TestBinaryBadFrames(t *testing.T) {
 			data[len(data)-1] ^= 0x80
 			return data
 		}()},
-		{"block frame in fixed stream", "fixed-width", func() []byte {
+		{"flag bit 0 set", "fixed-width", func() []byte {
 			data := handStream(-1, 0, 0, block)
-			data[5] |= binFlagFixed
+			data[5] |= binFlagRetiredFixed
 			return data
 		}()},
 	} {
@@ -533,7 +539,7 @@ func TestBinaryOverLongStreamStopsEarly(t *testing.T) {
 func TestBinaryReadCancellation(t *testing.T) {
 	edges := bandOrderedEdges(1000)
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)), BinaryDelta)
+	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +563,7 @@ func TestBinaryReadCancellation(t *testing.T) {
 func TestBinaryEmitErrorAborts(t *testing.T) {
 	edges := bandOrderedEdges(100)
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)), BinaryFixed)
+	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,22 +581,17 @@ func TestBinaryEmitErrorAborts(t *testing.T) {
 
 // TestEdgeWriterZeroAllocsPerBatch extends the pipeline/service alloc guards
 // down into the encoders: one steady-state WriteEdges on each wire format —
-// TSV (LUT fast path), binary delta, binary fixed — must allocate nothing.
+// TSV (LUT fast path) and KRNB — must allocate nothing.
 func TestEdgeWriterZeroAllocsPerBatch(t *testing.T) {
 	batch := bandOrderedEdges(2048)
 	writers := map[string]EdgeWriter{}
 	tw := NewTSVEdgeWriter(io.Discard)
 	writers["tsv"] = tw
-	bd, err := NewBinaryEdgeWriter(io.Discard, -1, BinaryDelta)
+	bd, err := NewBinaryEdgeWriter(io.Discard, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writers["bin-delta"] = bd
-	bf, err := NewBinaryEdgeWriter(io.Discard, -1, BinaryFixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writers["bin-fixed"] = bf
 	for name, w := range writers {
 		t.Run(name, func(t *testing.T) {
 			// Warm-up grows the scratch buffer — the one amortized allocation.

@@ -17,7 +17,7 @@ import (
 // that only points at its block, so a consumer may keep it after the call
 // that delivered it returns (the service's async hand-off does).
 //
-// KRNB delta streams put the same structure on the wire: the first run over
+// KRNB streams put the same structure on the wire: the first run over
 // a block sends the block once, as a block frame of its delta records in
 // block-local coordinates, and every run becomes a run frame naming the
 // block, a sub-range and an offset. The block renders its records once, on
@@ -133,13 +133,12 @@ func (r Run) FoldChecksum(sum int64) int64 {
 // against. Replay is on by default.
 func (b *BinaryEdgeWriter) SetBlockReplay(enabled bool) { b.noReplay = !enabled }
 
-// WriteRun writes the run's edges. In the delta encoding a run over an
-// eligible block (see Block.records) is one run frame, preceded by the
-// block's block frame on the stream's first run over it; pending per-edge
-// writes are framed first (frame order = edge order), and the trailer fold
-// is the closed-form FoldChecksum. A run over any other block, and every
-// run in the fixed encoding, is expanded and written as a batch of edge
-// frames. Zero allocations at steady state.
+// WriteRun writes the run's edges. A run over an eligible block (see
+// Block.records) is one run frame, preceded by the block's block frame on
+// the stream's first run over it; pending per-edge writes are framed first
+// (frame order = edge order), and the trailer fold is the closed-form
+// FoldChecksum. A run over any other block is expanded and written as a
+// batch of edge frames. Zero allocations at steady state.
 func (b *BinaryEdgeWriter) WriteRun(r Run) error {
 	if b.finished {
 		return fmt.Errorf("graphio: WriteRun after Finish on binary edge stream")
@@ -148,10 +147,8 @@ func (b *BinaryEdgeWriter) WriteRun(r Run) error {
 	if n == 0 {
 		return nil
 	}
-	if b.enc == BinaryDelta {
-		if recs, ok := r.Block.records(); ok {
-			return b.writeRunFrame(r, recs)
-		}
+	if recs, ok := r.Block.records(); ok {
+		return b.writeRunFrame(r, recs)
 	}
 	b.runBuf = r.AppendEdges(b.runBuf[:0])
 	return b.WriteEdges(b.runBuf)

@@ -103,11 +103,11 @@ func TestBlockReplayMatchesOracle(t *testing.T) {
 	var eligible, ineligible int
 	for trial := 0; trial < 40; trial++ {
 		var replayed, oracle bytes.Buffer
-		rw, err := NewBinaryEdgeWriter(&replayed, -1, BinaryDelta)
+		rw, err := NewBinaryEdgeWriter(&replayed, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ow, err := NewBinaryEdgeWriter(&oracle, -1, BinaryDelta)
+		ow, err := NewBinaryEdgeWriter(&oracle, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,44 +159,6 @@ func TestBlockFramesSentOnce(t *testing.T) {
 	}
 }
 
-// TestBlockRunFixedEncoding checks the fixed encoding accepts runs by
-// expanding them: the decode must equal the expansion, trailer included.
-func TestBlockRunFixedEncoding(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, -1, BinaryFixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBlock(randomBlock(rng, 400))
-	var ref []Edge
-	for r := 0; r < 8; r++ {
-		run := randomRun(rng, b)
-		if err := w.WriteRun(run); err != nil {
-			t.Fatal(err)
-		}
-		ref = run.AppendEdges(ref)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	got, info, err := collectBinary(t, buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("decoded %d edges, want %d", len(got), len(ref))
-	}
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("edge %d = %+v, want %+v", i, got[i], ref[i])
-		}
-	}
-	if want := foldChecksum(0, ref); info.Checksum != want {
-		t.Fatalf("trailer checksum %#x, want %#x", uint64(info.Checksum), uint64(want))
-	}
-}
-
 // TestDeltaBlockTemplateFold pins a run's closed-form checksum fold against
 // the definitional per-edge fold over its expansion, on random sub-ranges
 // and with offsets large enough to wrap int64 arithmetic.
@@ -227,7 +189,7 @@ func TestBlockReplayZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	w, err := NewBinaryEdgeWriter(discardWriter{}, -1, BinaryDelta)
+	w, err := NewBinaryEdgeWriter(discardWriter{}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,9 +148,9 @@ func FuzzMatrixMarketEdgeWriterRoundTrip(f *testing.F) {
 var errTooMany = errors.New("fuzz: edge cap reached")
 
 // binarySeed encodes a small edge stream for the FuzzReadBinary corpus.
-func binarySeed(nnz int64, enc BinaryEncoding, edges []Edge) []byte {
+func binarySeed(nnz int64, edges []Edge) []byte {
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, nnz, enc)
+	w, err := NewBinaryEdgeWriter(&buf, nnz)
 	if err != nil {
 		panic(err)
 	}
@@ -168,7 +168,7 @@ func binarySeed(nnz int64, enc BinaryEncoding, edges []Edge) []byte {
 // replay path's exact framing.
 func blockReplaySeed() []byte {
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, 6, BinaryDelta)
+	w, err := NewBinaryEdgeWriter(&buf, 6)
 	if err != nil {
 		panic(err)
 	}
@@ -188,7 +188,7 @@ func blockReplaySeed() []byte {
 // then one run frame per offset, each as long as the block.
 func replaySeed(block []Edge, runs int) []byte {
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(block)*runs), BinaryDelta)
+	w, err := NewBinaryEdgeWriter(&buf, int64(len(block)*runs))
 	if err != nil {
 		panic(err)
 	}
@@ -262,13 +262,13 @@ func overflowSeed() []byte {
 
 // FuzzReadBinary checks the binary edge reader never panics on arbitrary
 // bytes and that anything it accepts survives a re-encode/re-read round trip
-// under both encodings with identical edges, count, and checksum.
+// with identical edges, count, and checksum.
 func FuzzReadBinary(f *testing.F) {
-	f.Add(binarySeed(2, BinaryDelta, []Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 3, Val: 1}}))
+	f.Add(binarySeed(2, []Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 3, Val: 1}}))
 	f.Add(blockReplaySeed())
-	f.Add(binarySeed(2, BinaryFixed, []Edge{{Row: 0, Col: 1, Val: 1}, {Row: 5, Col: 2, Val: -7}}))
-	f.Add(binarySeed(0, BinaryDelta, nil))
-	f.Add(binarySeed(-1, BinaryFixed, []Edge{{Row: 1 << 40, Col: -(1 << 30), Val: 9}}))
+	f.Add(binarySeed(2, []Edge{{Row: 0, Col: 1, Val: 1}, {Row: 5, Col: 2, Val: -7}}))
+	f.Add(binarySeed(0, nil))
+	f.Add(binarySeed(-1, []Edge{{Row: 1 << 40, Col: -(1 << 30), Val: 9}}))
 	f.Add([]byte("KRNB"))
 	f.Add([]byte("0\t1\t1\n"))
 	f.Add(replaySeed(bandOrderedEdgesN(30_000), 1)) // a block frame longer than the 64 KiB read buffer
@@ -289,40 +289,38 @@ func FuzzReadBinary(f *testing.F) {
 		if info.Edges != int64(len(edges)) {
 			t.Fatalf("info declares %d edges, emit saw %d", info.Edges, len(edges))
 		}
-		for _, enc := range []BinaryEncoding{BinaryDelta, BinaryFixed} {
-			var buf bytes.Buffer
-			w, werr := NewBinaryEdgeWriter(&buf, info.NNZ, enc)
-			if werr != nil {
-				t.Fatal(werr)
-			}
-			if werr := w.WriteEdges(edges); werr != nil {
-				t.Fatal(werr)
-			}
-			if werr := w.Finish(); werr != nil {
-				t.Fatal(werr)
-			}
-			if w.Checksum() != info.Checksum {
-				t.Fatalf("re-encode checksum %#x, accepted stream declared %#x", uint64(w.Checksum()), uint64(info.Checksum))
-			}
-			var back []Edge
-			info2, rerr := ReadBinary(nil, &buf, func(batch []Edge) error {
-				back = append(back, batch...)
-				return nil
-			})
-			if rerr != nil {
-				t.Fatalf("re-read of re-encoded accepted stream failed (%v): %v", enc, rerr)
-			}
-			if info2.Edges != info.Edges || info2.Checksum != info.Checksum {
-				t.Fatalf("re-encode trailer (%d, %#x) != accepted (%d, %#x)",
-					info2.Edges, uint64(info2.Checksum), info.Edges, uint64(info.Checksum))
-			}
-			if len(back) != len(edges) {
-				t.Fatalf("re-read produced %d edges, accepted stream had %d", len(back), len(edges))
-			}
-			for i := range back {
-				if back[i] != edges[i] {
-					t.Fatalf("edge %d changed across round trip: %+v vs %+v", i, back[i], edges[i])
-				}
+		var buf bytes.Buffer
+		w, werr := NewBinaryEdgeWriter(&buf, info.NNZ)
+		if werr != nil {
+			t.Fatal(werr)
+		}
+		if werr := w.WriteEdges(edges); werr != nil {
+			t.Fatal(werr)
+		}
+		if werr := w.Finish(); werr != nil {
+			t.Fatal(werr)
+		}
+		if w.Checksum() != info.Checksum {
+			t.Fatalf("re-encode checksum %#x, accepted stream declared %#x", uint64(w.Checksum()), uint64(info.Checksum))
+		}
+		var back []Edge
+		info2, rerr := ReadBinary(nil, &buf, func(batch []Edge) error {
+			back = append(back, batch...)
+			return nil
+		})
+		if rerr != nil {
+			t.Fatalf("re-read of re-encoded accepted stream failed: %v", rerr)
+		}
+		if info2.Edges != info.Edges || info2.Checksum != info.Checksum {
+			t.Fatalf("re-encode trailer (%d, %#x) != accepted (%d, %#x)",
+				info2.Edges, uint64(info2.Checksum), info.Edges, uint64(info.Checksum))
+		}
+		if len(back) != len(edges) {
+			t.Fatalf("re-read produced %d edges, accepted stream had %d", len(back), len(edges))
+		}
+		for i := range back {
+			if back[i] != edges[i] {
+				t.Fatalf("edge %d changed across round trip: %+v vs %+v", i, back[i], edges[i])
 			}
 		}
 	})

@@ -1,15 +1,14 @@
-// Package graphio reads and writes edge lists in the tab-separated
+// Package graphio reads and writes edge lists: the tab-separated
 // "row col value" triples format common to Graph500/GraphChallenge tooling,
-// including the per-processor chunk layout the paper's parallel generator
-// naturally produces (one file per worker, no coordination).
+// MatrixMarket, and the KRNB binary wire format. Its streaming edge writers
+// encode one worker's chunk each, the per-processor output the paper's
+// parallel generator produces with no coordination.
 package graphio
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -61,57 +60,6 @@ func ReadTSV(r io.Reader, rows, cols int) (*sparse.COO[int64], error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	return sparse.NewCOO(rows, cols, tr)
-}
-
-// ChunkPath returns the conventional per-worker file name
-// dir/prefix.<worker>.tsv.
-func ChunkPath(dir, prefix string, worker int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s.%d.tsv", prefix, worker))
-}
-
-// WriteChunks writes each part to its own file — the paper's generation
-// pattern, where every processor writes its Ap independently with no
-// coordination. It returns the file paths written.
-func WriteChunks(dir, prefix string, parts []*sparse.COO[int64]) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	paths := make([]string, len(parts))
-	for i, part := range parts {
-		path := ChunkPath(dir, prefix, i)
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := WriteTSV(f, part); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		paths[i] = path
-	}
-	return paths, nil
-}
-
-// ReadChunks reads per-worker files back and concatenates their triples
-// into one matrix with the given dimensions.
-func ReadChunks(paths []string, rows, cols int) (*sparse.COO[int64], error) {
-	var tr []sparse.Triple[int64]
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		m, err := ReadTSV(f, rows, cols)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("graphio: %s: %w", path, err)
-		}
-		tr = append(tr, m.Tr...)
 	}
 	return sparse.NewCOO(rows, cols, tr)
 }

@@ -2,7 +2,6 @@ package graphio
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -57,38 +56,5 @@ func TestReadTSVErrors(t *testing.T) {
 	}
 	if _, err := ReadTSV(strings.NewReader("5\t1\t1\n"), 2, 2); err == nil {
 		t.Error("out-of-bounds entry accepted")
-	}
-}
-
-func TestChunksRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	parts := []*sparse.COO[int64]{
-		sparse.FromDense([][]int64{{1, 0}, {0, 0}}, sr),
-		sparse.FromDense([][]int64{{0, 0}, {0, 2}}, sr),
-		sparse.MustCOO[int64](2, 2, nil), // empty worker
-	}
-	paths, err := WriteChunks(dir, "part", parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 3 {
-		t.Fatalf("wrote %d files, want 3", len(paths))
-	}
-	if filepath.Base(paths[1]) != "part.1.tsv" {
-		t.Errorf("chunk name %s, want part.1.tsv", paths[1])
-	}
-	whole, err := ReadChunks(paths, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sparse.FromDense([][]int64{{1, 0}, {0, 2}}, sr)
-	if !sparse.Equal(whole, want, sr) {
-		t.Error("chunk reassembly wrong")
-	}
-}
-
-func TestReadChunksMissingFile(t *testing.T) {
-	if _, err := ReadChunks([]string{"/nonexistent/x.tsv"}, 2, 2); err == nil {
-		t.Error("missing file accepted")
 	}
 }

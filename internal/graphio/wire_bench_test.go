@@ -33,6 +33,10 @@ func bandOrderedEdgesN(n int) []Edge {
 	return edges
 }
 
+// edgeInputBytes is an edge's in-memory size, three int64 fields: the
+// encode benchmarks report throughput in input bytes.
+const edgeInputBytes = 24
+
 func reportEdges(b *testing.B, n int) {
 	b.Helper()
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "edges/sec")
@@ -41,7 +45,7 @@ func reportEdges(b *testing.B, n int) {
 func BenchmarkWireTSV(b *testing.B) {
 	edges := benchEdges()
 	w := NewTSVEdgeWriter(io.Discard)
-	b.SetBytes(int64(len(edges)) * edgeWireBytes)
+	b.SetBytes(int64(len(edges)) * edgeInputBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.WriteEdges(edges); err != nil {
@@ -51,13 +55,13 @@ func BenchmarkWireTSV(b *testing.B) {
 	reportEdges(b, len(edges))
 }
 
-func benchmarkWireBinary(b *testing.B, enc BinaryEncoding) {
+func BenchmarkWireBinaryDelta(b *testing.B) {
 	edges := benchEdges()
-	w, err := NewBinaryEdgeWriter(io.Discard, -1, enc)
+	w, err := NewBinaryEdgeWriter(io.Discard, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(edges)) * edgeWireBytes)
+	b.SetBytes(int64(len(edges)) * edgeInputBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.WriteEdges(edges); err != nil {
@@ -67,13 +71,10 @@ func benchmarkWireBinary(b *testing.B, enc BinaryEncoding) {
 	reportEdges(b, len(edges))
 }
 
-func BenchmarkWireBinaryFixed(b *testing.B) { benchmarkWireBinary(b, BinaryFixed) }
-func BenchmarkWireBinaryDelta(b *testing.B) { benchmarkWireBinary(b, BinaryDelta) }
-
-func benchmarkWireBinaryRead(b *testing.B, enc BinaryEncoding) {
+func BenchmarkWireBinaryDeltaRead(b *testing.B) {
 	edges := benchEdges()
 	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)), enc)
+	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,9 +95,6 @@ func benchmarkWireBinaryRead(b *testing.B, enc BinaryEncoding) {
 	}
 	reportEdges(b, len(edges))
 }
-
-func BenchmarkWireBinaryFixedRead(b *testing.B) { benchmarkWireBinaryRead(b, BinaryFixed) }
-func BenchmarkWireBinaryDeltaRead(b *testing.B) { benchmarkWireBinaryRead(b, BinaryDelta) }
 
 // BenchmarkWireBinaryReplayRead decodes a replayed stream: one block frame
 // of 2048 band-ordered edges, then one run frame per block offset, as a

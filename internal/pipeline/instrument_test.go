@@ -130,11 +130,12 @@ func TestInstrumentZeroAllocs(t *testing.T) {
 // TestRunPathsZeroAllocs pins the run paths that expand or encode at zero
 // allocations per run once their buffers have grown: Func's borrowed
 // expansion buffer and every Writer encoding (TSV and MatrixMarket expand
-// into the sink's buffer, KRNB delta writes a run frame over the block it
-// sent once, KRNB fixed expands into the writer's own).
+// into the sink's buffer; KRNB writes a run frame over the block it sent
+// once, and expands a run over a block no block frame can carry, one with a
+// value other than 1, into the writer's own).
 func TestRunPathsZeroAllocs(t *testing.T) {
-	newBin := func(enc graphio.BinaryEncoding) graphio.EdgeWriter {
-		w, err := graphio.NewBinaryEdgeWriter(io.Discard, -1, enc)
+	newBin := func() graphio.EdgeWriter {
+		w, err := graphio.NewBinaryEdgeWriter(io.Discard, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,28 +145,35 @@ func TestRunPathsZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := map[string]Sink{
-		"func":      Func(func(int, []Edge) error { return nil }),
-		"tsv":       Writer(graphio.NewTSVEdgeWriter(io.Discard)),
-		"mm":        Writer(mm),
-		"bin-delta": Writer(newBin(graphio.BinaryDelta)),
-		"bin-fixed": Writer(newBin(graphio.BinaryFixed)),
-	}
 	run := mkRun(2048, 0)
-	for name, sink := range sinks {
-		if err := sink.WriteRun(0, run); err != nil {
+	spoilt := run.AppendEdges(nil)
+	spoilt[0].Val = 2
+	ineligible := Run{Block: graphio.NewBlock(spoilt), Hi: len(spoilt)}
+	for _, c := range []struct {
+		name string
+		sink Sink
+		run  Run
+	}{
+		{"func", Func(func(int, []Edge) error { return nil }), run},
+		{"tsv", Writer(graphio.NewTSVEdgeWriter(io.Discard)), run},
+		{"mm", Writer(mm), run},
+		{"bin-delta", Writer(newBin()), run},
+		{"bin-expand", Writer(newBin()), ineligible},
+	} {
+		run := c.run
+		if err := c.sink.WriteRun(0, run); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			run.RowBase += int64(run.Len())
-			if err := sink.WriteRun(0, run); err != nil {
+			if err := c.sink.WriteRun(0, run); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if raceEnabled {
-			t.Logf("%s: race build: observed %.1f allocs/run; assertion skipped", name, allocs)
+			t.Logf("%s: race build: observed %.1f allocs/run; assertion skipped", c.name, allocs)
 		} else if allocs != 0 {
-			t.Errorf("%s: %.1f allocations per run, want 0", name, allocs)
+			t.Errorf("%s: %.1f allocations per run, want 0", c.name, allocs)
 		}
 	}
 }

@@ -250,7 +250,7 @@ func equalStrings(a, b []string) bool {
 // the driver knowing the format.
 func TestWriterCloseFinishesBinaryStream(t *testing.T) {
 	var buf bytes.Buffer
-	ew, err := graphio.NewBinaryEdgeWriter(&buf, 5, graphio.BinaryDelta)
+	ew, err := graphio.NewBinaryEdgeWriter(&buf, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestWriterCloseFinishesBinaryStream(t *testing.T) {
 	// KeepOpen shields the trailer too: closing a KeepOpen-wrapped Writer
 	// must leave the stream open for more edges.
 	var buf2 bytes.Buffer
-	ew2, err := graphio.NewBinaryEdgeWriter(&buf2, -1, graphio.BinaryDelta)
+	ew2, err := graphio.NewBinaryEdgeWriter(&buf2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestStreamServiceZeroAllocsPerBlockRun(t *testing.T) {
 	defer m.Close()
 	j := streamJobForAlloc("jblockalloc")
 	sink, _ := m.jobSink(j)
-	ew, err := graphio.NewBinaryEdgeWriter(io.Discard, -1, graphio.BinaryDelta)
+	ew, err := graphio.NewBinaryEdgeWriter(io.Discard, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

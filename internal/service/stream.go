@@ -21,8 +21,8 @@ const (
 	// header declaring the design-time exact edge count.
 	FormatMatrixMarket = "matrixmarket"
 	// FormatBinary streams the KRNB framed binary format: header with the
-	// design-time exact edge count, delta-varint (default) or fixed-width
-	// frames (?enc=delta|fixed), and a trailer with the actual count plus the
+	// design-time exact edge count, delta-varint frames (?enc=delta may
+	// name the one encoding), and a trailer with the actual count plus the
 	// XOR content checksum the job status reports.
 	FormatBinary = "bin"
 )
@@ -49,19 +49,6 @@ func negotiateFormat(r *http.Request) string {
 	return ""
 }
 
-// binaryEncoding maps the ?enc= parameter to the payload encoding; empty
-// picks the compact delta default.
-func binaryEncoding(enc string) (graphio.BinaryEncoding, error) {
-	switch enc {
-	case "", "delta":
-		return graphio.BinaryDelta, nil
-	case "fixed":
-		return graphio.BinaryFixed, nil
-	default:
-		return 0, fmt.Errorf("unknown binary encoding %q (want \"delta\" or \"fixed\")", enc)
-	}
-}
-
 // checkFormat validates the requested format and encoding without writing
 // anything, so a bad request can be rejected before the job's one stream is
 // claimed.
@@ -78,8 +65,10 @@ func checkFormat(format, enc string, j *Job) error {
 		}
 		return nil
 	case FormatBinary:
-		_, err := binaryEncoding(enc)
-		return err
+		if enc != "" && enc != "delta" {
+			return fmt.Errorf("unknown binary encoding %q (delta is the only encoding)", enc)
+		}
+		return nil
 	default:
 		return fmt.Errorf("unknown format %q (want %q, %q, or %q)", format, FormatTSV, FormatMatrixMarket, FormatBinary)
 	}
@@ -105,19 +94,15 @@ func (c byteCounter) Write(p []byte) (int, error) {
 // count — are written immediately: because the design's edge count is
 // exact before generation, the service can emit a complete, well-formed
 // header for a graph that does not exist yet.
-func newEdgeWriter(w http.ResponseWriter, body io.Writer, format, enc string, j *Job, header string) (graphio.EdgeWriter, error) {
+func newEdgeWriter(w http.ResponseWriter, body io.Writer, format string, j *Job, header string) (graphio.EdgeWriter, error) {
 	switch format {
 	case FormatMatrixMarket, "mm":
 		w.Header().Set("Content-Type", "text/plain; charset=us-ascii")
 		n := j.design.NumVertices().Int64()
 		return graphio.NewMatrixMarketEdgeWriter(body, n, n, j.shard.Edges, header)
 	case FormatBinary:
-		encoding, err := binaryEncoding(enc)
-		if err != nil {
-			return nil, err
-		}
 		w.Header().Set("Content-Type", ContentTypeBinary)
-		return graphio.NewBinaryEdgeWriter(body, j.shard.Edges, encoding)
+		return graphio.NewBinaryEdgeWriter(body, j.shard.Edges)
 	default:
 		w.Header().Set("Content-Type", "text/tab-separated-values")
 		ew := graphio.NewTSVEdgeWriter(body)
@@ -131,7 +116,7 @@ func newEdgeWriter(w http.ResponseWriter, body io.Writer, format, enc string, j 
 // streamJob encodes the job's runs to the HTTP response until the stream
 // ends, the client disconnects, or encoding fails. Every format takes the
 // same path: the response's edge writer behind pipeline.Writer, which
-// sends the block once and each run as a run frame for KRNB delta and
+// sends the block once and each run as a run frame for KRNB and
 // expands the run for everything else. Body bytes are counted into
 // kronserve_stream_bytes_total. The loop owns the consumer side of the backpressure
 // contract — the queue is bounded, the workers block when it is full, and
@@ -165,7 +150,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job, form
 	if j.sharded() {
 		header += fmt.Sprintf(" shard %d/%d", j.shard.Shard, j.shard.Shards)
 	}
-	ew, err := newEdgeWriter(w, byteCounter{w, &s.metrics.StreamBytes}, format, enc, j, header)
+	ew, err := newEdgeWriter(w, byteCounter{w, &s.metrics.StreamBytes}, format, j, header)
 	if err != nil {
 		// Both writers buffer their header, so nothing has been committed
 		// to the response yet and a real error status can still be sent —

@@ -28,6 +28,7 @@ func TestStreamFormatRejection(t *testing.T) {
 	}{
 		{"unknown format", "?format=bogus", "unknown format"},
 		{"unknown binary encoding", "?format=bin&enc=bogus", "unknown binary encoding"},
+		{"retired fixed encoding", "?format=bin&enc=fixed", "delta is the only encoding"},
 		{"enc without bin", "?format=tsv&enc=fixed", "enc parameter applies only"},
 		{"enc with default format", "?enc=delta", "enc parameter applies only"},
 	} {
@@ -143,10 +144,11 @@ func streamJobEdges(t *testing.T, ts string, design DesignRequest, query string,
 }
 
 // TestStreamBinaryMatchesTSV is the service-level conformance check: the
-// same design streamed as TSV, binary delta, and binary fixed yields the
-// same edges in the same order, and the binary trailer's count and checksum
-// reconcile with the header's design-time nnz and the job's own checksum
-// fold (the value shard plans and validation use).
+// same design streamed as TSV and as KRNB, however the binary format is
+// requested, yields the same edges in the same order, and the binary
+// trailer's count and checksum reconcile with the header's design-time nnz
+// and the job's own checksum fold (the value shard plans and validation
+// use).
 func TestStreamBinaryMatchesTSV(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}
@@ -166,7 +168,7 @@ func TestStreamBinaryMatchesTSV(t *testing.T) {
 		hdr   map[string]string
 	}{
 		{"delta via query", "?format=bin", nil},
-		{"fixed via query", "?format=bin&enc=fixed", nil},
+		{"delta named in query", "?format=bin&enc=delta", nil},
 		{"delta via accept", "", map[string]string{"Accept": ContentTypeBinary}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -74,7 +74,7 @@ func Orient[T any](ctx context.Context, a *sparse.CSR[T], np int, st *obs.Stage)
 		return nil, fmt.Errorf("triangle: need at least one worker, got %d", np)
 	}
 	n := a.NumRows
-	if n > maxOrientedVertices {
+	if int64(n) > maxOrientedVertices {
 		return nil, fmt.Errorf("triangle: %d vertices exceed the oriented pattern's int32 ids", n)
 	}
 	rowPtr, colIdx := a.RowPtr, a.ColIdx

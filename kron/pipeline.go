@@ -60,7 +60,7 @@ func Tee(sinks ...Sink) Sink { return pipeline.Tee(sinks...) }
 
 // Writer wraps an EdgeWriter as a Sink: runs are encoded whole and
 // worker-atomically; Close finishes (binary trailer) or flushes. With one
-// worker the byte stream is deterministic. The KRNB delta encoder sends the
+// worker the byte stream is deterministic. The KRNB encoder sends the
 // run's block once and the run as a short run frame; other writers get the
 // run expanded into a batch.
 func Writer(ew EdgeWriter) Sink { return pipeline.Writer(ew) }

@@ -2,6 +2,7 @@ package kron
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"repro/internal/graphio"
@@ -11,26 +12,22 @@ import (
 //
 // The KRNB framed binary encoding is the wire-speed alternative to the TSV
 // and MatrixMarket text streams: a self-describing header carrying the
-// design-time exact edge count, delta-varint or fixed-width frames, and a
-// trailer carrying the actual count, the XOR content checksum every other
-// layer folds, and a CRC-32C of every byte — so a complete stream
-// reconciles against its design (Checksum sinks, shard plans, job
-// checksums) and a truncated or damaged one is detected on read. Delta
-// streams send each shared C block once and each run over it as a short
-// reference. See internal/graphio for the byte-level layout.
+// design-time exact edge count, delta-varint frames, and a trailer carrying
+// the actual count, the XOR content checksum every other layer folds, and a
+// CRC-32C of every byte — so a complete stream reconciles against its
+// design (Checksum sinks, shard plans, job checksums) and a truncated or
+// damaged one is detected on read. A stream sends each shared C block once
+// and each run over it as a short reference. See internal/graphio for the
+// byte-level layout.
 
-// BinaryEncoding selects the payload encoding of a binary edge stream.
-type BinaryEncoding = graphio.BinaryEncoding
+// BinaryEncoding is the type of NewBinaryEdgeWriter's encoding argument
+// from when KRNB had a second, fixed-width encoding; delta is the only one
+// now. Kept for callers written against that API.
+type BinaryEncoding uint8
 
-const (
-	// BinaryDelta encodes edges as zig-zag varint deltas — the compact wire
-	// default (a band-ordered stream costs a few bytes per edge).
-	BinaryDelta = graphio.BinaryDelta
-	// BinaryFixed encodes edges as three little-endian int64s in edge
-	// frames — the widest encoding, and slower end to end than delta's
-	// block replay; see graphio.BinaryFixed.
-	BinaryFixed = graphio.BinaryFixed
-)
+// BinaryDelta is the KRNB encoding: zig-zag varint deltas, with block and
+// run frames for shared blocks.
+const BinaryDelta BinaryEncoding = 0
 
 // BinaryEdgeWriter streams edges in the KRNB framed binary format; it is an
 // EdgeWriter (ready for Writer) and a Finisher.
@@ -39,9 +36,13 @@ type BinaryEdgeWriter = graphio.BinaryEdgeWriter
 // NewBinaryEdgeWriter writes the KRNB header for a stream of exactly nnz
 // edges (pass nnz < 0 when unknown, e.g. a per-worker chunk) and returns the
 // encoder. Call Finish — directly, or implicitly via a Writer sink's Close —
-// after the last edge to emit the count-and-checksum trailer.
+// after the last edge to emit the count-and-checksum trailer. enc must be
+// BinaryDelta.
 func NewBinaryEdgeWriter(w io.Writer, nnz int64, enc BinaryEncoding) (*BinaryEdgeWriter, error) {
-	return graphio.NewBinaryEdgeWriter(w, nnz, enc)
+	if enc != BinaryDelta {
+		return nil, fmt.Errorf("kron: unknown binary encoding %d (delta is the only encoding)", enc)
+	}
+	return graphio.NewBinaryEdgeWriter(w, nnz)
 }
 
 // Finisher is implemented by edge writers whose format has an explicit
@@ -49,8 +50,8 @@ func NewBinaryEdgeWriter(w io.Writer, nnz int64, enc BinaryEncoding) (*BinaryEdg
 type Finisher = graphio.Finisher
 
 // BinaryInfo reports what a complete binary stream declared about itself:
-// header nnz (-1 if unknown), encoding, and the trailer's actual edge count
-// and XOR content checksum (the CRC is checked, not reported).
+// header nnz (-1 if unknown), and the trailer's actual edge count and XOR
+// content checksum (the CRC is checked, not reported).
 type BinaryInfo = graphio.BinaryInfo
 
 // ReadBinary decodes a KRNB binary edge stream, calling emit with batches of
@@ -77,7 +78,7 @@ var (
 //
 // K = B ⊗ C repeats C's edge pattern once per B nonzero, shifted by a
 // constant block offset, and the generator streams it that way: every run a
-// sink receives is a slice of one shared, immutable C block. The KRNB delta
+// sink receives is a slice of one shared, immutable C block. The KRNB
 // encoding puts that structure on the wire: BinaryEdgeWriter (through
 // Writer) sends the block once, as one copy of delta records the block
 // renders on first use, and each run as a run frame naming the block, its

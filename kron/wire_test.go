@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"testing"
 
 	"repro/kron"
@@ -61,5 +62,11 @@ func TestPublicBinaryWire(t *testing.T) {
 	}
 	if _, err := kron.ReadBinary(context.Background(), bytes.NewReader([]byte("nope")), func([]kron.Edge) error { return nil }); !errors.Is(err, kron.ErrBinaryCorrupt) {
 		t.Fatalf("bad magic: %v, want ErrBinaryCorrupt", err)
+	}
+
+	// Delta is the only encoding: 1, the value of the retired fixed-width
+	// one, is refused.
+	if _, err := kron.NewBinaryEdgeWriter(io.Discard, nnz, 1); err == nil {
+		t.Fatal("NewBinaryEdgeWriter accepted encoding 1")
 	}
 }
