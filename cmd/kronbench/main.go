@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -285,15 +284,15 @@ func fig3(maxWorkers int) error {
 		slices.Sort(xs)
 		return xs[len(xs)/2]
 	}
-	bareRate, instrRate, overheadPct := median(bare), median(instr), median(overheads)
+	bareRate, instrRate := median(bare), median(instr)
+	overheadPct, overheadQ1, overheadQ3 := recordSpread("instrumentOverheadPct", overheads)
 	fmt.Printf("\nenumerated sink at %d workers (same workload):\n", maxWorkers)
 	fmt.Printf("%-14s %-14s\n", "path", "edges/s")
 	fmt.Printf("%-14s %-14.3e\n", "bare", bareRate)
-	fmt.Printf("%-14s %-14.3e (median paired overhead %+.2f%%)\n", "instrumented", instrRate, overheadPct)
+	fmt.Printf("%-14s %-14.3e (median paired overhead %+.2f%%, quartiles %+.2f%% to %+.2f%%)\n", "instrumented", instrRate, overheadPct, overheadQ1, overheadQ3)
 	recordBench("batchStreamEdgesPerSec", bareRate)
 	recordBench("bareSinkEdgesPerSec", bareRate)
 	recordBench("instrumentedSinkEdgesPerSec", instrRate)
-	recordBench("instrumentOverheadPct", overheadPct)
 	model := parallel.ScalingModel{PerCoreRate: perCore}
 	for _, pt := range model.Series([]int{64, 1024, 4096, 41472}) {
 		fmt.Printf("%-8d %-14.3e modeled (linear, zero communication)\n", pt.Cores, pt.EdgesPerSec)
@@ -344,75 +343,65 @@ func fig3(maxWorkers int) error {
 	recordBench("shardSpeedup", summed/fullRate)
 	recordBench("shardPlanCostEdgesPerSec", planRep.AggregateRate)
 
-	// Wire formats: encoder throughput over a real band-ordered prefix of
-	// this workload's stream — the component cost of putting edges on the
-	// wire, measured against the enumerated full-process rate (the
-	// stream-to-wire gap).
-	sample, err := sampleEdges(g, 1<<20)
-	if err != nil {
-		return err
-	}
-	tsvRate, err := benchWire(sample, func() (graphio.EdgeWriter, error) {
-		return kron.NewTSVEdgeWriter(io.Discard), nil
+	// Wire formats, end to end: a full single-worker generation pass
+	// streamed through a Writer sink per encoding, directly comparable
+	// against fullRate (the enumerated sink at one worker). The KRNB path
+	// fuses generation and encoding into one block frame and one run frame
+	// per run; TSV formats every edge. The client half decodes one pass's
+	// KRNB stream from memory, expanding every run frame from the decoded
+	// block.
+	tsvRate, err := benchWire(g, func(w io.Writer) (graphio.EdgeWriter, error) {
+		return graphio.NewTSVEdgeWriter(w), nil
 	})
 	if err != nil {
 		return err
 	}
-	binDeltaRate, err := benchWire(sample, func() (graphio.EdgeWriter, error) {
-		return graphio.NewBinaryEdgeWriter(io.Discard, -1)
-	})
+	newBin := func(w io.Writer) (graphio.EdgeWriter, error) { return graphio.NewBinaryEdgeWriter(w, g.NumEdges()) }
+	replayRate, err := benchWire(g, newBin)
 	if err != nil {
 		return err
 	}
-	// The client half of the delta wire: the same sample, delta-encoded once
-	// as edge frames, decoded and checksum-verified from memory.
-	binDeltaReadRate, err := benchDeltaRead(sample)
-	if err != nil {
+	var replayed bytes.Buffer
+	if err := writePass(g, newBin, &replayed); err != nil {
 		return err
 	}
-	// The block-replay delta path has no per-edge encode loop to isolate —
-	// its whole point is that generation and encoding fuse into one block
-	// frame and one run frame per run — so it is measured end to end: a full
-	// single-worker generation pass streamed through the delta Writer,
-	// directly comparable against fullRate (the enumerated sink at one
-	// worker). Its client half decodes one pass's stream from memory,
-	// expanding every run frame from the decoded block.
-	replayRate, replayed, err := benchReplayWire(g)
-	if err != nil {
-		return err
+	// Decode against the generator it expands, in adjacent pairs: a
+	// single-worker enumerated pass, then one decode of the replayed
+	// stream. Their ratio is the same-run bench-smoke gate, so the median
+	// of five pairs tracks the decoder, not the machine's drift.
+	var readRates, readRatios []float64
+	for range 5 {
+		count, _, err := enumRate(g, 1, nil, nil)
+		if err != nil {
+			return err
+		}
+		read, err := readRate(replayed.Bytes())
+		if err != nil {
+			return err
+		}
+		readRates, readRatios = append(readRates, read), append(readRatios, read/count)
 	}
-	replayReadRate, err := benchRead(replayed)
-	if err != nil {
-		return err
-	}
-	replayBytesPerEdge := float64(len(replayed)) / float64(g.NumEdges())
+	replayReadRate, _, _ := recordSpread("binDeltaReplayReadEdgesPerSec", readRates)
+	readRatio, _, _ := recordSpread("replayReadToCountRatio", readRatios)
+	replayBytesPerEdge := float64(replayed.Len()) / float64(g.NumEdges())
 	deltaRatio := replayRate / fullRate
-	fmt.Printf("\nwire-format encoder throughput (%d-edge band-ordered sample):\n", len(sample))
+	fmt.Printf("\nwire-format throughput (full single-worker pass, end to end):\n")
 	fmt.Printf("%-14s %-14s\n", "format", "edges/s")
-	fmt.Printf("%-14s %-14.3e\n", "tsv", tsvRate)
-	fmt.Printf("%-14s %-14.3e (per-edge encode)\n", "bin/delta", binDeltaRate)
-	fmt.Printf("%-14s %-14.3e (decode, %.2fx the delta encode)\n", "bin/delta read", binDeltaReadRate, binDeltaReadRate/binDeltaRate)
-	fmt.Printf("%-14s %-14.3e (end-to-end generate+encode, %.2fx enumerated count rate)\n", "bin/replay", replayRate, deltaRatio)
-	fmt.Printf("%-14s %-14.3e (decode, %.2fx the edge-frame decode; %.4f bytes/edge)\n", "bin/replay read", replayReadRate, replayReadRate/binDeltaReadRate, replayBytesPerEdge)
+	fmt.Printf("%-14s %-14.3e (generate+encode)\n", "tsv", tsvRate)
+	fmt.Printf("%-14s %-14.3e (generate+encode, %.2fx enumerated count rate)\n", "bin/replay", replayRate, deltaRatio)
+	fmt.Printf("%-14s %-14.3e (decode, median %.2fx the adjacent enumerated pass; %.4f bytes/edge)\n", "bin/replay read", replayReadRate, readRatio, replayBytesPerEdge)
 	recordBench("tsvWireEdgesPerSec", tsvRate)
-	recordBench("binDeltaWireEdgesPerSec", binDeltaRate)
-	recordBench("binDeltaReadEdgesPerSec", binDeltaReadRate)
-	recordBench("deltaReadToWriteRatio", binDeltaReadRate/binDeltaRate)
 	recordBench("deltaReplayWireEdgesPerSec", replayRate)
 	recordBench("deltaWireToCountRatio", deltaRatio)
-	recordBench("binDeltaReplayReadEdgesPerSec", replayReadRate)
 	recordBench("replayBytesPerEdge", replayBytesPerEdge)
 	// Each wire series is recorded with the parallelism and batch size it
-	// ran at (the fig4 post-mortem: unlabeled recordings mislead) — the
-	// sample encoders see the whole sample per WriteEdges call, and both
-	// replay series, encode and decode, carry runs of at most
-	// DefaultBatchSize edges.
+	// ran at (the fig4 post-mortem: unlabeled recordings mislead): every
+	// series, encode and decode, carries runs of at most DefaultBatchSize
+	// edges.
 	gmp := runtime.GOMAXPROCS(0)
 	replayBatch := min(g.CNNZ(), gen.DefaultBatchSize)
 	recordBench("wireSeries", []wireSeries{
-		{Series: "tsv", EdgesPerSec: tsvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
-		{Series: "binDelta", EdgesPerSec: binDeltaRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
-		{Series: "binDeltaRead", EdgesPerSec: binDeltaReadRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
+		{Series: "tsv", EdgesPerSec: tsvRate, Gomaxprocs: gmp, BatchEdges: replayBatch},
 		{Series: "binDeltaReplay", EdgesPerSec: replayRate, Gomaxprocs: gmp, BatchEdges: replayBatch},
 		{Series: "binDeltaReplayRead", EdgesPerSec: replayReadRate, Gomaxprocs: gmp, BatchEdges: replayBatch},
 	})
@@ -480,100 +469,19 @@ func enumRate(g *gen.Generator, np int, s *gen.ShardInfo, wrap func(pipeline.Sin
 	return float64(n) / secs, n, nil
 }
 
-// errSampleFull stops the sampling pass once enough edges are collected; it
-// is success, not failure.
-var errSampleFull = errors.New("sample full")
-
-// sampleEdges materializes the first n edges of a single-worker generation
-// pass — a real band-ordered prefix of the stream the wire encoders carry.
-func sampleEdges(g *gen.Generator, n int) ([]gen.Edge, error) {
-	sample := make([]gen.Edge, 0, n)
-	err := g.StreamTo(context.Background(), 1, 0, pipeline.Func(func(p int, batch []gen.Edge) error {
-		take := min(len(batch), n-len(sample))
-		sample = append(sample, batch[:take]...)
-		if len(sample) == n {
-			return errSampleFull
-		}
-		return nil
-	}))
-	if err != nil && !errors.Is(err, errSampleFull) {
-		return nil, err
-	}
-	return sample, nil
-}
-
-// benchWire measures an edge writer's steady-state batch encode throughput:
-// the sample is re-encoded until enough wall clock has elapsed, after one
-// unmeasured warm-up pass that grows the writer's internal buffers.
-func benchWire(sample []gen.Edge, newWriter func() (graphio.EdgeWriter, error)) (float64, error) {
-	const minDur = 300 * time.Millisecond
-	w, err := newWriter()
+// readRate times one decode of a KRNB stream from memory: ReadBinary
+// decodes and verifies data against its trailer.
+func readRate(data []byte) (float64, error) {
+	start := time.Now()
+	info, err := graphio.ReadBinary(context.Background(), bytes.NewReader(data), func([]gen.Edge) error { return nil })
 	if err != nil {
 		return 0, err
 	}
-	if err := w.WriteEdges(sample); err != nil {
-		return 0, err
-	}
-	var n int64
-	start := time.Now()
-	for time.Since(start) < minDur {
-		if err := w.WriteEdges(sample); err != nil {
-			return 0, err
-		}
-		n += int64(len(sample))
-	}
-	if err := w.Flush(); err != nil {
-		return 0, err
-	}
-	return float64(n) / time.Since(start).Seconds(), nil
-}
-
-// benchDeltaRead measures delta KRNB decode throughput over edge frames:
-// the sample is encoded once into memory, then decoded by benchRead.
-func benchDeltaRead(sample []gen.Edge) (float64, error) {
-	var buf bytes.Buffer
-	w, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(sample)))
-	if err != nil {
-		return 0, err
-	}
-	if err := w.WriteEdges(sample); err != nil {
-		return 0, err
-	}
-	if err := w.Finish(); err != nil {
-		return 0, err
-	}
-	return benchRead(buf.Bytes())
-}
-
-// benchRead measures KRNB decode throughput from memory: ReadBinary decodes
-// and verifies data against its trailer until enough wall clock has
-// elapsed, after one unmeasured warm-up pass.
-func benchRead(data []byte) (float64, error) {
-	const minDur = 300 * time.Millisecond
-	pass := func() (int64, error) {
-		info, err := graphio.ReadBinary(context.Background(), bytes.NewReader(data), func([]gen.Edge) error { return nil })
-		if err != nil {
-			return 0, err
-		}
-		return info.Edges, nil
-	}
-	if _, err := pass(); err != nil {
-		return 0, err
-	}
-	var n int64
-	start := time.Now()
-	for time.Since(start) < minDur {
-		c, err := pass()
-		if err != nil {
-			return 0, err
-		}
-		n += c
-	}
-	return float64(n) / time.Since(start).Seconds(), nil
+	return float64(info.Edges) / time.Since(start).Seconds(), nil
 }
 
 // wireSeries is one wire-format throughput recording with the conditions it
-// ran under: the GOMAXPROCS in effect and the batch size crossing the
+// ran under: the GOMAXPROCS in effect and the most edges crossing the
 // encoder per call.
 type wireSeries struct {
 	Series      string  `json:"series"`
@@ -582,38 +490,35 @@ type wireSeries struct {
 	BatchEdges  int     `json:"batchEdges"`
 }
 
-// benchReplayWire measures the block-replay delta path end to end: one
-// single-worker generation pass streamed through a delta Writer sink into
-// io.Discard per iteration, repeated until enough wall clock has
-// elapsed, after one unmeasured warm-up pass whose stream it returns. Each
+// writePass streams one single-worker generation pass of g through a
+// Writer sink over the edge writer newWriter builds on w.
+func writePass(g *gen.Generator, newWriter func(io.Writer) (graphio.EdgeWriter, error), w io.Writer) error {
+	ew, err := newWriter(w)
+	if err != nil {
+		return err
+	}
+	return g.StreamTo(context.Background(), 1, 0, pipeline.Writer(ew))
+}
+
+// benchWire measures an edge writer end to end: single-worker generation
+// passes streamed through a Writer sink into io.Discard, repeated until
+// enough wall clock has elapsed, after one unmeasured warm-up pass. Each
 // pass builds a fresh writer (the KRNB trailer ends a stream), which costs
 // one header, block frame and trailer per full graph — noise at this scale.
-func benchReplayWire(g *gen.Generator) (float64, []byte, error) {
+func benchWire(g *gen.Generator, newWriter func(io.Writer) (graphio.EdgeWriter, error)) (float64, error) {
 	const minDur = 300 * time.Millisecond
-	pass := func(w io.Writer) (int64, error) {
-		ew, err := graphio.NewBinaryEdgeWriter(w, g.NumEdges())
-		if err != nil {
-			return 0, err
-		}
-		if err := g.StreamTo(context.Background(), 1, 0, pipeline.Writer(ew)); err != nil {
-			return 0, err
-		}
-		return ew.Count(), nil
-	}
-	var stream bytes.Buffer
-	if _, err := pass(&stream); err != nil {
-		return 0, nil, err
+	if err := writePass(g, newWriter, io.Discard); err != nil {
+		return 0, err
 	}
 	var n int64
 	start := time.Now()
 	for time.Since(start) < minDur {
-		c, err := pass(io.Discard)
-		if err != nil {
-			return 0, nil, err
+		if err := writePass(g, newWriter, io.Discard); err != nil {
+			return 0, err
 		}
-		n += c
+		n += g.NumEdges()
 	}
-	return float64(n) / time.Since(start).Seconds(), stream.Bytes(), nil
+	return float64(n) / time.Since(start).Seconds(), nil
 }
 
 // fig4 reproduces Figure 4: the trillion-edge hub-loop design's exact

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,53 +136,34 @@ func TestValidateStreamsDetectsMismatch(t *testing.T) {
 		t.Fatalf("fixed-width chunk: err = %v, want ErrBinaryCorrupt naming the fixed-width encoding", err)
 	}
 
-	// The same edges written as KRNB edge frames, one carrying value 2.
-	d, err := kron.FromPoints([]int{3, 4, 5}, kron.LoopHub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := gen.New(d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edges []graphio.Edge
-	if err := g.StreamTo(context.Background(), 1, 0, pipeline.Func(func(_ int, batch []gen.Edge) error {
-		edges = append(edges, batch...)
-		return nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	edges[0].Val = 2
-	var buf bytes.Buffer
-	ew, err := graphio.NewBinaryEdgeWriter(&buf, int64(len(edges)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ew.WriteEdges(edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := ew.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	// A hand-built KRNB stream, well formed but for its one block frame's
+	// record carrying value 2: the edge (0, 1), sent once and run once.
+	valTwo := []byte("KRNB\x02\x00")
+	valTwo = append(valTwo, 1<<2|1, 0, 0, 2, 4)          // block frame 0: record (+0, +1) = 2
+	valTwo = append(valTwo, 1<<2|2, 0, 0, 0, 0)          // run frame: block 0, edge 0, offset (0, 0)
+	valTwo = append(valTwo, 0, 1)                        // trailer: one edge,
+	valTwo = binary.LittleEndian.AppendUint64(valTwo, 1) // checksum 0·31 + 1,
+	valTwo = binary.LittleEndian.AppendUint32(valTwo, crc32.Checksum(valTwo, crc32.MakeTable(crc32.Castagnoli)))
 	binValTwo := filepath.Join(t.TempDir(), "val2.bin")
-	if err := os.WriteFile(binValTwo, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(binValTwo, valTwo, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	bad := map[string]string{
-		"TSV value 2": rewriteTSVEdge(t, tsvPath, func(row, col, _ int64) (string, bool) {
+	bad := map[string]struct{ path, want string }{
+		"TSV value 2": {rewriteTSVEdge(t, tsvPath, func(row, col, _ int64) (string, bool) {
 			return fmt.Sprintf("%d\t%d\t2", row, col), true
-		}),
-		"KRNB edge-frame value 2": binValTwo,
+		}), "0/1 adjacency"},
+		// The reader refuses the block before any edge reaches the check.
+		"KRNB block-frame value 2": {binValTwo, "0/1 pattern"},
 		// (r+1)·31 + (c−31) = r·31 + c, so the count and XOR fold still agree.
-		"TSV negative column": rewriteTSVEdge(t, tsvPath, func(row, col, val int64) (string, bool) {
+		"TSV negative column": {rewriteTSVEdge(t, tsvPath, func(row, col, val int64) (string, bool) {
 			return fmt.Sprintf("%d\t%d\t%d", row+1, col-31, val), col < 31
-		}),
+		}), "0/1 adjacency"},
 	}
-	for name, path := range bad {
-		err := run(context.Background(), []string{"-mhat", "3,4,5", "-loop", "hub", "-split", "2", "-in", path})
-		if err == nil || !strings.Contains(err.Error(), "0/1 adjacency") {
-			t.Errorf("%s: err = %v, want the edge rejected", name, err)
+	for name, c := range bad {
+		err := run(context.Background(), []string{"-mhat", "3,4,5", "-loop", "hub", "-split", "2", "-in", c.path})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want the edge rejected as outside the %s", name, err, c.want)
 		}
 	}
 }

@@ -52,7 +52,8 @@ type Generator struct {
 // worker, the edges of each global row arrive in strictly increasing column
 // order, and worker p+1's entries for that row all come after worker p's
 // (see StreamTo). Every B value must be 1 — star adjacencies hold only 1s —
-// because the one shared C block carries the product's values.
+// because the one shared C block carries the product's values, and C must
+// be a 0/1 pattern with coordinates below 2^31 (graphio.NewBlock's rule).
 func New(d *core.Design, nb int) (*Generator, error) {
 	bd, cd, err := d.Split(nb)
 	if err != nil {
@@ -84,10 +85,14 @@ func New(d *core.Design, nb int) (*Generator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gen: realizing C: %w", err)
 	}
+	c, err := graphio.NewBlock(cEdges)
+	if err != nil {
+		return nil, fmt.Errorf("gen: C side: %w", err)
+	}
 	g := &Generator{
 		design:     d,
 		b:          b,
-		c:          graphio.NewBlock(cEdges),
+		c:          c,
 		mC:         int64(mC),
 		nC:         int64(nC),
 		loopRow:    -1,

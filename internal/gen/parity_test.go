@@ -29,7 +29,7 @@ import (
 // parityCase is one row.
 type parityCase struct {
 	sink  string // sink composition under test; see newSubject
-	enc   string // wire encoding: "tsv", "delta", "delta-oracle" (replay off), "fixed" (edge frames only; see edgeFrames)
+	enc   string // wire encoding: "tsv", "delta", "delta-oracle" (replay off), "fixed" (retired framings; see checkWire)
 	loop  star.LoopMode
 	k     int // shard plan size
 	batch int // run length; batchOverC stands for nnz(C)+1
@@ -222,8 +222,10 @@ func (r *recorder) check(t *testing.T, batch int, loop [2]int64) *shardGot {
 // encoding, checks replayed delta bytes against the per-edge oracle's, and
 // round-trips the bytes through the reader: decoded edges must equal the
 // expanded runs, and a KRNB trailer must carry the plan's count and
-// checksum. An edge-frame stream whose header claims the retired
-// fixed-width encoding must be refused before any edge reaches emit.
+// checksum. In the "fixed" rows the stream is rewritten into the two
+// retired framings, a header that claims the fixed-width encoding and a
+// first frame tagged as an edge frame (kind 0), and each must be refused
+// before any edge reaches emit.
 func (got *shardGot) checkWire(t *testing.T, enc string, s gen.ShardInfo) {
 	t.Helper()
 	var edges, sum int64
@@ -236,13 +238,15 @@ func (got *shardGot) checkWire(t *testing.T, enc string, s gen.ShardInfo) {
 				t.Fatalf("worker %d: replayed delta bytes differ from the per-edge oracle's", p)
 			}
 		case "fixed":
-			old := slices.Clone(data)
-			old[5] |= 1 // header flags bit 0: the retired fixed-width encoding
-			_, err := graphio.ReadBinary(context.Background(), bytes.NewReader(old), func(batch []gen.Edge) error {
-				return fmt.Errorf("emitted %d edges", len(batch))
-			})
-			if !errors.Is(err, graphio.ErrBinaryCorrupt) || !strings.Contains(err.Error(), "fixed-width") {
-				t.Fatalf("worker %d: stream flagged fixed-width read as %v, want ErrBinaryCorrupt naming the encoding", p, err)
+			fixed := slices.Clone(data)
+			fixed[5] |= 1 // header flags bit 0: the retired fixed-width encoding
+			refuseRetired(t, p, fixed, "fixed-width")
+			if len(runs) > 0 {
+				// No nnz in the header, so its first frame, a block
+				// frame, starts at byte 6; the kind is its tag's low bits.
+				edgeFrame := slices.Clone(data)
+				edgeFrame[6] &^= 3
+				refuseRetired(t, p, edgeFrame, "edge frame")
 			}
 		}
 		dec, info := decode(t, enc, data)
@@ -259,6 +263,19 @@ func (got *shardGot) checkWire(t *testing.T, enc string, s gen.ShardInfo) {
 	}
 }
 
+// refuseRetired checks that ReadBinary refuses data, a stream in a retired
+// framing, as corrupt with an error naming it, before any edge reaches
+// emit.
+func refuseRetired(t *testing.T, p int, data []byte, name string) {
+	t.Helper()
+	_, err := graphio.ReadBinary(context.Background(), bytes.NewReader(data), func(batch []gen.Edge) error {
+		return fmt.Errorf("emitted %d edges", len(batch))
+	})
+	if !errors.Is(err, graphio.ErrBinaryCorrupt) || !strings.Contains(err.Error(), name) {
+		t.Fatalf("worker %d: stream with a %s read as %v, want ErrBinaryCorrupt naming it", p, name, err)
+	}
+}
+
 // newWriter returns an edge writer in the given encoding over w; nnz < 0
 // leaves a KRNB header's count out.
 func newWriter(t *testing.T, enc string, w *bytes.Buffer, nnz int64) graphio.EdgeWriter {
@@ -271,22 +288,8 @@ func newWriter(t *testing.T, enc string, w *bytes.Buffer, nnz int64) graphio.Edg
 		t.Fatal(err)
 	}
 	bw.SetBlockReplay(enc != "delta-oracle")
-	if enc == "fixed" {
-		return edgeFrames{bw}
-	}
 	return bw
 }
-
-// edgeFrames is a KRNB writer without its WriteRun, so pipeline.Writer
-// expands every run into a WriteEdges batch and the stream carries edge
-// frames only: the frame layout of the retired fixed-width encoding, in
-// delta records.
-type edgeFrames struct{ bw *graphio.BinaryEdgeWriter }
-
-func (e edgeFrames) WriteEdges(batch []gen.Edge) error { return e.bw.WriteEdges(batch) }
-func (e edgeFrames) Comment(text string) error         { return e.bw.Comment(text) }
-func (e edgeFrames) Flush() error                      { return e.bw.Flush() }
-func (e edgeFrames) Finish() error                     { return e.bw.Finish() }
 
 func encodeRuns(t *testing.T, enc string, runs []pipeline.Run) []byte {
 	t.Helper()

@@ -190,9 +190,13 @@ func TestMaterializeColumnOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := graphio.NewBlock([]Edge{{Row: 0, Col: 0, Val: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := &Generator{
 		b:          b,
-		c:          graphio.NewBlock([]Edge{{Row: 0, Col: 0, Val: 1}}),
+		c:          c,
 		mC:         int64(huge),
 		nC:         int64(huge),
 		loopRow:    -1,

@@ -33,7 +33,9 @@ import (
 //	           encoding, and a stream that sets it is rejected
 //	           flags bit1 = nnz field present (design-time exact edge count)
 //	frame   := tag:uvarint body, tag = count<<2 | kind
-//	  kind 0, count >= 1: edge frame, count records
+//	  kind 0: reserved: it marked the retired edge frame (count
+//	           records in global coordinates), and a stream that
+//	           carries one is rejected
 //	  kind 1, count >= 1: block frame: id:uvarint, then
 //	           count records of the block in block-local coordinates;
 //	           ids run 0, 1, 2, ... in stream order
@@ -43,11 +45,10 @@ import (
 //	  kind 3: reserved, corrupt
 //	  tag 0:  trailer follows; no further frames
 //	record  := zig(row-prevRow) zig(col-prevCol) zig(val)
-//	           prev resets to (0, 0) at each frame start, so every frame
-//	           decodes independently; band-ordered streams (rows banded,
-//	           columns sorted within rows) make the deltas 1-2 bytes each.
-//	           A block record's value must be 1 and its coordinates in
-//	           [0, 2^31).
+//	           prev resets to (0, 0) at each block frame's start, so every
+//	           block decodes independently; a row-major block makes the
+//	           deltas 1-2 bytes each. A record's value must be 1 and its
+//	           coordinates in [0, 2^31).
 //	trailer := edges:uvarint checksum:uint64le crc:uint32le
 //	           edges is the actual count written; checksum is the XOR fold
 //	           (two's-complement bit pattern); crc is the CRC-32C
@@ -80,10 +81,11 @@ const (
 	binFlagRetiredFixed = 1 << 0
 	binFlagHasNNZ       = 1 << 1
 
-	// Frame kinds, the low two bits of a frame tag.
-	frameEdges = 0
-	frameBlock = 1
-	frameRun   = 2
+	// Frame kinds, the low two bits of a frame tag. Kind 0 marked the
+	// retired edge frame, which is no longer written or read.
+	frameRetiredEdges = 0
+	frameBlock        = 1
+	frameRun          = 2
 
 	// blockCoordMax bounds a block frame's coordinates, so a decoder can
 	// store each block edge as two int32s.
@@ -119,16 +121,6 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// foldChecksum is the stream-content fold shared with pipeline.Checksum,
-// CountEdges, and shard plans: XOR of row*31 + col across all edges, so a
-// binary trailer reconciles directly against ChecksumPlan and job checksums.
-func foldChecksum(sum int64, batch []Edge) int64 {
-	for _, e := range batch {
-		sum ^= e.Row*31 + e.Col
-	}
-	return sum
-}
-
 // Finisher is implemented by edge writers whose format has an explicit
 // end-of-stream marker (the binary trailer). Drivers that own a complete
 // stream call Finish once after the last edge; pipeline.Writer does so on
@@ -140,30 +132,20 @@ type Finisher interface {
 	Finish() error
 }
 
-// BinaryEdgeWriter streams edges in the KRNB framed binary format. The
+// BinaryEdgeWriter streams runs in the KRNB framed binary format. The
 // header — magic, version, flags, and the design-time exact edge count — is
-// written at construction; edge frames are cut when the pending payload
-// fills a chunk, runs become block and run frames (WriteRun), and Finish
-// writes the trailer carrying the actual count, XOR checksum and CRC-32C.
-// WriteEdges and WriteRun are allocation-free at steady state.
+// written at construction; each run becomes a run frame, preceded by its
+// block's block frame the first time the stream meets the block
+// (WriteRun), and Finish writes the trailer carrying the actual count, XOR
+// checksum and CRC-32C. WriteRun is allocation-free at steady state.
 type BinaryEdgeWriter struct {
 	// w is the underlying writer behind the CRC: every byte passes through
 	// it.
 	w  crcWriter
 	bw *bufio.Writer
 
-	// scratch holds the encoded payload of the pending (not yet framed)
-	// edges; pending counts them. Deltas reset at frame start, so prevRow
-	// and prevCol track only the pending frame.
+	// scratch holds the frame being encoded.
 	scratch []byte
-	pending int
-	prevRow int64
-	prevCol int64
-
-	// hdrBuf is reused for frame tags; a stack array would be moved to the
-	// heap on every call (bufio can pass large writes straight to the
-	// underlying io.Writer interface), breaking the zero-alloc guarantee.
-	hdrBuf [binary.MaxVarintLen64]byte
 
 	count    int64
 	checksum int64
@@ -171,11 +153,9 @@ type BinaryEdgeWriter struct {
 
 	// sent lists the blocks this stream has sent as block frames; a
 	// block's index is its frame id. noReplay switches block frames to the
-	// per-edge oracle encoder (see SetBlockReplay); runBuf is WriteRun's
-	// expansion buffer when a run is written as edge frames.
+	// per-edge oracle encoder (see SetBlockReplay).
 	sent     []*Block
 	noReplay bool
-	runBuf   []Edge
 }
 
 // NewBinaryEdgeWriter writes the KRNB header for a stream of exactly nnz
@@ -202,66 +182,15 @@ func NewBinaryEdgeWriter(w io.Writer, nnz int64) (*BinaryEdgeWriter, error) {
 	return b, nil
 }
 
-// emitFrame writes the pending edges as one edge frame: tag, then the
-// encoded payload accumulated in scratch.
-func (b *BinaryEdgeWriter) emitFrame() error {
-	if b.pending == 0 {
-		return nil
-	}
-	n := binary.PutUvarint(b.hdrBuf[:], uint64(b.pending)<<2|frameEdges)
-	if _, err := b.bw.Write(b.hdrBuf[:n]); err != nil {
-		return err
-	}
-	_, err := b.bw.Write(b.scratch)
-	b.scratch = b.scratch[:0]
-	b.pending = 0
-	b.prevRow, b.prevCol = 0, 0
-	return err
-}
-
-// appendEdge encodes one edge onto the pending frame's scratch payload.
-func (b *BinaryEdgeWriter) appendEdge(row, col, val int64) {
-	b.scratch = appendDelta(b.scratch, Edge{Row: b.prevRow, Col: b.prevCol}, Edge{Row: row, Col: col, Val: val})
-	b.prevRow, b.prevCol = row, col
-	b.pending++
-}
-
-// WriteEdges encodes a whole batch: edges are appended to the pending frame
-// and framed at chunk boundaries. Zero allocations at steady state.
-func (b *BinaryEdgeWriter) WriteEdges(batch []Edge) error {
-	if b.finished {
-		return fmt.Errorf("graphio: WriteEdges after Finish on binary edge stream")
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	b.checksum = foldChecksum(b.checksum, batch)
-	b.count += int64(len(batch))
-	for _, e := range batch {
-		b.appendEdge(e.Row, e.Col, e.Val)
-		if len(b.scratch) >= edgeChunk {
-			if err := b.emitFrame(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Comment discards the text: the binary format carries its end-of-stream
 // state in the trailer (count + checksum), and readers reconcile those
 // against the header's design-time nnz — the same "truncation is detectable
 // without prose" property the MatrixMarket writer relies on.
 func (b *BinaryEdgeWriter) Comment(string) error { return nil }
 
-// Flush frames any pending edges and drains the internal buffer. The stream
-// remains open for more edges; only Finish ends it.
-func (b *BinaryEdgeWriter) Flush() error {
-	if err := b.emitFrame(); err != nil {
-		return err
-	}
-	return b.bw.Flush()
-}
+// Flush drains the internal buffer. The stream remains open for more runs;
+// only Finish ends it.
+func (b *BinaryEdgeWriter) Flush() error { return b.bw.Flush() }
 
 // Finish writes the trailer — actual edge count, XOR checksum, and the
 // CRC-32C of everything before it — and flushes. Idempotent: repeated calls
@@ -270,9 +199,6 @@ func (b *BinaryEdgeWriter) Flush() error {
 func (b *BinaryEdgeWriter) Finish() error {
 	if b.finished {
 		return nil
-	}
-	if err := b.emitFrame(); err != nil {
-		return err
 	}
 	b.finished = true
 	var buf [2 * binary.MaxVarintLen64]byte
@@ -312,9 +238,8 @@ type BinaryInfo struct {
 	Checksum int64
 }
 
-// readBatchSize bounds the reader's emit batch; corrupt frame counts can
-// therefore never force a large allocation — decoding is incremental and
-// runs out of input instead.
+// readBatchSize bounds the reader's emit batch, so a run frame's count
+// never forces a large allocation: expansion emits as the batch fills.
 const readBatchSize = 4096
 
 // blockEdge is one decoded block edge. Block frames carry only values of 1
@@ -323,38 +248,28 @@ const readBatchSize = 4096
 // 8 MB.
 type blockEdge struct{ row, col int32 }
 
-// blockChunk is the length of a decoded block's storage chunks.
+// blockChunk is the length of the block table's storage chunks.
 const blockChunk = 4096
 
-// decodedBlock is a block frame's edges, stored in chunks of blockChunk
-// edges (the last may be shorter) that are allocated as records decode: a
-// corrupt count cannot force a large allocation, and a large block is never
-// copied to grow.
-type decodedBlock struct {
+// blockTable holds every block a stream has sent: their edges back to back
+// in chunks of blockChunk edges, each allocated when the first record that
+// needs it has decoded, and where each block ends. A frame's declared count
+// therefore buys no memory ahead of the bytes that carry its records,
+// beyond the one chunk being filled, and a large block is never copied to
+// grow.
+type blockTable struct {
 	chunks [][]blockEdge
-	n      int
+	n      int   // edges decoded into the table
+	ends   []int // block i is table edges [ends[i-1], ends[i]), ends[-1] = 0
 }
 
-// add appends the block frame's decoded records in src, each of which must
-// have value 1 and coordinates in [0, 2^31).
-func (b *decodedBlock) add(src []Edge) error {
-	for len(src) > 0 {
-		if b.n%blockChunk == 0 {
-			b.chunks = append(b.chunks, make([]blockEdge, 0, blockChunk))
-		}
-		last := b.chunks[len(b.chunks)-1]
-		take := src[:min(len(src), cap(last)-len(last))]
-		for _, e := range take {
-			if e.Val != 1 || uint64(e.Row) > blockCoordMax || uint64(e.Col) > blockCoordMax {
-				return fmt.Errorf("%w: block edge (%d, %d) = %d outside a block's 0/1 pattern", ErrBinaryCorrupt, e.Row, e.Col, e.Val)
-			}
-			last = append(last, blockEdge{int32(e.Row), int32(e.Col)})
-		}
-		b.chunks[len(b.chunks)-1] = last
-		b.n += len(take)
-		src = src[len(take):]
+// span returns where block id starts in the table and how many edges it
+// holds.
+func (t *blockTable) span(id uint64) (start, n int) {
+	if id > 0 {
+		start = t.ends[id-1]
 	}
-	return nil
+	return start, t.ends[id] - start
 }
 
 // ReadBinary decodes a KRNB binary edge stream, calling emit with batches of
@@ -366,9 +281,9 @@ func (b *decodedBlock) add(src []Edge) error {
 // was actually read, and — when the header carries the design-time nnz —
 // that the stream is complete and that no frame passes it (checked before
 // the frame is decoded, so an over-long stream emits no excess edges). A
-// stream without a trailer returns ErrBinaryTruncated; any inconsistency
-// returns ErrBinaryCorrupt. ctx is checked once per frame (nil means never
-// cancelled); emit errors abort the read.
+// stream without a trailer returns ErrBinaryTruncated; any inconsistency,
+// a retired edge frame included, returns ErrBinaryCorrupt. ctx is checked
+// once per frame (nil means never cancelled); emit errors abort the read.
 func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error) (*BinaryInfo, error) {
 	d := &binReader{br: bufio.NewReaderSize(r, 1<<16)}
 	var hdr [6]byte
@@ -399,8 +314,8 @@ func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error)
 
 	out := &emitter{emit: emit, batch: make([]Edge, 0, readBatchSize)}
 	var (
-		blocks []*decodedBlock
-		framed uint64 // edges of every edge and run frame read so far
+		blocks blockTable
+		framed uint64 // edges of every run frame read so far
 		done   <-chan struct{}
 	)
 	if ctx != nil {
@@ -424,60 +339,39 @@ func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error)
 		}
 		kind, n := tag&3, tag>>2
 		switch {
+		case kind == frameRetiredEdges:
+			return nil, fmt.Errorf("%w: frame tag %#x is a retired edge frame (edge frames are no longer read)", ErrBinaryCorrupt, tag)
 		case n == 0 || kind > frameRun:
 			return nil, fmt.Errorf("%w: bad frame tag %#x", ErrBinaryCorrupt, tag)
-		case kind != frameBlock && info.NNZ >= 0 && n > uint64(info.NNZ)-framed:
-			return nil, fmt.Errorf("%w: frame of %d edges passes the header's %d after %d", ErrBinaryCorrupt, n, info.NNZ, framed)
-		}
-		switch {
 		case kind == frameBlock:
 			id, err := d.readUvarint()
 			if err != nil {
 				return nil, frameError(err, "block frame")
 			}
-			if id != uint64(len(blocks)) {
-				return nil, fmt.Errorf("%w: block frame id %d, want %d", ErrBinaryCorrupt, id, len(blocks))
+			if id != uint64(len(blocks.ends)) {
+				return nil, fmt.Errorf("%w: block frame id %d, want %d", ErrBinaryCorrupt, id, len(blocks.ends))
 			}
-			// The block's records decode through the emit batch, so it is
-			// emptied first; toBlock then moves each decoded batch into
-			// the block.
-			if err := out.flush(); err != nil {
+			if err := d.readBlockFrame(n, &blocks); err != nil {
 				return nil, err
 			}
-			blk := new(decodedBlock)
-			toBlock := func() error {
-				err := blk.add(out.batch)
-				out.batch = out.batch[:0]
-				return err
-			}
-			if err := d.readDeltaFrame(int64(n), &out.batch, toBlock); err != nil {
-				return nil, err
-			}
-			if err := toBlock(); err != nil {
-				return nil, err
-			}
-			blocks = append(blocks, blk)
-		case kind == frameRun:
-			var f [4]uint64 // id, lo, zig(rowBase), zig(colBase)
-			if err := d.readUvarints(f[:]); err != nil {
-				return nil, frameError(err, "run frame")
-			}
-			if f[0] >= uint64(len(blocks)) {
-				return nil, fmt.Errorf("%w: run frame names block %d, %d defined", ErrBinaryCorrupt, f[0], len(blocks))
-			}
-			blk := blocks[f[0]]
-			if f[1] > uint64(blk.n) || n > uint64(blk.n)-f[1] {
-				return nil, fmt.Errorf("%w: run [%d, +%d) passes block %d's %d edges", ErrBinaryCorrupt, f[1], n, f[0], blk.n)
-			}
-			framed += n
-			if err := out.expand(blk, int(f[1]), int(n), unzigzag(f[2]), unzigzag(f[3])); err != nil {
-				return nil, err
-			}
-		default:
-			framed += n
-			if err := d.readDeltaFrame(int64(n), &out.batch, out.flush); err != nil {
-				return nil, err
-			}
+			continue
+		case info.NNZ >= 0 && n > uint64(info.NNZ)-framed:
+			return nil, fmt.Errorf("%w: frame of %d edges passes the header's %d after %d", ErrBinaryCorrupt, n, info.NNZ, framed)
+		}
+		var f [4]uint64 // id, lo, zig(rowBase), zig(colBase)
+		if err := d.readUvarints(f[:]); err != nil {
+			return nil, frameError(err, "run frame")
+		}
+		if f[0] >= uint64(len(blocks.ends)) {
+			return nil, fmt.Errorf("%w: run frame names block %d, %d defined", ErrBinaryCorrupt, f[0], len(blocks.ends))
+		}
+		start, size := blocks.span(f[0])
+		if f[1] > uint64(size) || n > uint64(size)-f[1] {
+			return nil, fmt.Errorf("%w: run [%d, +%d) passes block %d's %d edges", ErrBinaryCorrupt, f[1], n, f[0], size)
+		}
+		framed += n
+		if err := out.expand(&blocks, start+int(f[1]), int(n), unzigzag(f[2]), unzigzag(f[3])); err != nil {
+			return nil, err
 		}
 	}
 	if err := out.flush(); err != nil {
@@ -519,45 +413,36 @@ func ReadBinary(ctx context.Context, r io.Reader, emit func(batch []Edge) error)
 // emitter is ReadBinary's output side: the emit batch, and the count and
 // XOR fold of the edges it has emitted.
 type emitter struct {
-	emit     func(batch []Edge) error
-	batch    []Edge
-	unfolded int // batch[unfolded:] is not folded into sum yet
-	seen     int64
-	sum      int64
+	emit  func(batch []Edge) error
+	batch []Edge
+	seen  int64
+	sum   int64
 }
 
-// fold folds the batch's edges that are not folded yet into sum.
-func (o *emitter) fold() {
-	o.sum = foldChecksum(o.sum, o.batch[o.unfolded:])
-	o.unfolded = len(o.batch)
-}
-
-// flush folds and emits the batch, and empties it.
+// flush emits the batch and empties it.
 func (o *emitter) flush() error {
 	if len(o.batch) == 0 {
 		return nil
 	}
-	o.fold()
 	o.seen += int64(len(o.batch))
 	err := o.emit(o.batch)
-	o.batch, o.unfolded = o.batch[:0], 0
+	o.batch = o.batch[:0]
 	return err
 }
 
-// expand appends edges [lo, lo+n) of blk, shifted by (rowBase, colBase),
+// expand appends table edges [lo, lo+n), shifted by (rowBase, colBase),
 // emitting as the batch fills. It takes the closed-form step WriteRun
 // takes: each edge is the block edge plus the offset, and its checksum
 // term the block edge's plus the offset's, folded as the edge is written.
-func (o *emitter) expand(blk *decodedBlock, lo, n int, rowBase, colBase int64) error {
+func (o *emitter) expand(blocks *blockTable, lo, n int, rowBase, colBase int64) error {
 	base := rowBase*31 + colBase
-	o.fold()
 	for i, end := lo, lo+n; i < end; {
 		if len(o.batch) == cap(o.batch) {
 			if err := o.flush(); err != nil {
 				return err
 			}
 		}
-		chunk := blk.chunks[i/blockChunk][i%blockChunk:]
+		chunk := blocks.chunks[i/blockChunk][i%blockChunk:]
 		src := chunk[:min(len(chunk), end-i, cap(o.batch)-len(o.batch))]
 		at := len(o.batch)
 		o.batch = o.batch[:at+len(src)]
@@ -567,7 +452,7 @@ func (o *emitter) expand(blk *decodedBlock, lo, n int, rowBase, colBase int64) e
 			out[k] = Edge{Row: rowBase + r, Col: colBase + c, Val: 1}
 			sum ^= base + r*31 + c
 		}
-		o.sum, o.unfolded = sum, len(o.batch)
+		o.sum = sum
 		i += len(src)
 	}
 	return nil
@@ -632,19 +517,24 @@ func (d *binReader) readUvarints(dst []uint64) error {
 	return nil
 }
 
-// readDeltaFrame decodes n delta-varint records; prev resets at frame start
-// per the format, so each frame stands alone. It decodes straight out of the
-// reader's buffered window and consumes what it decoded at once. The common
-// record of a band-ordered stream, a one-byte row delta and value around a
-// column delta of one or two bytes, decodes inline with no branch on its
-// length. Any other record, including one cut off by the window's end, goes
-// through deltaRecord.
-func (d *binReader) readDeltaFrame(n int64, batch *[]Edge, flush func() error) error {
+// readBlockFrame decodes a block frame's n delta records onto the end of
+// the block table as its next block; prev starts at (0, 0), per the format.
+// It decodes straight out of the reader's buffered window into the table's
+// chunks and consumes what it decoded at once. The common record of a
+// row-major block, a one-byte row delta and value around a column delta of
+// one or two bytes, decodes inline with no branch on its length. Any other
+// record, including one cut off by the window's end, goes through
+// deltaRecord.
+func (d *binReader) readBlockFrame(n uint64, t *blockTable) error {
 	win := d.window()
 	i := 0
-	out := *batch
-	var prevRow, prevCol int64
-	for ; n > 0; n-- {
+	var free []blockEdge // the last chunk's unfilled tail
+	if t.n%blockChunk != 0 {
+		free = t.chunks[len(t.chunks)-1][t.n%blockChunk:]
+	}
+	k := 0 // next slot of free
+	var row, col int64
+	for left := n; left > 0; left-- {
 		var dr, dc, dv uint64
 		if r := win[i:]; len(r) >= 4 && r[0]|r[1+int(r[1]>>7)]|r[2+int(r[1]>>7)] < 0x80 {
 			c := int(r[1] >> 7) // 1 when the column delta takes two bytes
@@ -658,18 +548,20 @@ func (d *binReader) readDeltaFrame(n int64, batch *[]Edge, flush func() error) e
 				return err
 			}
 		}
-		prevRow += unzigzag(dr)
-		prevCol += unzigzag(dc)
-		if len(out) == cap(out) {
-			*batch = out
-			if err := flush(); err != nil {
-				return err
-			}
-			out = *batch
+		row += unzigzag(dr)
+		col += unzigzag(dc)
+		if dv != 2 || uint64(row) > blockCoordMax || uint64(col) > blockCoordMax {
+			return fmt.Errorf("%w: block edge (%d, %d) = %d outside a block's 0/1 pattern", ErrBinaryCorrupt, row, col, unzigzag(dv))
 		}
-		out = append(out, Edge{Row: prevRow, Col: prevCol, Val: unzigzag(dv)})
+		if k == len(free) {
+			free, k = make([]blockEdge, blockChunk), 0
+			t.chunks = append(t.chunks, free)
+		}
+		free[k] = blockEdge{int32(row), int32(col)}
+		k++
 	}
-	*batch = out
+	t.n += int(n)
+	t.ends = append(t.ends, t.n)
 	d.consume(win, i)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -52,6 +53,39 @@ func collectBinaryFrom(t *testing.T, r io.Reader) ([]Edge, *BinaryInfo, error) {
 	return got, info, err
 }
 
+// foldChecksum is the definitional stream fold, s ^= row*31 + col per edge:
+// the oracle the writer's and reader's closed-form folds are held to.
+func foldChecksum(sum int64, batch []Edge) int64 {
+	for _, e := range batch {
+		sum ^= e.Row*31 + e.Col
+	}
+	return sum
+}
+
+// mustBlock is NewBlock for edges known to form a block.
+func mustBlock(edges []Edge) *Block {
+	b, err := NewBlock(edges)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// unitBlock is a one-edge block at (0, 0): a run over it at offset
+// (row, col) writes the single edge (row, col, 1), so a list of edges with
+// any coordinates becomes a list of runs.
+var unitBlock = mustBlock([]Edge{{Row: 0, Col: 0, Val: 1}})
+
+// writeEdgeRuns writes each edge as a one-edge run over unitBlock.
+func writeEdgeRuns(w EdgeWriter, edges []Edge) error {
+	for _, e := range edges {
+		if err := w.WriteRun(Run{Block: unitBlock, Hi: 1, RowBase: e.Row, ColBase: e.Col}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // readShapes are the read patterns the decoder must be indifferent to: one
 // large read, and one byte per read, which cuts every varint at the
 // decoder's buffered window.
@@ -75,9 +109,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Mix the write shapes: a large batch, a comment (discarded), a
-		// mid-stream flush, one-edge batches, then a small batch.
-		if err := w.WriteEdges(edges[:8000]); err != nil {
+		// Mix the write shapes over one block: a long run, a comment
+		// (discarded), a mid-stream flush, one-edge runs, then the rest.
+		b := mustBlock(edges)
+		if err := w.WriteRun(Run{Block: b, Hi: 8000}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Comment("end state=ignored"); err != nil {
@@ -86,12 +121,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range edges[8000:8100] {
-			if err := w.WriteEdges([]Edge{e}); err != nil {
+		for i := 8000; i < 8100; i++ {
+			if err := w.WriteRun(Run{Block: b, Lo: i, Hi: i + 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.WriteEdges(edges[8100:]); err != nil {
+		if err := w.WriteRun(Run{Block: b, Lo: 8100, Hi: len(edges)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Finish(); err != nil {
@@ -124,7 +159,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		// Flags bit 0 (fixed-width) and bit 1 (nnz present), one edge frame
 		// of three little-endian int64s per edge, then a trailer with the
 		// right count, checksum and CRC.
-		data := uvs([]byte{'K', 'R', 'N', 'B', 2, binFlagRetiredFixed | binFlagHasNNZ}, uint64(len(edges)), uint64(len(edges))<<2|frameEdges)
+		data := uvs([]byte{'K', 'R', 'N', 'B', 2, binFlagRetiredFixed | binFlagHasNNZ}, uint64(len(edges)), uint64(len(edges))<<2|frameRetiredEdges)
 		for _, e := range edges {
 			for _, x := range []int64{e.Row, e.Col, e.Val} {
 				data = binary.LittleEndian.AppendUint64(data, uint64(x))
@@ -140,45 +175,44 @@ func TestBinaryRoundTrip(t *testing.T) {
 	})
 }
 
-// TestBinaryDeltaIsCompact pins the point of the delta encoding: on a
-// band-ordered stream it spends a few bytes per edge, far under the 24 of
-// an edge's three int64 fields.
+// TestBinaryDeltaIsCompact pins the point of the delta encoding: a
+// band-ordered block sent once spends a few bytes per edge, far under the
+// 24 of an edge's three int64 fields.
 func TestBinaryDeltaIsCompact(t *testing.T) {
 	edges := bandOrderedEdges(10_000)
-	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteEdges(edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if perEdge := float64(buf.Len()) / float64(len(edges)); perEdge > 6 {
+	buf := replaySeed(edges, 1)
+	if perEdge := float64(len(buf)) / float64(len(edges)); perEdge > 6 {
 		t.Fatalf("delta encoding spent %.1f bytes/edge on a band-ordered stream, want <= 6", perEdge)
 	}
 }
 
 // TestBinaryNegativeAndExtremeValues: the encoding is not limited to the
-// generator's non-negative band-ordered output — arbitrary int64 triples
-// round-trip (zig-zag handles signs, and deltas wrap exactly).
+// generator's non-negative offsets — runs at arbitrary int64 offsets
+// round-trip (zig-zag handles signs, and a block edge plus its offset wraps
+// exactly, as int64 addition does).
 func TestBinaryNegativeAndExtremeValues(t *testing.T) {
-	edges := []Edge{
-		{Row: 0, Col: 0, Val: 0},
-		{Row: -1, Col: 1 << 62, Val: -1},
-		{Row: 1<<63 - 1, Col: -(1 << 62), Val: 1<<63 - 1},
-		{Row: -1 << 63, Col: 17, Val: -1 << 63},
-		{Row: 3, Col: 5, Val: -9},
+	b := mustBlock([]Edge{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 5, Val: 1}, {Row: 2, Col: 1, Val: 1}})
+	var runs []Run
+	for _, off := range [][2]int64{
+		{0, 0},
+		{-1, 1 << 62},
+		{1<<63 - 1, -(1 << 62)},
+		{-1 << 63, 17},
+		{3, 1<<63 - 3},
+	} {
+		runs = append(runs, Run{Block: b, Hi: b.Len(), RowBase: off[0], ColBase: off[1]})
 	}
 	var buf bytes.Buffer
 	w, err := NewBinaryEdgeWriter(&buf, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEdges(edges); err != nil {
-		t.Fatal(err)
+	var want []Edge
+	for _, r := range runs {
+		if err := w.WriteRun(r); err != nil {
+			t.Fatal(err)
+		}
+		want = r.AppendEdges(want)
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
@@ -190,49 +224,8 @@ func TestBinaryNegativeAndExtremeValues(t *testing.T) {
 	if info.NNZ != -1 {
 		t.Fatalf("nnz %d, want -1 (unknown)", info.NNZ)
 	}
-	if !slices.Equal(got, edges) {
-		t.Fatalf("decoded %+v, wrote %+v", got, edges)
-	}
-}
-
-// TestBinaryBatchMatchesPerEdge: the decoded stream is identical whether the
-// writer saw one batch or one edge at a time (framing may differ; content
-// and trailer may not).
-func TestBinaryBatchMatchesPerEdge(t *testing.T) {
-	edges := bandOrderedEdges(5_000)
-	var batched, single bytes.Buffer
-	wb, err := NewBinaryEdgeWriter(&batched, int64(len(edges)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.WriteEdges(edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	ws, err := NewBinaryEdgeWriter(&single, int64(len(edges)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range edges {
-		if err := ws.WriteEdges([]Edge{e}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ws.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	gb, ib, err := collectBinary(t, batched.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, is, err := collectBinary(t, single.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *ib != *is || !slices.Equal(gb, gs) {
-		t.Fatalf("batch stream decodes to %d edges %+v, per-edge stream to %d edges %+v", len(gb), *ib, len(gs), *is)
+	if !slices.Equal(got, want) || info.Checksum != foldChecksum(0, want) {
+		t.Fatalf("decoded %+v (sum %#x), wrote %+v (sum %#x)", got, uint64(info.Checksum), want, uint64(foldChecksum(0, want)))
 	}
 }
 
@@ -260,7 +253,7 @@ func TestBinaryFinishIdempotentAndTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEdges([]Edge{{Row: 1, Col: 2, Val: 1}}); err != nil {
+	if err := writeEdgeRuns(w, []Edge{{Row: 1, Col: 2, Val: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {
@@ -273,8 +266,8 @@ func TestBinaryFinishIdempotentAndTerminal(t *testing.T) {
 	if buf.Len() != size {
 		t.Fatal("second Finish wrote a second trailer")
 	}
-	if err := w.WriteEdges([]Edge{{Row: 3, Col: 4, Val: 1}}); err == nil {
-		t.Fatal("WriteEdges after Finish accepted")
+	if err := writeEdgeRuns(w, []Edge{{Row: 3, Col: 4, Val: 1}}); err == nil {
+		t.Fatal("WriteRun after Finish accepted")
 	}
 	if _, _, err := collectBinary(t, buf.Bytes()); err != nil {
 		t.Fatal(err)
@@ -284,12 +277,12 @@ func TestBinaryFinishIdempotentAndTerminal(t *testing.T) {
 // TestBinaryTruncation: every proper prefix of a valid stream fails with a
 // binary-format error — never a silent partial decode, never a panic. Once
 // the header is whole, the error is ErrBinaryTruncated wherever the cut
-// falls: inside an edge, block or run frame, or inside the trailer.
+// falls: inside a block or run frame, or inside the trailer.
 func TestBinaryTruncation(t *testing.T) {
 	edges := bandOrderedEdges(300)
 	streams := map[string][]byte{
-		"delta":    binarySeed(int64(len(edges)), edges),
-		"replayed": replaySeed(edges[:100], 3),
+		"edge runs": binarySeed(int64(len(edges)), edges),
+		"replayed":  replaySeed(edges[:100], 3),
 	}
 	for name, data := range streams {
 		header := len(binary.AppendUvarint([]byte("KRNB\x02\x00"), uint64(len(edges))))
@@ -310,8 +303,8 @@ func TestBinaryTruncation(t *testing.T) {
 }
 
 // TestBinaryBitFlips: flipping any single bit of a valid stream makes
-// ReadBinary fail, under every read shape, for a stream of edge frames and
-// a replayed stream of block and run frames.
+// ReadBinary fail, under every read shape, for a stream of one-edge runs at
+// scattered offsets and a replayed stream of one block's runs.
 // The XOR fold alone cannot promise this — a flipped value byte is outside
 // it, and under delta encoding or block replay one flip moves several
 // edges whose XOR differences can cancel — so this pins the trailer's
@@ -319,8 +312,8 @@ func TestBinaryTruncation(t *testing.T) {
 func TestBinaryBitFlips(t *testing.T) {
 	edges := bandOrderedEdges(64)
 	streams := map[string][]byte{
-		"delta":    binarySeed(int64(len(edges)), edges),
-		"replayed": replaySeed(edges[:16], 4),
+		"edge runs": binarySeed(int64(len(edges)), edges),
+		"replayed":  replaySeed(edges[:16], 4),
 	}
 	for name, data := range streams {
 		for _, shape := range readShapes {
@@ -339,10 +332,9 @@ func TestBinaryBitFlips(t *testing.T) {
 }
 
 // TestBinaryReadShapes: the decoder reads from its buffered window, so
-// where the reads end must not matter. Band-ordered and block-replayed
-// streams (block and run frames, and the edge frames a run over an
-// ineligible block becomes), including an edge frame and a block frame
-// longer than the 64 KiB read buffer, decode to
+// where the reads end must not matter. Streams of one-edge runs at
+// scattered offsets and block-replayed streams, including a run of frames
+// and a block frame longer than the 64 KiB read buffer, decode to
 // the same edges and BinaryInfo through one-byte reads, half reads, and a
 // reader split at every offset (every offset of the small streams, a
 // sample of the large ones) as through one bytes.Reader.
@@ -353,14 +345,13 @@ func TestBinaryReadShapes(t *testing.T) {
 		data  []byte
 		every bool // split at every offset, not a sample
 	}{
-		{"band delta", binarySeed(500, bandOrderedEdges(500)), true},
+		{"edge runs", binarySeed(500, bandOrderedEdges(500)), true},
 		{"replayed", replaySeed(randomBlock(rng, 200), 3), true},
-		{"replayed ineligible", replaySeed(spoilBlock(rng, randomBlock(rng, 200)), 3), true},
-		{"band delta large", binarySeed(60_000, bandOrderedEdges(60_000)), false},
+		{"edge runs large", binarySeed(60_000, bandOrderedEdges(60_000)), false},
 		{"replayed long block frame", replaySeed(bandOrderedEdges(40_000), 3), false},
 	}
 	// The long block frame must outgrow the reader's 64 KiB buffer.
-	if recs, _ := NewBlock(bandOrderedEdges(40_000)).records(); len(recs) <= 1<<16 {
+	if recs := mustBlock(bandOrderedEdges(40_000)).records(); len(recs) <= 1<<16 {
 		t.Fatalf("block frame payload of %d bytes fits the 64 KiB read buffer", len(recs))
 	}
 	for _, st := range streams {
@@ -399,10 +390,10 @@ func TestBinaryReadShapes(t *testing.T) {
 // three varints before judging them.
 func TestBinaryOverflowingVarint(t *testing.T) {
 	corrupt := overflowSeed()
-	// Cut after header and frame tag (7 bytes), the first record (3) and
-	// the 11 varint bytes: the ten overflowing ones, then one read as the
-	// column delta, so the record's value is missing.
-	cut := corrupt[:7+3+11]
+	// Cut after header, frame tag and block id (8 bytes), the first record
+	// (3) and the 11 varint bytes: the ten overflowing ones, then one read
+	// as the column delta, so the record's value is missing.
+	cut := corrupt[:8+3+11]
 	for _, shape := range readShapes {
 		if _, _, err := collectBinaryFrom(t, shape.wrap(corrupt)); !errors.Is(err, ErrBinaryCorrupt) {
 			t.Fatalf("%s: overflowing varint: %v, want ErrBinaryCorrupt", shape.name, err)
@@ -419,7 +410,7 @@ func TestBinaryHeaderNNZMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEdges(bandOrderedEdges(3)); err != nil {
+	if err := w.WriteRun(Run{Block: mustBlock(bandOrderedEdges(3)), Hi: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {
@@ -439,7 +430,7 @@ func TestBinaryTrailingGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEdges([]Edge{{Row: 1, Col: 2, Val: 1}}); err != nil {
+	if err := writeEdgeRuns(w, []Edge{{Row: 1, Col: 2, Val: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {
@@ -489,6 +480,7 @@ func TestBinaryBadFrames(t *testing.T) {
 		{"block coordinate 2^31", "0/1 pattern", handStream(-1, 0, 0, blockFrame(0, 1, [2]int64{0, 1 << 31}))},
 		{"block ids out of order", "block frame id 1", handStream(-1, 0, 0, blockFrame(1, 1, [2]int64{0, 1}))},
 		{"kind 3", "bad frame tag", handStream(-1, 0, 0, uvs(nil, 1<<2|3))},
+		{"kind 0, the retired edge frame", "edge frame", handStream(-1, 1, foldChecksum(0, []Edge{{0, 1, 1}}), uvs(nil, 1<<2|frameRetiredEdges, 0, 2, 2))},
 		{"empty block frame", "bad frame tag", handStream(-1, 0, 0, uvs(nil, frameBlock, 0))},
 		{"empty run frame", "bad frame tag", handStream(-1, 0, 0, block, runFrame(0, 0, 0, 0, 0))},
 		{"crc mismatch", "CRC", func() []byte {
@@ -537,18 +529,7 @@ func TestBinaryOverLongStreamStopsEarly(t *testing.T) {
 }
 
 func TestBinaryReadCancellation(t *testing.T) {
-	edges := bandOrderedEdges(1000)
-	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteEdges(edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(replaySeed(bandOrderedEdges(1000), 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := ReadBinary(ctx, bytes.NewReader(buf.Bytes()), func([]Edge) error { return nil }); !errors.Is(err, context.Canceled) {
@@ -561,18 +542,7 @@ func TestBinaryReadCancellation(t *testing.T) {
 }
 
 func TestBinaryEmitErrorAborts(t *testing.T) {
-	edges := bandOrderedEdges(100)
-	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteEdges(edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(replaySeed(bandOrderedEdges(100), 1))
 	boom := errors.New("boom")
 	if _, err := ReadBinary(context.Background(), bytes.NewReader(buf.Bytes()), func([]Edge) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("emit error not propagated: %v", err)
@@ -580,34 +550,67 @@ func TestBinaryEmitErrorAborts(t *testing.T) {
 }
 
 // TestEdgeWriterZeroAllocsPerBatch extends the pipeline/service alloc guards
-// down into the encoders: one steady-state WriteEdges on each wire format —
-// TSV (LUT fast path) and KRNB — must allocate nothing.
+// down into the encoders: one steady-state WriteRun on each wire format —
+// TSV and MatrixMarket (LUT fast path) and KRNB (a run frame over a block
+// sent once) — must allocate nothing.
 func TestEdgeWriterZeroAllocsPerBatch(t *testing.T) {
-	batch := bandOrderedEdges(2048)
-	writers := map[string]EdgeWriter{}
-	tw := NewTSVEdgeWriter(io.Discard)
-	writers["tsv"] = tw
+	run := Run{Block: mustBlock(bandOrderedEdges(2048)), Hi: 2048}
+	mm, err := NewMatrixMarketEdgeWriter(io.Discard, 1<<40, 1<<40, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bd, err := NewBinaryEdgeWriter(io.Discard, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writers["bin-delta"] = bd
+	writers := map[string]EdgeWriter{"tsv": NewTSVEdgeWriter(io.Discard), "mm": mm, "bin-delta": bd}
 	for name, w := range writers {
 		t.Run(name, func(t *testing.T) {
-			// Warm-up grows the scratch buffer — the one amortized allocation.
-			if err := w.WriteEdges(batch); err != nil {
+			run := run
+			// Warm-up grows the scratch buffer (and sends KRNB's block
+			// frame) — the one amortized allocation.
+			if err := w.WriteRun(run); err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				if err := w.WriteEdges(batch); err != nil {
+				run.RowBase += 2048
+				if err := w.WriteRun(run); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if raceEnabled {
-				t.Logf("race build: observed %.1f allocs/batch; assertion skipped (instrumentation allocates)", allocs)
+				t.Logf("race build: observed %.1f allocs/run; assertion skipped (instrumentation allocates)", allocs)
 			} else if allocs != 0 {
-				t.Fatalf("%s WriteEdges allocates %.1f times per batch, want 0", name, allocs)
+				t.Fatalf("%s WriteRun allocates %.1f times per run, want 0", name, allocs)
 			}
 		})
+	}
+}
+
+// TestBinaryDecodeMemoryBounded: a decoder keeps every block a stream
+// sends, so what it allocates must follow the bytes that carry those
+// blocks, not the counts their frames declare. blockFloodSeed's 20,000
+// one-record block frames once made ReadBinary allocate a 4,096-edge chunk
+// for each: 657 MB for 123 KB of input before it failed as truncated.
+func TestBinaryDecodeMemoryBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	data := blockFloodSeed()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(context.Background(), bytes.NewReader(data), func([]Edge) error { return nil })
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBinaryTruncated) {
+		t.Fatalf("block flood without a trailer: %v, want ErrBinaryTruncated", err)
+	}
+	// A one-record block frame is 4-6 bytes; it costs its 8-byte edge and
+	// an 8-byte end in the block table, whose growth reallocates, and the
+	// reader's 64 KiB window and emit batch are fixed costs. About 8 bytes
+	// per input byte in all.
+	const maxPerByte = 16
+	if perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(data)); perByte > maxPerByte {
+		t.Fatalf("decoding %d bytes allocated %d (%.0f per input byte), want at most %d per byte",
+			len(data), after.TotalAlloc-before.TotalAlloc, perByte, maxPerByte)
 	}
 }

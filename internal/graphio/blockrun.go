@@ -31,8 +31,8 @@ import (
 // per-edge term r*31 + c once, on first use, and a run adds only its
 // offset's constant.
 
-// Block is an immutable edge pattern in block-local coordinates, row-major
-// (for K = B ⊗ C: the edges of C). It is safe for concurrent use.
+// Block is an immutable 0/1 edge pattern in block-local coordinates,
+// row-major (for K = B ⊗ C: the edges of C). It is safe for concurrent use.
 type Block struct {
 	edges []Edge
 
@@ -45,14 +45,22 @@ type Block struct {
 	recOnce sync.Once
 	// recs holds the delta record of every edge, edge 0 relative to (0, 0)
 	// and each later edge relative to its predecessor: the payload of the
-	// block's KRNB block frame. It is nil when the block is not eligible
-	// for one (see records).
+	// block's KRNB block frame.
 	recs []byte
 }
 
-// NewBlock returns a block over edges. The block owns the slice from here
-// on; the caller must not modify it.
-func NewBlock(edges []Edge) *Block { return &Block{edges: edges} }
+// NewBlock returns a block over edges. Every edge must have value 1 and
+// coordinates in [0, 2^31): the 0/1 pattern a KRNB block frame carries and
+// a decoder stores in 8 bytes per edge. Every generator C block is one. The
+// block owns the slice from here on; the caller must not modify it.
+func NewBlock(edges []Edge) (*Block, error) {
+	for _, e := range edges {
+		if e.Val != 1 || uint64(e.Row) > blockCoordMax || uint64(e.Col) > blockCoordMax {
+			return nil, fmt.Errorf("graphio: block edge (%d, %d) = %d outside a block's 0/1 pattern in [0, 2^31)", e.Row, e.Col, e.Val)
+		}
+	}
+	return &Block{edges: edges}, nil
+}
 
 // Len returns the number of edges in the block.
 func (b *Block) Len() int { return len(b.edges) }
@@ -69,24 +77,18 @@ func (b *Block) foldTerms() []int64 {
 	return b.pre
 }
 
-// records returns the block frame payload, rendering it on first use, and
-// whether the block may be sent as a block frame at all: every value must
-// be 1 and every coordinate in [0, 2^31), the shape a decoder stores in
-// 8 bytes per edge. Every generator C block is eligible.
-func (b *Block) records() ([]byte, bool) {
+// records returns the block frame payload, rendering it on first use.
+func (b *Block) records() []byte {
 	b.recOnce.Do(func() {
 		recs := make([]byte, 0, 3*len(b.edges))
 		var prev Edge
 		for _, e := range b.edges {
-			if e.Val != 1 || uint64(e.Row) > blockCoordMax || uint64(e.Col) > blockCoordMax {
-				return
-			}
 			recs = appendDelta(recs, prev, e)
 			prev = e
 		}
 		b.recs = recs
 	})
-	return b.recs, b.recs != nil
+	return b.recs
 }
 
 // Run is edges [Lo, Hi) of Block shifted by (RowBase, ColBase): block edge
@@ -133,37 +135,20 @@ func (r Run) FoldChecksum(sum int64) int64 {
 // against. Replay is on by default.
 func (b *BinaryEdgeWriter) SetBlockReplay(enabled bool) { b.noReplay = !enabled }
 
-// WriteRun writes the run's edges. A run over an eligible block (see
-// Block.records) is one run frame, preceded by the block's block frame on
-// the stream's first run over it; pending per-edge writes are framed first
-// (frame order = edge order), and the trailer fold is the closed-form
-// FoldChecksum. A run over any other block is expanded and written as a
-// batch of edge frames. Zero allocations at steady state.
+// WriteRun writes the run as one run frame, preceded by its block's block
+// frame on the stream's first run over that block. The trailer fold is the
+// closed-form FoldChecksum. Zero allocations at steady state.
 func (b *BinaryEdgeWriter) WriteRun(r Run) error {
 	if b.finished {
 		return fmt.Errorf("graphio: WriteRun after Finish on binary edge stream")
 	}
-	n := r.Len()
-	if n == 0 {
+	if r.Len() == 0 {
 		return nil
-	}
-	if recs, ok := r.Block.records(); ok {
-		return b.writeRunFrame(r, recs)
-	}
-	b.runBuf = r.AppendEdges(b.runBuf[:0])
-	return b.WriteEdges(b.runBuf)
-}
-
-// writeRunFrame writes r as a run frame, sending its block first if this
-// stream has not sent it yet. recs is the block's frame payload.
-func (b *BinaryEdgeWriter) writeRunFrame(r Run, recs []byte) error {
-	if err := b.emitFrame(); err != nil {
-		return err
 	}
 	id := slices.Index(b.sent, r.Block)
 	if id < 0 {
 		id = len(b.sent)
-		if err := b.writeBlockFrame(r.Block, id, recs); err != nil {
+		if err := b.writeBlockFrame(r.Block, id); err != nil {
 			return err
 		}
 		b.sent = append(b.sent, r.Block)
@@ -183,7 +168,7 @@ func (b *BinaryEdgeWriter) writeRunFrame(r Run, recs []byte) error {
 // writeBlockFrame sends blk as block id: the frame tag and id, then its
 // records — one Write of the cached bytes, or, with replay disabled, each
 // record encoded afresh through the scratch buffer.
-func (b *BinaryEdgeWriter) writeBlockFrame(blk *Block, id int, recs []byte) error {
+func (b *BinaryEdgeWriter) writeBlockFrame(blk *Block, id int) error {
 	sc := binary.AppendUvarint(b.scratch[:0], uint64(blk.Len())<<2|frameBlock)
 	sc = binary.AppendUvarint(sc, uint64(id))
 	if !b.noReplay {
@@ -193,7 +178,7 @@ func (b *BinaryEdgeWriter) writeBlockFrame(blk *Block, id int, recs []byte) erro
 		}
 		// bufio hands writes at or above its buffer size straight to the
 		// underlying writer, so a large block costs one copy or none.
-		_, err := b.bw.Write(recs)
+		_, err := b.bw.Write(blk.records())
 		return err
 	}
 	var prev Edge

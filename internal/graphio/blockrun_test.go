@@ -3,13 +3,12 @@ package graphio
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
 // randomBlock builds a band-ordered block-local edge list (the shape a
 // C block presents to a writer) with rng-chosen size: values 1 and
-// coordinates in [0, 2^31), so it is eligible for block frames.
+// coordinates in [0, 2^31), so NewBlock accepts it.
 func randomBlock(rng *rand.Rand, maxEdges int) []Edge {
 	n := 1 + rng.Intn(maxEdges)
 	block := make([]Edge, n)
@@ -26,9 +25,8 @@ func randomBlock(rng *rand.Rand, maxEdges int) []Edge {
 	return block
 }
 
-// spoilBlock makes block ineligible for block frames in one of the ways a
-// block can be: a value other than 1, a negative coordinate, or one at
-// 2^31.
+// spoilBlock breaks block's 0/1 pattern in one of the ways NewBlock
+// refuses: a value other than 1, a negative coordinate, or one at 2^31.
 func spoilBlock(rng *rand.Rand, block []Edge) []Edge {
 	e := &block[rng.Intn(len(block))]
 	switch rng.Intn(3) {
@@ -49,29 +47,14 @@ func randomRun(rng *rand.Rand, b *Block) Run {
 	return Run{Block: b, Lo: lo, Hi: hi, RowBase: int64(rng.Intn(1 << 16)), ColBase: int64(rng.Intn(1 << 16))}
 }
 
-// replayScript is one randomized interleaving of batch writes and run
-// replays over eligible and ineligible blocks, applied identically to two
-// writers so their byte streams can be compared. It returns the reference
-// expansion of everything written and how many runs went to blocks of
-// each kind.
-func replayScript(t *testing.T, rng *rand.Rand, w *BinaryEdgeWriter) (ref []Edge, eligible, ineligible int) {
+// replayScript is one randomized sequence of run replays over fresh blocks,
+// applied identically to two writers so their byte streams can be
+// compared. It returns the reference expansion of everything written.
+func replayScript(t *testing.T, rng *rand.Rand, w *BinaryEdgeWriter) (ref []Edge) {
 	t.Helper()
 	steps := 2 + rng.Intn(12)
 	for s := 0; s < steps; s++ {
-		if rng.Intn(3) == 0 {
-			batch := randomBlock(rng, 64)
-			if err := w.WriteEdges(batch); err != nil {
-				t.Fatal(err)
-			}
-			ref = append(ref, batch...)
-			continue
-		}
-		edges := randomBlock(rng, 48)
-		spoilt := rng.Intn(3) == 0
-		if spoilt {
-			edges = spoilBlock(rng, edges)
-		}
-		b := NewBlock(edges)
+		b := mustBlock(randomBlock(rng, 48))
 		replays := 1 + rng.Intn(4)
 		for r := 0; r < replays; r++ {
 			run := randomRun(rng, b)
@@ -79,28 +62,22 @@ func replayScript(t *testing.T, rng *rand.Rand, w *BinaryEdgeWriter) (ref []Edge
 				t.Fatal(err)
 			}
 			ref = run.AppendEdges(ref)
-			if spoilt {
-				ineligible++
-			} else {
-				eligible++
-			}
 		}
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return ref, eligible, ineligible
+	return ref
 }
 
-// TestBlockReplayMatchesOracle drives many random interleavings of batch
-// writes and run replays through the replay kernel and through the
-// per-edge oracle (SetBlockReplay(false)), which encodes the same block
-// frames edge by edge. The two byte streams must be identical, and the
-// stream must round-trip through ReadBinary to exactly the reference
-// expansion with the reference checksum in the trailer. The runs cover
-// eligible blocks (block and run frames) and ineligible ones (edge frames).
+// TestBlockReplayMatchesOracle drives many random sequences of run replays
+// through the replay kernel and through the per-edge oracle
+// (SetBlockReplay(false)), which encodes the same block frames edge by
+// edge. The two byte streams must be identical, and the stream must
+// round-trip through ReadBinary to exactly the reference expansion with the
+// reference checksum in the trailer. A block outside the 0/1 pattern a
+// block frame carries never reaches a writer: NewBlock refuses it.
 func TestBlockReplayMatchesOracle(t *testing.T) {
-	var eligible, ineligible int
 	for trial := 0; trial < 40; trial++ {
 		var replayed, oracle bytes.Buffer
 		rw, err := NewBinaryEdgeWriter(&replayed, -1)
@@ -112,9 +89,8 @@ func TestBlockReplayMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		ow.SetBlockReplay(false)
-		ref, e, i := replayScript(t, rand.New(rand.NewSource(int64(1000+trial))), rw)
-		_, _, _ = replayScript(t, rand.New(rand.NewSource(int64(1000+trial))), ow)
-		eligible, ineligible = eligible+e, ineligible+i
+		ref := replayScript(t, rand.New(rand.NewSource(int64(1000+trial))), rw)
+		_ = replayScript(t, rand.New(rand.NewSource(int64(1000+trial))), ow)
 		if !bytes.Equal(replayed.Bytes(), oracle.Bytes()) {
 			t.Fatalf("trial %d: replayed stream (%d bytes) differs from per-edge oracle (%d bytes)",
 				trial, replayed.Len(), oracle.Len())
@@ -138,24 +114,22 @@ func TestBlockReplayMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d: trailer checksum %#x, fold of expansion %#x", trial, uint64(info.Checksum), uint64(want))
 		}
 	}
-	if eligible == 0 || ineligible == 0 {
-		t.Fatalf("runs over %d eligible and %d ineligible blocks, want both kinds", eligible, ineligible)
+	rng := rand.New(rand.NewSource(999))
+	for trial := 0; trial < 40; trial++ {
+		if b, err := NewBlock(spoilBlock(rng, randomBlock(rng, 48))); err == nil {
+			t.Fatalf("trial %d: NewBlock accepted a block outside the 0/1 pattern: %+v", trial, b.edges)
+		}
 	}
 }
 
 // TestBlockFramesSentOnce: a block crosses the wire once however many runs
 // name it, so a replayed stream costs its block frame plus a few bytes per
-// run, and a block that is not eligible costs what its expanded edges do.
+// run.
 func TestBlockFramesSentOnce(t *testing.T) {
 	edges := bandOrderedEdges(4096)
 	single := len(replaySeed(edges, 1))
 	if many := len(replaySeed(edges, 1001)); many-single > 1000*24 {
 		t.Fatalf("1000 more runs over a sent block cost %d bytes, want at most 24 each", many-single)
-	}
-	spoilt := slices.Clone(edges)
-	spoilt[0].Val = 2
-	if got, perEdge := len(replaySeed(spoilt, 4)), len(replaySeed(edges, 1)); got < 3*perEdge {
-		t.Fatalf("4 runs over an ineligible block took %d bytes, want the edges of each (%d per run)", got, perEdge)
 	}
 }
 
@@ -165,7 +139,7 @@ func TestBlockFramesSentOnce(t *testing.T) {
 func TestDeltaBlockTemplateFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
-		b := NewBlock(randomBlock(rng, 40))
+		b := mustBlock(randomBlock(rng, 40))
 		run := randomRun(rng, b)
 		for _, base := range [][2]int64{
 			{0, 0},
@@ -193,7 +167,7 @@ func TestBlockReplayZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBlock(bandOrderedEdges(2048))
+	b := mustBlock(bandOrderedEdges(2048))
 	run := Run{Block: b, Lo: 100, Hi: 612}
 	if err := w.WriteRun(run); err != nil {
 		t.Fatal(err)

@@ -47,30 +47,27 @@ func clampIndex(x, dim int64) int64 {
 }
 
 // FuzzTSVEdgeWriterRoundTrip is the writer-side half of the round-trip
-// property: anything the streaming TSV edge writer emits — batch writes,
-// single-edge writes, and comments fuzzed for injection — the TSV reader
-// parses back to exactly the written triples, in order.
+// property: anything the streaming TSV edge writer emits — one-edge runs at
+// fuzzed offsets, and comments fuzzed for injection — the TSV reader parses
+// back to exactly the written triples, in order.
 func FuzzTSVEdgeWriterRoundTrip(f *testing.F) {
-	f.Add(int64(0), int64(1), int64(5), int64(7), int64(7), int64(-3), "end state=done")
-	f.Add(int64(-9), int64(64), int64(9223372036854775807), int64(3), int64(2), int64(0), "a\nb\t# 1 2 3")
-	f.Fuzz(func(t *testing.T, r1, c1, v1, r2, c2, v2 int64, comment string) {
+	f.Add(int64(0), int64(1), int64(7), int64(7), "end state=done")
+	f.Add(int64(-9), int64(64), int64(3), int64(2), "a\nb\t# 1 2 3")
+	f.Fuzz(func(t *testing.T, r1, c1, r2, c2 int64, comment string) {
 		const dim = 16
 		if len(comment) > 256 {
 			comment = comment[:256]
 		}
 		edges := []Edge{
-			{Row: clampIndex(r1, dim), Col: clampIndex(c1, dim), Val: v1},
-			{Row: clampIndex(r2, dim), Col: clampIndex(c2, dim), Val: v2},
+			{Row: clampIndex(r1, dim), Col: clampIndex(c1, dim), Val: 1},
+			{Row: clampIndex(r2, dim), Col: clampIndex(c2, dim), Val: 1},
 		}
 		var buf bytes.Buffer
 		ew := NewTSVEdgeWriter(&buf)
 		if err := ew.Comment(comment); err != nil {
 			t.Fatal(err)
 		}
-		if err := ew.WriteEdges(edges[:1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := ew.WriteEdges(edges[1:2]); err != nil {
+		if err := writeEdgeRuns(ew, edges); err != nil {
 			t.Fatal(err)
 		}
 		if err := ew.Comment(comment); err != nil {
@@ -99,26 +96,23 @@ func FuzzTSVEdgeWriterRoundTrip(f *testing.F) {
 // streaming writer, whose header (with fuzzed comments) must stay parseable
 // and whose 1-based entries must land back on the written 0-based triples.
 func FuzzMatrixMarketEdgeWriterRoundTrip(f *testing.F) {
-	f.Add(int64(0), int64(1), int64(5), int64(7), int64(7), int64(-3), "kronserve job j000001")
-	f.Add(int64(15), int64(15), int64(-1), int64(0), int64(0), int64(1), "3 3 9\n1 1 1")
-	f.Fuzz(func(t *testing.T, r1, c1, v1, r2, c2, v2 int64, comment string) {
+	f.Add(int64(0), int64(1), int64(7), int64(7), "kronserve job j000001")
+	f.Add(int64(15), int64(15), int64(0), int64(0), "3 3 9\n1 1 1")
+	f.Fuzz(func(t *testing.T, r1, c1, r2, c2 int64, comment string) {
 		const dim = 16
 		if len(comment) > 256 {
 			comment = comment[:256]
 		}
 		edges := []Edge{
-			{Row: clampIndex(r1, dim), Col: clampIndex(c1, dim), Val: v1},
-			{Row: clampIndex(r2, dim), Col: clampIndex(c2, dim), Val: v2},
+			{Row: clampIndex(r1, dim), Col: clampIndex(c1, dim), Val: 1},
+			{Row: clampIndex(r2, dim), Col: clampIndex(c2, dim), Val: 1},
 		}
 		var buf bytes.Buffer
 		ew, err := NewMatrixMarketEdgeWriter(&buf, dim, dim, int64(len(edges)), comment)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ew.WriteEdges(edges[:1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := ew.WriteEdges(edges[1:2]); err != nil {
+		if err := writeEdgeRuns(ew, edges); err != nil {
 			t.Fatal(err)
 		}
 		if err := ew.Flush(); err != nil {
@@ -147,14 +141,16 @@ func FuzzMatrixMarketEdgeWriterRoundTrip(f *testing.F) {
 // body accumulate; aborting through emit is itself a supported path.
 var errTooMany = errors.New("fuzz: edge cap reached")
 
-// binarySeed encodes a small edge stream for the FuzzReadBinary corpus.
+// binarySeed encodes edges (values 1, any coordinates) as one-edge runs
+// over unitBlock: one block frame, then a run frame per edge whose offset
+// carries the edge's coordinates.
 func binarySeed(nnz int64, edges []Edge) []byte {
 	var buf bytes.Buffer
 	w, err := NewBinaryEdgeWriter(&buf, nnz)
 	if err != nil {
 		panic(err)
 	}
-	if err := w.WriteEdges(edges); err != nil {
+	if err := writeEdgeRuns(w, edges); err != nil {
 		panic(err)
 	}
 	if err := w.Finish(); err != nil {
@@ -172,7 +168,7 @@ func blockReplaySeed() []byte {
 	if err != nil {
 		panic(err)
 	}
-	b := NewBlock([]Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 4, Val: 1}, {Row: 1, Col: 0, Val: 1}})
+	b := mustBlock([]Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 4, Val: 1}, {Row: 1, Col: 0, Val: 1}})
 	for _, base := range [][2]int64{{0, 0}, {3, 9}} {
 		if err := w.WriteRun(Run{Block: b, Hi: b.Len(), RowBase: base[0], ColBase: base[1]}); err != nil {
 			panic(err)
@@ -192,7 +188,7 @@ func replaySeed(block []Edge, runs int) []byte {
 	if err != nil {
 		panic(err)
 	}
-	b := NewBlock(block)
+	b := mustBlock(block)
 	for r := 0; r < runs; r++ {
 		if err := w.WriteRun(Run{Block: b, Hi: b.Len(), RowBase: int64(r) << 20, ColBase: int64(runs-r) << 30}); err != nil {
 			panic(err)
@@ -248,16 +244,29 @@ func runFrame(id, lo, n uint64, rowBase, colBase int64) []byte {
 	return uvs(nil, n<<2|frameRun, id, lo, zigzag(rowBase), zigzag(colBase))
 }
 
-// overflowSeed is a delta stream whose second record starts with an
-// 11-byte varint: ten continuation bytes, more than any uint64 needs.
+// overflowSeed is a delta stream whose block frame's second record starts
+// with an 11-byte varint: ten continuation bytes, more than any uint64
+// needs.
 func overflowSeed() []byte {
 	data := []byte("KRNB\x02\x00")
-	data = append(data, 2<<2)    // edge frame of two records
-	data = append(data, 2, 2, 2) // (1, 1, 1)
+	data = append(data, 2<<2|frameBlock, 0) // block 0, two records
+	data = append(data, 2, 2, 2)            // (1, 1, 1)
 	data = append(data, bytes.Repeat([]byte{0xff}, 10)...)
 	data = append(data, 0x01, 2, 2) // overflowing row delta, then col, val
-	data = append(data, 0, 2)       // trailer tag, edges
+	data = append(data, 0, 0)       // trailer tag, edges
 	return append(data, make([]byte, 8+4)...)
+}
+
+// blockFloodSeed is the header and 20,000 one-record block frames, with no
+// trailer: 123,494 bytes that make a decoder which allocates a block's full
+// chunk whatever the frame declares hold 20,000 chunks at once.
+func blockFloodSeed() []byte {
+	data := []byte("KRNB\x02\x00")
+	for id := range uint64(20_000) {
+		data = uvs(data, 1<<2|frameBlock, id)
+		data = append(data, 0, 2, 2) // (0, 1, 1)
+	}
+	return data
 }
 
 // FuzzReadBinary checks the binary edge reader never panics on arbitrary
@@ -266,14 +275,16 @@ func overflowSeed() []byte {
 func FuzzReadBinary(f *testing.F) {
 	f.Add(binarySeed(2, []Edge{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 3, Val: 1}}))
 	f.Add(blockReplaySeed())
-	f.Add(binarySeed(2, []Edge{{Row: 0, Col: 1, Val: 1}, {Row: 5, Col: 2, Val: -7}}))
+	f.Add(binarySeed(2, []Edge{{Row: 0, Col: 1, Val: 1}, {Row: 5, Col: -2, Val: 1}}))
 	f.Add(binarySeed(0, nil))
-	f.Add(binarySeed(-1, []Edge{{Row: 1 << 40, Col: -(1 << 30), Val: 9}}))
+	f.Add(binarySeed(-1, []Edge{{Row: 1 << 40, Col: -(1 << 30), Val: 1}}))
 	f.Add([]byte("KRNB"))
 	f.Add([]byte("0\t1\t1\n"))
 	f.Add(replaySeed(bandOrderedEdgesN(30_000), 1)) // a block frame longer than the 64 KiB read buffer
 	f.Add(overflowSeed())
 	f.Add(handStream(2, 2, 0, blockFrame(0, 1, [2]int64{0, 1}, [2]int64{1, 0}), runFrame(1, 0, 2, 5, 5))) // run names an undefined block
+	f.Add(blockFloodSeed())
+	f.Add(handStream(1, 1, 32, uvs(nil, 1<<2|frameRetiredEdges, 2, 2, 2))) // a retired edge frame of one edge (1, 1, 1)
 	f.Fuzz(func(t *testing.T, input []byte) {
 		var edges []Edge
 		info, err := ReadBinary(nil, bytes.NewReader(input), func(batch []Edge) error {
@@ -294,7 +305,7 @@ func FuzzReadBinary(f *testing.F) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		if werr := w.WriteEdges(edges); werr != nil {
+		if werr := writeEdgeRuns(w, edges); werr != nil {
 			t.Fatal(werr)
 		}
 		if werr := w.Finish(); werr != nil {

@@ -17,17 +17,15 @@ type Edge struct {
 	Val      int64
 }
 
-// EdgeWriter encodes edges to an underlying stream, the shape the paper's
-// generator produces: edges exist only in flight, never as a materialized
-// matrix. WriteEdges encodes a whole batch with buffer management amortized
-// across it. Implementations buffer internally; Flush pushes everything
-// written so far to the underlying io.Writer (the job service calls it at
-// chunk boundaries so HTTP clients see edges while generation is still
-// running).
+// EdgeWriter encodes runs to an underlying stream, the shape the paper's
+// generator produces: edges exist only in flight, as runs of a shared block
+// at one block offset, never as a materialized matrix. Implementations
+// buffer internally; Flush pushes everything written so far to the
+// underlying io.Writer (the job service calls it at chunk boundaries so
+// HTTP clients see edges while generation is still running).
 type EdgeWriter interface {
-	// WriteEdges encodes a whole batch of "row col value" entries (0-based
-	// global indices) in order.
-	WriteEdges(batch []Edge) error
+	// WriteRun encodes the run's edges, in order, in global coordinates.
+	WriteRun(r Run) error
 	// Comment writes a line the matching reader ignores, used for
 	// end-of-stream trailers ("# state=done edges=N"). Implementations
 	// whose format forbids inline comments (MatrixMarket permits them only
@@ -37,47 +35,41 @@ type EdgeWriter interface {
 	Flush() error
 }
 
-// edgeChunk bounds the bytes WriteEdges encodes between pushes to the
-// underlying bufio.Writer, so a large batch amortizes the write calls
-// without growing the scratch buffer past a few pages.
+// edgeChunk bounds the bytes a writer encodes between pushes to the
+// underlying bufio.Writer, so a long run amortizes the write calls without
+// growing the scratch buffer past a few pages.
 const edgeChunk = 1 << 14
 
-// writeEdgeBatch is the one chunked batch encoder behind both writers'
-// WriteEdges: entries are appended to scratch with the format's field
-// separator and index base (MatrixMarket is 1-based) and pushed to bw in
-// edgeChunk pieces. Fields are formatted by the two-digit-LUT appendInt fast
-// path (byte-parity with strconv pinned by the formatter tests). The "row␣"
-// prefix is rendered once per run of equal rows and memcpy'd for the rest —
-// generated streams arrive row-major within each block (the band-order
-// guarantee), so most edges reuse the previous line's prefix — and the
-// "␣val⏎" suffix is cached the same way, since a Kronecker stream's values
-// come from a handful of star-weight products and run for whole blocks.
-// Returns the (possibly regrown) scratch truncated for reuse.
-func writeEdgeBatch(bw *bufio.Writer, scratch []byte, batch []Edge, sep byte, base int64) ([]byte, error) {
-	// prefix caches the rendered "row␣" bytes of the current row run, suffix
-	// the "␣val⏎" bytes of the current value run. An int64 is at most 20
-	// digits (21 with the sign) plus the separator/newline.
-	var prefix, suffix [22]byte
-	plen, slen := 0, 0
-	var prevRow, prevVal int64
+// writeRunLines is the one chunked line encoder behind both text writers'
+// WriteRun: each of the run's block-local edges is shifted by the run's
+// offset and appended to scratch with the format's field separator and
+// index base (MatrixMarket is 1-based), and the lines are pushed to bw in
+// edgeChunk pieces. Fields are formatted by the two-digit-LUT appendInt
+// fast path (byte-parity with strconv pinned by the formatter tests). The
+// "row␣" prefix is rendered once per run of equal rows and memcpy'd for the
+// rest: a block is row-major (the band-order guarantee), so most edges
+// reuse the previous line's prefix. Every block edge has value 1 (NewBlock
+// refuses any other), so each line ends in the same "␣1⏎". Returns the
+// (possibly regrown) scratch truncated for reuse.
+func writeRunLines(bw *bufio.Writer, scratch []byte, r Run, sep byte, base int64) ([]byte, error) {
+	// prefix caches the rendered "row␣" bytes of the current row run: an
+	// int64 is at most 20 digits (21 with the sign) plus the separator.
+	var prefix [22]byte
+	plen := 0
+	var prevRow int64
+	suffix := [3]byte{sep, '1', '\n'}
+	rowBase, colBase := r.RowBase+base, r.ColBase+base
 	b := scratch[:0]
-	for _, e := range batch {
+	for _, e := range r.Local() {
 		if plen == 0 || e.Row != prevRow {
-			p := appendInt(prefix[:0], e.Row+base)
+			p := appendInt(prefix[:0], rowBase+e.Row)
 			p = append(p, sep)
 			plen = len(p)
 			prevRow = e.Row
 		}
-		if slen == 0 || e.Val != prevVal {
-			s := append(suffix[:0], sep)
-			s = appendInt(s, e.Val)
-			s = append(s, '\n')
-			slen = len(s)
-			prevVal = e.Val
-		}
 		b = append(b, prefix[:plen]...)
-		b = appendInt(b, e.Col+base)
-		b = append(b, suffix[:slen]...)
+		b = appendInt(b, colBase+e.Col)
+		b = append(b, suffix[:]...)
 		if len(b) >= edgeChunk {
 			if _, err := bw.Write(b); err != nil {
 				return b[:0], err
@@ -105,11 +97,11 @@ func NewTSVEdgeWriter(w io.Writer) *TSVEdgeWriter {
 	return &TSVEdgeWriter{bw: bufio.NewWriter(w), buf: make([]byte, 0, 64)}
 }
 
-// WriteEdges encodes a batch of tab-separated triple lines through the
-// shared chunked encoder — per-call overhead paid once per chunk instead of
-// once per edge.
-func (t *TSVEdgeWriter) WriteEdges(batch []Edge) error {
-	b, err := writeEdgeBatch(t.bw, t.buf, batch, '\t', 0)
+// WriteRun encodes the run as tab-separated triple lines through the shared
+// chunked encoder: per-call overhead paid once per chunk instead of once per
+// edge.
+func (t *TSVEdgeWriter) WriteRun(r Run) error {
+	b, err := writeRunLines(t.bw, t.buf, r, '\t', 0)
 	t.buf = b
 	return err
 }
@@ -157,11 +149,11 @@ func NewMatrixMarketEdgeWriter(w io.Writer, rows, cols, nnz int64, comments ...s
 	return m, nil
 }
 
-// WriteEdges encodes a batch of coordinate entries (1-based) through the
-// shared chunked encoder — per-call overhead paid once per chunk instead of
+// WriteRun encodes the run as coordinate entries (1-based) through the
+// shared chunked encoder: per-call overhead paid once per chunk instead of
 // once per edge.
-func (m *MatrixMarketEdgeWriter) WriteEdges(batch []Edge) error {
-	b, err := writeEdgeBatch(m.bw, m.buf, batch, ' ', 1)
+func (m *MatrixMarketEdgeWriter) WriteRun(r Run) error {
+	b, err := writeRunLines(m.bw, m.buf, r, ' ', 1)
 	m.buf = b
 	return err
 }

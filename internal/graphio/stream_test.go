@@ -8,13 +8,23 @@ import (
 	"repro/internal/sparse"
 )
 
+// testTriples is a 0/1 pattern, the only kind a run carries.
 func testTriples() []sparse.Triple[int64] {
 	return []sparse.Triple[int64]{
 		{Row: 0, Col: 1, Val: 1},
 		{Row: 1, Col: 0, Val: 1},
-		{Row: 2, Col: 3, Val: 7},
-		{Row: 3, Col: 3, Val: -2},
+		{Row: 2, Col: 3, Val: 1},
+		{Row: 3, Col: 3, Val: 1},
 	}
+}
+
+// tripleEdges returns the triples as edges.
+func tripleEdges(tr []sparse.Triple[int64]) []Edge {
+	edges := make([]Edge, len(tr))
+	for i, t := range tr {
+		edges[i] = Edge{Row: int64(t.Row), Col: int64(t.Col), Val: t.Val}
+	}
+	return edges
 }
 
 func TestTSVEdgeWriterRoundTrip(t *testing.T) {
@@ -23,10 +33,8 @@ func TestTSVEdgeWriterRoundTrip(t *testing.T) {
 	if err := w.Comment("generated by test"); err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range testTriples() {
-		if err := w.WriteEdges([]Edge{{Row: int64(tr.Row), Col: int64(tr.Col), Val: tr.Val}}); err != nil {
-			t.Fatal(err)
-		}
+	if err := writeEdgeRuns(w, tripleEdges(testTriples())); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Comment("state=done edges=4"); err != nil {
 		t.Fatal(err)
@@ -51,10 +59,8 @@ func TestTSVEdgeWriterMatchesWriteTSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewTSVEdgeWriter(&streamed)
-	for _, tr := range m.Tr {
-		if err := w.WriteEdges([]Edge{{Row: int64(tr.Row), Col: int64(tr.Col), Val: tr.Val}}); err != nil {
-			t.Fatal(err)
-		}
+	if err := writeEdgeRuns(w, tripleEdges(m.Tr)); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -72,10 +78,8 @@ func TestMatrixMarketEdgeWriterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range tr {
-		if err := w.WriteEdges([]Edge{{Row: int64(e.Row), Col: int64(e.Col), Val: e.Val}}); err != nil {
-			t.Fatal(err)
-		}
+	if err := writeEdgeRuns(w, tripleEdges(tr)); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Comment("state=done"); err != nil {
 		t.Fatal(err)
@@ -118,10 +122,8 @@ func TestMatrixMarketEdgeWriterMatchesWriteMatrixMarket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range m.Tr {
-		if err := w.WriteEdges([]Edge{{Row: int64(tr.Row), Col: int64(tr.Col), Val: tr.Val}}); err != nil {
-			t.Fatal(err)
-		}
+	if err := writeEdgeRuns(w, tripleEdges(m.Tr)); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -132,70 +134,69 @@ func TestMatrixMarketEdgeWriterMatchesWriteMatrixMarket(t *testing.T) {
 	}
 }
 
-// TestWriteEdgesMatchesWriteEdge proves the batch encoder is byte-for-byte
+// TestWriteEdgesMatchesWriteEdge proves the run encoder is byte-for-byte
 // the whole-matrix writers WriteTSV and WriteMatrixMarket on both formats,
-// including batches large enough to cross the edgeChunk internal flush
-// boundary more than once.
+// for a run long enough, at offsets wide enough, to cross the edgeChunk
+// internal flush boundary more than once.
 func TestWriteEdgesMatchesWriteEdge(t *testing.T) {
-	// Wide coordinates make each line ~60 bytes, so ~1000 edges cross the
+	// Wide offsets make each line ~30 bytes, so 2000 edges cross the
 	// 16 KiB edgeChunk threshold several times.
-	batch := make([]Edge, 1000)
-	tr := make([]sparse.Triple[int64], len(batch))
-	for i := range batch {
-		batch[i] = Edge{
-			Row: int64(i) * 1_000_000_007,
-			Col: int64(i) * 999_999_937,
-			Val: int64(i%7) - 3,
-		}
-		tr[i] = sparse.Triple[int64]{Row: int(batch[i].Row), Col: int(batch[i].Col), Val: batch[i].Val}
+	local := make([]Edge, 2000)
+	for i := range local {
+		local[i] = Edge{Row: int64(i / 3), Col: int64(i%3) * 999_983, Val: 1}
+	}
+	run := Run{Block: mustBlock(local), Hi: len(local), RowBase: 1_000_000_007 << 8, ColBase: 999_999_937 << 8}
+	var tr []sparse.Triple[int64]
+	for _, e := range run.AppendEdges(nil) {
+		tr = append(tr, sparse.Triple[int64]{Row: int(e.Row), Col: int(e.Col), Val: e.Val})
 	}
 	m := sparse.MustCOO(1<<40, 1<<40, tr)
 	t.Run("tsv", func(t *testing.T) {
-		var whole, batched strings.Builder
+		var whole, streamed strings.Builder
 		if err := WriteTSV(&whole, m); err != nil {
 			t.Fatal(err)
 		}
-		w := NewTSVEdgeWriter(&batched)
-		if err := w.WriteEdges(batch); err != nil {
+		w := NewTSVEdgeWriter(&streamed)
+		if err := w.WriteRun(run); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if whole.String() != batched.String() {
-			t.Fatal("TSV batch output differs from WriteTSV")
+		if whole.String() != streamed.String() {
+			t.Fatal("TSV run output differs from WriteTSV")
 		}
 	})
 	t.Run("matrixmarket", func(t *testing.T) {
-		var whole, batched strings.Builder
+		var whole, streamed strings.Builder
 		if err := WriteMatrixMarket(&whole, m); err != nil {
 			t.Fatal(err)
 		}
-		w, err := NewMatrixMarketEdgeWriter(&batched, 1<<40, 1<<40, int64(len(batch)))
+		w, err := NewMatrixMarketEdgeWriter(&streamed, 1<<40, 1<<40, int64(len(local)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteEdges(batch); err != nil {
+		if err := w.WriteRun(run); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if whole.String() != batched.String() {
-			t.Fatal("MatrixMarket batch output differs from WriteMatrixMarket")
+		if whole.String() != streamed.String() {
+			t.Fatal("MatrixMarket run output differs from WriteMatrixMarket")
 		}
 	})
 	t.Run("empty-batch", func(t *testing.T) {
 		var sb strings.Builder
 		w := NewTSVEdgeWriter(&sb)
-		if err := w.WriteEdges(nil); err != nil {
+		if err := w.WriteRun(Run{Block: run.Block, Lo: 5, Hi: 5}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if sb.Len() != 0 {
-			t.Fatalf("empty batch wrote %q", sb.String())
+			t.Fatalf("empty run wrote %q", sb.String())
 		}
 	})
 }

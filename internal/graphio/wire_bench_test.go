@@ -8,8 +8,8 @@ import (
 )
 
 // Wire benchmarks: encode (and for the binary format, decode) throughput of
-// the edge writers over io.Discard, in edges/sec — the per-format numbers
-// kronbench's fig3 wire section reports. Batches are band-ordered, the shape
+// the edge writers over io.Discard, in edges/sec, the per-format kernels
+// behind kronbench's fig3 wire section. Blocks are band-ordered, the shape
 // the generator streams.
 
 func benchEdges() []Edge {
@@ -42,54 +42,17 @@ func reportEdges(b *testing.B, n int) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "edges/sec")
 }
 
+// BenchmarkWireTSV encodes one run over a band-ordered block per
+// iteration, at an offset that moves like a generator's.
 func BenchmarkWireTSV(b *testing.B) {
 	edges := benchEdges()
+	run := Run{Block: mustBlock(edges), Hi: len(edges)}
 	w := NewTSVEdgeWriter(io.Discard)
 	b.SetBytes(int64(len(edges)) * edgeInputBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.WriteEdges(edges); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportEdges(b, len(edges))
-}
-
-func BenchmarkWireBinaryDelta(b *testing.B) {
-	edges := benchEdges()
-	w, err := NewBinaryEdgeWriter(io.Discard, -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(edges)) * edgeInputBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.WriteEdges(edges); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportEdges(b, len(edges))
-}
-
-func BenchmarkWireBinaryDeltaRead(b *testing.B) {
-	edges := benchEdges()
-	var buf bytes.Buffer
-	w, err := NewBinaryEdgeWriter(&buf, int64(len(edges)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := w.WriteEdges(edges); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	ctx := context.Background()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(ctx, bytes.NewReader(data), func([]Edge) error { return nil }); err != nil {
+		run.RowBase += 1 << 12
+		if err := w.WriteRun(run); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ package pipeline_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,7 +23,7 @@ import (
 // TestTeeWriterByteParity pins that one StreamTo pass through
 // Tee(PerWorker(Writer(TSV)...), Counter, Checksum) produces TSV bytes
 // identical to a per-callback loop that expands every run with a Func and
-// hands the batch to WriteEdges, while the teed checksum equals
+// prints each edge with fmt, while the teed checksum equals
 // CountEdges' and the XOR of the shard plan's checksums — generate once,
 // consume three ways, nothing changed on the wire.
 func TestTeeWriterByteParity(t *testing.T) {
@@ -47,23 +48,17 @@ func TestTeeWriterByteParity(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Reference: the per-callback form — each worker owns a TSV writer
-		// fed straight from the expanded batch.
+		// Reference: the per-callback form — each worker prints its
+		// expanded batches line by line.
 		refBufs := make([]bytes.Buffer, np)
-		refWriters := make([]*graphio.TSVEdgeWriter, np)
-		for p := range refWriters {
-			refWriters[p] = graphio.NewTSVEdgeWriter(&refBufs[p])
-		}
 		err = g.StreamTo(context.Background(), np, batchSize, pipeline.Func(func(p int, batch []gen.Edge) error {
-			return refWriters[p].WriteEdges(batch)
+			for _, e := range batch {
+				fmt.Fprintf(&refBufs[p], "%d\t%d\t%d\n", e.Row, e.Col, e.Val)
+			}
+			return nil
 		}))
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, w := range refWriters {
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
 		}
 
 		// Pipeline: the same pass as one Tee — per-worker Writer sinks plus

@@ -12,9 +12,9 @@
 //   - WriteRun(p, r) receives worker p's next run: at most the pass's batch
 //     size of consecutive edges of one shared, immutable C block, shifted by
 //     the B triple's block offset (graphio.Run). A run only points at its
-//     block, so a sink may keep it after the call (Async does); a sink that
-//     needs edges expands it (Func, Writer) or folds it in closed form
-//     (Counter, Checksum).
+//     block, so a sink may keep it after the call (Async does); a sink
+//     encodes it (Writer), expands it into edges (Func) or folds it in
+//     closed form (Counter, Checksum).
 //   - WriteRun is called concurrently from distinct worker indices p, and
 //     serially within one p. Sinks either keep per-worker state (Counter,
 //     Checksum, PerWorker) or serialize internally (Writer, Async).
@@ -238,52 +238,33 @@ func (c *Checksum) Sum() int64 {
 	return s
 }
 
-// runWriter is implemented by edge writers that encode a run without
-// expanding it (the KRNB binary writer, which sends the block once and the
-// run as a run frame).
-type runWriter interface {
-	WriteRun(r Run) error
-}
-
 // writerSink serializes a shared EdgeWriter behind a mutex.
 type writerSink struct {
-	mu  sync.Mutex
-	ew  graphio.EdgeWriter
-	rw  runWriter // ew's run path, or nil
-	buf []Edge    // expansion buffer for writers without one
+	mu sync.Mutex
+	ew graphio.EdgeWriter
 }
 
 // Writer wraps a graphio.EdgeWriter as a Sink. Runs are encoded whole under
 // a mutex, so the output interleaves worker runs atomically; with one
 // worker — or one Writer per worker via PerWorker — the byte stream is
-// deterministic. A writer with its own run path (the KRNB binary writer:
-// one block frame, then a run frame per run) gets the run; any other
-// writer gets the run expanded into a reused buffer through WriteEdges.
-// Close finishes writers whose format has an explicit end-of-stream marker
-// (graphio.Finisher, e.g. the binary trailer) and flushes; a sink Close
-// marks a complete stream, so compositions ending in Writer get the trailer
-// for free. Wrap with KeepOpen to close a pipeline without ending the
-// underlying stream.
-func Writer(ew graphio.EdgeWriter) Sink {
-	rw, _ := ew.(runWriter)
-	return &writerSink{ew: ew, rw: rw}
-}
+// deterministic. Close finishes writers whose format has an explicit
+// end-of-stream marker (graphio.Finisher, e.g. the binary trailer) and
+// flushes; a sink Close marks a complete stream, so compositions ending in
+// Writer get the trailer for free. Wrap with KeepOpen to close a pipeline
+// without ending the underlying stream.
+func Writer(ew graphio.EdgeWriter) Sink { return &writerSink{ew: ew} }
 
 func (w *writerSink) WriteRun(p int, r Run) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.rw != nil {
-		return w.rw.WriteRun(r)
-	}
-	w.buf = r.AppendEdges(w.buf[:0])
-	return w.ew.WriteEdges(w.buf)
+	return w.ew.WriteRun(r)
 }
 
 func (w *writerSink) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if f, ok := w.ew.(graphio.Finisher); ok {
-		// Finish frames pending edges, writes the trailer, and flushes.
+		// Finish writes the trailer and flushes.
 		return f.Finish()
 	}
 	return w.ew.Flush()

@@ -18,7 +18,16 @@ func mkRun(n int, base int64) Run {
 	for i := range edges {
 		edges[i] = Edge{Row: int64(i), Col: int64(2 * i), Val: 1}
 	}
-	return Run{Block: graphio.NewBlock(edges), Hi: n, RowBase: base, ColBase: base}
+	return Run{Block: mustBlock(edges), Hi: n, RowBase: base, ColBase: base}
+}
+
+// mustBlock is graphio.NewBlock for edges known to form a block.
+func mustBlock(edges []Edge) *graphio.Block {
+	b, err := graphio.NewBlock(edges)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // foldChecksum is the definitional per-edge fold over expanded runs.
@@ -171,7 +180,7 @@ func TestKeepOpenShieldsClose(t *testing.T) {
 func TestWriterEncodesAndFlushesOnClose(t *testing.T) {
 	var buf bytes.Buffer
 	w := Writer(graphio.NewTSVEdgeWriter(&buf))
-	run := Run{Block: graphio.NewBlock([]Edge{{Row: 0, Col: 0, Val: 3}}), Hi: 1, RowBase: 1, ColBase: 2}
+	run := Run{Block: mustBlock([]Edge{{Row: 0, Col: 0, Val: 1}}), Hi: 1, RowBase: 1, ColBase: 2}
 	if err := w.WriteRun(0, run); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestWriterEncodesAndFlushesOnClose(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := buf.String(), "1\t2\t3\n"; got != want {
+	if got, want := buf.String(), "1\t2\t1\n"; got != want {
 		t.Fatalf("Writer output %q, want %q", got, want)
 	}
 }
@@ -289,7 +298,7 @@ func TestWriterCloseFinishesBinaryStream(t *testing.T) {
 	if err := shielded.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ew2.WriteEdges([]graphio.Edge{{Row: 9, Col: 9, Val: 1}}); err != nil {
-		t.Fatalf("KeepOpen-closed binary stream rejected further edges: %v", err)
+	if err := ew2.WriteRun(mkRun(1, 9)); err != nil {
+		t.Fatalf("KeepOpen-closed binary stream rejected further runs: %v", err)
 	}
 }

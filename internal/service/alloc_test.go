@@ -18,7 +18,11 @@ func serviceRun(n int) pipeline.Run {
 	for i := range block {
 		block[i] = kron.Edge{Row: int64(i / 16), Col: int64(i % 16), Val: 1}
 	}
-	return pipeline.Run{Block: graphio.NewBlock(block), Hi: n}
+	b, err := graphio.NewBlock(block)
+	if err != nil {
+		panic(err)
+	}
+	return pipeline.Run{Block: b, Hi: n}
 }
 
 // streamJobForAlloc returns a streaming job wired like Submit's, with a

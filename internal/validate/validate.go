@@ -272,19 +272,15 @@ func (s tallySink) Close() error { return nil }
 
 // scatterSink is the pass-2 placement fold as a pipeline sink: each worker
 // scatters its regenerated band straight into the pattern CSR through its
-// prefix-summed cursors. The pattern stores no values, so the sink checks
-// that every edge carries 1 — the measured graph is a 0/1 adjacency matrix,
-// and any other value is a generator fault to report, not to drop.
+// prefix-summed cursors. The pattern stores no values, and needs none: every
+// block a run reads is a 0/1 pattern (graphio.NewBlock refuses any other
+// value), so the measured graph is a 0/1 adjacency matrix.
 type scatterSink struct {
 	b *sparse.CSRBuilder[struct{}]
 }
 
 func (s scatterSink) WriteRun(w int, r pipeline.Run) error {
 	for _, e := range r.Local() {
-		if e.Val != 1 {
-			return fmt.Errorf("validate: edge (%d,%d) carries value %d; the measured graph must be 0/1",
-				r.RowBase+e.Row, r.ColBase+e.Col, e.Val)
-		}
 		s.b.Place(w, int(r.RowBase+e.Row), int(r.ColBase+e.Col), struct{}{})
 	}
 	return nil

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graphio"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/star"
 )
 
@@ -102,22 +101,15 @@ func TestRejectsUnrealizableDesign(t *testing.T) {
 }
 
 // The measured graph is a 0/1 adjacency matrix and the pattern CSR stores no
-// values, so a run carrying any other value must fail the measurement with
-// an error rather than be placed as if it were 1.
+// values, so a value other than 1 must fail with an error naming it rather
+// than be placed as if it were 1. The scatter never sees one: a run's block
+// is a 0/1 pattern by construction, and graphio.NewBlock refuses the rest.
 func TestScatterRejectsNonUnitValue(t *testing.T) {
-	block := graphio.NewBlock([]graphio.Edge{{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 0, Val: 2}})
-	stream := func(s pipeline.Sink) error {
-		if err := s.WriteRun(0, pipeline.Run{Block: block, Lo: 0, Hi: block.Len()}); err != nil {
-			_ = s.Close()
-			return err
-		}
-		return s.Close()
-	}
-	a, err := buildPattern(2, 1, stream)
+	block, err := graphio.NewBlock([]graphio.Edge{{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 0, Val: 2}})
 	if err == nil {
-		t.Fatalf("a run carrying value 2 built a %d-entry pattern", a.NNZ())
+		t.Fatalf("a block carrying value 2 was built with %d edges", block.Len())
 	}
-	if !strings.Contains(err.Error(), "value 2") {
+	if !strings.Contains(err.Error(), "= 2") {
 		t.Errorf("err = %v, want it to name the value", err)
 	}
 }

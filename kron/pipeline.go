@@ -58,11 +58,11 @@ func NewChecksum(np int) *Checksum { return pipeline.NewChecksum(np) }
 // one generation pass, K consumers.
 func Tee(sinks ...Sink) Sink { return pipeline.Tee(sinks...) }
 
-// Writer wraps an EdgeWriter as a Sink: runs are encoded whole and
-// worker-atomically; Close finishes (binary trailer) or flushes. With one
-// worker the byte stream is deterministic. The KRNB encoder sends the
-// run's block once and the run as a short run frame; other writers get the
-// run expanded into a batch.
+// Writer wraps an EdgeWriter as a Sink: each run goes to the writer's
+// WriteRun whole and worker-atomically; Close finishes (binary trailer) or
+// flushes. With one worker the byte stream is deterministic. The text
+// encoders format the run's edges straight from its block; the KRNB encoder
+// sends the run's block once and the run as a short run frame.
 func Writer(ew EdgeWriter) Sink { return pipeline.Writer(ew) }
 
 // BlockRun is the name Run had when sinks took block runs and batches
@@ -76,8 +76,9 @@ func BlockHandler(batch SinkFunc, run func(p int, run BlockRun) error) Sink {
 	return pipeline.RunFunc(run)
 }
 
-// EdgeWriter is the streaming edge-encoder contract (TSV, MatrixMarket)
-// that Writer adapts into the pipeline.
+// EdgeWriter is the run-shaped edge-encoder contract (WriteRun, Comment,
+// Flush) that the TSV, MatrixMarket and KRNB encoders share and Writer
+// adapts into the pipeline.
 type EdgeWriter = graphio.EdgeWriter
 
 // TSVEdgeWriter streams "row\tcol\tval" lines.

@@ -12,13 +12,14 @@ import (
 //
 // The KRNB framed binary encoding is the wire-speed alternative to the TSV
 // and MatrixMarket text streams: a self-describing header carrying the
-// design-time exact edge count, delta-varint frames, and a trailer carrying
-// the actual count, the XOR content checksum every other layer folds, and a
-// CRC-32C of every byte — so a complete stream reconciles against its
-// design (Checksum sinks, shard plans, job checksums) and a truncated or
-// damaged one is detected on read. A stream sends each shared C block once
-// and each run over it as a short reference. See internal/graphio for the
-// byte-level layout.
+// design-time exact edge count, one block frame of delta-varint records per
+// shared C block, one run frame of a few varints per run over it, and a
+// trailer carrying the actual count, the XOR content checksum every other
+// layer folds, and a CRC-32C of every byte — so a complete stream
+// reconciles against its design (Checksum sinks, shard plans, job
+// checksums) and a truncated or damaged one is detected on read. Those are
+// the only frames: the retired per-edge frame is refused as corrupt. See
+// internal/graphio for the byte-level layout.
 
 // BinaryEncoding is the type of NewBinaryEdgeWriter's encoding argument
 // from when KRNB had a second, fixed-width encoding; delta is the only one
@@ -29,7 +30,7 @@ type BinaryEncoding uint8
 // run frames for shared blocks.
 const BinaryDelta BinaryEncoding = 0
 
-// BinaryEdgeWriter streams edges in the KRNB framed binary format; it is an
+// BinaryEdgeWriter streams runs in the KRNB framed binary format; it is an
 // EdgeWriter (ready for Writer) and a Finisher.
 type BinaryEdgeWriter = graphio.BinaryEdgeWriter
 
@@ -78,7 +79,8 @@ var (
 //
 // K = B ⊗ C repeats C's edge pattern once per B nonzero, shifted by a
 // constant block offset, and the generator streams it that way: every run a
-// sink receives is a slice of one shared, immutable C block. The KRNB
+// sink receives is a slice of one shared, immutable C block, a 0/1 pattern
+// with coordinates below 2^31 (the generator refuses any other). The KRNB
 // encoding puts that structure on the wire: BinaryEdgeWriter (through
 // Writer) sends the block once, as one copy of delta records the block
 // renders on first use, and each run as a run frame naming the block, its

@@ -19,20 +19,16 @@
 #   3. shardValidationExact must be true — the merged fragments reproduced
 #      the unsharded design-level verdict.
 #
-# Then reruns fig3 and gates the wire-format kernels:
+# Then reruns fig3 and gates the wire paths against the generator they carry:
 #
 #   4. deltaWireToCountRatio must be at least 0.5 — the block-replay delta
 #      encoder must keep streaming real bytes at no less than half the bare
 #      count engine's rate, the gap the replay kernels exist to close.
-#   5. deltaReadToWriteRatio must be at least 0.75 — decoding the delta
-#      sample must run at no less than three quarters of the rate encoding
-#      it does, so a client keeps up with the wire it is sent (a per-byte
-#      decoder measured 0.4-0.5 here).
-#   6. binDeltaReplayReadEdgesPerSec must be at least 2x the same run's
-#      binDeltaReadEdgesPerSec — decoding a replayed stream (one block frame,
-#      then run frames expanded from the decoded block) must stay well ahead
-#      of decoding edge frames, the gap block replay on the client exists to
-#      open (about 4x when it landed).
+#   5. replayReadToCountRatio must be at least 0.5 — decoding a replayed
+#      stream (one block frame, then run frames expanded from the decoded
+#      block) must run at no less than half the rate of the single-worker
+#      enumerated pass it sits beside, the median of 5 adjacent pairs, so a
+#      client keeps up with the generator whose wire it reads.
 #
 # CI runners are noisy, so the throughput gates are floors with headroom, not
 # equality checks. Run from the repository root: ./scripts/bench-smoke.sh
@@ -83,15 +79,11 @@ echo "block-replay delta wire: ${replay} edges/s, ${ratio}x the count engine"
 jq -en --argjson r "$ratio" '$r >= 0.5' >/dev/null \
   || fail "deltaWireToCountRatio ${ratio} < 0.5: the block-replay delta path no longer keeps up with the count engine"
 
-readRatio=$(jq -e '.deltaReadToWriteRatio' "$FRESH3")
-read=$(jq -e '.binDeltaReadEdgesPerSec' "$FRESH3")
-echo "delta wire decode: ${read} edges/s, ${readRatio}x the delta encoder"
-jq -en --argjson r "$readRatio" '$r >= 0.75' >/dev/null \
-  || fail "deltaReadToWriteRatio ${readRatio} < 0.75: delta decode no longer keeps up with delta encode"
-
+readRatio=$(jq -e '.replayReadToCountRatio' "$FRESH3")
+readPairs=$(jq -e '.replayReadToCountRatioRepeats' "$FRESH3")
 replayRead=$(jq -e '.binDeltaReplayReadEdgesPerSec' "$FRESH3")
-echo "replayed-stream decode: ${replayRead} edges/s, edge-frame decode ${read}"
-jq -en --argjson r "$replayRead" --argjson e "$read" '$r >= 2 * $e' >/dev/null \
-  || fail "binDeltaReplayReadEdgesPerSec ${replayRead} < 2x binDeltaReadEdgesPerSec ${read}: run frames no longer decode ahead of edge frames"
+echo "replayed-stream decode: ${replayRead} edges/s, ${readRatio}x the enumerated pass (median of ${readPairs} pairs)"
+jq -en --argjson r "$readRatio" '$r >= 0.5' >/dev/null \
+  || fail "replayReadToCountRatio ${readRatio} < 0.5: replayed-stream decode no longer keeps up with generation"
 
 echo "bench-smoke: OK"
