@@ -233,12 +233,18 @@ func fig3(maxWorkers int) error {
 	if err != nil {
 		return err
 	}
+	// A full generation is the only shard of the one-shard plan.
+	whole, err := kron.PlanShards(d, 3, 1)
+	if err != nil {
+		return err
+	}
+	full := whole[0]
 	fmt.Printf("workload: %v, %d edges per full generation\n", d, g.NumEdges())
 	fmt.Printf("%-8s %-14s %s\n", "cores", "edges/s", "source")
 	perCore := 0.0
 	var measured []parallel.ScalingPoint
 	for np := 1; np <= maxWorkers; np *= 2 {
-		rate, _, err := enumRate(g, np, nil, nil)
+		rate, _, err := enumRate(g, np, full, nil)
 		if err != nil {
 			return err
 		}
@@ -269,11 +275,11 @@ func fig3(maxWorkers int) error {
 	}
 	var bare, instr, overheads []float64
 	for range 9 {
-		b, _, err := enumRate(g, maxWorkers, nil, nil)
+		b, _, err := enumRate(g, maxWorkers, full, nil)
 		if err != nil {
 			return err
 		}
-		in, _, err := enumRate(g, maxWorkers, nil, instrument)
+		in, _, err := enumRate(g, maxWorkers, full, instrument)
 		if err != nil {
 			return err
 		}
@@ -307,11 +313,11 @@ func fig3(maxWorkers int) error {
 	// delivers; cluster.PlanCost prices the same real plan (straggler-bound)
 	// instead of the idealized E/P.
 	const shardProcs = 4
-	plan, err := g.PlanShards(shardProcs)
+	plan, err := kron.PlanShards(d, 3, shardProcs)
 	if err != nil {
 		return err
 	}
-	fullRate, fullTotal, err := enumRate(g, 1, nil, nil)
+	fullRate, fullTotal, err := enumRate(g, 1, full, nil)
 	if err != nil {
 		return err
 	}
@@ -321,7 +327,7 @@ func fig3(maxWorkers int) error {
 	summed := 0.0
 	shardEdges := make([]int64, 0, len(plan))
 	for _, s := range plan {
-		rate, n, err := enumRate(g, 1, &s, nil)
+		rate, n, err := enumRate(g, 1, s, nil)
 		if err != nil {
 			return err
 		}
@@ -371,7 +377,7 @@ func fig3(maxWorkers int) error {
 	// of five pairs tracks the decoder, not the machine's drift.
 	var readRates, readRatios []float64
 	for range 5 {
-		count, _, err := enumRate(g, 1, nil, nil)
+		count, _, err := enumRate(g, 1, full, nil)
 		if err != nil {
 			return err
 		}
@@ -431,12 +437,12 @@ type edgeFold struct {
 	_      [48]byte
 }
 
-// enumRate times one pass over shard s (the whole graph when s is nil) with
-// np workers into a Func that reads every edge and folds count plus XOR
-// checksum — the per-edge work of an enumerated count, where the Counter
-// and Checksum sinks fold each run in closed form. wrap, when non-nil,
-// wraps that sink. It returns the rate and the edges counted.
-func enumRate(g *gen.Generator, np int, s *gen.ShardInfo, wrap func(pipeline.Sink) pipeline.Sink) (float64, int64, error) {
+// enumRate times one pass over shard s with np workers into a Func that
+// reads every edge and folds count plus XOR checksum — the per-edge work of
+// an enumerated count, where the Counter and Checksum sinks fold each run in
+// closed form. wrap, when non-nil, wraps that sink. It returns the rate and
+// the edges counted.
+func enumRate(g *gen.Generator, np int, s gen.ShardInfo, wrap func(pipeline.Sink) pipeline.Sink) (float64, int64, error) {
 	folds := make([]edgeFold, np)
 	var sink pipeline.Sink = pipeline.Func(func(p int, batch []gen.Edge) error {
 		f := &folds[p]
@@ -452,13 +458,7 @@ func enumRate(g *gen.Generator, np int, s *gen.ShardInfo, wrap func(pipeline.Sin
 		sink = wrap(sink)
 	}
 	start := time.Now()
-	var err error
-	if s != nil {
-		err = g.StreamShardTo(context.Background(), *s, np, 0, sink)
-	} else {
-		err = g.StreamTo(context.Background(), np, 0, sink)
-	}
-	if err != nil {
+	if err := g.StreamShardTo(context.Background(), s, np, 0, sink); err != nil {
 		return 0, 0, err
 	}
 	secs := time.Since(start).Seconds()

@@ -11,9 +11,11 @@
 //	krongen -mhat 3,4,5 -loop none -split 2 -workers 2 -stream /tmp/graph
 //	krongen -mhat 3,4,5 -loop none -split 2 -stream /tmp/graph -format bin
 //
-// With -shard k/K the process generates only shard k of the deterministic
-// K-shard plan — run K krongen processes (one per shard, any machines, no
-// coordination) and concatenate their chunks to reassemble the full graph:
+// A run generates one shard of a deterministic plan: without -shard, the
+// only shard of the one-shard plan; with -shard k/K (K ≤ 65536), shard k of
+// the K-shard plan — run K krongen processes (one per shard, any machines,
+// no coordination) and concatenate their chunks to reassemble the full
+// graph:
 //
 //	krongen -mhat 3,4,5 -loop hub -split 2 -shard 0/3 -stream /tmp/s0
 //	krongen -mhat 3,4,5 -loop hub -split 2 -shard 1/3 -stream /tmp/s1
@@ -84,39 +86,33 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	// An unsharded run is the only shard of the one-shard plan.
+	k, shards := 0, 1
+	if *shardSpec != "" {
+		if k, shards, err = cliutil.ParseShard(*shardSpec); err != nil {
+			return err
+		}
+	}
+	plan, err := kron.PlanShards(d, *split, shards)
+	if err != nil {
+		return err
+	}
+	shard := plan[k]
 	g, err := gen.New(d, *split)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("design: %v — %d vertices, %d edges, nnz(B)=%d, nnz(C)=%d\n",
 		d, g.NumVertices(), g.NumEdges(), g.BNNZ(), g.CNNZ())
+	fmt.Printf("shard %d/%d: B triples [%d, %d), %d edges\n",
+		shard.Shard, shard.Shards, shard.BLo, shard.BHi, shard.Edges)
 
 	if *format != "tsv" && *stream == "" {
 		return fmt.Errorf("-format applies to -stream only")
 	}
-	var shard *gen.ShardInfo
-	if *shardSpec != "" {
-		k, total, err := cliutil.ParseShard(*shardSpec)
-		if err != nil {
-			return err
-		}
-		plan, err := g.PlanShards(total)
-		if err != nil {
-			return err
-		}
-		shard = &plan[k]
-		fmt.Printf("shard %d/%d: B triples [%d, %d), %d edges\n",
-			shard.Shard, shard.Shards, shard.BLo, shard.BHi, shard.Edges)
-	}
-
 	if *count {
 		start := time.Now()
-		var total, checksum int64
-		if shard != nil {
-			total, checksum, err = g.CountShard(context.Background(), *shard, *workers)
-		} else {
-			total, checksum, err = g.CountEdges(context.Background(), *workers)
-		}
+		total, checksum, err := g.CountShard(context.Background(), shard, *workers)
 		if err != nil {
 			return err
 		}
@@ -134,31 +130,27 @@ func run(args []string) (err error) {
 	return streamChunks(g, shard, *workers, *stream, *format)
 }
 
-// streamChunks writes one edge chunk per worker through the pipeline layer —
-// or, with a shard, streams exactly this process's slice of the
-// deterministic plan. Each worker owns its file via a PerWorker-routed
-// Writer sink, and a Counter rides the same Tee, so the reported edge total
-// is measured from the one generation pass that wrote the chunks; the graph
-// is never materialized and no state is shared between workers. Binary
-// chunks get their end-of-stream trailer (count + XOR checksum) from the
-// stream pass's sink Close, which finishes each writer; with one worker the
-// chunk's header also carries the design-time exact edge count, so the file
-// is verifiable on its own (kronvalidate -in).
-func streamChunks(g *gen.Generator, shard *gen.ShardInfo, workers int, dir, format string) error {
+// streamChunks writes one edge chunk per worker of this process's shard of
+// the deterministic plan through the pipeline layer. Each worker owns its
+// file via a PerWorker-routed Writer sink, and a Counter rides the same
+// Tee, so the reported edge total is measured from the one generation pass
+// that wrote the chunks; the graph is never materialized and no state is
+// shared between workers. Binary chunks get their end-of-stream trailer
+// (count + XOR checksum) from the stream pass's sink Close, which finishes
+// each writer; with one worker the chunk's header also carries the shard's
+// exact edge count, known at design time, so the file is verifiable on its
+// own (kronvalidate -in).
+func streamChunks(g *gen.Generator, shard gen.ShardInfo, workers int, dir, format string) error {
 	if format != "tsv" && format != "bin" {
 		return fmt.Errorf("unknown -format %q (want tsv or bin)", format)
 	}
 	binary := format == "bin"
 	// A multi-worker chunk covers an unpredictable share of the stream, so
-	// its header omits nnz; a single chunk is the whole (shard's) stream,
+	// its header omits nnz; a single chunk is the shard's whole stream,
 	// whose exact count is known before generation.
 	chunkNNZ := int64(-1)
 	if workers == 1 {
-		if shard != nil {
-			chunkNNZ = shard.Edges
-		} else {
-			chunkNNZ = g.NumEdges()
-		}
+		chunkNNZ = shard.Edges
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -201,13 +193,7 @@ func streamChunks(g *gen.Generator, shard *gen.ShardInfo, workers int, dir, form
 	// counter adds each run's length.
 	sink := pipeline.Tee(pipeline.PerWorker(sinks...), counter)
 	start := time.Now()
-	var err error
-	if shard != nil {
-		err = g.StreamShardTo(context.Background(), *shard, workers, 0, sink)
-	} else {
-		err = g.StreamTo(context.Background(), workers, 0, sink)
-	}
-	if err != nil {
+	if err := g.StreamShardTo(context.Background(), shard, workers, 0, sink); err != nil {
 		return err
 	}
 	for p := range files {

@@ -168,3 +168,12 @@ func TestFormatRequiresStream(t *testing.T) {
 		}
 	}
 }
+
+// TestShardCountBound: -shard plans at most 2^16 shards, so a larger K
+// fails naming the bound instead of allocating a K-entry plan.
+func TestShardCountBound(t *testing.T) {
+	err := run([]string{"-mhat", "3,4", "-loop", "hub", "-shard", "0/65537", "-count"})
+	if err == nil || !strings.Contains(err.Error(), "plan bound [1, 65536]") {
+		t.Fatalf("-shard 0/65537: %v, want an error naming the 65536-shard plan bound", err)
+	}
+}

@@ -6,16 +6,17 @@
 //
 // Endpoints:
 //
-//	POST   /v1/designs         exact properties of a design (no generation)
-//	POST   /v1/jobs            start a generation job
-//	GET    /v1/jobs            list jobs
-//	GET    /v1/jobs/{id}       job status + progress
-//	GET    /v1/jobs/{id}/edges chunked edge stream (format=tsv|matrixmarket)
-//	DELETE /v1/jobs/{id}       cancel a job
-//	GET    /v1/validate/{id}   exact-agreement validation of a done job
-//	GET    /v1/jobs/{id}/trace job phase timeline (admitted → … → terminal)
-//	GET    /healthz            liveness
-//	GET    /metrics            Prometheus text exposition
+//	POST   /v1/designs                    exact properties of a design (no generation)
+//	GET    /v1/designs/{hash}/shardplan   closed-form K-shard plan (shards=K[&split=nb])
+//	POST   /v1/jobs                       start a generation job (the whole graph or one shard)
+//	GET    /v1/jobs                       list jobs
+//	GET    /v1/jobs/{id}                  job status + progress
+//	GET    /v1/jobs/{id}/edges            chunked edge stream (format=tsv|matrixmarket|bin)
+//	DELETE /v1/jobs/{id}                  cancel a job
+//	GET    /v1/validate/{id}              exact-agreement validation of a done job
+//	GET    /v1/jobs/{id}/trace            job phase timeline (admitted → … → terminal)
+//	GET    /healthz                       liveness
+//	GET    /metrics                       Prometheus text exposition
 //
 // Requests and job lifecycles are logged as structured records (-log-format
 // json|text) with request and job IDs for correlation. With -debug-addr a

@@ -99,11 +99,11 @@ func run(ctx context.Context, args []string) error {
 }
 
 // validateShard runs the shard-native validation pass over one slice of the
-// deterministic K-shard plan and reconciles its measurement against the
-// plan's closed-form edge count. The content checksum is printed so it can be
-// compared with the generating replica's fold (the plan itself carries zero
-// checksums unless enumerated; the closed-form edge count is the cheap,
-// always-available reconciliation).
+// deterministic K-shard plan (at most 2^16 shards) and reconciles its
+// measurement against the plan's closed-form edge count. The content
+// checksum is printed so it can be compared with the generating replica's
+// fold (its shard job's checksum, or krongen -shard -count's); a plan
+// carries no checksums.
 func validateShard(ctx context.Context, d *kron.Design, split, workers int, spec string) error {
 	k, total, err := cliutil.ParseShard(spec)
 	if err != nil {

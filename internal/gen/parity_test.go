@@ -58,14 +58,21 @@ func parityCases() []parityCase {
 
 // parityDesign is one loop mode's design with everything the rows compare
 // against: the serial realization, one full stream in worker order, and the
-// checksummed shard plans.
+// shard plans with each shard's checksum.
 type parityDesign struct {
 	d         *core.Design
 	g         *gen.Generator
 	loop      [2]int64 // the removed self-loop, or (-1, -1)
 	want      []gen.Edge
 	canonical []gen.Edge
-	plans     map[int][]gen.ShardInfo
+	plans     map[int][]checkedShard
+}
+
+// checkedShard is one plan entry beside its shard's XOR checksum, counted
+// by CountShard when the design is set up.
+type checkedShard struct {
+	gen.ShardInfo
+	Checksum int64
 }
 
 func newParityDesign(t *testing.T, loop star.LoopMode) *parityDesign {
@@ -82,7 +89,7 @@ func newParityDesign(t *testing.T, loop star.LoopMode) *parityDesign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd := &parityDesign{d: d, g: g, loop: [2]int64{-1, -1}, plans: map[int][]gen.ShardInfo{}}
+	pd := &parityDesign{d: d, g: g, loop: [2]int64{-1, -1}, plans: map[int][]checkedShard{}}
 	if r, c, ok := d.LoopPosition(); ok {
 		pd.loop = [2]int64{int64(r), int64(c)}
 	}
@@ -102,14 +109,20 @@ func newParityDesign(t *testing.T, loop star.LoopMode) *parityDesign {
 		pd.canonical = append(pd.canonical, w...)
 	}
 	for _, k := range []int{1, 2, 3, 7} {
-		plan, err := g.PlanShards(k)
+		plan, err := gen.PlanDesignShards(d, 1, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.ChecksumPlan(context.Background(), plan, 2); err != nil {
-			t.Fatal(err)
+		for _, s := range plan {
+			n, sum, err := g.CountShard(context.Background(), s, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != s.Edges {
+				t.Fatalf("k=%d shard %d: CountShard %d edges, plan %d", k, s.Shard, n, s.Edges)
+			}
+			pd.plans[k] = append(pd.plans[k], checkedShard{s, sum})
 		}
-		pd.plans[k] = plan
 	}
 	return pd
 }
@@ -139,7 +152,7 @@ func TestRunParity(t *testing.T) {
 			for _, s := range pd.plans[tc.k] {
 				rec := newRecorder()
 				sub := newSubject(t, tc, s)
-				if err := pd.g.StreamShardTo(context.Background(), s, parityWorkers, batch, pipeline.Tee(rec, sub.sink)); err != nil {
+				if err := pd.g.StreamShardTo(context.Background(), s.ShardInfo, parityWorkers, batch, pipeline.Tee(rec, sub.sink)); err != nil {
 					t.Fatalf("shard %d: %v", s.Shard, err)
 				}
 				got := rec.check(t, batch, pd.loop)
@@ -221,12 +234,12 @@ func (r *recorder) check(t *testing.T, batch int, loop [2]int64) *shardGot {
 // checkWire encodes each worker's runs through a Writer in the row's
 // encoding, checks replayed delta bytes against the per-edge oracle's, and
 // round-trips the bytes through the reader: decoded edges must equal the
-// expanded runs, and a KRNB trailer must carry the plan's count and
-// checksum. In the "fixed" rows the stream is rewritten into the two
+// expanded runs, and a KRNB trailer must carry the plan's count and the
+// shard's checksum. In the "fixed" rows the stream is rewritten into the two
 // retired framings, a header that claims the fixed-width encoding and a
 // first frame tagged as an edge frame (kind 0), and each must be refused
 // before any edge reaches emit.
-func (got *shardGot) checkWire(t *testing.T, enc string, s gen.ShardInfo) {
+func (got *shardGot) checkWire(t *testing.T, enc string, s checkedShard) {
 	t.Helper()
 	var edges, sum int64
 	for p, runs := range got.runs {
@@ -259,7 +272,7 @@ func (got *shardGot) checkWire(t *testing.T, enc string, s gen.ShardInfo) {
 		}
 	}
 	if enc != "tsv" && (edges != s.Edges || sum != s.Checksum) {
-		t.Fatalf("trailers (%d, %#x), plan (%d, %#x)", edges, uint64(sum), s.Edges, uint64(s.Checksum))
+		t.Fatalf("trailers (%d, %#x), plan and CountShard (%d, %#x)", edges, uint64(sum), s.Edges, uint64(s.Checksum))
 	}
 }
 
@@ -375,7 +388,7 @@ type subject struct {
 	check func(t *testing.T, got *shardGot)
 }
 
-func newSubject(t *testing.T, tc parityCase, s gen.ShardInfo) subject {
+func newSubject(t *testing.T, tc parityCase, s checkedShard) subject {
 	t.Helper()
 	checkFolds := func(t *testing.T, cnt *pipeline.Counter, cks *pipeline.Checksum) {
 		t.Helper()
@@ -383,7 +396,7 @@ func newSubject(t *testing.T, tc parityCase, s gen.ShardInfo) subject {
 			t.Fatalf("Counter %d, plan %d", cnt.Total(), s.Edges)
 		}
 		if cks != nil && cks.Sum() != s.Checksum {
-			t.Fatalf("Checksum %#x, plan %#x", uint64(cks.Sum()), uint64(s.Checksum))
+			t.Fatalf("Checksum %#x, CountShard %#x", uint64(cks.Sum()), uint64(s.Checksum))
 		}
 	}
 	// shared is one Writer all workers write through; its stream must hold

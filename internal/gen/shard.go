@@ -28,51 +28,29 @@ type ShardInfo struct {
 	// Edges is the exact number of edges this shard emits (its B range's
 	// C fan-out, minus the removed self-loop when that falls in range).
 	Edges int64 `json:"edges"`
-	// Checksum is the XOR checksum of the shard's edges (the same folding
-	// CountEdges uses); zero until filled by ChecksumPlan.
-	Checksum int64 `json:"checksum"`
 }
 
-// planShards is the one closed-form planner behind both the generator-side
-// and design-side entry points: partition bnnz B triples into shards
-// contiguous cost-balanced ranges (each triple costs exactly cnnz edges of
-// fan-out), charging the removed self-loop to the shard owning loopTriple
-// (-1 when no loop is removed).
-func planShards(bnnz int, cnnz int64, loopTriple, shards int) ([]ShardInfo, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("gen: shard count %d; need at least 1", shards)
-	}
-	parts, err := parallel.Partition(bnnz, shards)
-	if err != nil {
-		return nil, err
-	}
-	plan := make([]ShardInfo, shards)
-	for p, r := range parts {
-		edges := int64(r.Len()) * cnnz
-		if loopTriple >= r.Lo && loopTriple < r.Hi {
-			edges--
-		}
-		plan[p] = ShardInfo{Shard: p, Shards: shards, BLo: r.Lo, BHi: r.Hi, Edges: edges}
-	}
-	return plan, nil
-}
+// maxShards bounds a plan's shard count: a plan holds one entry per shard,
+// so an unbounded count would let one request, flag or query allocate
+// arbitrarily before any shard is read.
+const maxShards = 1 << 16
 
-// PlanShards partitions the generator's work into shards cost-balanced
-// shards. The plan is deterministic — same design, same split, same shard
-// count, same plan — and exact: per-shard Edges are closed-form counts that
-// sum to NumEdges. Shard counts beyond nnz(B) yield trailing empty shards
-// (the paper's processors-without-triples case).
-func (g *Generator) PlanShards(shards int) ([]ShardInfo, error) {
-	return planShards(g.b.NNZ(), int64(g.c.Len()), g.loopTriple, shards)
-}
-
-// PlanDesignShards computes the identical plan to PlanShards on a realized
-// generator — pinned by tests — without realizing either split side: nnz(B),
-// nnz(C), and the loop-owning triple's CSC position all have closed forms.
-// The hub loop lives at B position (0,0), the CSC-minimal triple; the leaf
-// loop at (mB−1, mB−1), the CSC-maximal one. This is what lets a service
-// admit and route shard jobs from design arithmetic alone.
+// PlanDesignShards partitions the B-triple × C work of design d, split
+// after its first nb factors, into shards cost-balanced contiguous ranges
+// (each triple costs exactly nnz(C) edges of fan-out), for 1 ≤ shards ≤
+// 2^16. It realizes neither split side: nnz(B), nnz(C), and the loop-owning
+// triple's CSC position all have closed forms. The hub loop lives at B
+// position (0,0), the CSC-minimal triple; the leaf loop at (mB−1, mB−1),
+// the CSC-maximal one, and the shard owning it is charged one edge less.
+// The plan is deterministic — same design, same split, same shard count,
+// same plan — and exact: per-shard Edges sum to the design's edge count.
+// Shard counts beyond nnz(B) yield trailing empty shards (the paper's
+// processors-without-triples case). This is what lets a service admit and
+// route shard jobs from design arithmetic alone.
 func PlanDesignShards(d *core.Design, nb, shards int) ([]ShardInfo, error) {
+	if shards < 1 || shards > maxShards {
+		return nil, fmt.Errorf("gen: shard count %d outside the plan bound [1, %d]", shards, maxShards)
+	}
 	bd, cd, err := d.Split(nb)
 	if err != nil {
 		return nil, err
@@ -93,7 +71,19 @@ func PlanDesignShards(d *core.Design, nb, shards int) ([]ShardInfo, error) {
 	case star.LoopLeaf:
 		loopTriple = bnnz - 1
 	}
-	return planShards(bnnz, cnnz, loopTriple, shards)
+	parts, err := parallel.Partition(bnnz, shards)
+	if err != nil {
+		return nil, err
+	}
+	plan := make([]ShardInfo, shards)
+	for p, r := range parts {
+		edges := int64(r.Len()) * cnnz
+		if loopTriple >= r.Lo && loopTriple < r.Hi {
+			edges--
+		}
+		plan[p] = ShardInfo{Shard: p, Shards: shards, BLo: r.Lo, BHi: r.Hi, Edges: edges}
+	}
+	return plan, nil
 }
 
 // StreamShardTo generates exactly one shard's B-triple range into a
@@ -130,33 +120,12 @@ func (g *Generator) checkShard(s ShardInfo) error {
 // Checksum and returns the emitted count and XOR checksum — the per-shard
 // analogue of CountEdges (the same pass over the shard's range), and the
 // verification primitive a coordinator runs against a worker's claimed
-// output.
+// output. XORing every shard's checksum yields CountEdges' whole-graph
+// checksum.
 func (g *Generator) CountShard(ctx context.Context, s ShardInfo, np int) (total, checksum int64, err error) {
 	cnt, cks := pipeline.NewCounter(np), pipeline.NewChecksum(np)
 	if err := g.StreamShardTo(ctx, s, np, 0, pipeline.Tee(cnt, cks)); err != nil {
 		return 0, 0, err
 	}
 	return cnt.Total(), cks.Sum(), nil
-}
-
-// ChecksumPlan fills every shard's Checksum by streaming it (np workers per
-// shard, one shard at a time) and verifies each shard's streamed edge
-// count against the plan's closed form — a count mismatch means the plan and
-// generator disagree about the workload and the plan must not be trusted.
-// XORing the filled checksums together yields CountEdges' whole-graph
-// checksum, so a coordinator can verify K independent shard runs add up to
-// exactly the designed graph.
-func (g *Generator) ChecksumPlan(ctx context.Context, plan []ShardInfo, np int) error {
-	for i := range plan {
-		n, sum, err := g.CountShard(ctx, plan[i], np)
-		if err != nil {
-			return err
-		}
-		if n != plan[i].Edges {
-			return fmt.Errorf("gen: shard %d/%d streamed %d edges, plan says %d",
-				plan[i].Shard, plan[i].Shards, n, plan[i].Edges)
-		}
-		plan[i].Checksum = sum
-	}
-	return nil
 }

@@ -16,7 +16,7 @@ import (
 // before the first edge" property, exactly as the MatrixMarket size line
 // does) and whose trailer carries the actual edge count, the XOR content
 // checksum every other layer of the stack folds (s ^= row*31 + col per edge
-// — pipeline.Checksum, CountEdges, shard plans), and a CRC-32C of every
+// — pipeline.Checksum, CountEdges, CountShard), and a CRC-32C of every
 // byte, so a complete stream is verifiable against its design and a
 // truncated or damaged one is detected on read.
 //
@@ -234,7 +234,7 @@ type BinaryInfo struct {
 	// Edges is the trailer's actual edge count.
 	Edges int64
 	// Checksum is the trailer's XOR content fold, directly comparable to
-	// pipeline.Checksum sums, CountEdges, and shard-plan checksums.
+	// pipeline.Checksum sums, CountEdges, and CountShard checksums.
 	Checksum int64
 }
 

@@ -23,9 +23,9 @@ import (
 // TestTeeWriterByteParity pins that one StreamTo pass through
 // Tee(PerWorker(Writer(TSV)...), Counter, Checksum) produces TSV bytes
 // identical to a per-callback loop that expands every run with a Func and
-// prints each edge with fmt, while the teed checksum equals
-// CountEdges' and the XOR of the shard plan's checksums — generate once,
-// consume three ways, nothing changed on the wire.
+// prints each edge with fmt, while the teed checksum equals CountEdges' and
+// the XOR of the shard plan's CountShard checksums — generate once, consume
+// three ways, nothing changed on the wire.
 func TestTeeWriterByteParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1803))
 	loops := []star.LoopMode{star.LoopNone, star.LoopHub, star.LoopLeaf}
@@ -98,16 +98,20 @@ func TestTeeWriterByteParity(t *testing.T) {
 		// The same fold reconciles against the deterministic shard plan:
 		// XOR of per-shard checksums equals the live stream's.
 		k := 1 + rng.Intn(4)
-		plan, err := g.PlanShards(k)
+		plan, err := gen.PlanDesignShards(d, nb, k)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.ChecksumPlan(context.Background(), plan, 2); err != nil {
 			t.Fatal(err)
 		}
 		var xor int64
 		for _, s := range plan {
-			xor ^= s.Checksum
+			n, sum, err := g.CountShard(context.Background(), s, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != s.Edges {
+				t.Fatalf("%v nb=%d k=%d shard %d: CountShard %d edges, plan %d", d, nb, k, s.Shard, n, s.Edges)
+			}
+			xor ^= sum
 		}
 		if xor != sum.Sum() {
 			t.Fatalf("%v nb=%d k=%d: plan checksum XOR %x != teed stream checksum %x",

@@ -204,8 +204,8 @@ func (c *Counter) Total() int64 {
 
 // Checksum is a fold Sink computing the XOR content checksum of a stream —
 // s ^= row·31 + col per edge, XOR across workers, the folding the KRNB
-// trailer and shard plans carry — so a live stream's checksum reconciles
-// directly against CountEdges, CountShard, and ChecksumPlan values. XOR's
+// trailer and job statuses carry — so a live stream's checksum reconciles
+// directly against CountEdges and CountShard values. XOR's
 // commutativity makes the result independent of worker count and run
 // interleaving.
 type Checksum struct {

@@ -21,9 +21,9 @@ type Config struct {
 	MaxConcurrentJobs int
 	// MaxWorkers bounds the per-job generation processor count.
 	MaxWorkers int
-	// CacheSize is the capacity of each of the service's LRUs: design
-	// properties, the design-hash registry (at least 1), and shard plans.
-	// A negative size disables the property and plan caches.
+	// CacheSize is the capacity of each of the service's two LRUs: design
+	// properties and the design-hash registry (at least 1). A negative
+	// size disables the property cache.
 	CacheSize int
 	// MaxCNNZ bounds the C side's stored entries (each worker scans all of
 	// C for every owned B triple, so C must stay processor-local, Section V).
@@ -79,7 +79,7 @@ type Service struct {
 	metrics *Metrics
 	cache   *lru[*DesignProperties]
 	// hashes maps a design's order-sensitive hash back to its request so
-	// /v1/designs/{hash}/shardplan can rebuild plans; registered on every
+	// /v1/designs/{hash}/shardplan can compute plans; registered on every
 	// design query and job submission.
 	hashes  *lru[DesignRequest]
 	manager *Manager
@@ -126,9 +126,9 @@ func New(cfg Config) *Service {
 		logger:  cfg.Logger,
 		cache:   newLRU[*DesignProperties](cfg.CacheSize),
 		// The hash registry is a lookup table, not a cache: a negative
-		// CacheSize legitimately disables the property and plan caches
-		// (latency only), but a capacity-0 registry would make every
-		// /shardplan request 404 forever, so it keeps a floor of one entry.
+		// CacheSize legitimately disables the property cache (latency
+		// only), but a capacity-0 registry would make every /shardplan
+		// request 404 forever, so it keeps a floor of one entry.
 		hashes: newLRU[DesignRequest](max(cfg.CacheSize, 1)),
 		mux:    http.NewServeMux(),
 	}

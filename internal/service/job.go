@@ -135,7 +135,7 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	// checksum is the XOR content fold over every edge the job generated
-	// (pipeline.Checksum, the same folding shard plans use); hasChecksum
+	// (pipeline.Checksum, the same folding CountShard uses); hasChecksum
 	// flips once generation completed successfully.
 	checksum    int64
 	hasChecksum bool
@@ -298,12 +298,12 @@ type JobStatus struct {
 	GeneratedEdges int64        `json:"generatedEdges"`
 	StreamedEdges  int64        `json:"streamedEdges"`
 	// Checksum is the XOR content fold over every edge the job generated —
-	// the identical folding CountEdges and shard plans use — teed out of the
+	// the identical folding CountEdges and CountShard use — teed out of the
 	// same generation pass that streamed the edges; present once generation
-	// completed. A sharded job's checksum must equal its plan entry's
-	// ?checksums=1 value, and XORing all shards' checksums yields the whole
-	// design's, so completeness of a K-replica run is verifiable from job
-	// statuses alone.
+	// completed. A sharded job's checksum is its shard's (CountShard's
+	// value), and XORing all shards' checksums yields the whole design's,
+	// so completeness of a K-replica run is verifiable from job statuses
+	// alone.
 	Checksum *int64 `json:"checksum,omitempty"`
 	// Progress is generated/total in [0,1].
 	Progress float64 `json:"progress"`
@@ -373,9 +373,6 @@ type Manager struct {
 	cfg     Config
 	metrics *Metrics
 	logger  *slog.Logger
-	// plans caches deterministic shard plans by (design hash, split, shards);
-	// see planFor in shardplan.go.
-	plans *lru[[]kron.ShardInfo]
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -400,7 +397,6 @@ func NewManager(cfg Config, metrics *Metrics) *Manager {
 		cfg:     cfg,
 		metrics: metrics,
 		logger:  logger,
-		plans:   newLRU[[]kron.ShardInfo](cfg.CacheSize),
 		jobs:    make(map[string]*Job),
 	}
 }
@@ -431,20 +427,6 @@ func (m *Manager) resolveSplit(d *kron.Design, split int) (splitSides, error) {
 	return splitSides{split: split, bnnz: bd.NNZWithLoops(), cnnz: cd.NNZWithLoops()}, nil
 }
 
-// checkSides is the realization bound every generator the service builds
-// must pass — a job's at admission, a ?checksums=1 plan's before
-// enumeration: each worker scans all of C, so C must stay processor-local
-// (Section V), and B is realized in server memory.
-func (m *Manager) checkSides(s splitSides) error {
-	if !s.cnnz.IsInt64() || s.cnnz.Int64() > m.cfg.MaxCNNZ {
-		return fmt.Errorf("C side of split %d has %s stored entries, over the per-worker bound %d", s.split, s.cnnz, m.cfg.MaxCNNZ)
-	}
-	if !s.bnnz.IsInt64() || s.bnnz.Int64() > m.cfg.MaxBNNZ {
-		return fmt.Errorf("B side of split %d has %s stored entries, over the realization bound %d", s.split, s.bnnz, m.cfg.MaxBNNZ)
-	}
-	return nil
-}
-
 // Submit validates the request against the server's admission limits,
 // registers the job, and starts its run loop. Validation is entirely
 // design-side: the closed forms bound the realization cost of both split
@@ -468,10 +450,15 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.checkSides(sides); err != nil {
-		return nil, err
-	}
 	split := sides.split
+	// The realization bounds: each worker scans all of C, so C must stay
+	// processor-local (Section V), and B is realized in server memory.
+	if !sides.cnnz.IsInt64() || sides.cnnz.Int64() > m.cfg.MaxCNNZ {
+		return nil, fmt.Errorf("C side of split %d has %s stored entries, over the per-worker bound %d", split, sides.cnnz, m.cfg.MaxCNNZ)
+	}
+	if !sides.bnnz.IsInt64() || sides.bnnz.Int64() > m.cfg.MaxBNNZ {
+		return nil, fmt.Errorf("B side of split %d has %s stored entries, over the realization bound %d", split, sides.bnnz, m.cfg.MaxBNNZ)
+	}
 	workers := req.Workers
 	if workers == 0 {
 		workers = min(runtime.GOMAXPROCS(0), m.cfg.MaxWorkers)
@@ -487,12 +474,11 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		return nil, fmt.Errorf("unknown sink %q (want %q or %q)", sink, SinkStream, SinkDiscard)
 	}
 	// Shard identity: validated design-side like the split above, so a bad
-	// spec is a 400 before any slot or memory is committed. A sharded job's
-	// plan comes from the LRU-backed planFor — deterministic on rebuild, so
-	// a cache eviction between a coordinator fetching the plan and a
-	// replica submitting its shard job cannot change the ranges. An
-	// unsharded job generates the design's one-shard plan, computed here
-	// rather than cached: the cache holds the plans replicas share.
+	// spec is a 400 before any slot or memory is committed. The plan is
+	// computed here from the design's closed forms — deterministic, so
+	// every replica submitting the same (design, split, shards) gets the
+	// ranges a coordinator fetched. An unsharded job generates the only
+	// shard of the one-shard plan.
 	if req.Shards < 0 {
 		return nil, fmt.Errorf("shards %d; a sharded job needs shards ≥ 1 (0 means unsharded)", req.Shards)
 	}
@@ -500,15 +486,10 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		return nil, fmt.Errorf("shard %d given without shards; set shards to the plan's total shard count", req.Shard)
 	}
 	sharded := req.Shards > 0
-	var plan []kron.ShardInfo
-	if sharded {
-		if req.Shard < 0 || req.Shard >= req.Shards {
-			return nil, fmt.Errorf("shard %d outside [0, %d)", req.Shard, req.Shards)
-		}
-		plan, _, err = m.planFor(req.DesignRequest, d, split, req.Shards)
-	} else {
-		plan, err = kron.PlanShards(d, split, 1)
+	if sharded && (req.Shard < 0 || req.Shard >= req.Shards) {
+		return nil, fmt.Errorf("shard %d outside [0, %d)", req.Shard, req.Shards)
 	}
+	plan, err := kron.PlanShards(d, split, max(req.Shards, 1))
 	if err != nil {
 		return nil, err
 	}

@@ -41,10 +41,7 @@ type Metrics struct {
 	ShardValidationsRun    atomic.Int64 // counter: per-shard validation measurements executed
 	ShardValidationsMerged atomic.Int64 // counter: complete shard plans merged into design-level reports
 
-	ShardJobs        atomic.Int64 // counter: sharded generation jobs admitted
-	ShardPlansBuilt  atomic.Int64 // counter: shard plans computed (plan-cache misses)
-	PlanCacheHits    atomic.Int64 // counter: shard plans served from the plan LRU
-	PlansChecksummed atomic.Int64 // counter: plans verified by full checksum enumeration
+	ShardJobs atomic.Int64 // counter: sharded generation jobs admitted
 
 	// HTTPLatency is the per-route request latency histogram family,
 	// observed by the access-log middleware on every request and labelled by
@@ -145,9 +142,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"kronserve_shard_validations_total", "Per-shard validation measurements executed.", "counter", m.ShardValidationsRun.Load()},
 		{"kronserve_shard_validations_merged_total", "Complete shard plans merged into design-level reports.", "counter", m.ShardValidationsMerged.Load()},
 		{"kronserve_shard_jobs_total", "Sharded generation jobs admitted.", "counter", m.ShardJobs.Load()},
-		{"kronserve_shard_plans_built_total", "Shard plans computed (plan-cache misses).", "counter", m.ShardPlansBuilt.Load()},
-		{"kronserve_shard_plan_cache_hits_total", "Shard plans served from the plan LRU.", "counter", m.PlanCacheHits.Load()},
-		{"kronserve_shard_plans_checksummed_total", "Plans verified by full checksum enumeration.", "counter", m.PlansChecksummed.Load()},
 	} {
 		if err := emit(row.name, row.help, row.typ, row.value); err != nil {
 			return n.Load(), err

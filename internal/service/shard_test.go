@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,11 +32,12 @@ func getJSON[T any](t *testing.T, url string, wantStatus int) T {
 }
 
 // TestServiceShardAPIEndToEnd drives the coordinator-free deployment recipe
-// over HTTP: POST the design to learn its hash, fetch the K-shard plan (with
-// verification checksums), run one shard job per shard as if K replicas each
-// took one, and reassemble the streamed TSV bodies into the full graph —
-// which must equal the serial Kronecker realization entry-for-entry, with
-// each body's edge count matching its shard's closed-form plan entry.
+// over HTTP: POST the design to learn its hash, fetch the K-shard plan, run
+// one shard job per shard as if K replicas each took one, and reassemble the
+// streamed TSV bodies into the full graph — which must equal the serial
+// Kronecker realization entry-for-entry, with each body's edge count
+// matching its shard's closed-form plan entry and each job's checksum
+// matching CountShard's over the same shard.
 func TestServiceShardAPIEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	design := DesignRequest{Points: []int{3, 4, 5, 9}, Loop: "hub"}
@@ -47,13 +49,10 @@ func TestServiceShardAPIEndToEnd(t *testing.T) {
 	}
 
 	plan := getJSON[ShardPlanResponse](t,
-		fmt.Sprintf("%s/v1/designs/%s/shardplan?shards=%d&checksums=1", ts.URL, props.Hash, shards),
+		fmt.Sprintf("%s/v1/designs/%s/shardplan?shards=%d", ts.URL, props.Hash, shards),
 		http.StatusOK)
 	if len(plan.Plan) != shards || plan.Shards != shards {
 		t.Fatalf("plan has %d shards, want %d", len(plan.Plan), shards)
-	}
-	if !plan.Checksummed {
-		t.Fatal("plan not checksummed despite checksums=1")
 	}
 	d, err := design.Build()
 	if err != nil {
@@ -61,6 +60,12 @@ func TestServiceShardAPIEndToEnd(t *testing.T) {
 	}
 	if plan.TotalEdges != d.NumEdges().Int64() {
 		t.Fatalf("plan totalEdges %d, design says %s", plan.TotalEdges, d.NumEdges())
+	}
+	// A test-side generator at the plan's split: the reference each shard
+	// job's checksum must match.
+	g, err := kron.NewGenerator(d, plan.Split)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// K "replicas": one shard job each, submitted with the plan's split so
@@ -104,13 +109,17 @@ func TestServiceShardAPIEndToEnd(t *testing.T) {
 		tr = append(tr, body.Tr...)
 		done := waitForState(t, ts.URL, job.ID, StateDone)
 		// The job's teed checksum — folded in the same pass that streamed
-		// the edges above — must reconcile against the plan's enumerated
-		// verification checksum with no extra generation run.
+		// the edges above — must reconcile against CountShard's over the
+		// same shard.
 		if done.Checksum == nil {
 			t.Fatalf("shard %d done status carries no checksum", sh.Shard)
 		}
-		if *done.Checksum != sh.Checksum {
-			t.Fatalf("shard %d job checksum %x, plan says %x", sh.Shard, *done.Checksum, sh.Checksum)
+		_, want, err := g.CountShard(context.Background(), sh, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *done.Checksum != want {
+			t.Fatalf("shard %d job checksum %x, CountShard says %x", sh.Shard, *done.Checksum, want)
 		}
 		jobChecksumXOR ^= *done.Checksum
 	}
@@ -143,19 +152,13 @@ func TestServiceShardAPIEndToEnd(t *testing.T) {
 			jobChecksumXOR, *fullDone.Checksum)
 	}
 
-	// The shard counters moved.
+	// The shard counter moved.
 	var buf bytes.Buffer
 	if _, err := s.Metrics().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		fmt.Sprintf("kronserve_shard_jobs_total %d", shards),
-		"kronserve_shard_plans_built_total 1",
-		"kronserve_shard_plans_checksummed_total 1",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	if want := fmt.Sprintf("kronserve_shard_jobs_total %d", shards); !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics missing %q", want)
 	}
 }
 
@@ -185,13 +188,14 @@ func TestServiceShardInvalidSpecs(t *testing.T) {
 
 	base := ts.URL + "/v1/designs/" + props.Hash + "/shardplan"
 	for name, url := range map[string]string{
-		"zero shards":     base + "?shards=0",
-		"negative shards": base + "?shards=-3",
-		"missing shards":  base,
-		"garbage shards":  base + "?shards=banana",
-		"bad split":       base + "?shards=2&split=99",
-		"garbage split":   base + "?shards=2&split=x",
-		"over bound":      base + "?shards=1048576",
+		"zero shards":       base + "?shards=0",
+		"negative shards":   base + "?shards=-3",
+		"missing shards":    base,
+		"garbage shards":    base + "?shards=banana",
+		"bad split":         base + "?shards=2&split=99",
+		"garbage split":     base + "?shards=2&split=x",
+		"over bound":        base + "?shards=1048576",
+		"retired checksums": base + "?shards=2&checksums=1",
 	} {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -209,6 +213,12 @@ func TestServiceShardInvalidSpecs(t *testing.T) {
 		}
 	}
 
+	// The retired ?checksums= names itself and where the values now come
+	// from: each shard job's status.
+	if e := getJSON[errorBody](t, base+"?shards=2&checksums=1", http.StatusBadRequest); !strings.Contains(e.Error, "checksums parameter is retired") || !strings.Contains(e.Error, "shard job") {
+		t.Errorf("retired checksums: %q, want the parameter named and the shard jobs' checksums pointed to", e.Error)
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/designs/deadbeefdeadbeef/shardplan?shards=2")
 	if err != nil {
 		t.Fatal(err)
@@ -218,32 +228,19 @@ func TestServiceShardInvalidSpecs(t *testing.T) {
 		t.Errorf("unknown hash: %d, want 404", resp.StatusCode)
 	}
 
-	// Checksum enumeration over the bound is 422, but the plan itself stays
-	// fetchable without checksums. The design has about 3.6e9 edges, over
-	// the 2^30-edge enumeration bound; both answers are closed form, so
-	// nothing is realized.
-	_, ts2 := newTestServer(t, Config{})
+	// A design of about 3.6e9 edges, far over every realization bound,
+	// still plans: the plan is closed form, so nothing is realized.
 	huge := DesignRequest{Points: []int{3, 4, 5, 9, 16, 25, 81}, Loop: "hub"}
-	props2 := decodeBody[DesignProperties](t, postJSON(t, ts2.URL+"/v1/designs", huge))
-	r2, err := http.Get(ts2.URL + "/v1/designs/" + props2.Hash + "/shardplan?shards=2&checksums=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body2, _ := io.ReadAll(r2.Body)
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body2), "checksum enumeration bound") {
-		t.Errorf("over-bound checksums: %d %s, want 422 naming the enumeration bound", r2.StatusCode, body2)
-	}
-	plain := getJSON[ShardPlanResponse](t, ts2.URL+"/v1/designs/"+props2.Hash+"/shardplan?shards=2", http.StatusOK)
-	if plain.Checksummed || len(plain.Plan) != 2 {
-		t.Errorf("plain plan after 422: checksummed=%v shards=%d", plain.Checksummed, len(plain.Plan))
+	props2 := decodeBody[DesignProperties](t, postJSON(t, ts.URL+"/v1/designs", huge))
+	plain := getJSON[ShardPlanResponse](t, ts.URL+"/v1/designs/"+props2.Hash+"/shardplan?shards=2", http.StatusOK)
+	if len(plain.Plan) != 2 {
+		t.Errorf("plan of a huge design: %d shards, want 2", len(plain.Plan))
 	}
 }
 
-// TestServiceSideBounds drives the realization bounds on every path that
-// builds a generator. A job whose C side is over MaxCNNZ, or whose B side is
-// over MaxBNNZ, is refused with 400; a ?checksums=1 plan at the same split
-// is refused with 422 and the same message. The plain plan still reports
+// TestServiceSideBounds drives the realization bounds at job admission, the
+// one path that builds a generator. A job whose C side is over MaxCNNZ, or
+// whose B side is over MaxBNNZ, is refused with 400. The plan still reports
 // both sides without enforcing them: a coordinator may plan for replicas
 // configured with larger bounds. {3,4,5,9} hub stores 7, 9, 11 and 19
 // entries per factor.
@@ -259,40 +256,30 @@ func TestServiceSideBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		split  int
-		plan   bool // fetch the checksummed plan instead of submitting a job
 		status int
 		msg    string
 	}{
-		{"job, C over", 1, false, http.StatusBadRequest, overC},
-		{"job, B over", 3, false, http.StatusBadRequest, overB},
-		{"checksummed plan, C over", 1, true, http.StatusUnprocessableEntity, overC},
-		{"checksummed plan, B over", 3, true, http.StatusUnprocessableEntity, overB},
+		{"job, C over", 1, http.StatusBadRequest, overC},
+		{"job, B over", 3, http.StatusBadRequest, overB},
 	} {
-		var resp *http.Response
-		if tc.plan {
-			var err error
-			if resp, err = http.Get(fmt.Sprintf("%s&split=%d&checksums=1", planURL, tc.split)); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			resp = postJSON(t, ts.URL+"/v1/jobs", JobRequest{DesignRequest: design, Split: tc.split, Sink: SinkDiscard})
-		}
+		resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{DesignRequest: design, Split: tc.split, Sink: SinkDiscard})
 		status := resp.StatusCode
 		if e := decodeBody[errorBody](t, resp); status != tc.status || e.Error != tc.msg {
 			t.Errorf("%s: %d %q, want %d %q", tc.name, status, e.Error, tc.status, tc.msg)
 		}
 	}
 	plain := getJSON[ShardPlanResponse](t, planURL+"&split=1", http.StatusOK)
-	if plain.Split != 1 || plain.BNNZ != 7 || plain.CNNZ != 1881 || plain.Checksummed {
-		t.Errorf("plain plan: split %d bnnz %d cnnz %d checksummed %v, want 1, 7, 1881, false",
-			plain.Split, plain.BNNZ, plain.CNNZ, plain.Checksummed)
+	if plain.Split != 1 || plain.BNNZ != 7 || plain.CNNZ != 1881 {
+		t.Errorf("plain plan: split %d bnnz %d cnnz %d, want 1, 7, 1881",
+			plain.Split, plain.BNNZ, plain.CNNZ)
 	}
 }
 
-// TestServiceShardPlanStableAcrossEviction pins the determinism fix: a shard
-// plan evicted from the LRU (here by a capacity-1 cache) must rebuild to the
-// identical ranges, so a job admitted after eviction generates exactly the
-// slice the coordinator's original plan promised.
+// TestServiceShardPlanStableAcrossEviction pins plan determinism across
+// the hash registry's eviction: a design evicted from a capacity-1 registry
+// and re-POSTed plans to the identical ranges, so a job admitted after the
+// eviction generates exactly the slice the coordinator's original plan
+// promised.
 func TestServiceShardPlanStableAcrossEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheSize: 1})
 	a := DesignRequest{Points: []int{3, 4, 5, 9}, Loop: "hub"}
@@ -301,21 +288,14 @@ func TestServiceShardPlanStableAcrossEviction(t *testing.T) {
 
 	planURL := fmt.Sprintf("%s/v1/designs/%s/shardplan?shards=3", ts.URL, aProps.Hash)
 	first := getJSON[ShardPlanResponse](t, planURL, http.StatusOK)
-	if first.Cached {
-		t.Fatal("first plan fetch claims to be cached")
-	}
-	hit := getJSON[ShardPlanResponse](t, planURL, http.StatusOK)
-	if !hit.Cached {
-		t.Fatal("immediate re-fetch missed the plan cache")
-	}
-	if !reflect.DeepEqual(first.Plan, hit.Plan) {
-		t.Fatal("cached plan differs from built plan")
+	again := getJSON[ShardPlanResponse](t, planURL, http.StatusOK)
+	if !reflect.DeepEqual(first.Plan, again.Plan) {
+		t.Fatal("re-fetched plan differs from the first")
 	}
 
-	// Evict A's plan: the capacity-1 LRU holds only the most recent plan.
-	// POSTing design B also evicts A's hash from the capacity-1 registry —
-	// the documented recovery is to re-POST the design, which re-registers
-	// the hash without touching the (still evicted) plan cache.
+	// POSTing design B evicts A's hash from the capacity-1 registry — the
+	// documented recovery is to re-POST the design, which re-registers the
+	// hash.
 	bProps := decodeBody[DesignProperties](t, postJSON(t, ts.URL+"/v1/designs", b))
 	getJSON[ShardPlanResponse](t, fmt.Sprintf("%s/v1/designs/%s/shardplan?shards=2", ts.URL, bProps.Hash), http.StatusOK)
 	if resp, err := http.Get(planURL); err != nil {
@@ -329,9 +309,6 @@ func TestServiceShardPlanStableAcrossEviction(t *testing.T) {
 	decodeBody[DesignProperties](t, postJSON(t, ts.URL+"/v1/designs", a))
 
 	rebuilt := getJSON[ShardPlanResponse](t, planURL, http.StatusOK)
-	if rebuilt.Cached {
-		t.Fatal("plan survived eviction from a capacity-1 cache; eviction path untested")
-	}
 	if !reflect.DeepEqual(first.Plan, rebuilt.Plan) {
 		t.Fatalf("rebuilt plan differs from evicted plan:\nfirst: %+v\nrebuilt: %+v", first.Plan, rebuilt.Plan)
 	}
@@ -339,8 +316,8 @@ func TestServiceShardPlanStableAcrossEviction(t *testing.T) {
 		t.Fatalf("rebuilt plan envelope differs: %+v vs %+v", rebuilt, first)
 	}
 
-	// A shard job submitted now — plan long evicted — must carry the same
-	// range the original plan promised.
+	// A shard job submitted now must carry the same range the original
+	// plan promised.
 	job := decodeBody[JobStatus](t, postJSON(t, ts.URL+"/v1/jobs", JobRequest{
 		DesignRequest: a, Workers: 1, Split: first.Split, Shards: 3, Shard: 1, Sink: SinkDiscard,
 	}))
@@ -353,15 +330,15 @@ func TestServiceShardPlanStableAcrossEviction(t *testing.T) {
 }
 
 // TestServiceShardPlanWithCachingDisabled pins the lookup-table/cache
-// distinction: a negative CacheSize disables the property and plan caches
-// (latency only), but the hash registry keeps a floor of one entry, so the
+// distinction: a negative CacheSize disables the property cache (latency
+// only), but the hash registry keeps a floor of one entry, so the
 // shard-plan endpoint still works right after its design is POSTed.
 func TestServiceShardPlanWithCachingDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheSize: -1})
 	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}
 	props := decodeBody[DesignProperties](t, postJSON(t, ts.URL+"/v1/designs", design))
 	plan := getJSON[ShardPlanResponse](t, ts.URL+"/v1/designs/"+props.Hash+"/shardplan?shards=2", http.StatusOK)
-	if len(plan.Plan) != 2 || plan.Cached {
+	if len(plan.Plan) != 2 {
 		t.Fatalf("plan with caching disabled: %+v", plan)
 	}
 }
@@ -387,8 +364,9 @@ func TestServiceShardJobValidatePartial(t *testing.T) {
 }
 
 // TestShardPlanAgreesWithGenerator cross-checks the service's closed-form
-// plan against the realized generator's and against kron.PlanShards — the
-// three faces of "the plan is a pure function of (design, split, shards)".
+// plan against kron.PlanShards — "the plan is a pure function of (design,
+// split, shards)" — and against the realized generator: every shard
+// streams exactly the edges its plan entry counts.
 func TestShardPlanAgreesWithGenerator(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := DesignRequest{Points: []int{4, 3, 5}, Loop: "leaf"} // non-sorted order on purpose
@@ -410,11 +388,13 @@ func TestShardPlanAgreesWithGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	genPlan, err := g.PlanShards(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plan.Plan, genPlan) {
-		t.Fatalf("service plan %+v != generator plan %+v", plan.Plan, genPlan)
+	for _, sh := range plan.Plan {
+		n, _, err := g.CountShard(context.Background(), sh, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != sh.Edges {
+			t.Fatalf("shard %d streamed %d edges, plan says %d", sh.Shard, n, sh.Edges)
+		}
 	}
 }

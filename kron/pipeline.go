@@ -47,8 +47,8 @@ type Counter = pipeline.Counter
 func NewCounter(np int) *Counter { return pipeline.NewCounter(np) }
 
 // Checksum is a fold Sink computing a stream's XOR content checksum with
-// the identical folding CountEdges and shard plans use, so live streams
-// reconcile against ChecksumPlan and JobStatus checksums.
+// the identical folding CountEdges and CountShard use, so live streams
+// reconcile against their values and JobStatus checksums.
 type Checksum = pipeline.Checksum
 
 // NewChecksum returns a Checksum for worker indices [0, np).

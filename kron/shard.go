@@ -9,23 +9,23 @@ import (
 
 // ShardInfo describes one shard of a deterministic generation plan: a
 // contiguous slice of the design's CSC-ordered B triples that one process
-// generates independently, with its exact edge count and (once filled by
-// Generator.ChecksumPlan) content checksum. See gen.ShardInfo.
+// generates independently, with its exact edge count. See gen.ShardInfo.
 type ShardInfo = gen.ShardInfo
 
 // PlanShards partitions the B-triple × C work of design d (split after its
-// first nb factors) into shards cost-balanced shards without realizing
-// either side — nnz(B), nnz(C), and the loop-owning triple all have closed
-// forms. The plan is a pure function of (design, nb, shards): any process,
-// coordinator or worker, that rebuilds it gets bitwise-identical ranges, so
-// K independent replicas can each pick their shard with no communication.
-// Per-shard Edges sum exactly to the design's edge count, and the
-// concatenation of all shards' StreamShardTo outputs equals one full
-// StreamTo pass edge-for-edge.
+// first nb factors) into shards cost-balanced shards, 1 ≤ shards ≤ 2^16,
+// without realizing either side — nnz(B), nnz(C), and the loop-owning
+// triple all have closed forms. The plan is a pure function of (design, nb,
+// shards): any process, coordinator or worker, that rebuilds it gets
+// bitwise-identical ranges, so K independent replicas can each pick their
+// shard with no communication. Per-shard Edges sum exactly to the design's
+// edge count, and the concatenation of all shards' StreamShardTo outputs
+// equals one full StreamTo pass edge-for-edge. It is the only planner: an
+// unsharded run is the only shard of the one-shard plan.
 //
-// A realized Generator offers the same plan via its PlanShards method, plus
-// StreamShardTo to generate one shard, CountShard to count-and-checksum
-// one shard, and ChecksumPlan to fill every shard's verification checksum.
+// A realized Generator runs a shard with StreamShardTo, and counts and
+// checksums one with CountShard; the XOR of every shard's checksum is the
+// whole graph's.
 func PlanShards(d *Design, nb, shards int) ([]ShardInfo, error) {
 	return gen.PlanDesignShards(d, nb, shards)
 }

@@ -24,11 +24,13 @@
 #   4. deltaWireToCountRatio must be at least 0.5 — the block-replay delta
 #      encoder must keep streaming real bytes at no less than half the bare
 #      count engine's rate, the gap the replay kernels exist to close.
-#   5. replayReadToCountRatio must be at least 0.5 — decoding a replayed
+#   5. replayReadToCountRatio must be at least 0.85 — decoding a replayed
 #      stream (one block frame, then run frames expanded from the decoded
-#      block) must run at no less than half the rate of the single-worker
-#      enumerated pass it sits beside, the median of 5 adjacent pairs, so a
-#      client keeps up with the generator whose wire it reads.
+#      block) must keep pace with the single-worker enumerated pass it sits
+#      beside, the median of 5 adjacent pairs, so a client keeps up with the
+#      generator whose wire it reads. The floor is 0.75x the lowest of 20
+#      medians recorded on a shared 2-vCPU VM (they read 1.134-1.426); a
+#      decoder that expands each run frame twice read about 0.6 there.
 #
 # CI runners are noisy, so the throughput gates are floors with headroom, not
 # equality checks. Run from the repository root: ./scripts/bench-smoke.sh
@@ -83,7 +85,7 @@ readRatio=$(jq -e '.replayReadToCountRatio' "$FRESH3")
 readPairs=$(jq -e '.replayReadToCountRatioRepeats' "$FRESH3")
 replayRead=$(jq -e '.binDeltaReplayReadEdgesPerSec' "$FRESH3")
 echo "replayed-stream decode: ${replayRead} edges/s, ${readRatio}x the enumerated pass (median of ${readPairs} pairs)"
-jq -en --argjson r "$readRatio" '$r >= 0.5' >/dev/null \
-  || fail "replayReadToCountRatio ${readRatio} < 0.5: replayed-stream decode no longer keeps up with generation"
+jq -en --argjson r "$readRatio" '$r >= 0.85' >/dev/null \
+  || fail "replayReadToCountRatio ${readRatio} < 0.85: replayed-stream decode no longer keeps up with generation"
 
 echo "bench-smoke: OK"

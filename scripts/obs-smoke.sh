@@ -3,14 +3,16 @@
 #
 # Builds kronserve, runs it with both listeners (API + debug), drives a real
 # discard job, a streamed job, and a design query and 2-shard plan fetch
-# (each twice), and then asserts the observability surface:
+# (each twice; the two plan bodies must be byte-identical, as a
+# deterministic closed-form plan is), and then asserts the observability
+# surface:
 #
 #   1. /metrics carries the promised series: per-route latency histograms,
 #      job queue-wait/realize/run-time histograms, and the pipeline stage counters
 #      for the service chain and the validation passes;
 #      kronserve_stream_bytes_total equals the streamed job's body size; and
-#      the design and plan caches each counted exactly one hit, the one the
-#      repeated request reported as "cached": true.
+#      the design cache counted exactly one hit, the one the repeated
+#      request reported as "cached": true.
 #   2. /v1/jobs/{id}/trace ends in a terminal phase.
 #   3. The -debug-addr listener answers /debug/vars and a 1-second
 #      /debug/pprof/profile capture.
@@ -78,7 +80,7 @@ EDGES=$(grep -cv '^#' "$WORK/edges.tsv") || true
 [ "$EDGES" -gt 0 ] || fail "edge stream delivered no edges"
 BODY_BYTES=$(wc -c <"$WORK/edges.tsv")
 
-echo "== query one design and fetch its 2-shard plan, each twice (caches)"
+echo "== query one design and fetch its 2-shard plan, each twice (cache, determinism)"
 DESIGN='{"points":[3,4,5,9],"loop":"hub"}'
 for n in 1 2; do
   curl -sf -X POST "$BASE/v1/designs" -d "$DESIGN" >"$WORK/design$n.json" \
@@ -92,8 +94,7 @@ for n in 1 2; do
   curl -sf "$BASE/v1/designs/$HASH/shardplan?shards=2" >"$WORK/plan$n.json" \
     || fail "shard plan request $n failed"
 done
-grep -q '"cached": *false' "$WORK/plan1.json" || fail "first shard plan claims to be cached"
-grep -q '"cached": *true' "$WORK/plan2.json" || fail "repeated shard plan missed the plan cache"
+cmp -s "$WORK/plan1.json" "$WORK/plan2.json" || fail "two fetches of one shard plan returned different bodies"
 
 echo "== check /metrics for the promised series"
 curl -sf "$BASE/metrics" >"$WORK/metrics.txt"
@@ -112,12 +113,8 @@ for series in \
 do
   grep -qF "$series" "$WORK/metrics.txt" || fail "/metrics missing: $series"
 done
-for line in \
-  'kronserve_design_cache_hits_total 1' \
-  'kronserve_shard_plan_cache_hits_total 1'
-do
-  grep -qx "$line" "$WORK/metrics.txt" || fail "/metrics does not read: $line"
-done
+grep -qx 'kronserve_design_cache_hits_total 1' "$WORK/metrics.txt" \
+  || fail "/metrics does not read: kronserve_design_cache_hits_total 1"
 STREAM_BYTES=$(awk '$1 == "kronserve_stream_bytes_total" { print $2 }' "$WORK/metrics.txt")
 [ "$STREAM_BYTES" = "$BODY_BYTES" ] \
   || fail "kronserve_stream_bytes_total is '${STREAM_BYTES}', the streamed body was ${BODY_BYTES} bytes"
